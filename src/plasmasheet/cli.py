@@ -262,7 +262,7 @@ def _build_functions(fixed, tolerance):
         names = _FAMILY_COLUMNS[family]
 
     def runner(x):
-        bundle = reduction_functions(x, rtol=tolerance)
+        bundle = reduction_functions(x, rtol=tolerance, names=names)
         return tuple(getattr(bundle, name) for name in names)
 
     return [(name, "float") for name in names], runner

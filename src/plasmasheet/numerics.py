@@ -1,18 +1,19 @@
 """Quadrature, root finding and spherical Bessel machinery.
 
-Plain numerics, no sheet physics. The quadrature and root-finding routines
-wrap library kernels (Gauss-Laguerre rules, QUADPACK, Brent) behind small
-contracts that fail loudly instead of returning silently inaccurate numbers.
-The spherical Bessel family is written out by hand because complex arguments
-are needed downstream and the stock routines only take real ones.
+Plain numerics, no sheet physics. Two fixed rules that take array-valued
+integrands (a trapezoidal rule in ln k for e^-k weighted integrals, and
+Gauss-Legendre), QUADPACK and Brent sit behind small contracts that fail
+loudly instead of returning silently inaccurate numbers. The spherical
+Bessel family is computed by hand-written complex recurrences.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.laguerre import laggauss
+from numpy.polynomial.legendre import leggauss
 from scipy import integrate, optimize
 
 from .errors import BracketError, IterationLimitError, ToleranceNotMet
@@ -20,6 +21,7 @@ from .errors import BracketError, IterationLimitError, ToleranceNotMet
 __all__ = [
     "QuadratureSpec",
     "integrate_exponential_weight",
+    "integrate_legendre",
     "integrate_adaptive",
     "integrate_semi_infinite",
     "find_root_bracketed",
@@ -33,7 +35,8 @@ __all__ = [
 # up to this order; callers needing more must raise the limit explicitly.
 LMAX_DEFAULT = 50
 
-_QUAD_KINDS = ("exponential-weight", "adaptive-finite", "semi-infinite-transformed")
+_QUAD_KINDS = ("exponential-weight", "gauss-legendre", "adaptive-finite",
+               "semi-infinite-transformed")
 
 
 @dataclass(frozen=True)
@@ -43,11 +46,12 @@ class QuadratureSpec:
     Parameters
     ----------
     kind : str
-        One of ``exponential-weight``, ``adaptive-finite``,
-        ``semi-infinite-transformed``.
+        One of ``exponential-weight``, ``gauss-legendre``,
+        ``adaptive-finite``, ``semi-infinite-transformed``.
     order : int
-        Starting Gauss-Laguerre order, or subdivision budget scale for the
-        adaptive routines. At least 2.
+        Starting step count of the log-k trapezoid rule (exponential-weight),
+        starting Gauss-Legendre order (gauss-legendre), or subdivision budget
+        scale of the QUADPACK routines. At least 2.
     rtol : float
         Relative tolerance, in (0, 1e-3]. Defaults to 1e-8.
     abs_floor : float
@@ -70,59 +74,133 @@ class QuadratureSpec:
             raise ValueError("abs_floor must be nonnegative")
 
 
-def _laguerre_rule(order, _cache={}):
-    if order not in _cache:
-        _cache[order] = laggauss(order)
-    return _cache[order]
+# The exponential-weight rule works in u = ln k on a fixed range: the part
+# of the integral below _K_MIN is at most 1e-20 times sup |f| there, and
+# above _K_MAX the weight e^-k underflows to zero.
+_K_MIN = 1e-20
+_K_MAX = 800.0
+# Refinement stops after this many halvings of the starting step.
+_MAX_HALVINGS = 10
+# leggauss builds a rule by an eigenvalue solve that grows as order^3.
+_LEGENDRE_MAX_ORDER = 512
 
 
-# numpy's laggauss produces NaN weights above order 128; stop doubling there.
-_GL_MAX_ORDER = 128
+def _frozen(*arrays):
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=None)
+def _log_k_level(panels, level):
+    """Nodes k and weights h e^-k k of one level of the log-k trapezoid rule.
+
+    Level 0 is the whole rule with `panels` steps; level n > 0 holds only
+    the midpoints that the n-th halving of the step adds.
+    """
+    lo, hi = math.log(_K_MIN), math.log(_K_MAX)
+    if level == 0:
+        u = np.linspace(lo, hi, panels + 1)
+        h = (hi - lo) / panels
+        ends = np.ones_like(u)
+        ends[[0, -1]] = 0.5
+    else:
+        count = panels * 2 ** (level - 1)
+        h = (hi - lo) / (2 * count)
+        u = lo + h * (2 * np.arange(count) + 1)
+        ends = 1.0
+    k = np.exp(u)
+    return _frozen(k, h * ends * np.exp(u - k))
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(order):
+    """Gauss-Legendre nodes mapped to [0, 1] and their weights."""
+    nodes, weights = leggauss(order)
+    return _frozen(0.5 * (nodes + 1.0), 0.5 * weights)
+
+
+def _refine(estimates, spec, what):
+    """First estimate that agrees with its predecessor to spec.rtol.
+
+    Estimates may be arrays; then every element must agree.
+    """
+    prev, gap = next(estimates), math.inf
+    for cur in estimates:
+        diff = np.abs(cur - prev)
+        if np.all(diff <= spec.rtol * np.abs(cur) + spec.abs_floor):
+            return cur
+        prev, gap = cur, float(np.max(diff))
+    raise ToleranceNotMet(f"{what} did not reach rtol {spec.rtol:g}",
+                          estimate=prev, error_bound=gap)
 
 
 def integrate_exponential_weight(f, spec=None):
     """Integral of e^(-k) f(k) over k in [0, inf).
 
-    Gauss-Laguerre quadrature with order doubling until two successive orders
-    agree to the requested tolerance. Integrands with structure the rule
-    cannot see (poles just left of the origin, fractional powers of k) make
-    the doubling stall; in that case the semi-infinite adaptive route is used
-    before giving up.
+    Trapezoidal rule in u = ln k over k in [1e-20, 800], starting with
+    ``spec.order`` steps. Each refinement halves the step and evaluates f only
+    at the new midpoints, in one call on an array of nodes; it stops when two
+    successive levels agree to ``spec.rtol``. The rule converges
+    geometrically for integrands e^-k k^n R(k/x) with R analytic off
+    (-inf, -1], whatever the scale x: in u they are analytic in a strip of
+    width pi about the real axis.
 
     Parameters
     ----------
     f : callable
-        Smooth factor multiplying the e^(-k) weight.
+        Factor multiplying the e^(-k) weight. Takes an array of k and returns
+        an array of the same shape.
     spec : QuadratureSpec, optional
-        Tolerances and starting order.
+        Tolerances and starting step count.
 
     Returns
     -------
     float
+
+    Raises
+    ------
+    ToleranceNotMet
+        When the levels still disagree after the last halving.
     """
     if spec is None:
         spec = QuadratureSpec(kind="exponential-weight")
-    order = max(spec.order, 2)
-    nodes, weights = _laguerre_rule(order)
-    prev = float(np.dot(weights, [f(x) for x in nodes]))
-    while order < _GL_MAX_ORDER:
-        order *= 2
-        nodes, weights = _laguerre_rule(order)
-        cur = float(np.dot(weights, [f(x) for x in nodes]))
-        if abs(cur - prev) <= spec.rtol * abs(cur) + spec.abs_floor:
-            return cur
-        prev = cur
-    # Doubling stalled: hand the explicitly weighted integrand to QUADPACK.
-    fallback = QuadratureSpec(kind="semi-infinite-transformed",
-                              order=spec.order, rtol=spec.rtol,
-                              abs_floor=spec.abs_floor)
-    try:
-        return integrate_semi_infinite(lambda k: math.exp(-k) * f(k) if k < 700.0 else 0.0,
-                                       fallback)
-    except ToleranceNotMet as err:
-        raise ToleranceNotMet(
-            "Gauss-Laguerre doubling and adaptive fallback both failed",
-            estimate=err.estimate, error_bound=err.error_bound) from err
+
+    def levels():
+        total = 0.0
+        for level in range(_MAX_HALVINGS + 1):
+            k, w = _log_k_level(spec.order, level)
+            total = 0.5 * total + float(np.sum(w * f(k)))
+            yield total
+
+    return _refine(levels(), spec, "log-k trapezoid refinement")
+
+
+def integrate_legendre(f, hi, spec=None):
+    """Integrals of f(t) over t in [0, hi] for an array of upper limits hi.
+
+    Gauss-Legendre rules starting at ``spec.order`` nodes, doubling the
+    order until two successive orders agree to ``spec.rtol`` for every
+    element. f receives the nodes as an array of shape hi.shape + (order,)
+    and returns values of the same shape.
+
+    Raises
+    ------
+    ToleranceNotMet
+        When two orders up to 512 never agree.
+    """
+    if spec is None:
+        spec = QuadratureSpec(kind="gauss-legendre")
+    hi = np.asarray(hi, dtype=float)[..., None]
+
+    def orders():
+        order = spec.order
+        while order <= _LEGENDRE_MAX_ORDER:
+            nodes, weights = _legendre_rule(order)
+            yield np.sum(weights * f(hi * nodes), axis=-1) * hi[..., 0]
+            order *= 2
+
+    return _refine(orders(), spec, "Gauss-Legendre order doubling")
 
 
 def integrate_adaptive(f, lo, hi, spec=None, full_result=False):

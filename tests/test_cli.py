@@ -1,8 +1,12 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+from plasmasheet import polder
 from plasmasheet.cli import (
     DEFAULT_TOLERANCE,
     TOLERANCE_ENV_VAR,
@@ -16,7 +20,10 @@ from plasmasheet.cli import (
     table_to_csv_text,
     table_to_json_text,
 )
+from plasmasheet.errors import PathDisagreementError
 from plasmasheet.polder import reduction_functions
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def data_section(csv_text):
@@ -327,6 +334,25 @@ class TestMain:
         assert main(args + ["--output", str(first)]) == 0
         assert main(args + ["--output", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_family_computes_only_its_own_functions(self, monkeypatch, capsys):
+        def broken(x, rtol=1e-8):
+            raise PathDisagreementError("g_tm must not run for --family f")
+
+        monkeypatch.setattr(polder, "g_tm", broken)
+        assert main(["functions", "--family", "f", "--x", "1"]) == 0
+        assert "x,fTE,fTM,error" in capsys.readouterr().out
+
+    def test_readme_examples_exit_zero(self, monkeypatch, capsys):
+        monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
+        blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+        commands = [shlex.split(line)[1:] for block in blocks
+                    for line in block.splitlines()
+                    if line.startswith("plasmasheet ")]
+        assert len(commands) >= 7
+        for argv in commands:
+            assert main(argv) == 0, " ".join(argv)
+            capsys.readouterr()
 
     def test_config_file_flag_precedence(self, tmp_path, capsys):
         path = tmp_path / "sweep.conf"

@@ -50,8 +50,39 @@ class TestExponentialWeight:
         assert abs(val - exact) < 1e-10 * exact
 
     def test_sqrt_behavior_at_origin(self):
-        val = numerics.integrate_exponential_weight(math.sqrt, TIGHT)
+        val = numerics.integrate_exponential_weight(np.sqrt, TIGHT)
         assert abs(val - math.sqrt(math.pi) / 2) < 1e-9
+
+    def test_one_array_call_per_level_on_new_nodes(self):
+        seen = []
+
+        def f(k):
+            seen.append(np.array(k))
+            return k / (1.0 + k)
+
+        numerics.integrate_exponential_weight(f, TIGHT)
+        nodes = np.concatenate(seen)
+        assert len(seen) >= 3
+        assert all(k.ndim == 1 for k in seen)
+        assert len(seen[1]) == TIGHT.order
+        assert all(len(b) == 2 * len(a) for a, b in zip(seen[1:], seen[2:]))
+        assert len(np.unique(nodes)) == len(nodes)
+
+    @pytest.mark.parametrize("x", [1e-6, 1e-3, 1e3, 1e12])
+    def test_pole_near_origin_at_every_scale(self, x):
+        # the rule must not depend on where the pole at k = -x sits
+        val = numerics.integrate_exponential_weight(lambda k: k / (1.0 + k / x), TIGHT)
+        with mpmath.workdps(40):
+            exact = float(x * (1 - x * mpmath.e**x * mpmath.e1(x)))
+        assert abs(val - exact) < 1e-10 * exact
+
+    def test_levels_that_never_agree_raise(self):
+        # a step in the integrand limits the trapezoid rule to O(h)
+        with pytest.raises(ToleranceNotMet) as info:
+            numerics.integrate_exponential_weight(
+                lambda k: np.where(k > 1.0, 1.0, 0.0), TIGHT)
+        assert abs(info.value.estimate - math.exp(-1.0)) < 1e-2
+        assert info.value.error_bound > 1e-10 * math.exp(-1.0)
 
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -62,6 +93,30 @@ class TestExponentialWeight:
             numerics.QuadratureSpec(rtol=1e-2)
         with pytest.raises(ValueError):
             numerics.QuadratureSpec(rtol=0.0)
+
+
+class TestLegendre:
+    def test_array_of_upper_limits(self):
+        hi = np.array([1e-12, 0.3, 2.0, 11.0])
+        val = numerics.integrate_legendre(np.cos, hi)
+        assert np.all(np.abs(val - np.sin(hi)) <= 1e-14 * np.abs(np.sin(hi)) + 1e-16)
+
+    def test_order_doubles_until_agreement(self):
+        orders = []
+
+        def f(t):
+            orders.append(t.shape[-1])
+            return np.exp(-t) / (1.0 + t * t)
+
+        spec = numerics.QuadratureSpec(kind="gauss-legendre", order=4, rtol=1e-12)
+        numerics.integrate_legendre(f, 3.0, spec)
+        assert orders[:3] == [4, 8, 16]
+        assert all(b == 2 * a for a, b in zip(orders, orders[1:]))
+
+    def test_kink_never_agrees(self):
+        spec = numerics.QuadratureSpec(kind="gauss-legendre", rtol=1e-12)
+        with pytest.raises(ToleranceNotMet):
+            numerics.integrate_legendre(lambda t: np.abs(t - 0.5), 1.0, spec)
 
 
 class TestAdaptive:

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
+from plasmasheet import polder
 from plasmasheet.errors import PathDisagreementError
 from plasmasheet.polder import (
     BULK_CONDUCTOR_CP_COEFFICIENT,
@@ -156,6 +158,12 @@ class TestShapeFunctionValues:
         assert rf.gTM == g_tm(x)
         assert rf.g3 == g_3(x)
 
+    def test_bundle_of_named_functions(self):
+        rf = reduction_functions(2.0, names=("fTE", "h3"))
+        assert rf.fTE == f_te(2.0)
+        assert rf.h3 == h_3(2.0)
+        assert rf.gTM is None and rf.hPar is None
+
     def test_bundle_validation(self):
         with pytest.raises(ValueError):
             ReductionFunctions(x=1.0, fTE=0.0, fTM=1.0, hPar=1.0, h3=1.0,
@@ -171,6 +179,61 @@ class TestDualRoutes:
         for x in np.logspace(-3, 3, 30):
             g_tm(float(x))
             g_3(float(x))
+
+    def test_routes_agree_tightly_on_lattice(self):
+        # x = 10^(k/4) over [1e-6, 1e12], the whole coupling range
+        for k in range(-24, 49):
+            x = 10.0 ** (k / 4)
+            for args in ((5.0 / 22.0, polder._tm_angular, polder._tm_poly, "g_tm"),
+                         (0.25, polder._transverse_angular,
+                          polder._transverse_poly, "g_3")):
+                closed, check = polder._dual_angular_reduction(x, 1e-8, *args)
+                assert abs(closed - check) <= 1e-11 * closed, (x, args[-1])
+
+    @pytest.mark.parametrize("kernel, fn", [("_tm_angular", g_tm),
+                                            ("_transverse_angular", g_3)])
+    def test_perturbed_closed_form_is_caught(self, monkeypatch, kernel, fn):
+        # the check route never calls the closed forms, so a 1e-6 error in
+        # one of them must surface as a route disagreement
+        original = getattr(polder, kernel)
+        monkeypatch.setattr(polder, kernel, lambda b: original(b) * (1.0 + 1e-6))
+        for x in (1e-3, 1.0, 1e3):
+            with pytest.raises(PathDisagreementError):
+                fn(x)
+
+    def test_shape_functions_never_call_quadpack(self, monkeypatch):
+        def quad(*args, **kwargs):
+            raise AssertionError("QUADPACK called")
+
+        monkeypatch.setattr(scipy.integrate, "quad", quad)
+        for x in (1e-6, 1e-3, 0.1, 1e12):
+            for fn in (f_te, f_tm, h_parallel, g_te, g_tm, g_3):
+                value = fn(x)
+                assert math.isfinite(value) and value > 0.0
+        for fn in (f_te, f_tm, h_parallel, g_te, g_tm, g_3):
+            assert fn(1e12) == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("fn, exact", [(g_tm, G_TM_1), (g_3, G_3_1)])
+    def test_rtol_drives_the_returned_route(self, monkeypatch, fn, exact):
+        calls = []
+        integrate = polder.integrate_exponential_weight
+
+        def counting(f, spec):
+            calls.append(0)
+
+            def counted(k):
+                calls[-1] += 1
+                return f(k)
+
+            return integrate(counted, spec)
+
+        monkeypatch.setattr(polder, "integrate_exponential_weight", counting)
+        loose = fn(1.0, 1e-4)
+        loose_calls = calls[0]
+        calls.clear()
+        fn(1.0, 1e-10)
+        assert abs(loose - exact) <= 1e-4 * exact
+        assert loose_calls < calls[0]
 
     def test_agreement_guard_fires(self):
         with pytest.raises(PathDisagreementError):
