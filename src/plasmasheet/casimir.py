@@ -10,12 +10,30 @@ with r~_s the Euclidean reflection coefficients. In polar coordinates
 (g = gamma a, eps = k4/gamma) the double integral collapses to a function of
 the single combination x = Omega a, so a^3 E/A = F(x) exactly. The ideal
 conductor limit F(inf) = -pi^2/720 fixes the normalization.
+
+The same scaling gives the pressure as a^4 P = 3 F(x) - x F'(x). Both
+reflection coefficients have the form r = 1/(1 + c) with c proportional to
+1/x, so x dr/dx = r (1 - r), and x F'(x) is an integral over the same
+nodes as F: the pressure comes with the energy, not from a finite
+difference. The nodes are a tensor-product rule: the log-k trapezoid rule
+in k = 2g, times Gauss-Legendre for the TM angular integral in s, with
+eps = sinh(t) sqrt(x/k) and t = s^2.
 """
 
 import math
 from dataclasses import dataclass
 
-from .numerics import QuadratureSpec, integrate_adaptive, integrate_semi_infinite
+import numpy as np
+
+# integrate_adaptive and integrate_semi_infinite are unused here but stay
+# bound: perfbench/tracing.py wraps them by name in this module.
+from .numerics import (  # noqa: F401
+    QuadratureSpec,
+    integrate_adaptive,
+    integrate_exponential_weight,
+    integrate_legendre,
+    integrate_semi_infinite,
+)
 
 __all__ = [
     "CasimirResult",
@@ -32,6 +50,10 @@ __all__ = [
 IDEAL_REDUCED_ENERGY = -math.pi**2 / 720.0
 IDEAL_REDUCED_PRESSURE = -math.pi**2 / 240.0
 
+# 1/(4 pi^2) of the mode sum times the 1/8 of g^2 dg = k^2 dk/8, k = 2g.
+_NORM = 1.0 / (32.0 * math.pi**2)
+_LN2 = math.log(2.0)
+
 
 def _te_euclidean(g, x):
     return 1.0 / (1.0 + 2.0 * g / x)
@@ -39,6 +61,68 @@ def _te_euclidean(g, x):
 
 def _tm_euclidean(g, eps, x):
     return 1.0 / (1.0 + 2.0 * g * eps * eps / x)
+
+
+def _log_terms(k, c, r):
+    """e^k ln(1 - w) and e^k x d/dx ln(1 - w), w = r^2 e^-k, r = 1/(1 + c).
+
+    c is the exactly known part of 1/r - 1 (k/x for TE, sinh^2 t for TM),
+    so 1 - r = c r and ln r = log1p(-c r) keep their relative precision
+    where r rounds to 1. With q = k - 2 ln r, w = e^-q, ln(1 - w) is
+    log(-expm1(-q)) while w > 1/2 and log1p(-w) below. The factor e^k of
+    the log-k rule's weight is folded in as r^2 ln(1 - w)/w, whose limit
+    where w underflows is -r^2; the slope uses x dr/dx = r (1 - r).
+    """
+    one_minus_r = c * r
+    q = k - 2.0 * np.log1p(-one_minus_r)
+    w = np.exp(-q)
+    one_minus_w = -np.expm1(-q)
+    log_one_minus_w = np.log(one_minus_w)
+    np.log1p(-w, out=log_one_minus_w, where=q >= _LN2)
+    ratio = np.divide(log_one_minus_w, w, out=np.full_like(w, -1.0),
+                      where=w > 0.0)
+    r2 = r * r
+    return r2 * ratio, -2.0 * r2 * one_minus_r / one_minus_w
+
+
+def _energy_and_slope(x, rtol, te_coeff=_te_euclidean, tm_coeff=_tm_euclidean):
+    """(TE part, TM part, x F'(x)) of a^3 E/A = F(x) from one quadrature pass.
+
+    Outer rule: the log-k trapezoid rule in k = 2g, refined until all three
+    integrals reach rtol. Inner rule: the TM angular integral over eps in
+    [0, 1], refined to rtol/10 at every outer node, as Gauss-Legendre in s
+    with eps = sinh(t) sqrt(x/k) and t = s^2. The square clusters the nodes
+    near t = 0, where ln(1 - w) ~ ln(k + 2 t^2) has branch points at
+    t = +-i sqrt(k/2); without it x = 1e-6 cannot reach rtol = 1e-10 below
+    Gauss-Legendre order 512.
+    """
+    if x <= 0.0:
+        raise ValueError("x = Omega * a must be positive")
+    # 40 starting steps meet the default rtol = 1e-8 one halving earlier
+    # than 32 do, for x anywhere in [1e-6, 1e12].
+    outer_spec = QuadratureSpec(kind="exponential-weight", order=40, rtol=rtol)
+    inner_spec = QuadratureSpec(kind="gauss-legendre", order=16,
+                                rtol=0.1 * rtol)
+
+    def parts(k):
+        te, te_slope = _log_terms(k, k / x, te_coeff(0.5 * k, x))
+        rb = np.sqrt(k / x)
+        k_col, rb_col = k[:, None], rb[:, None]
+
+        def angular(s):
+            t = s * s
+            sinh = np.sinh(t)
+            r = tm_coeff(0.5 * k_col, sinh / rb_col, x)
+            out = np.stack(_log_terms(k_col, sinh * sinh, r))
+            out *= 2.0 * s * np.cosh(t)
+            return out
+
+        tm, tm_slope = integrate_legendre(
+            angular, np.sqrt(np.arcsinh(rb)), inner_spec) / rb
+        return k * k * np.stack((te, tm, te_slope + tm_slope))
+
+    te, tm, slope = _NORM * integrate_exponential_weight(parts, outer_spec)
+    return float(te), float(tm), float(slope)
 
 
 def reduced_energy_parts(x, rtol=1e-8, te_coeff=_te_euclidean, tm_coeff=_tm_euclidean):
@@ -51,42 +135,16 @@ def reduced_energy_parts(x, rtol=1e-8, te_coeff=_te_euclidean, tm_coeff=_tm_eucl
     rtol : float
         Relative tolerance handed to the quadrature.
     te_coeff, tm_coeff : callable
-        Euclidean reflection coefficients as functions of (g[, eps], x);
-        swappable so algebraically equivalent conventions can be compared.
+        Euclidean reflection coefficients as functions of (g[, eps], x),
+        called on arrays; swappable so algebraically equivalent conventions
+        can be compared.
 
     Returns
     -------
     (te, tm) : tuple of float
         Both negative; their sum is a^3 E/A.
     """
-    if x <= 0.0:
-        raise ValueError("x = Omega * a must be positive")
-    outer_spec = QuadratureSpec(kind="semi-infinite-transformed", rtol=rtol)
-    inner_spec = QuadratureSpec(kind="adaptive-finite", rtol=0.1 * rtol)
-
-    def te_integrand(g):
-        if g == 0.0:
-            return 0.0  # g^2 ln(c g) -> 0
-        w = te_coeff(g, x) ** 2 * math.exp(-2.0 * g)
-        if w == 0.0:
-            return 0.0
-        return g * g * math.log1p(-w)
-
-    def tm_integrand(g):
-        if g == 0.0:
-            return 0.0
-        damp = math.exp(-2.0 * g)
-        if damp == 0.0:
-            return 0.0
-
-        def angular(eps):
-            return math.log1p(-tm_coeff(g, eps, x) ** 2 * damp)
-
-        return g * g * integrate_adaptive(angular, 0.0, 1.0, inner_spec)
-
-    norm = 1.0 / (4.0 * math.pi**2)
-    te = norm * integrate_semi_infinite(te_integrand, outer_spec)
-    tm = norm * integrate_semi_infinite(tm_integrand, outer_spec)
+    te, tm, _ = _energy_and_slope(x, rtol, te_coeff, tm_coeff)
     return te, tm
 
 
@@ -100,23 +158,13 @@ def lifshitz_energy_per_area(a, sheet, rtol=1e-8):
     return (te + tm) / a**3
 
 
-def lifshitz_pressure(a, sheet, rtol=1e-8, step_fraction=1e-3):
-    """Casimir pressure -dE/da by a five-point central difference.
+def lifshitz_pressure(a, sheet, rtol=1e-8):
+    """Casimir pressure -dE/da per unit area (negative: attraction).
 
-    The stencil step is a * step_fraction; the energy scaling law keeps every
-    stencil point on the same reduced curve, so the derivative is smooth.
+    a^4 P = 3 F(x) - x F'(x), with F and x F' integrated on the same nodes
+    in one pass; no finite difference is taken.
     """
-    if a <= 0.0:
-        raise ValueError("distance must be positive")
-    if sheet.omega == 0.0:
-        return 0.0
-    h = a * step_fraction
-    em2 = lifshitz_energy_per_area(a - 2 * h, sheet, rtol)
-    em1 = lifshitz_energy_per_area(a - h, sheet, rtol)
-    ep1 = lifshitz_energy_per_area(a + h, sheet, rtol)
-    ep2 = lifshitz_energy_per_area(a + 2 * h, sheet, rtol)
-    dEda = (-ep2 + 8.0 * ep1 - 8.0 * em1 + em2) / (12.0 * h)
-    return -dEda
+    return casimir_result(a, sheet, rtol).pressure
 
 
 @dataclass(frozen=True)
@@ -142,19 +190,19 @@ class CasimirResult:
 
 
 def casimir_result(a, sheet, rtol=1e-8):
-    """Bundle energy, pressure and TE/TM shares at distance a."""
+    """Bundle energy, pressure and TE/TM shares at distance a, from one pass."""
     if a <= 0.0:
         raise ValueError("distance must be positive")
     if sheet.omega == 0.0:
         return CasimirResult(distance=a, omega=0.0, energy_per_area=0.0,
                              pressure=0.0, te_share=0.0, tm_share=1.0)
-    te, tm = reduced_energy_parts(sheet.omega * a, rtol)
+    te, tm, slope = _energy_and_slope(sheet.omega * a, rtol)
     total = te + tm
     return CasimirResult(
         distance=a,
         omega=sheet.omega,
         energy_per_area=total / a**3,
-        pressure=lifshitz_pressure(a, sheet, rtol),
+        pressure=(3.0 * total - slope) / a**4,
         te_share=te / total,
         tm_share=tm / total,
     )

@@ -26,7 +26,9 @@ from importlib import metadata as importlib_metadata
 
 import numpy as np
 
-from .casimir import lifshitz_pressure, reduced_energy_parts
+from .casimir import casimir_result, reduced_energy_parts
+# Unused here but stays bound: perfbench/tracing.py wraps it by name.
+from .casimir import lifshitz_pressure  # noqa: F401
 from .errors import SheetModelError
 from .polder import (
     AtomProperties,
@@ -173,17 +175,19 @@ def _build_casimir(fixed, tolerance):
     raw = fixed["raw_units"]
 
     def runner(x):
+        if raw:
+            if not x > 0.0:  # casimir_result would take it as a transparent sheet
+                raise ValueError("x = Omega * a must be positive")
+            # energy, pressure and shares from one quadrature pass
+            result = casimir_result(a, SheetParameters(omega=x / a),
+                                    rtol=tolerance)
+            return (result.energy_per_area * a**3, result.te_share,
+                    result.tm_share, result.energy_per_area, result.pressure)
         te, tm = reduced_energy_parts(x, rtol=tolerance)
         total = te + tm
         if total != 0.0:
-            shares = (te / total, tm / total)
-        else:
-            shares = (0.0, 1.0)
-        base = (total,) + shares
-        if not raw:
-            return base
-        sheet = SheetParameters(omega=x / a)
-        return base + (total / a**3, lifshitz_pressure(a, sheet, rtol=tolerance))
+            return (total, te / total, tm / total)
+        return (total, 0.0, 1.0)
 
     columns = [("a3_energy", "float"), ("te_share", "float"),
                ("tm_share", "float")]

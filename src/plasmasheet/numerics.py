@@ -150,13 +150,14 @@ def integrate_exponential_weight(f, spec=None):
     ----------
     f : callable
         Factor multiplying the e^(-k) weight. Takes an array of k and returns
-        an array of the same shape.
+        an array of the same shape, or of shape (m, len(k)) for m integrands
+        on the same nodes.
     spec : QuadratureSpec, optional
         Tolerances and starting step count.
 
     Returns
     -------
-    float
+    float, or an array of m floats that each reached ``spec.rtol``
 
     Raises
     ------
@@ -170,10 +171,11 @@ def integrate_exponential_weight(f, spec=None):
         total = 0.0
         for level in range(_MAX_HALVINGS + 1):
             k, w = _log_k_level(spec.order, level)
-            total = 0.5 * total + float(np.sum(w * f(k)))
+            total = 0.5 * total + np.sum(w * f(k), axis=-1)
             yield total
 
-    return _refine(levels(), spec, "log-k trapezoid refinement")
+    result = _refine(levels(), spec, "log-k trapezoid refinement")
+    return float(result) if np.ndim(result) == 0 else result
 
 
 def integrate_legendre(f, hi, spec=None):

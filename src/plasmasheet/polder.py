@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PathDisagreementError
-from .numerics import (
+# integrate_adaptive and integrate_semi_infinite are unused here but stay
+# bound: perfbench/tracing.py wraps them by name in this module.
+from .numerics import (  # noqa: F401
     QuadratureSpec,
     integrate_adaptive,
     integrate_exponential_weight,
@@ -365,30 +367,27 @@ def delta1_integral_form(a, sheet, atom, rtol=1e-8):
     Independent route: the coincidence-limit propagator trace
     -(e^2/2m) Int d^3k/(2 pi)^3 (e^(-2 gamma a)/2 gamma)
     (r~_1 + r~_2 k4^2/gamma^2) in spherical coordinates, with the angular
-    integral done numerically instead of through the arctan reductions.
+    integral done numerically instead of through the arctan reductions: the
+    log-k rule in k = 2 gamma a times Gauss-Legendre in t. r~_1 does not
+    depend on eps = k4/gamma, and eps = sinh(t) sqrt(Omega/(2 gamma)) turns
+    Int_0^1 eps^2 r~_2 deps into c^(-3/2) Int_0^asinh(sqrt c)
+    sinh(t)^2/cosh(t) dt, c = 2 gamma/Omega = k/(Omega a).
     """
     _require_positive(a, "a")
     if sheet.omega == 0.0:
         return 0.0
-    omega = sheet.omega
-    outer_spec = QuadratureSpec(kind="semi-infinite-transformed", rtol=rtol)
-    inner_spec = QuadratureSpec(kind="adaptive-finite", rtol=0.1 * rtol)
+    x = sheet.omega * a
+    inner_spec = QuadratureSpec(kind="gauss-legendre", rtol=0.1 * rtol)
 
-    def radial(g):
-        damp = math.exp(-2.0 * g * a)
-        if damp == 0.0 or g == 0.0:
-            return 0.0
+    def radial(k):
+        c = k / x
+        rc = np.sqrt(c)
+        tm = integrate_legendre(lambda t: np.sinh(t) ** 2 / np.cosh(t),
+                                np.arcsinh(rc), inner_spec) / (c * rc)
+        return k * (1.0 / (1.0 + c) + tm)
 
-        def angular(eps):
-            te = 1.0 / (1.0 + 2.0 * g / omega)
-            tm = 1.0 / (1.0 + 2.0 * g * eps * eps / omega)
-            return te + eps * eps * tm
-
-        return 0.5 * g * damp * integrate_adaptive(angular, 0.0, 1.0, inner_spec)
-
-    radial_integral = integrate_semi_infinite(radial, outer_spec,
-                                              scale=0.5 / a)
-    return -(atom.e**2 / (4.0 * math.pi**2 * atom.m)) * radial_integral
+    radial_integral = integrate_exponential_weight(radial, _weight_spec(rtol))
+    return -(atom.e**2 / (32.0 * math.pi**2 * atom.m * a * a)) * radial_integral
 
 
 def charge_sheet_energy(a, sheet, atom, rtol=1e-8):

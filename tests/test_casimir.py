@@ -1,8 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 
+from plasmasheet import casimir
 from plasmasheet.casimir import (
     IDEAL_REDUCED_ENERGY,
     IDEAL_REDUCED_PRESSURE,
@@ -13,6 +16,7 @@ from plasmasheet.casimir import (
     polarization_convention_equivalence,
     reduced_energy_parts,
 )
+from plasmasheet.cli import main
 from plasmasheet.sheet import SheetParameters
 
 # mpmath (dps=30) reference values for the reduced energy a^3 E/A at
@@ -23,6 +27,34 @@ F1 = -0.00387205196967554
 F10_TE = -0.00423830346117
 F10_TM = -0.00582174605864
 F10 = -0.0100600495198088
+
+# mpmath (dps=30) reference values for the reduced pressure a^4 P at
+# x = 1e-3, 1 and 1e6 (perfbench/refs.json, casimir k = -12, 0, 24).
+P_FROZEN = {
+    1e-3: -0.0002801605560774194,
+    1.0: -0.009545207689747358,
+    1e6: -0.04112313234812315,
+}
+
+
+def stencil_pressure(a, sheet, step_fraction=1e-3):
+    """-dE/da by a five-point central difference, an oracle for the slope."""
+    h = a * step_fraction
+    em2, em1, ep1, ep2 = (lifshitz_energy_per_area(a + j * h, sheet)
+                          for j in (-2, -1, 1, 2))
+    return -(-ep2 + 8.0 * ep1 - 8.0 * em1 + em2) / (12.0 * h)
+
+
+def count_kernel_passes(monkeypatch):
+    passes = []
+    kernel = casimir._energy_and_slope
+
+    def counting(*args, **kwargs):
+        passes.append(args[0])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(casimir, "_energy_and_slope", counting)
+    return passes
 
 
 class TestReducedEnergy:
@@ -63,6 +95,38 @@ class TestReducedEnergy:
     def test_looser_tolerance_stays_close(self):
         loose = sum(reduced_energy_parts(1.0, rtol=1e-6))
         assert abs(loose - F1) < 1e-5 * abs(F1)
+
+    def test_rtol_drives_the_work(self, monkeypatch):
+        calls = []
+        log_terms = casimir._log_terms
+
+        def counting(*args):
+            calls.append(0)
+            return log_terms(*args)
+
+        monkeypatch.setattr(casimir, "_log_terms", counting)
+        loose = casimir_result(1.0, SheetParameters(omega=1.0), rtol=1e-4)
+        loose_calls = len(calls)
+        calls.clear()
+        casimir_result(1.0, SheetParameters(omega=1.0), rtol=1e-10)
+        assert abs(loose.energy_per_area - F1) <= 1e-4 * abs(F1)
+        assert abs(loose.pressure - P_FROZEN[1.0]) <= 1e-4 * abs(P_FROZEN[1.0])
+        assert loose_calls < len(calls)
+
+    def test_extreme_couplings_finite_negative_monotone(self, monkeypatch):
+        def quad(*args, **kwargs):
+            raise AssertionError("QUADPACK called")
+
+        monkeypatch.setattr(scipy.integrate, "quad", quad)
+        xs = [10.0 ** (k / 4) for k in range(-24, 49)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = [casimir_result(1.0, SheetParameters(omega=x)) for x in xs]
+        energies = np.array([r.energy_per_area for r in results])
+        pressures = np.array([r.pressure for r in results])
+        assert np.all(np.isfinite(energies)) and np.all(np.isfinite(pressures))
+        assert np.all(energies < 0.0) and np.all(pressures < 0.0)
+        assert np.all(np.diff(energies) < 0.0) and np.all(np.diff(pressures) < 0.0)
 
     def test_rejects_nonpositive_x(self):
         with pytest.raises(ValueError):
@@ -119,6 +183,17 @@ class TestPressure:
     def test_transparent_sheet(self):
         assert lifshitz_pressure(2.0, SheetParameters(omega=0.0)) == 0.0
 
+    @pytest.mark.parametrize("x", sorted(P_FROZEN))
+    def test_frozen_mpmath_values(self, x):
+        p = lifshitz_pressure(1.0, SheetParameters(omega=x))
+        assert abs(p - P_FROZEN[x]) <= 1e-10 * abs(P_FROZEN[x])
+
+    @pytest.mark.parametrize("x", [0.1, 1.0, 10.0, 1e3])
+    def test_matches_five_point_stencil(self, x):
+        sheet = SheetParameters(omega=x)
+        p = lifshitz_pressure(1.0, sheet)
+        assert abs(p - stencil_pressure(1.0, sheet)) <= 1e-8 * abs(p)
+
 
 class TestCasimirResult:
     def test_bundles_consistent_fields(self):
@@ -136,6 +211,29 @@ class TestCasimirResult:
             res = casimir_result(1.0, SheetParameters(omega=x))
             assert res.te_share + res.tm_share == pytest.approx(1.0, abs=1e-12)
             assert 0.0 < res.te_share < res.tm_share < 1.0
+
+    def test_one_kernel_pass(self, monkeypatch):
+        passes = count_kernel_passes(monkeypatch)
+        casimir_result(0.5, SheetParameters(omega=3.0))
+        assert len(passes) == 1
+
+    @pytest.mark.parametrize("extra", [[], ["--raw-units"]])
+    def test_cli_makes_one_kernel_pass_per_row(self, monkeypatch, capsys, extra):
+        passes = count_kernel_passes(monkeypatch)
+        status = main(["casimir", "--omega-a-min", "0.1", "--omega-a-max", "100",
+                       "--count", "4", "--scale", "log", "--a", "2"] + extra)
+        assert status == 0
+        assert len(passes) == 4
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if line and not line.startswith("#")]
+        assert len(rows) == 5
+
+    @pytest.mark.parametrize("extra", [[], ["--raw-units"]])
+    def test_cli_zero_coupling_row_is_an_error(self, capsys, extra):
+        status = main(["casimir", "--omega-a-min", "0", "--omega-a-max", "1",
+                       "--count", "2"] + extra)
+        assert status == 1
+        assert "x = Omega * a must be positive" in capsys.readouterr().out
 
     def test_transparent_sheet_convention(self):
         res = casimir_result(1.0, SheetParameters(omega=0.0))

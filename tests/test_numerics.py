@@ -41,9 +41,9 @@ class TestExponentialWeight:
         val = numerics.integrate_exponential_weight(lambda k: k / (1.0 + k), TIGHT)
         assert abs(val - 0.40365263767680593) < 1e-12
 
-    def test_pole_near_origin_uses_fallback(self):
-        # pole at k = -x with x = 1e-4 defeats the Laguerre rule; the adaptive
-        # fallback must still deliver. Oracle: x*(1 - x e^x E1(x)).
+    def test_pole_near_origin(self):
+        # pole at k = -x with x = 1e-4, close to the origin on the scale of
+        # the e^-k weight. Oracle: x*(1 - x e^x E1(x)).
         x = 1e-4
         val = numerics.integrate_exponential_weight(lambda k: k / (1.0 + k / x), TIGHT)
         exact = float(x * (1 - x * mpmath.e**x * mpmath.e1(x)))
@@ -75,6 +75,19 @@ class TestExponentialWeight:
         with mpmath.workdps(40):
             exact = float(x * (1 - x * mpmath.e**x * mpmath.e1(x)))
         assert abs(val - exact) < 1e-10 * exact
+
+    def test_stacked_integrands_share_nodes(self):
+        calls = []
+
+        def f(k):
+            calls.append(0)
+            return np.stack((k / (1.0 + k), k**3))
+
+        both = numerics.integrate_exponential_weight(f, TIGHT)
+        assert both.shape == (2,)
+        assert abs(both[0] - 0.40365263767680593) < 1e-12
+        assert abs(both[1] - 6.0) <= 1e-10 * 6.0
+        assert len(calls) >= 3
 
     def test_levels_that_never_agree_raise(self):
         # a step in the integrand limits the trapezoid rule to O(h)
