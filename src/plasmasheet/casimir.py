@@ -38,6 +38,7 @@ from .numerics import (  # noqa: F401
 __all__ = [
     "CasimirResult",
     "reduced_energy_parts",
+    "reduced_energy_and_pressure",
     "lifshitz_energy_per_area",
     "lifshitz_pressure",
     "casimir_result",
@@ -148,6 +149,21 @@ def reduced_energy_parts(x, rtol=1e-8, te_coeff=_te_euclidean, tm_coeff=_tm_eucl
     return te, tm
 
 
+def reduced_energy_and_pressure(x, rtol=1e-8):
+    """TE and TM parts of a^3 E/A and the reduced pressure a^4 P at x = Omega a.
+
+    All three come from one quadrature pass: a^4 P = 3 F(x) - x F'(x), with
+    x F' integrated on the nodes of F.
+
+    Returns
+    -------
+    (te, tm, pressure) : tuple of float
+        All negative; te + tm is a^3 E/A and pressure is a^4 P.
+    """
+    te, tm, slope = _energy_and_slope(x, rtol)
+    return te, tm, 3.0 * (te + tm) - slope
+
+
 def lifshitz_energy_per_area(a, sheet, rtol=1e-8):
     """Casimir energy per unit area of two sheets a apart (negative)."""
     if a <= 0.0:
@@ -196,13 +212,13 @@ def casimir_result(a, sheet, rtol=1e-8):
     if sheet.omega == 0.0:
         return CasimirResult(distance=a, omega=0.0, energy_per_area=0.0,
                              pressure=0.0, te_share=0.0, tm_share=1.0)
-    te, tm, slope = _energy_and_slope(sheet.omega * a, rtol)
+    te, tm, pressure = reduced_energy_and_pressure(sheet.omega * a, rtol)
     total = te + tm
     return CasimirResult(
         distance=a,
         omega=sheet.omega,
         energy_per_area=total / a**3,
-        pressure=(3.0 * total - slope) / a**4,
+        pressure=pressure / a**4,
         te_share=te / total,
         tm_share=tm / total,
     )

@@ -26,9 +26,9 @@ from importlib import metadata as importlib_metadata
 
 import numpy as np
 
-from .casimir import casimir_result, reduced_energy_parts
-# Unused here but stays bound: perfbench/tracing.py wraps it by name.
-from .casimir import lifshitz_pressure  # noqa: F401
+from .casimir import reduced_energy_and_pressure
+# Unused here but stay bound: perfbench/tracing.py wraps them by name.
+from .casimir import lifshitz_pressure, reduced_energy_parts  # noqa: F401
 from .errors import SheetModelError
 from .polder import (
     AtomProperties,
@@ -175,19 +175,14 @@ def _build_casimir(fixed, tolerance):
     raw = fixed["raw_units"]
 
     def runner(x):
-        if raw:
-            if not x > 0.0:  # casimir_result would take it as a transparent sheet
-                raise ValueError("x = Omega * a must be positive")
-            # energy, pressure and shares from one quadrature pass
-            result = casimir_result(a, SheetParameters(omega=x / a),
-                                    rtol=tolerance)
-            return (result.energy_per_area * a**3, result.te_share,
-                    result.tm_share, result.energy_per_area, result.pressure)
-        te, tm = reduced_energy_parts(x, rtol=tolerance)
+        # energy, shares and pressure from one quadrature pass
+        te, tm, pressure = reduced_energy_and_pressure(x, rtol=tolerance)
         total = te + tm
-        if total != 0.0:
-            return (total, te / total, tm / total)
-        return (total, 0.0, 1.0)
+        row = ((total, te / total, tm / total) if total != 0.0
+               else (total, 0.0, 1.0))
+        if raw:
+            row += (total / a**3, pressure / a**4)
+        return row
 
     columns = [("a3_energy", "float"), ("te_share", "float"),
                ("tm_share", "float")]

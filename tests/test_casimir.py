@@ -14,6 +14,7 @@ from plasmasheet.casimir import (
     lifshitz_energy_per_area,
     lifshitz_pressure,
     polarization_convention_equivalence,
+    reduced_energy_and_pressure,
     reduced_energy_parts,
 )
 from plasmasheet.cli import main
@@ -227,6 +228,28 @@ class TestCasimirResult:
         rows = [line for line in capsys.readouterr().out.splitlines()
                 if line and not line.startswith("#")]
         assert len(rows) == 5
+
+    def test_cli_raw_row_matches_casimir_result(self, capsys):
+        status = main(["casimir", "--omega-a-min", "0.1", "--omega-a-max", "100",
+                       "--count", "3", "--scale", "log", "--a", "2",
+                       "--raw-units"])
+        assert status == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line and not line.startswith("#")]
+        for line in lines[1:]:
+            x, a3_energy, te_share, tm_share, energy, pressure = (
+                float(cell) for cell in line.split(",")[:6])
+            res = casimir_result(2.0, SheetParameters(omega=x / 2.0))
+            assert a3_energy == pytest.approx(res.energy_per_area * 8.0, rel=1e-12)
+            assert (te_share, tm_share) == pytest.approx(
+                (res.te_share, res.tm_share), rel=1e-12)
+            assert energy == pytest.approx(res.energy_per_area, rel=1e-12)
+            assert pressure == pytest.approx(res.pressure, rel=1e-12)
+
+    def test_reduced_energy_and_pressure_matches_parts(self):
+        te, tm, pressure = reduced_energy_and_pressure(10.0)
+        assert (te, tm) == reduced_energy_parts(10.0)
+        assert pressure == lifshitz_pressure(1.0, SheetParameters(omega=10.0))
 
     @pytest.mark.parametrize("extra", [[], ["--raw-units"]])
     def test_cli_zero_coupling_row_is_an_error(self, capsys, extra):
