@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate, optimize
+from scipy import optimize
 
 from .errors import BracketError, IterationLimitError, ToleranceNotMet
 
@@ -226,6 +226,10 @@ def integrate_adaptive(f, lo, hi, spec=None, full_result=False):
         spec = QuadratureSpec(kind="adaptive-finite")
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise ValueError(f"invalid interval [{lo}, {hi}]")
+    # Imported on first use: no package code calls QUADPACK any more, and
+    # scipy.integrate adds about 0.15 s to the package import.
+    from scipy import integrate
+
     limit = max(50, 4 * spec.order)
     out = integrate.quad(f, lo, hi, epsabs=spec.abs_floor, epsrel=spec.rtol,
                          limit=limit, full_output=1)
