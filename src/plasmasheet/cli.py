@@ -1,13 +1,16 @@
 """Command-line front end: parameter sweeps over the sheet-model operations.
 
-Each subcommand sweeps one axis, evaluates one physics operation per grid
-point, and writes a machine-readable table (CSV with a '#'-comment metadata
-preamble, or JSON with a metadata object). Output is fully deterministic:
-identical configuration produces identical bytes, so no wall-clock
-timestamps are recorded. Rows whose evaluation raises a physics error stay
-in the table with blank output cells and the message in the final 'error'
-column; any such row turns the exit status to 1. Invalid configuration
-exits with status 2 before any row is computed.
+Each subcommand sweeps one axis and writes a machine-readable table (CSV
+with a '#'-comment metadata preamble, or JSON with a metadata object). A
+subcommand's runner takes the whole axis as an array and returns one array
+per output column: reflection, charge and sphere evaluate the array in one
+pass, the others loop over its points inside the runner. Output is fully
+deterministic: identical configuration produces identical bytes, so no
+wall-clock timestamps are recorded. When the runner raises a physics
+error, every point is evaluated again on its own, as a one-point array:
+rows that raise stay in the table with blank output cells and the message
+in the final 'error' column, and any such row turns the exit status to 1.
+Invalid configuration exits with status 2 before any row is computed.
 
 Lengths are in user-chosen base units (the model is scale covariant);
 default output columns are dimensionless combinations where one exists, and
@@ -16,6 +19,7 @@ default output columns are dimensionless combinations where one exists, and
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -27,24 +31,25 @@ from importlib import metadata as importlib_metadata
 import numpy as np
 
 from .casimir import reduced_energy_and_pressure
-# Unused here but stay bound: perfbench/tracing.py wraps them by name.
-from .casimir import lifshitz_pressure, reduced_energy_parts  # noqa: F401
 from .errors import SheetModelError
 from .polder import (
     AtomProperties,
     casimir_polder_energy,
-    charge_sheet_energy,
+    charge_sheet_energies,
     reduction_functions,
 )
 from .sheet import (
-    MinkowskiMomentum,
     SheetParameters,
-    reflection_te,
-    reflection_tm,
+    reflection_coefficients,
     tm_plasmon_closed,
     tm_plasmon_root,
 )
 from .sphere import SphericalShell, jost_te, jost_tm
+
+# Unused here but stay bound: perfbench/tracing.py wraps them by name.
+from .casimir import lifshitz_pressure, reduced_energy_parts  # noqa: F401
+from .polder import charge_sheet_energy  # noqa: F401
+from .sheet import reflection_te, reflection_tm  # noqa: F401
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -145,13 +150,24 @@ def _parse_param(spec, text):
     return text
 
 
+def _pointwise(row):
+    """Runner that calls row(value) for each point of the axis array.
+
+    For operations that have no array form over the axis: the quadratures
+    and the root finder adapt to each point on their own.
+    """
+    def runner(values):
+        return tuple(zip(*map(row, values.tolist())))
+
+    return runner
+
+
 def _build_reflection(fixed, tolerance):
     sheet = SheetParameters(omega=fixed["omega"])
     k0 = fixed["k0"]
 
     def runner(kpar):
-        k = MinkowskiMomentum.from_parallel(k0, kpar)
-        return (reflection_te(k, sheet), reflection_tm(k, sheet))
+        return reflection_coefficients(k0, kpar, sheet)
 
     return [("rTE", "complex"), ("rTM", "complex")], runner
 
@@ -159,13 +175,13 @@ def _build_reflection(fixed, tolerance):
 def _build_dispersion(fixed, tolerance):
     sheet = SheetParameters(omega=fixed["omega"])
 
-    def runner(kpar):
+    def row(kpar):
         closed = tm_plasmon_closed(kpar, sheet)
         root = tm_plasmon_root(kpar, sheet)
         return (closed, root, abs(closed - root) / closed)
 
     return ([("k0_closed", "float"), ("k0_root", "float"),
-             ("residual", "float")], runner)
+             ("residual", "float")], _pointwise(row))
 
 
 def _build_casimir(fixed, tolerance):
@@ -174,21 +190,21 @@ def _build_casimir(fixed, tolerance):
         raise ValueError("a must be positive")
     raw = fixed["raw_units"]
 
-    def runner(x):
+    def row(x):
         # energy, shares and pressure from one quadrature pass
         te, tm, pressure = reduced_energy_and_pressure(x, rtol=tolerance)
         total = te + tm
-        row = ((total, te / total, tm / total) if total != 0.0
-               else (total, 0.0, 1.0))
+        cells = ((total, te / total, tm / total) if total != 0.0
+                 else (total, 0.0, 1.0))
         if raw:
-            row += (total / a**3, pressure / a**4)
-        return row
+            cells += (total / a**3, pressure / a**4)
+        return cells
 
     columns = [("a3_energy", "float"), ("te_share", "float"),
                ("tm_share", "float")]
     if raw:
         columns += [("energy_per_area", "float"), ("pressure", "float")]
-    return columns, runner
+    return columns, _pointwise(row)
 
 
 def _atom_from(fixed):
@@ -206,7 +222,7 @@ def _build_casimir_polder(fixed, tolerance):
     atom = _atom_from(fixed)
     raw = fixed["raw_units"]
 
-    def runner(x):
+    def row(x):
         sheet = SheetParameters(omega=x / a)
         value = casimir_polder_energy(a, sheet, atom, rtol=tolerance)
         return (value * a**4, value) if raw else (value * a**4,)
@@ -214,7 +230,7 @@ def _build_casimir_polder(fixed, tolerance):
     columns = [("a4_energy", "float")]
     if raw:
         columns.append(("energy", "float"))
-    return columns, runner
+    return columns, _pointwise(row)
 
 
 def _build_charge(fixed, tolerance):
@@ -225,8 +241,9 @@ def _build_charge(fixed, tolerance):
                           p23=fixed["p23"])
 
     def runner(x):
-        sheet = SheetParameters(omega=x / a)
-        return charge_sheet_energy(a, sheet, atom, rtol=tolerance)
+        if np.any(x < 0.0):
+            SheetParameters(omega=float(x.min()) / a)  # the sheet rejects it
+        return charge_sheet_energies(a, x, atom, rtol=tolerance)
 
     return [("electrostatic", "float"), ("kinetic", "float")], runner
 
@@ -260,11 +277,11 @@ def _build_functions(fixed, tolerance):
     else:
         names = _FAMILY_COLUMNS[family]
 
-    def runner(x):
+    def row(x):
         bundle = reduction_functions(x, rtol=tolerance, names=names)
         return tuple(getattr(bundle, name) for name in names)
 
-    return [(name, "float") for name in names], runner
+    return [(name, "float") for name in names], _pointwise(row)
 
 
 @dataclass(frozen=True)
@@ -551,27 +568,39 @@ def _metadata(config):
     return meta
 
 
+def _rows(runner, values):
+    """Table rows (value, outputs..., "") of one runner call on an array."""
+    columns = [np.asarray(column).tolist() for column in runner(values)]
+    return [cells + ("",) for cells in zip(values.tolist(), *columns)]
+
+
 def run(config):
     """Evaluate the sweep; returns (SweepTable, exit status).
 
-    Bad fixed parameters raise ValueError before any row is computed; a
-    physics error inside one row blanks that row's outputs, records the
-    message, and sets the exit status to 1 without stopping the sweep.
+    Bad fixed parameters raise ValueError before any row is computed. The
+    runner gets the whole axis at once; if that raises a physics error,
+    each point is run again alone, so an error blanks only its own row's
+    outputs, records the message, and sets the exit status to 1 without
+    stopping the sweep.
     """
     spec = COMMANDS[config.command]
     columns, runner = spec.build(config.fixed, config.tolerance)
     names = (config.sweep.axis,) + tuple(n for n, _ in columns) + ("error",)
     kinds = ("float",) + tuple(k for _, k in columns) + ("error",)
 
-    rows = []
+    values = np.array(config.sweep.values())
     status = 0
-    for value in config.sweep.values():
-        try:
-            outputs = runner(value)
-            rows.append((value,) + tuple(outputs) + ("",))
-        except (SheetModelError, ValueError) as exc:
-            rows.append((value,) + (None,) * len(columns) + (_describe(exc),))
-            status = 1
+    try:
+        rows = _rows(runner, values)
+    except (SheetModelError, ValueError):
+        rows = []
+        for point in values.reshape(-1, 1):
+            try:
+                rows += _rows(runner, point)
+            except (SheetModelError, ValueError) as exc:
+                rows.append((float(point[0]),) + (None,) * len(columns)
+                            + (_describe(exc),))
+                status = 1
     table = SweepTable(columns=names, kinds=kinds, rows=tuple(rows),
                        metadata=_metadata(config))
     return table, status
@@ -637,7 +666,9 @@ def table_to_json_text(table):
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argparse parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="plasmasheet",
         description="Parameter sweeps over the plasma-sheet model: "

@@ -3,8 +3,25 @@
 Plain numerics, no sheet physics. Two fixed rules that take array-valued
 integrands (a trapezoidal rule in ln k for e^-k weighted integrals, and
 Gauss-Legendre), QUADPACK and Brent sit behind small contracts that fail
-loudly instead of returning silently inaccurate numbers. The spherical
-Bessel family is computed by hand-written complex recurrences.
+loudly instead of returning silently inaccurate numbers.
+
+The spherical Bessel functions take one of two routes, chosen by the
+argument:
+
+- a real ndarray goes to ``scipy.special.spherical_jn``/``spherical_yn``,
+  one call over the whole array, with h = j + i y;
+- a scalar or a complex argument goes to hand-written complex recurrences
+  (downward Miller for j, upward from closed seeds for h).
+
+The split is by cost and by domain. A scipy wrapper call costs about
+40 us whatever the size of the array, more than a scalar recurrence, so
+only whole arrays go to scipy. Complex arguments stay on the recurrences
+because on the imaginary axis z = i kappa, h = j + i y is e^-kappa small
+while j and y grow like e^kappa: summing them cancels, whereas the upward
+recurrence starts from the closed h_0 = -i e^(iz)/z.
+
+scipy is imported on first use: importing it takes longer than the rest of
+the package together.
 """
 
 import cmath
@@ -14,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import optimize
 
 from .errors import BracketError, IterationLimitError, ToleranceNotMet
 
@@ -28,12 +44,7 @@ __all__ = [
     "spherical_bessel_j",
     "spherical_hankel1",
     "riccati_bessel",
-    "LMAX_DEFAULT",
 ]
-
-# Upward/downward recurrences are exercised well inside their stability range
-# up to this order; callers needing more must raise the limit explicitly.
-LMAX_DEFAULT = 50
 
 _QUAD_KINDS = ("exponential-weight", "gauss-legendre", "adaptive-finite",
                "semi-infinite-transformed")
@@ -292,6 +303,8 @@ def find_root_bracketed(f, lo, hi, tol=1e-12, maxiter=200):
         return hi
     if (flo > 0) == (fhi > 0):
         raise BracketError(f"no sign change over [{lo}, {hi}]")
+    from scipy import optimize
+
     root, info = optimize.brentq(f, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps,
                                  maxiter=maxiter, full_output=True, disp=False)
     if not info.converged:
@@ -302,13 +315,43 @@ def find_root_bracketed(f, lo, hi, tol=1e-12, maxiter=200):
     return float(root)
 
 
-def _check_l(l, l_max):
+def _check_l(l):
     if not isinstance(l, (int, np.integer)):
         raise ValueError("l must be an integer")
     if l < 0:
         raise ValueError("l must be nonnegative")
-    if l > l_max:
-        raise ValueError(f"l={l} exceeds the recurrence stability limit {l_max}")
+
+
+def _is_real_array(z):
+    """True when z goes to scipy.special: a real ndarray.
+
+    A complex ndarray is refused: its values go to the recurrences one at
+    a time, and the caller decides where that loop belongs.
+    """
+    if not isinstance(z, np.ndarray):
+        return False
+    if np.iscomplexobj(z):
+        raise ValueError("complex z must be passed one value at a time")
+    return True
+
+
+def _scipy_pair(l, z):
+    """(j_{l-1}, j_l, y_{l-1}, y_l) on a real array z != 0, from scipy.
+
+    The order -1 members are j_{-1} = cos z/z and y_{-1} = j_0 = sin z/z.
+    """
+    from scipy import special
+
+    jl, yl = special.spherical_jn(l, z), special.spherical_yn(l, z)
+    if l == 0:
+        return np.cos(z) / z, jl, jl, yl
+    return (special.spherical_jn(l - 1, z), jl,
+            special.spherical_yn(l - 1, z), yl)
+
+
+def _require_nonzero(z, message):
+    if (z == 0).any() if isinstance(z, np.ndarray) else z == 0:
+        raise ValueError(message)
 
 
 def _sph_j_pair(l, z):
@@ -360,12 +403,17 @@ def _sph_h_pair(l, z):
     return hm, hc
 
 
-def spherical_bessel_j(l, z, l_max=LMAX_DEFAULT):
+def spherical_bessel_j(l, z):
     """Spherical Bessel function j_l(z) for real or complex z.
 
-    Real input gives a real result. z=0 is the regular point j_l(0) = [l == 0].
+    Real input gives a real result, a real ndarray an ndarray. z=0 is the
+    regular point j_l(0) = [l == 0].
     """
-    _check_l(l, l_max)
+    _check_l(l)
+    if _is_real_array(z):
+        from scipy import special
+
+        return special.spherical_jn(l, z)
     if z == 0:
         return 1.0 if l == 0 else 0.0
     zc = complex(z)
@@ -375,35 +423,43 @@ def spherical_bessel_j(l, z, l_max=LMAX_DEFAULT):
     return jl.real
 
 
-def spherical_hankel1(l, z, l_max=LMAX_DEFAULT):
+def spherical_hankel1(l, z):
     """Spherical Hankel function of the first kind, h_l(z) = j_l(z) + i y_l(z).
 
     Always complex; z must be nonzero (irregular point).
     """
-    _check_l(l, l_max)
-    if z == 0:
-        raise ValueError("spherical Hankel function is singular at z=0")
+    _check_l(l)
+    _require_nonzero(z, "spherical Hankel function is singular at z=0")
+    if _is_real_array(z):
+        from scipy import special
+
+        return special.spherical_jn(l, z) + 1j * special.spherical_yn(l, z)
     _, hl = _sph_h_pair(l, complex(z))
     return hl
 
 
-def riccati_bessel(l, z, l_max=LMAX_DEFAULT):
+def riccati_bessel(l, z):
     """Riccati-Bessel pair (z j_l, z h_l) and their derivatives.
 
     Returns
     -------
-    (rj, rjp, rh, rhp) : tuple of complex
+    (rj, rjp, rh, rhp) : tuple of complex, or of complex arrays
         rj = z j_l(z), rjp = d/dz [z j_l(z)], same for the Hankel pair.
-        These satisfy the Wronskian identity rj * rhp - rjp * rh = i.
+        These satisfy the Wronskian identity rj * rhp - rjp * rh = i. The
+        derivatives come from the downward identity
+        d/dz [z f_l] = z f_(l-1) - l f_l.
     """
-    _check_l(l, l_max)
-    if z == 0:
-        raise ValueError("Riccati-Bessel functions need z != 0")
-    zc = complex(z)
-    jm, jl = _sph_j_pair(l, zc)
-    hm, hl = _sph_h_pair(l, zc)
-    rj = zc * jl
-    rjp = zc * jm - l * jl
-    rh = zc * hl
-    rhp = zc * hm - l * hl
+    _check_l(l)
+    _require_nonzero(z, "Riccati-Bessel functions need z != 0")
+    if _is_real_array(z):
+        jm, jl, ym, yl = _scipy_pair(l, z)
+        hm, hl = jm + 1j * ym, jl + 1j * yl
+    else:
+        z = complex(z)
+        jm, jl = _sph_j_pair(l, z)
+        hm, hl = _sph_h_pair(l, z)
+    rj = z * jl
+    rjp = z * jm - l * jl
+    rh = z * hl
+    rhp = z * hm - l * hl
     return rj, rjp, rh, rhp

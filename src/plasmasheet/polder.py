@@ -43,6 +43,7 @@ __all__ = [
     "delta1",
     "delta1_integral_form",
     "charge_sheet_energy",
+    "charge_sheet_energies",
     "casimir_polder_energy",
     "reduction_functions",
 ]
@@ -399,20 +400,34 @@ def charge_sheet_energy(a, sheet, atom, rtol=1e-8):
     makes the e^-q decay weight explicit. In shape-function terms it equals
     -(e^2/(16 pi m^2 a)) [h_par(x) <p_par^2>/2 + (1 + 1/(2x)) <p_3^2>].
     """
+    electrostatic, kinetic = charge_sheet_energies(
+        a, np.array([sheet.omega * a]), atom, rtol)
+    return float(electrostatic[0]), float(kinetic[0])
+
+
+def charge_sheet_energies(a, x, atom, rtol=1e-8):
+    """charge_sheet_energy for an array of couplings x = Omega a at distance a.
+
+    Returns (electrostatic, kinetic) arrays shaped like x. The kinetic
+    integrals of all x are one stacked integrand of
+    integrate_exponential_weight, refined until every one reaches rtol.
+    """
     _require_positive(a, "a")
-    if not sheet.omega > 0.0:
+    x = np.asarray(x, dtype=float)
+    if not np.all(x > 0.0):
         raise ValueError("kinetic part diverges for a transparent sheet")
-    x = sheet.omega * a
+    xs = x.reshape(-1, 1)
 
     def braces(q):
-        par = (1.0 / (1.0 + q / x) - (0.5 * q + 1.5 + q / x)) * 0.5 * atom.p2par
-        perp = (0.5 * q + 0.5 + 0.5 * q / x) * atom.p23
+        par = ((1.0 / (1.0 + q / xs) - (0.5 * q + 1.5 + q / xs))
+               * 0.5 * atom.p2par)
+        perp = (0.5 * q + 0.5 + 0.5 * q / xs) * atom.p23
         return par - perp
 
     integral = integrate_exponential_weight(braces, _weight_spec(rtol))
     kinetic = (atom.e**2 / (16.0 * math.pi * atom.m**2 * a)) * integral
-    electrostatic = -atom.e**2 / (8.0 * math.pi * a)
-    return electrostatic, kinetic
+    electrostatic = np.full(x.shape, -atom.e**2 / (8.0 * math.pi * a))
+    return electrostatic, kinetic.reshape(x.shape)
 
 
 def casimir_polder_energy(a, sheet, atom, rtol=1e-8):

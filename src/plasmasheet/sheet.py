@@ -32,6 +32,7 @@ __all__ = [
     "gamma_minkowski",
     "reflection_te",
     "reflection_tm",
+    "reflection_coefficients",
     "reflection_te_euclidean",
     "reflection_tm_euclidean",
     "scalar_reflection",
@@ -147,6 +148,39 @@ def reflection_tm(k, sheet):
             return 1.0 + 0.0j  # static limit along kpar = 0
         raise OnLightConeError(f"Gamma = 0 at k0 = {k.k0}")
     return 1.0 / (1.0 - 2j * complex(k.k0) ** 2 / (sheet.omega * gamma))
+
+
+def reflection_coefficients(k0, kpar, sheet):
+    """(r_TE, r_TM) at one frequency k0 over an array of parallel momenta.
+
+    Array form of reflection_te and reflection_tm, with the same branch of
+    Gamma and the same rules: a transparent sheet gives zeros, and a kpar
+    on the light cone (Gamma = 0) raises OnLightConeError unless k0 = 0,
+    where r_TM = 1.
+    """
+    if not cmath.isfinite(complex(k0)):
+        raise ValueError("k0 must be finite")
+    kpar = np.asarray(kpar, dtype=float)
+    if np.any(kpar < 0):
+        raise ValueError("kpar must be nonnegative")
+    if not np.all(np.isfinite(kpar)):
+        raise ValueError("kpar must be finite")
+    if sheet.omega == 0.0:
+        return (np.zeros(kpar.shape, dtype=complex),
+                np.zeros(kpar.shape, dtype=complex))
+    k0sq = complex(k0) ** 2
+    gamma = np.sqrt(k0sq - kpar * kpar)
+    gamma = np.where((gamma.imag < 0.0)
+                     | ((gamma.imag == 0.0) & (gamma.real < 0.0)),
+                     -gamma, gamma)
+    r_te = 1.0 / (1.0 - 2j * gamma / sheet.omega)
+    on_cone = gamma == 0.0
+    if np.any(on_cone):
+        if k0 != 0.0:
+            raise OnLightConeError(f"Gamma = 0 at k0 = {k0}")
+        gamma = np.where(on_cone, 1.0, gamma)  # static limit: r_TM = 1
+    r_tm = 1.0 / (1.0 - 2j * k0sq / (sheet.omega * gamma))
+    return r_te, r_tm
 
 
 def reflection_te_euclidean(k, sheet):

@@ -10,6 +10,9 @@ built from the radial propagator d_l and Riccati-Bessel derivatives. For
 real k0 the imaginary part of g^(1) is Omega R^2 k0 j_l(k0 R)^2 >= 0, which
 is the mechanism that forbids real zeros: neither polarization supports a
 spherical surface plasmon, and scan_real_zeros certifies that numerically.
+
+The Jost functions and the radial propagator take k0 as a scalar (real or
+complex) or as a real ndarray, evaluated in one pass over the array.
 """
 
 import math
@@ -17,11 +20,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DegenerateMomentumError
 from .numerics import (
-    LMAX_DEFAULT,
     riccati_bessel,
     spherical_bessel_j,
     spherical_hankel1,
@@ -71,36 +72,41 @@ class JostEvaluation:
             raise ValueError("l must be a non-negative integer")
 
 
-def _order_bound(l):
-    return max(LMAX_DEFAULT, l + 2)
+def _require_dynamic(k0):
+    if (k0 == 0).any() if isinstance(k0, np.ndarray) else k0 == 0:
+        raise DegenerateMomentumError("static limit k0 = 0 not modeled")
 
 
 def radial_propagator_dl(l, k0, r, rp):
     """Radial photon propagator d_l(r, r') = i k0 j_l(k0 r_<) h_l(k0 r_>)."""
     if l < 0:
         raise ValueError("l must be non-negative")
-    if k0 == 0:
-        raise DegenerateMomentumError("static limit k0 = 0 not modeled")
+    _require_dynamic(k0)
     if not (r > 0.0 and rp > 0.0):
         raise ValueError("radii must be positive")
     inner, outer = min(r, rp), max(r, rp)
-    bound = _order_bound(l)
-    return (1j * k0 * spherical_bessel_j(l, k0 * inner, bound)
-            * spherical_hankel1(l, k0 * outer, bound))
+    return (1j * k0 * spherical_bessel_j(l, k0 * inner)
+            * spherical_hankel1(l, k0 * outer))
 
 
 def _check_jost_args(l, k0):
     if l < 1:
         raise ValueError("Jost functions need l >= 1")
-    if k0 == 0:
-        raise DegenerateMomentumError("static limit k0 = 0 not modeled")
+    _require_dynamic(k0)
+
+
+def _transparent(k0):
+    """g = 1 of a shell with Omega = 0, shaped like k0."""
+    if isinstance(k0, np.ndarray):
+        return np.ones(k0.shape, dtype=complex)
+    return complex(1.0)
 
 
 def jost_te(l, k0, shell):
     """TE Jost function 1 + Omega R^2 d_l(R, R)."""
     _check_jost_args(l, k0)
     if shell.omega == 0.0:
-        return complex(1.0)
+        return _transparent(k0)
     radius = shell.radius
     return 1.0 + shell.omega * radius * radius * radial_propagator_dl(
         l, k0, radius, radius)
@@ -110,8 +116,8 @@ def jost_te_riccati(l, k0, shell):
     """TE Jost function computed from Riccati-Bessel products instead of d_l."""
     _check_jost_args(l, k0)
     if shell.omega == 0.0:
-        return complex(1.0)
-    rj, _, rh, _ = riccati_bessel(l, k0 * shell.radius, _order_bound(l))
+        return _transparent(k0)
+    rj, _, rh, _ = riccati_bessel(l, k0 * shell.radius)
     return 1.0 + (1j * shell.omega / k0) * rj * rh
 
 
@@ -119,8 +125,8 @@ def jost_tm(l, k0, shell):
     """TM Jost function 1 + (i Omega/k0) j^'_l(k0 R) h^'_l(k0 R)."""
     _check_jost_args(l, k0)
     if shell.omega == 0.0:
-        return complex(1.0)
-    _, rjp, _, rhp = riccati_bessel(l, k0 * shell.radius, _order_bound(l))
+        return _transparent(k0)
+    _, rjp, _, rhp = riccati_bessel(l, k0 * shell.radius)
     return 1.0 + (1j * shell.omega / k0) * rjp * rhp
 
 
@@ -133,13 +139,12 @@ def jost_tm_decomposed(l, k0, shell):
     """
     _check_jost_args(l, k0)
     if shell.omega == 0.0:
-        return complex(1.0)
+        return _transparent(k0)
     z = k0 * shell.radius
-    bound = _order_bound(l + 1)
-    j_l = spherical_bessel_j(l, z, bound)
-    j_n = spherical_bessel_j(l + 1, z, bound)
-    h_l = spherical_hankel1(l, z, bound)
-    h_n = spherical_hankel1(l + 1, z, bound)
+    j_l = spherical_bessel_j(l, z)
+    j_n = spherical_bessel_j(l + 1, z)
+    h_l = spherical_hankel1(l, z)
+    h_n = spherical_hankel1(l + 1, z)
     y_l = (h_l - j_l) / 1j
     y_n = (h_n - j_n) / 1j
     rjp = (l + 1) * j_l - z * j_n
@@ -199,9 +204,9 @@ def _stable_imag_floor(polarization, l, k0, shell):
     """
     z = k0 * shell.radius
     if polarization == "te":
-        j = spherical_bessel_j(l, z, _order_bound(l))
+        j = spherical_bessel_j(l, z)
         return shell.omega * shell.radius**2 * k0 * (j * j).real
-    _, rjp, _, _ = riccati_bessel(l, z, _order_bound(l))
+    _, rjp, _, _ = riccati_bessel(l, z)
     return (shell.omega / k0) * (rjp * rjp).real
 
 
@@ -211,13 +216,16 @@ def scan_real_zeros(l, shell, k0r_max=30.0, points_per_period=20,
     """Search |g_l|^2 for real-frequency zeros; an empty list certifies none.
 
     Samples k0 R on (0, k0r_max] finely enough to resolve every oscillation,
-    sharpens each local minimum of |g|^2 by bounded minimization, and keeps
-    those below threshold. At small Omega R and growing l the TM function
-    develops resonance dips whose depth shrinks like a high power of k0 R;
-    minima whose exact imaginary part provably exceeds evaluation noise are
-    finite-width resonances, not zeros, and are dropped unless
-    certify_nonzero is disabled (useful for inspecting the dips themselves).
+    in one array evaluation per polarization, sharpens each local minimum
+    of |g|^2 by bounded minimization, and keeps those below threshold. At
+    small Omega R and growing l the TM function develops resonance dips
+    whose depth shrinks like a high power of k0 R; minima whose exact
+    imaginary part provably exceeds evaluation noise are finite-width
+    resonances, not zeros, and are dropped unless certify_nonzero is
+    disabled (useful for inspecting the dips themselves).
     """
+    from scipy.optimize import minimize_scalar
+
     if l < 1:
         raise ValueError("Jost functions need l >= 1")
     if k0r_max <= 0.0:
@@ -239,7 +247,7 @@ def scan_real_zeros(l, shell, k0r_max=30.0, points_per_period=20,
         def abs_g_squared(z, _jost=jost):
             return abs(_jost(l, z / radius, shell)) ** 2
 
-        values = np.array([abs_g_squared(z) for z in grid])
+        values = np.abs(jost(l, grid / radius, shell)) ** 2
         candidates = [i for i in range(1, len(grid) - 1)
                       if values[i] <= values[i - 1] and values[i] <= values[i + 1]]
         if values[0] < values[1]:

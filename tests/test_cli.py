@@ -1,19 +1,26 @@
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from plasmasheet import polder
 from plasmasheet.cli import (
+    COMMANDS,
     DEFAULT_TOLERANCE,
     TOLERANCE_ENV_VAR,
     RunConfig,
     SweepSpec,
     SweepTable,
     _assemble,
+    build_parser,
     load_config,
     main,
     run,
@@ -351,7 +358,9 @@ class TestMain:
                     if line.startswith("plasmasheet ")]
         assert len(commands) >= 7
         for argv in commands:
-            assert main(argv) == 0, " ".join(argv)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == 0, " ".join(argv)
             capsys.readouterr()
 
     def test_config_file_flag_precedence(self, tmp_path, capsys):
@@ -368,3 +377,130 @@ class TestSweepTable:
         with pytest.raises(ValueError):
             SweepTable(columns=("x", "error"), kinds=("float", "error"),
                        rows=((1.0, 2.0, ""),), metadata={})
+
+
+# One sweep per command: fixed parameters, then (min, max, count, scale).
+SWEEPS = {
+    "reflection": ({"omega": 2.0, "k0": 1.0}, (0.1, 3.0, 7, "linear")),
+    "dispersion": ({"omega": 1.0}, (1e-2, 1e2, 5, "log")),
+    "casimir": ({"raw_units": True}, (0.1, 1e3, 4, "log")),
+    "casimir-polder": ({"isotropic_alpha": 1.0}, (0.1, 1e3, 3, "log")),
+    "charge": ({"p2par": 0.3, "p23": 0.7}, (0.5, 50.0, 6, "log")),
+    "sphere": ({"l": 3, "omega_r": 0.5}, (0.05, 20.0, 9, "log")),
+    "functions": ({"family": "all"}, (0.01, 100.0, 3, "log")),
+}
+# Columns that come from a quadrature stacked over the sweep; every other
+# column must not depend on which points share the runner call.
+STACKED_QUADRATURE = {("charge", "kinetic")}
+
+
+def _sweep_config(command, fixed, bounds):
+    low, high, count, scale = bounds
+    axis = _axis(command)
+    return _assemble(command, {}, dict(fixed, **{
+        axis + "_min": low, axis + "_max": high, "count": count,
+        "scale": scale}))
+
+
+def _axis(command):
+    return COMMANDS[command].axis
+
+
+class TestArrayRunners:
+    @pytest.mark.parametrize("command", sorted(SWEEPS))
+    def test_batched_rows_equal_points_run_alone(self, command):
+        fixed, bounds = SWEEPS[command]
+        batched, status = run(_sweep_config(command, fixed, bounds))
+        assert status == 0
+        tolerance = batched.metadata["tolerance"]
+        for row in batched.rows:
+            alone, status = run(_assemble(
+                command, {}, dict(fixed, **{_axis(command): row[0]})))
+            assert status == 0
+            (single,) = alone.rows
+            for name, cell, expected in zip(batched.columns, row, single):
+                if (command, name) in STACKED_QUADRATURE:
+                    assert cell == pytest.approx(expected, rel=tolerance)
+                else:
+                    assert cell == expected, (name, row[0])
+
+    @pytest.mark.parametrize("command, kernel", [
+        ("reflection", "reflection_coefficients"),
+        ("charge", "charge_sheet_energies"),
+        ("sphere", "jost_tm"),
+    ])
+    def test_array_kernel_runs_once_per_sweep(self, command, kernel,
+                                              monkeypatch):
+        from plasmasheet import cli
+
+        calls = []
+        original = getattr(cli, kernel)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, kernel, counted)
+        fixed, bounds = SWEEPS[command]
+        table, status = run(_sweep_config(command, fixed, bounds))
+        assert status == 0
+        assert len(calls) == 1
+        assert len(table.rows) == bounds[2]
+
+    @pytest.mark.parametrize("command, fixed, bounds, message", [
+        ("charge", {"p23": 1.0}, (0.0, 2.0, 5, "linear"),
+         "ValueError: kinetic part diverges for a transparent sheet"),
+        ("reflection", {"omega": 2.0, "k0": 1.0}, (0.5, 1.5, 5, "linear"),
+         "OnLightConeError: Gamma = 0 at k0 = 1.0"),
+    ])
+    def test_raising_point_blanks_only_its_row(self, command, fixed, bounds,
+                                                message):
+        config = _sweep_config(command, fixed, bounds)
+        table, status = run(config)
+        assert status == 1
+        failed = [row for row in table.rows if row[-1]]
+        kept = [row for row in table.rows if not row[-1]]
+        assert len(failed) == 1 and len(kept) == 4
+        assert failed[0][-1] == message
+        assert all(cell is None for cell in failed[0][1:-1])
+        # the other points as one clean sweep of the same runner
+        columns, runner = COMMANDS[command].build(config.fixed,
+                                                  config.tolerance)
+        clean = zip(*(np.asarray(column).tolist() for column in
+                      runner(np.array([row[0] for row in kept]))))
+        for row, expected in zip(kept, clean):
+            for (name, _), cell, want in zip(columns, row[1:], expected):
+                if (command, name) in STACKED_QUADRATURE:
+                    assert cell == pytest.approx(want, rel=config.tolerance)
+                else:
+                    assert cell == want
+
+    def test_parser_reuse_gives_same_bytes_in_either_order(self, capsys):
+        commands = (["reflection", "--omega", "1", "--k0", "2", "--kpar",
+                     "0.5"],
+                    ["casimir", "--omega-a", "1", "--format", "json"],
+                    ["sphere", "--l", "2", "--k0r", "1.5"])
+        outputs = []
+        for order in (commands, commands[::-1]):
+            build_parser.cache_clear()
+            seen = {}
+            for argv in order:
+                assert main(list(argv)) == 0
+                seen[argv[0]] = capsys.readouterr().out
+            outputs.append(seen)
+        assert outputs[0] == outputs[1]
+        assert build_parser() is build_parser()
+
+    def test_casimir_run_imports_no_scipy(self):
+        code = ("import contextlib, io, sys\n"
+                "import plasmasheet, plasmasheet.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    status = plasmasheet.cli.main(['casimir', '--omega-a', '1'])\n"
+                "print(status, sorted(m for m in sys.modules\n"
+                "                     if m.split('.')[0] == 'scipy'))\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True,
+                                timeout=120)
+        assert result.stdout.split("\n")[0] == "0 []"

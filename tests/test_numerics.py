@@ -262,9 +262,50 @@ class TestSphericalBessel:
 
     def test_l_limits(self):
         with pytest.raises(ValueError):
-            numerics.spherical_bessel_j(51, 1.0)
-        with pytest.raises(ValueError):
             numerics.spherical_bessel_j(-1, 1.0)
-        # raising the limit explicitly is allowed
-        val = numerics.spherical_bessel_j(60, 30.0, l_max=80)
+        with pytest.raises(ValueError):
+            numerics.spherical_bessel_j(1.5, 1.0)
+        # no upper limit on the order
+        val = numerics.spherical_bessel_j(60, 30.0)
         assert abs(val - mp_spherical_j(60, 30.0).real) < 1e-13
+
+
+class TestSphericalBesselArrays:
+    """Real ndarray arguments go to scipy.special in one call."""
+
+    Z = np.array([0.1, 1.0, 5.3, 20.0, 49.5])
+
+    def test_against_series_oracle(self):
+        for l in (0, 1, 2, 5, 10, 23, 50):
+            j = numerics.spherical_bessel_j(l, self.Z)
+            h = numerics.spherical_hankel1(l, self.Z)
+            rj, _, rh, _ = numerics.riccati_bessel(l, self.Z)
+            for i, z in enumerate(self.Z):
+                want_j, want_h = mp_spherical_j(l, z), mp_spherical_h1(l, z)
+                assert abs(j[i] - want_j) <= 1e-13 * abs(want_j), (l, z)
+                assert abs(h[i] - want_h) <= 1e-13 * abs(want_h), (l, z)
+                assert abs(rh[i] - z * want_h) <= 1e-13 * abs(z * want_h)
+                assert abs(rj[i] - z * want_j) <= 1e-13 * abs(z * want_j)
+
+    def test_wronskian_and_scalar_route(self):
+        z = np.geomspace(0.05, 50.0, 40)
+        for l in (0, 1, 3, 12, 40):
+            rj, rjp, rh, rhp = numerics.riccati_bessel(l, z)
+            assert np.all(np.abs(rj * rhp - rjp * rh - 1j) < 1e-10), l
+            for i in range(0, len(z), 7):
+                scalar = numerics.riccati_bessel(l, float(z[i]))
+                for got, want in zip((rj, rjp, rh, rhp), scalar):
+                    assert abs(got[i] - want) <= 1e-12 * max(abs(want), 1.0)
+
+    def test_regular_and_singular_origin(self):
+        z = np.array([0.0, 1.0])
+        assert numerics.spherical_bessel_j(0, z)[0] == 1.0
+        assert numerics.spherical_bessel_j(3, z)[0] == 0.0
+        with pytest.raises(ValueError):
+            numerics.spherical_hankel1(1, z)
+        with pytest.raises(ValueError):
+            numerics.riccati_bessel(1, z)
+
+    def test_complex_array_refused(self):
+        with pytest.raises(ValueError):
+            numerics.spherical_hankel1(1, np.array([1.0 + 1j, 2.0]))

@@ -13,6 +13,7 @@ from plasmasheet.polder import (
     ReductionFunctions,
     _require_agreement,
     casimir_polder_energy,
+    charge_sheet_energies,
     charge_sheet_energy,
     delta1,
     delta1_integral_form,
@@ -331,6 +332,25 @@ class TestChargeSheetEnergy:
         with pytest.raises(ValueError):
             charge_sheet_energy(1.0, SheetParameters(omega=0.0),
                                 AtomProperties(p23=1.0))
+
+    def test_stacked_sweep_matches_single_points(self):
+        # one stacked integral over every x: each value still within rtol
+        atom = AtomProperties(e=1.5, m=0.7, p2par=0.4, p23=0.9)
+        a = 2.0
+        x = np.geomspace(1e-3, 1e6, 37)
+        for rtol in (1e-8, 1e-5):
+            es, kin = charge_sheet_energies(a, x, atom, rtol)
+            assert es.shape == kin.shape == x.shape
+            for i, value in enumerate(x):
+                one = charge_sheet_energy(
+                    a, SheetParameters(omega=value / a), atom, rtol)
+                assert es[i] == one[0]
+                assert kin[i] == pytest.approx(one[1], rel=rtol)
+
+    def test_stacked_sweep_rejects_transparent_point(self):
+        with pytest.raises(ValueError, match="diverges"):
+            charge_sheet_energies(1.0, np.array([1.0, 0.0]),
+                                  AtomProperties(p23=1.0))
 
 
 class TestCasimirPolder:

@@ -118,6 +118,47 @@ class TestReflection:
         assert abs(r) > 1e5
 
 
+class TestReflectionArray:
+    """reflection_coefficients: one frequency, an array of kpar."""
+
+    def test_agrees_with_scalar_functions(self):
+        # both sides of the light cone, real and complex k0; the relative
+        # rounding of r grows like |r| near the TM plasmon pole
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            k0 = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2, 2)
+            if rng.random() < 0.2:
+                k0 = complex(k0, rng.uniform(-1.0, 1.0))
+            kpar = abs(k0) * 10.0 ** rng.uniform(-2, 1, size=6)
+            sp = sheet.SheetParameters(10.0 ** rng.uniform(-2, 2))
+            r_te, r_tm = sheet.reflection_coefficients(k0, kpar, sp)
+            for i, kp in enumerate(kpar):
+                k = momentum(k0, float(kp))
+                for got, want in ((r_te[i], sheet.reflection_te(k, sp)),
+                                  (r_tm[i], sheet.reflection_tm(k, sp))):
+                    assert abs(got - want) <= 1e-15 * abs(want) * (
+                        4.0 + abs(want))
+
+    def test_light_cone_point_raises_like_scalar(self):
+        sp = sheet.SheetParameters(1.0)
+        with pytest.raises(OnLightConeError, match="Gamma = 0 at k0 = 1.0"):
+            sheet.reflection_coefficients(1.0, np.array([0.5, 1.0]), sp)
+
+    def test_static_and_transparent_limits(self):
+        r_te, r_tm = sheet.reflection_coefficients(
+            0.0, np.array([0.0, 2.0]), sheet.SheetParameters(1.0))
+        assert np.all(r_tm == 1.0)
+        assert r_te[0] == 1.0
+        r_te, r_tm = sheet.reflection_coefficients(
+            1.0, np.array([0.5, 1.0]), sheet.SheetParameters(0.0))
+        assert np.all(r_te == 0.0) and np.all(r_tm == 0.0)
+
+    def test_rejects_negative_kpar(self):
+        with pytest.raises(ValueError):
+            sheet.reflection_coefficients(1.0, np.array([-0.5, 1.0]),
+                                          sheet.SheetParameters(1.0))
+
+
 class TestEuclideanReflection:
     def test_te_half_point(self):
         sp = sheet.SheetParameters(2.0)

@@ -6,6 +6,7 @@ import pytest
 from scipy import special
 
 from plasmasheet.errors import DegenerateMomentumError
+from plasmasheet.polder import PATH_AGREEMENT_TOL
 from plasmasheet.sphere import (
     JostEvaluation,
     SphericalShell,
@@ -314,3 +315,67 @@ class TestJostEvaluation:
             JostEvaluation(l=1.5, k0=1.0, gTE=1.0, gTM=1.0)
         with pytest.raises(ValueError):
             JostEvaluation(l=-1, k0=1.0, gTE=1.0, gTM=1.0)
+
+
+class TestJostArrays:
+    """A real ndarray k0 is evaluated in one pass through scipy.special."""
+
+    @staticmethod
+    def _gap(a, b):
+        return abs(a - b) / max(abs(a), abs(b))
+
+    def test_agrees_with_scalar_routes(self):
+        # l in [1, 50], Omega R in [1e-2, 1e2], k0 R in [1e-2, 50]; the
+        # largest gaps sit at TM resonance dips where |g| << 1
+        rng = np.random.default_rng(41)
+        cases = [(1, 0.01), (5, 0.1), (50, 100.0)] + [
+            (int(rng.integers(1, 51)), float(10.0 ** rng.uniform(-2.0, 2.0)))
+            for _ in range(12)]
+        for l, omega_r in cases:
+            radius = float(rng.choice((0.5, 1.0, 2.0)))
+            shell = SphericalShell(radius=radius, omega=omega_r / radius)
+            k0r = np.geomspace(1e-2, 50.0, 41)
+            k0 = k0r / radius
+            te, tm = jost_te(l, k0, shell), jost_tm(l, k0, shell)
+            te_riccati = jost_te_riccati(l, k0, shell)
+            tm_decomposed = jost_tm_decomposed(l, k0, shell)
+            for i, value in enumerate(k0):
+                point = float(value)
+                for array_value, scalar_route in (
+                        (te[i], jost_te), (te[i], jost_te_riccati),
+                        (te_riccati[i], jost_te),
+                        (tm[i], jost_tm), (tm[i], jost_tm_decomposed),
+                        (tm_decomposed[i], jost_tm)):
+                    gap = self._gap(array_value, scalar_route(l, point, shell))
+                    assert gap <= PATH_AGREEMENT_TOL, (l, omega_r, k0r[i])
+
+    def test_resonance_dip_agrees(self):
+        # the l = 5, Omega R = 0.1 TM dip, where |g|^2 falls below 1e-6
+        shell = SphericalShell(radius=1.0, omega=0.1)
+        k0 = np.linspace(0.3, 0.9, 601)
+        tm = jost_tm(5, k0, shell)
+        assert np.min(np.abs(tm)) < 1e-3
+        for i in range(0, len(k0), 10):
+            gap = self._gap(tm[i], jost_tm_decomposed(5, float(k0[i]), shell))
+            assert gap <= PATH_AGREEMENT_TOL
+
+    def test_transparent_shell_gives_ones(self):
+        shell = SphericalShell(radius=1.0, omega=0.0)
+        k0 = np.array([0.5, 1.0, 2.0])
+        for jost in (jost_te, jost_te_riccati, jost_tm, jost_tm_decomposed):
+            value = jost(2, k0, shell)
+            assert value.shape == k0.shape and np.all(value == 1.0)
+
+    def test_static_point_raises(self):
+        shell = SphericalShell(radius=1.0, omega=1.0)
+        with pytest.raises(DegenerateMomentumError):
+            jost_te(1, np.array([0.0, 1.0]), shell)
+
+    def test_scan_keeps_weak_coupling_candidate(self):
+        # the grid is sampled in one array pass; the one uncertified TM dip
+        # at l = 6, Omega R = 0.01 stays where the scalar grid put it
+        shell = SphericalShell(radius=1.0, omega=0.01)
+        found = scan_real_zeros(6, shell, certify_nonzero=False)
+        assert [c.polarization for c in found] == ["tm"]
+        assert found[0].k0r_location == pytest.approx(0.17970695743716975,
+                                                      abs=1e-9)
