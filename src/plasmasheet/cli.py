@@ -1,16 +1,16 @@
 """Command-line front end: parameter sweeps over the sheet-model operations.
 
 Each subcommand sweeps one axis and writes a machine-readable table (CSV
-with a '#'-comment metadata preamble, or JSON with a metadata object). A
-subcommand's runner takes the whole axis as an array and returns one array
-per output column: reflection, charge and sphere evaluate the array in one
-pass, the others loop over its points inside the runner. Output is fully
-deterministic: identical configuration produces identical bytes, so no
-wall-clock timestamps are recorded. When the runner raises a physics
-error, every point is evaluated again on its own, as a one-point array:
-rows that raise stay in the table with blank output cells and the message
-in the final 'error' column, and any such row turns the exit status to 1.
-Invalid configuration exits with status 2 before any row is computed.
+with a '#'-comment metadata preamble, or JSON with a metadata object).
+reflection, charge and sphere take the whole axis as an array and return one
+array per output column; the other subcommands have no array form and run
+one point at a time. Output is fully deterministic: identical configuration
+produces identical bytes, so no wall-clock timestamps are recorded. When an
+array call raises a physics error, the array is split in halves until the
+point that raises stands alone. Rows that raise stay in the table with
+blank output cells and the message in the final 'error' column, and any
+such row turns the exit status to 1. Invalid configuration exits with
+status 2 before any row is computed.
 
 Lengths are in user-chosen base units (the model is scale covariant);
 default output columns are dimensionless combinations where one exists, and
@@ -150,16 +150,16 @@ def _parse_param(spec, text):
     return text
 
 
-def _pointwise(row):
-    """Runner that calls row(value) for each point of the axis array.
+@dataclass(frozen=True)
+class _Pointwise:
+    """Runner of an operation that has no array form over the axis.
 
-    For operations that have no array form over the axis: the quadratures
-    and the root finder adapt to each point on their own.
+    The quadratures and the root finder adapt to each point on their own,
+    so run() calls row(value) once per point and catches its errors there:
+    a point that raises costs no other point a second evaluation.
     """
-    def runner(values):
-        return tuple(zip(*map(row, values.tolist())))
 
-    return runner
+    row: object
 
 
 def _build_reflection(fixed, tolerance):
@@ -181,7 +181,7 @@ def _build_dispersion(fixed, tolerance):
         return (closed, root, abs(closed - root) / closed)
 
     return ([("k0_closed", "float"), ("k0_root", "float"),
-             ("residual", "float")], _pointwise(row))
+             ("residual", "float")], _Pointwise(row))
 
 
 def _build_casimir(fixed, tolerance):
@@ -204,7 +204,7 @@ def _build_casimir(fixed, tolerance):
                ("tm_share", "float")]
     if raw:
         columns += [("energy_per_area", "float"), ("pressure", "float")]
-    return columns, _pointwise(row)
+    return columns, _Pointwise(row)
 
 
 def _atom_from(fixed):
@@ -230,7 +230,7 @@ def _build_casimir_polder(fixed, tolerance):
     columns = [("a4_energy", "float")]
     if raw:
         columns.append(("energy", "float"))
-    return columns, _pointwise(row)
+    return columns, _Pointwise(row)
 
 
 def _build_charge(fixed, tolerance):
@@ -241,8 +241,6 @@ def _build_charge(fixed, tolerance):
                           p23=fixed["p23"])
 
     def runner(x):
-        if np.any(x < 0.0):
-            SheetParameters(omega=float(x.min()) / a)  # the sheet rejects it
         return charge_sheet_energies(a, x, atom, rtol=tolerance)
 
     return [("electrostatic", "float"), ("kinetic", "float")], runner
@@ -281,7 +279,7 @@ def _build_functions(fixed, tolerance):
         bundle = reduction_functions(x, rtol=tolerance, names=names)
         return tuple(getattr(bundle, name) for name in names)
 
-    return [(name, "float") for name in names], _pointwise(row)
+    return [(name, "float") for name in names], _Pointwise(row)
 
 
 @dataclass(frozen=True)
@@ -568,19 +566,48 @@ def _metadata(config):
     return meta
 
 
-def _rows(runner, values):
-    """Table rows (value, outputs..., "") of one runner call on an array."""
-    columns = [np.asarray(column).tolist() for column in runner(values)]
-    return [cells + ("",) for cells in zip(values.tolist(), *columns)]
+def _failed_row(value, width, exc):
+    return (value,) + (None,) * width + (_describe(exc),)
+
+
+def _point_rows(row, values, width):
+    """Table rows of a pointwise operation, and whether any point failed."""
+    rows, failed = [], False
+    for value in values.tolist():
+        try:
+            rows.append((value,) + tuple(row(value)) + ("",))
+        except (SheetModelError, ValueError) as exc:
+            rows.append(_failed_row(value, width, exc))
+            failed = True
+    return rows, failed
+
+
+def _array_rows(runner, values, width):
+    """Table rows of an array runner on an axis array, and whether any failed.
+
+    A call that raises a physics error is split into halves, down to single
+    points: the clean parts stay array calls, and only a point that raises
+    on its own gets blank outputs and the message in its 'error' cell.
+    """
+    try:
+        columns = [np.asarray(column).tolist() for column in runner(values)]
+    except (SheetModelError, ValueError) as exc:
+        if len(values) == 1:
+            return [_failed_row(float(values[0]), width, exc)], True
+        middle = len(values) // 2
+        head, head_failed = _array_rows(runner, values[:middle], width)
+        tail, tail_failed = _array_rows(runner, values[middle:], width)
+        return head + tail, head_failed or tail_failed
+    return [cells + ("",) for cells in zip(values.tolist(), *columns)], False
 
 
 def run(config):
     """Evaluate the sweep; returns (SweepTable, exit status).
 
-    Bad fixed parameters raise ValueError before any row is computed. The
-    runner gets the whole axis at once; if that raises a physics error,
-    each point is run again alone, so an error blanks only its own row's
-    outputs, records the message, and sets the exit status to 1 without
+    Bad fixed parameters raise ValueError before any row is computed. An
+    array runner gets the whole axis at once, a pointwise one each point
+    alone. A physics error blanks only the outputs of the point that
+    raises, records the message, and sets the exit status to 1 without
     stopping the sweep.
     """
     spec = COMMANDS[config.command]
@@ -589,21 +616,13 @@ def run(config):
     kinds = ("float",) + tuple(k for _, k in columns) + ("error",)
 
     values = np.array(config.sweep.values())
-    status = 0
-    try:
-        rows = _rows(runner, values)
-    except (SheetModelError, ValueError):
-        rows = []
-        for point in values.reshape(-1, 1):
-            try:
-                rows += _rows(runner, point)
-            except (SheetModelError, ValueError) as exc:
-                rows.append((float(point[0]),) + (None,) * len(columns)
-                            + (_describe(exc),))
-                status = 1
+    if isinstance(runner, _Pointwise):
+        rows, failed = _point_rows(runner.row, values, len(columns))
+    else:
+        rows, failed = _array_rows(runner, values, len(columns))
     table = SweepTable(columns=names, kinds=kinds, rows=tuple(rows),
                        metadata=_metadata(config))
-    return table, status
+    return table, int(failed)
 
 
 def _format_float(value):

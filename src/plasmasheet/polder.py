@@ -211,6 +211,10 @@ def _transverse_angular(b):
         _TRANSVERSE_ANGULAR_SERIES)
 
 
+# Couplings per stacked kinetic integral in charge_sheet_energies.
+_CHARGE_CHUNK = 1024
+
+
 def _weight_spec(rtol):
     return QuadratureSpec(kind="exponential-weight", rtol=rtol)
 
@@ -409,22 +413,32 @@ def charge_sheet_energies(a, x, atom, rtol=1e-8):
     """charge_sheet_energy for an array of couplings x = Omega a at distance a.
 
     Returns (electrostatic, kinetic) arrays shaped like x. The kinetic
-    integrals of all x are one stacked integrand of
-    integrate_exponential_weight, refined until every one reaches rtol.
+    integrals of up to _CHARGE_CHUNK couplings at a time are one stacked
+    integrand of integrate_exponential_weight, refined until every one
+    reaches rtol; the chunks bound the memory of a long sweep.
     """
     _require_positive(a, "a")
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x) & (x >= 0.0)):
+        raise ValueError("omega must be finite and nonnegative")
     if not np.all(x > 0.0):
         raise ValueError("kinetic part diverges for a transparent sheet")
-    xs = x.reshape(-1, 1)
 
-    def braces(q):
-        par = ((1.0 / (1.0 + q / xs) - (0.5 * q + 1.5 + q / xs))
-               * 0.5 * atom.p2par)
-        perp = (0.5 * q + 0.5 + 0.5 * q / xs) * atom.p23
-        return par - perp
+    def braces(xs):
+        def integrand(q):
+            par = ((1.0 / (1.0 + q / xs) - (0.5 * q + 1.5 + q / xs))
+                   * 0.5 * atom.p2par)
+            perp = (0.5 * q + 0.5 + 0.5 * q / xs) * atom.p23
+            return par - perp
 
-    integral = integrate_exponential_weight(braces, _weight_spec(rtol))
+        return integrand
+
+    flat = x.reshape(-1, 1)
+    starts = range(0, max(len(flat), 1), _CHARGE_CHUNK)  # empty x: one chunk
+    integral = np.concatenate([
+        integrate_exponential_weight(braces(flat[start:start + _CHARGE_CHUNK]),
+                                     _weight_spec(rtol))
+        for start in starts])
     kinetic = (atom.e**2 / (16.0 * math.pi * atom.m**2 * a)) * integral
     electrostatic = np.full(x.shape, -atom.e**2 / (8.0 * math.pi * a))
     return electrostatic, kinetic.reshape(x.shape)

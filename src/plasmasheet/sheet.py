@@ -161,9 +161,9 @@ def reflection_coefficients(k0, kpar, sheet):
     if not cmath.isfinite(complex(k0)):
         raise ValueError("k0 must be finite")
     kpar = np.asarray(kpar, dtype=float)
-    if np.any(kpar < 0):
+    if (kpar < 0).any():
         raise ValueError("kpar must be nonnegative")
-    if not np.all(np.isfinite(kpar)):
+    if not np.isfinite(kpar).all():
         raise ValueError("kpar must be finite")
     if sheet.omega == 0.0:
         return (np.zeros(kpar.shape, dtype=complex),
@@ -175,7 +175,7 @@ def reflection_coefficients(k0, kpar, sheet):
                      -gamma, gamma)
     r_te = 1.0 / (1.0 - 2j * gamma / sheet.omega)
     on_cone = gamma == 0.0
-    if np.any(on_cone):
+    if on_cone.any():
         if k0 != 0.0:
             raise OnLightConeError(f"Gamma = 0 at k0 = {k0}")
         gamma = np.where(on_cone, 1.0, gamma)  # static limit: r_TM = 1

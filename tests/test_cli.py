@@ -27,7 +27,7 @@ from plasmasheet.cli import (
     table_to_csv_text,
     table_to_json_text,
 )
-from plasmasheet.errors import PathDisagreementError
+from plasmasheet.errors import PathDisagreementError, ToleranceNotMet
 from plasmasheet.polder import reduction_functions
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -474,6 +474,67 @@ class TestArrayRunners:
                     assert cell == pytest.approx(want, rel=config.tolerance)
                 else:
                     assert cell == want
+
+    def test_raising_point_is_isolated_by_halving(self, monkeypatch):
+        # the README reflection sweep with 40 points hits kpar = k0 = 2
+        from plasmasheet import cli
+
+        sizes = []
+        original = cli.reflection_coefficients
+
+        def counted(k0, kpar, sheet):
+            sizes.append(len(kpar))
+            return original(k0, kpar, sheet)
+
+        monkeypatch.setattr(cli, "reflection_coefficients", counted)
+        fixed = {"omega": 1.0, "k0": 2.0}
+        config = _sweep_config("reflection", fixed, (0.1, 4.0, 40, "linear"))
+        table, status = run(config)
+        assert status == 1
+        failed = [row for row in table.rows if row[-1]]
+        assert [row[0] for row in failed] == [2.0]
+        assert failed[0][-1] == "OnLightConeError: Gamma = 0 at k0 = 2.0"
+        # the whole axis, then two halves per level down to the point
+        assert len(sizes) <= 1 + 2 * math.ceil(math.log2(40))
+        assert sum(sizes) <= 3 * 40
+        for row in table.rows:
+            if not row[-1]:
+                alone, _ = run(_assemble("reflection", {},
+                                         dict(fixed, kpar=row[0])))
+                assert alone.rows[0] == row
+
+    def test_pointwise_points_run_once_when_one_raises(self, monkeypatch):
+        from plasmasheet import cli
+
+        seen = []
+        original = cli.casimir_polder_energy
+
+        def counted(a, sheet, atom, rtol):
+            seen.append(sheet.omega)
+            if sheet.omega == 2.0:
+                raise ToleranceNotMet("no convergence at 2")
+            return original(a, sheet, atom, rtol=rtol)
+
+        monkeypatch.setattr(cli, "casimir_polder_energy", counted)
+        config = _sweep_config("casimir-polder", {"isotropic_alpha": 1.0},
+                               (0.0, 3.0, 4, "linear"))
+        table, status = run(config)
+        assert status == 1
+        assert [row[-1] for row in table.rows] == [
+            "", "", "ToleranceNotMet: no convergence at 2", ""]
+        # each point reaches the energy once, the raising one included
+        assert seen == [0.0, 1.0, 2.0, 3.0]
+
+    def test_negative_charge_coupling_keeps_sheet_message(self):
+        config = _sweep_config("charge", {"p23": 1.0},
+                               (-2.0, 2.0, 5, "linear"))
+        table, status = run(config)
+        assert status == 1
+        assert [row[-1] for row in table.rows] == [
+            "ValueError: omega must be finite and nonnegative",
+            "ValueError: omega must be finite and nonnegative",
+            "ValueError: kinetic part diverges for a transparent sheet",
+            "", ""]
 
     def test_parser_reuse_gives_same_bytes_in_either_order(self, capsys):
         commands = (["reflection", "--omega", "1", "--k0", "2", "--kpar",

@@ -347,6 +347,31 @@ class TestChargeSheetEnergy:
                 assert es[i] == one[0]
                 assert kin[i] == pytest.approx(one[1], rel=rtol)
 
+    def test_stacked_sweep_runs_in_chunks(self, monkeypatch):
+        calls = []
+        original = polder.integrate_exponential_weight
+
+        def counted(f, spec):
+            calls.append(f)
+            return original(f, spec)
+
+        monkeypatch.setattr(polder, "integrate_exponential_weight", counted)
+        monkeypatch.setattr(polder, "_CHARGE_CHUNK", 4)
+        atom = AtomProperties(p2par=0.4, p23=0.9)
+        x = np.geomspace(1e-2, 1e3, 10)
+        _, kin = charge_sheet_energies(1.5, x, atom, 1e-8)
+        assert len(calls) == 3
+        for value, got in zip(x, kin):
+            one = charge_sheet_energy(
+                1.5, SheetParameters(omega=value / 1.5), atom, 1e-8)
+            assert got == pytest.approx(one[1], rel=1e-8)
+
+    def test_stacked_sweep_rejects_negative_coupling(self):
+        with pytest.raises(ValueError,
+                           match="omega must be finite and nonnegative"):
+            charge_sheet_energies(1.0, np.array([1.0, -0.5]),
+                                  AtomProperties(p23=1.0))
+
     def test_stacked_sweep_rejects_transparent_point(self):
         with pytest.raises(ValueError, match="diverges"):
             charge_sheet_energies(1.0, np.array([1.0, 0.0]),
