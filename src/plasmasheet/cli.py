@@ -542,7 +542,9 @@ def _describe(exc):
     return f"{name}: {message}" if message else name
 
 
+@functools.cache
 def _version():
+    """Installed package version, looked up once per process."""
     try:
         return importlib_metadata.version("plasmasheet")
     except importlib_metadata.PackageNotFoundError:

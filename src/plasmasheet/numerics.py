@@ -5,26 +5,20 @@ integrands (a trapezoidal rule in ln k for e^-k weighted integrals, and
 Gauss-Legendre), QUADPACK and Brent sit behind small contracts that fail
 loudly instead of returning silently inaccurate numbers.
 
-The spherical Bessel functions take one of two routes, chosen by the
-argument:
-
-- a real ndarray goes to ``scipy.special.spherical_jn``/``spherical_yn``,
-  one call over the whole array, with h = j + i y;
-- a scalar or a complex argument goes to hand-written complex recurrences
-  (downward Miller for j, upward from closed seeds for h).
-
-The split is by cost and by domain. A scipy wrapper call costs about
-40 us whatever the size of the array, more than a scalar recurrence, so
-only whole arrays go to scipy. Complex arguments stay on the recurrences
-because on the imaginary axis z = i kappa, h = j + i y is e^-kappa small
-while j and y grow like e^kappa: summing them cancels, whereas the upward
-recurrence starts from the closed h_0 = -i e^(iz)/z.
+The spherical Bessel functions come from one primitive, ``_sph_jh``, that
+makes one scipy call per function over all requested orders. A real
+ndarray goes to ``spherical_jn``/``spherical_yn``, which are the fastest
+over a whole array. A real scalar goes to the ``jv``/``yv`` ufuncs, which
+skip that wrapper's per-call cost and give Re h = j exactly. A complex
+argument goes to the exponentially scaled ``jve``/``hankel1e``: on the
+imaginary axis z = i kappa, j and y grow like e^kappa while h = j + i y
+falls like e^-kappa, so the scaled pair keeps products such as j h finite
+where the functions themselves overflow.
 
 scipy is imported on first use: importing it takes longer than the rest of
 the package together.
 """
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -322,31 +316,73 @@ def _check_l(l):
         raise ValueError("l must be nonnegative")
 
 
-def _is_real_array(z):
-    """True when z goes to scipy.special: a real ndarray.
+def _sph_jh(orders, z):
+    """Spherical Bessel j_n(z) and Hankel h_n(z) = j_n + i y_n for n in orders.
 
-    A complex ndarray is refused: its values go to the recurrences one at
-    a time, and the caller decides where that loop belongs.
-    """
-    if not isinstance(z, np.ndarray):
-        return False
-    if np.iscomplexobj(z):
-        raise ValueError("complex z must be passed one value at a time")
-    return True
+    Returns (j, h, phase): arrays of shape (len(orders),) + shape(z), and
+    the factor that makes j_n(z) h_n(z) = phase * j * h. There is one scipy
+    call per function, and the argument picks the formula:
 
-
-def _scipy_pair(l, z):
-    """(j_{l-1}, j_l, y_{l-1}, y_l) on a real array z != 0, from scipy.
-
-    The order -1 members are j_{-1} = cos z/z and y_{-1} = j_0 = sin z/z.
+    - a real ndarray goes to ``spherical_jn``/``spherical_yn``; phase = 1.
+      Order -1 (riccati_bessel at l = 0) is j_-1 = -y_0, y_-1 = j_0;
+    - a real scalar goes to the ``jv``/``yv`` ufuncs at order n + 1/2, with
+      j_n(-x) = (-1)^n j_n(x) and y_n(-x) = (-1)^(n+1) y_n(x); phase = 1.
+      The ufuncs skip the Python wrapper of ``spherical_jn``, which costs
+      about 40 us a call, and Re h is j itself, so Im (j h) = j^2 exactly;
+    - a complex z goes to the exponentially scaled ``jve``/``hankel1e``:
+      j = j_n e^-|Im z| and h = h_n e^-iz, and phase = e^(iz + |Im z|).
+      For Im z >= 0 the phase has modulus 1, so a product j h never
+      overflows there, although j_n and y_n alone grow like e^|Im z|.
     """
     from scipy import special
 
-    jl, yl = special.spherical_jn(l, z), special.spherical_yn(l, z)
-    if l == 0:
-        return np.cos(z) / z, jl, jl, yl
-    return (special.spherical_jn(l - 1, z), jl,
-            special.spherical_yn(l - 1, z), yl)
+    n = np.array(orders)
+    if isinstance(z, np.ndarray):
+        n = n.reshape((-1,) + (1,) * z.ndim)
+    if _is_complex(z):
+        front = math.sqrt(math.pi / 2) / np.sqrt(z)
+        return (front * special.jve(n + 0.5, z),
+                front * special.hankel1e(n + 0.5, z),
+                np.exp(1j * z + np.abs(z.imag)))
+    if isinstance(z, np.ndarray):
+        j = special.spherical_jn(np.maximum(n, 0), z)
+        y = special.spherical_yn(np.maximum(n, 0), z)
+        if n[0] < 0:
+            j[0], y[0] = -y[1], j[1]
+    else:
+        x = abs(z)
+        front = math.sqrt(math.pi / (2 * x))
+        j = front * special.jv(n + 0.5, x)
+        y = front * special.yv(n + 0.5, x)
+        if z < 0:
+            j, y = (-1.0) ** n * j, (-1.0) ** (n + 1) * y
+    # set the parts one by one: j + 1j * y would turn an infinite y into a
+    # NaN real part
+    h = np.empty(j.shape, dtype=complex)
+    h.real, h.imag = j, y
+    return j, h, 1.0
+
+
+def _is_complex(z):
+    return isinstance(z, complex) or (
+        isinstance(z, np.ndarray) and z.dtype.kind == "c")
+
+
+def _unscaled(z, j, h):
+    """j_n(z) and h_n(z) from the (j, h) that _sph_jh returns."""
+    if _is_complex(z):
+        return j * np.exp(np.abs(z.imag)), h * np.exp(1j * z)
+    return j, h
+
+
+def _riccati_scaled(l, z):
+    """(rj, rjp, rh, rhp, phase): riccati_bessel in the scaling of _sph_jh.
+
+    The derivatives come from the downward identity
+    d/dz [z f_l] = z f_(l-1) - l f_l.
+    """
+    (jm, jl), (hm, hl), phase = _sph_jh((l - 1, l), z)
+    return z * jl, z * jm - l * jl, z * hl, z * hm - l * hl, phase
 
 
 def _require_nonzero(z, message):
@@ -354,73 +390,20 @@ def _require_nonzero(z, message):
         raise ValueError(message)
 
 
-def _sph_j_pair(l, z):
-    """(j_{l-1}(z), j_l(z)) by downward Miller recurrence, complex z."""
-    if z == 0:
-        raise ValueError("z=0 must be special-cased by the caller")
-    # Seed far above l, recurse down, then normalize against the closed-form
-    # j_0 (or j_1 near zeros of sin z). Downward is the stable direction for j.
-    start = l + 20 + int(1.2 * abs(z))
-    jp = 0.0 + 0.0j
-    jc = 1e-30 + 0.0j
-    saved = {}
-    for n in range(start, 0, -1):
-        if n - 1 == l or n - 1 == l - 1 or n - 1 <= 1:
-            saved[n - 1] = None  # placeholder so we know which to record
-        jm = (2 * n + 1) / z * jc - jp
-        jp, jc = jc, jm
-        if n - 1 in saved:
-            saved[n - 1] = jc
-        if abs(jc.real) > 1e250 or abs(jc.imag) > 1e250:
-            jp *= 1e-250
-            jc *= 1e-250
-            for key, val in saved.items():
-                if val is not None:
-                    saved[key] = val * 1e-250
-    j0_exact = cmath.sin(z) / z
-    j1_exact = cmath.sin(z) / z**2 - cmath.cos(z) / z
-    j0_trial = saved.get(0)
-    j1_trial = saved.get(1, j0_trial)
-    if abs(j0_trial) >= abs(j1_trial):
-        factor = j0_exact / j0_trial
-    else:
-        factor = j1_exact / j1_trial
-    if l == 0:
-        return cmath.cos(z) / z, j0_exact
-    jl = saved[l] * factor
-    jlm1 = j0_exact if l == 1 else saved[l - 1] * factor
-    return jlm1, jl
-
-
-def _sph_h_pair(l, z):
-    """(h1_{l-1}(z), h1_l(z)) by upward recurrence from closed seeds."""
-    hm = cmath.exp(1j * z) / z          # order -1
-    hc = -1j * cmath.exp(1j * z) / z    # order 0
-    if l == 0:
-        return hm, hc
-    for n in range(0, l):
-        hm, hc = hc, (2 * n + 1) / z * hc - hm
-    return hm, hc
-
-
 def spherical_bessel_j(l, z):
     """Spherical Bessel function j_l(z) for real or complex z.
 
-    Real input gives a real result, a real ndarray an ndarray. z=0 is the
-    regular point j_l(0) = [l == 0].
+    Real input gives a real result, an ndarray an ndarray. z=0 is the
+    regular point j_l(0) = [l == 0] for a scalar or a real ndarray.
     """
     _check_l(l)
-    if _is_real_array(z):
-        from scipy import special
-
-        return special.spherical_jn(l, z)
-    if z == 0:
+    if not isinstance(z, np.ndarray) and z == 0:
         return 1.0 if l == 0 else 0.0
-    zc = complex(z)
-    _, jl = _sph_j_pair(l, zc)
-    if isinstance(z, complex):
-        return jl
-    return jl.real
+    (j,), (h,), _ = _sph_jh((l,), z)
+    j, _ = _unscaled(z, j, h)
+    if isinstance(z, (np.ndarray, complex)):
+        return j
+    return float(j)
 
 
 def spherical_hankel1(l, z):
@@ -430,12 +413,8 @@ def spherical_hankel1(l, z):
     """
     _check_l(l)
     _require_nonzero(z, "spherical Hankel function is singular at z=0")
-    if _is_real_array(z):
-        from scipy import special
-
-        return special.spherical_jn(l, z) + 1j * special.spherical_yn(l, z)
-    _, hl = _sph_h_pair(l, complex(z))
-    return hl
+    (j,), (h,), _ = _sph_jh((l,), z)
+    return _unscaled(z, j, h)[1]
 
 
 def riccati_bessel(l, z):
@@ -443,7 +422,7 @@ def riccati_bessel(l, z):
 
     Returns
     -------
-    (rj, rjp, rh, rhp) : tuple of complex, or of complex arrays
+    (rj, rjp, rh, rhp) : tuple of scalars, or of arrays shaped like z
         rj = z j_l(z), rjp = d/dz [z j_l(z)], same for the Hankel pair.
         These satisfy the Wronskian identity rj * rhp - rjp * rh = i. The
         derivatives come from the downward identity
@@ -451,15 +430,7 @@ def riccati_bessel(l, z):
     """
     _check_l(l)
     _require_nonzero(z, "Riccati-Bessel functions need z != 0")
-    if _is_real_array(z):
-        jm, jl, ym, yl = _scipy_pair(l, z)
-        hm, hl = jm + 1j * ym, jl + 1j * yl
-    else:
-        z = complex(z)
-        jm, jl = _sph_j_pair(l, z)
-        hm, hl = _sph_h_pair(l, z)
-    rj = z * jl
-    rjp = z * jm - l * jl
-    rh = z * hl
-    rhp = z * hm - l * hl
+    rj, rjp, rh, rhp, _ = _riccati_scaled(l, z)
+    rj, rh = _unscaled(z, rj, rh)
+    rjp, rhp = _unscaled(z, rjp, rhp)
     return rj, rjp, rh, rhp

@@ -48,24 +48,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SheetParameters:
-    """Sheet coupling Omega and sheet plane positions along x3.
+    """Sheet coupling Omega of a single sheet in the plane x3 = 0.
 
     omega = 0 is accepted as the transparent (free-space) limit even though
     the physical sheet has omega > 0; several limit checks rely on it.
     """
 
     omega: float
-    positions: tuple = (0.0,)
 
     def __post_init__(self):
         if not math.isfinite(self.omega) or self.omega < 0.0:
             raise ValueError("omega must be finite and nonnegative")
-        pos = tuple(float(p) for p in self.positions)
-        if len(pos) not in (1, 2):
-            raise ValueError("positions must list one or two sheet planes")
-        if len(pos) == 2 and not pos[0] < pos[1]:
-            raise ValueError("sheet positions must be strictly increasing")
-        object.__setattr__(self, "positions", pos)
 
 
 @dataclass(frozen=True)
@@ -231,11 +224,6 @@ def _reflection_for(polarization):
     raise ValueError(f"polarization must be one of {_POLARIZATIONS}")
 
 
-def _require_single_sheet_at_origin(sheet):
-    if len(sheet.positions) != 1 or sheet.positions[0] != 0.0:
-        raise ValueError("propagator requires a single sheet at x3 = 0")
-
-
 def scalar_propagator(x3, y3, k, sheet, polarization="scalar", parts=False):
     """Mode propagator along x3 for a single sheet at the origin.
 
@@ -260,7 +248,6 @@ def scalar_propagator(x3, y3, k, sheet, polarization="scalar", parts=False):
     -------
     complex, or (complex, complex)
     """
-    _require_single_sheet_at_origin(sheet)
     gamma = gamma_minkowski(k)
     if gamma == 0.0:
         raise OnLightConeError("free propagator pole at Gamma = 0")
@@ -304,7 +291,6 @@ def matching_residual(k, sheet, polarization="scalar", probe_offset=1e-3, y3=Non
     (continuity_residual, jump_residual) : tuple of float
         Magnitudes that vanish at least quadratically as probe_offset -> 0.
     """
-    _require_single_sheet_at_origin(sheet)
     h = float(probe_offset)
     if h <= 0.0:
         raise ValueError("probe_offset must be positive")

@@ -12,17 +12,23 @@ is the mechanism that forbids real zeros: neither polarization supports a
 spherical surface plasmon, and scan_real_zeros certifies that numerically.
 
 The Jost functions and the radial propagator take k0 as a scalar (real or
-complex) or as a real ndarray, evaluated in one pass over the array.
+complex) or as any ndarray, evaluated in one pass over the array. The Jost
+functions are built from exponentially scaled Bessel products, so they stay
+finite on the imaginary axis k0 = i kappa; where a value still is not
+finite they raise SheetModelError.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMomentumError
+from .errors import DegenerateMomentumError, SheetModelError
 from .numerics import (
+    _riccati_scaled,
+    _sph_jh,
     riccati_bessel,
     spherical_bessel_j,
     spherical_hankel1,
@@ -84,72 +90,80 @@ def radial_propagator_dl(l, k0, r, rp):
     _require_dynamic(k0)
     if not (r > 0.0 and rp > 0.0):
         raise ValueError("radii must be positive")
+    if r == rp:
+        (j,), (h,), phase = _sph_jh((l,), k0 * r)
+        return 1j * k0 * j * h * phase
     inner, outer = min(r, rp), max(r, rp)
     return (1j * k0 * spherical_bessel_j(l, k0 * inner)
             * spherical_hankel1(l, k0 * outer))
 
 
-def _check_jost_args(l, k0):
-    if l < 1:
-        raise ValueError("Jost functions need l >= 1")
-    _require_dynamic(k0)
+def _jost_route(route):
+    """Jost function from route(l, k0, shell), checked and finite.
+
+    Checks l and k0, gives exactly 1 for a transparent shell, and raises
+    SheetModelError where a value is not finite: at large l and small k0 R,
+    j_l underflows while y_l overflows.
+    """
+
+    @functools.wraps(route)
+    def jost(l, k0, shell):
+        if l < 1:
+            raise ValueError("Jost functions need l >= 1")
+        _require_dynamic(k0)
+        if shell.omega == 0.0:
+            if isinstance(k0, np.ndarray):
+                return np.ones(k0.shape, dtype=complex)
+            return complex(1.0)
+        with np.errstate(all="ignore"):
+            g = route(l, k0, shell)
+        finite = np.isfinite(g)
+        if not finite.all():
+            z = k0 * shell.radius
+            if isinstance(z, np.ndarray):
+                z = z[~finite][0]
+            raise SheetModelError(
+                f"{route.__name__} is not finite at l = {l}, k0 R = {z}")
+        return g
+
+    return jost
 
 
-def _transparent(k0):
-    """g = 1 of a shell with Omega = 0, shaped like k0."""
-    if isinstance(k0, np.ndarray):
-        return np.ones(k0.shape, dtype=complex)
-    return complex(1.0)
-
-
+@_jost_route
 def jost_te(l, k0, shell):
     """TE Jost function 1 + Omega R^2 d_l(R, R)."""
-    _check_jost_args(l, k0)
-    if shell.omega == 0.0:
-        return _transparent(k0)
     radius = shell.radius
     return 1.0 + shell.omega * radius * radius * radial_propagator_dl(
         l, k0, radius, radius)
 
 
+@_jost_route
 def jost_te_riccati(l, k0, shell):
     """TE Jost function computed from Riccati-Bessel products instead of d_l."""
-    _check_jost_args(l, k0)
-    if shell.omega == 0.0:
-        return _transparent(k0)
-    rj, _, rh, _ = riccati_bessel(l, k0 * shell.radius)
-    return 1.0 + (1j * shell.omega / k0) * rj * rh
+    rj, _, rh, _, phase = _riccati_scaled(l, k0 * shell.radius)
+    return 1.0 + (1j * shell.omega / k0) * rj * rh * phase
 
 
+@_jost_route
 def jost_tm(l, k0, shell):
     """TM Jost function 1 + (i Omega/k0) j^'_l(k0 R) h^'_l(k0 R)."""
-    _check_jost_args(l, k0)
-    if shell.omega == 0.0:
-        return _transparent(k0)
-    _, rjp, _, rhp = riccati_bessel(l, k0 * shell.radius)
-    return 1.0 + (1j * shell.omega / k0) * rjp * rhp
+    _, rjp, _, rhp, phase = _riccati_scaled(l, k0 * shell.radius)
+    return 1.0 + (1j * shell.omega / k0) * rjp * rhp * phase
 
 
+@_jost_route
 def jost_tm_decomposed(l, k0, shell):
-    """TM Jost function assembled from j_l and y_l separately.
+    """TM Jost function from the upward identity on orders l and l + 1.
 
-    Independent route: Riccati derivatives via z f_l' = l f_l - z f_(l+1)
-    (the upward identity) with h = j + i y, rather than the downward identity
-    used by riccati_bessel.
+    Independent route: Riccati derivatives via z f_l' = l f_l - z f_(l+1),
+    that is d/dz [z f_l] = (l + 1) f_l - z f_(l+1), applied to j and h
+    alike, rather than the downward identity used by riccati_bessel.
     """
-    _check_jost_args(l, k0)
-    if shell.omega == 0.0:
-        return _transparent(k0)
     z = k0 * shell.radius
-    j_l = spherical_bessel_j(l, z)
-    j_n = spherical_bessel_j(l + 1, z)
-    h_l = spherical_hankel1(l, z)
-    h_n = spherical_hankel1(l + 1, z)
-    y_l = (h_l - j_l) / 1j
-    y_n = (h_n - j_n) / 1j
+    (j_l, j_n), (h_l, h_n), phase = _sph_jh((l, l + 1), z)
     rjp = (l + 1) * j_l - z * j_n
-    ryp = (l + 1) * y_l - z * y_n
-    return 1.0 + (1j * shell.omega / k0) * rjp * (rjp + 1j * ryp)
+    rhp = (l + 1) * h_l - z * h_n
+    return 1.0 + (1j * shell.omega / k0) * rjp * rhp * phase
 
 
 def evaluate_jost(l, k0, shell):

@@ -536,6 +536,45 @@ class TestArrayRunners:
             "ValueError: kinetic part diverges for a transparent sheet",
             "", ""]
 
+    def test_non_finite_sphere_rows_are_blanked(self):
+        # j_120 underflows while y_120 overflows at small k0 R
+        fixed = {"l": 120}
+        config = _sweep_config("sphere", fixed, (0.01, 5.0, 50, "linear"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table, status = run(config)
+            assert status == 1
+            failed = [row for row in table.rows if row[-1]]
+            assert failed and len(failed) < len(table.rows)
+            for row in failed:
+                assert row[-1].startswith("SheetModelError: ")
+                assert all(cell is None for cell in row[1:-1])
+            for row in table.rows:
+                if not row[-1]:
+                    alone, status = run(_assemble(
+                        "sphere", {}, dict(fixed, k0r=row[0])))
+                    assert status == 0
+                    assert alone.rows[0] == row
+
+    def test_version_is_looked_up_once(self, monkeypatch):
+        from plasmasheet import cli
+
+        lookups = []
+        original = cli.importlib_metadata.version
+
+        def counted(name):
+            lookups.append(name)
+            return original(name)
+
+        monkeypatch.setattr(cli.importlib_metadata, "version", counted)
+        cli._version.cache_clear()
+        config = _sweep_config("reflection", *SWEEPS["reflection"])
+        first, _ = run(config)
+        second, _ = run(config)
+        assert len(lookups) <= 1
+        assert first.metadata == second.metadata
+        cli._version.cache_clear()
+
     def test_parser_reuse_gives_same_bytes_in_either_order(self, capsys):
         commands = (["reflection", "--omega", "1", "--k0", "2", "--kpar",
                      "0.5"],

@@ -24,12 +24,6 @@ class TestTypes:
     def test_sheet_validation(self):
         with pytest.raises(ValueError):
             sheet.SheetParameters(omega=-1.0)
-        with pytest.raises(ValueError):
-            sheet.SheetParameters(omega=1.0, positions=(0.0, 0.0))
-        with pytest.raises(ValueError):
-            sheet.SheetParameters(omega=1.0, positions=(0.0, 1.0, 2.0))
-        two = sheet.SheetParameters(omega=1.0, positions=(0.0, 2.5))
-        assert two.positions == (0.0, 2.5)
 
     def test_transparent_sheet_allowed(self):
         assert sheet.SheetParameters(omega=0.0).omega == 0.0
@@ -225,11 +219,6 @@ class TestPropagator:
         free, boundary = sheet.scalar_propagator(0.3, 0.9, k, self.SP, parts=True)
         total = sheet.scalar_propagator(0.3, 0.9, k, self.SP)
         assert abs(total - (free - boundary)) == 0.0
-
-    def test_needs_origin_sheet(self):
-        k = momentum(2.0, 1.0)
-        with pytest.raises(ValueError):
-            sheet.scalar_propagator(0.1, 0.9, k, sheet.SheetParameters(1.0, (1.0,)))
 
     def test_light_cone_error(self):
         with pytest.raises(OnLightConeError):

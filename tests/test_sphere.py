@@ -1,11 +1,13 @@
 import cmath
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
 
-from plasmasheet.errors import DegenerateMomentumError
+from plasmasheet.errors import DegenerateMomentumError, SheetModelError
 from plasmasheet.polder import PATH_AGREEMENT_TOL
 from plasmasheet.sphere import (
     JostEvaluation,
@@ -379,3 +381,129 @@ class TestJostArrays:
         assert [c.polarization for c in found] == ["tm"]
         assert found[0].k0r_location == pytest.approx(0.17970695743716975,
                                                       abs=1e-9)
+
+
+def mp_jost_imaginary_axis(l, kappa_r, omega_r):
+    """TE and TM Jost functions at k0 R = i kappa R, R = 1, from mpmath.
+
+    On the imaginary axis j_n(i x) = i^n sqrt(pi/(2x)) I_(n+1/2)(x) and
+    h_n(i x) = -i^-n sqrt(2/(pi x)) K_(n+1/2)(x). mpmath's own hankel1 loses
+    every digit there, to the cancellation in J + i Y.
+    """
+    with mpmath.workdps(40):
+        x = mpmath.mpf(kappa_r)
+        z = mpmath.mpc(0, kappa_r)
+        j = {n: 1j ** n * mpmath.sqrt(mpmath.pi / (2 * x))
+             * mpmath.besseli(n + 0.5, x) for n in (l - 1, l)}
+        h = {n: -(1j ** -n) * mpmath.sqrt(2 / (mpmath.pi * x))
+             * mpmath.besselk(n + 0.5, x) for n in (l - 1, l)}
+        rjp = z * j[l - 1] - l * j[l]
+        rhp = z * h[l - 1] - l * h[l]
+        front = 1j * omega_r / z
+        return (complex(1 + front * z * z * j[l] * h[l]),
+                complex(1 + front * rjp * rhp))
+
+
+class TestImaginaryAxis:
+    """k0 = i kappa, where j_l and y_l grow like e^(kappa R)."""
+
+    SHELL = SphericalShell(radius=1.0, omega=1.0)
+
+    @pytest.mark.parametrize("kappa_r", [20.0, 200.0, 710.0, 800.0, 1000.0])
+    def test_all_routes_match_mpmath(self, kappa_r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for l in (1, 3, 10):
+                te, tm = mp_jost_imaginary_axis(l, kappa_r, 1.0)
+                k0 = 1j * kappa_r
+                for jost, want in ((jost_te, te), (jost_te_riccati, te),
+                                   (jost_tm, tm), (jost_tm_decomposed, tm)):
+                    got = jost(l, k0, self.SHELL)
+                    assert abs(got - want) <= 1e-12 * abs(want), (
+                        jost.__name__, l, kappa_r)
+
+    def test_route_pairs_agree_without_warnings(self):
+        k0 = 1j * np.geomspace(0.1, 1000.0, 241)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for l in range(1, 11):
+                for first, second in ((jost_te, jost_te_riccati),
+                                      (jost_tm, jost_tm_decomposed)):
+                    a = first(l, k0, self.SHELL)
+                    b = second(l, k0, self.SHELL)
+                    gap = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+                    assert np.max(gap) <= PATH_AGREEMENT_TOL, (
+                        first.__name__, l)
+
+    def test_complex_array_equals_scalar_calls(self):
+        k0 = np.array([0.5j, 3.0 + 2.0j, 250j, 900j])
+        for jost in (jost_te, jost_te_riccati, jost_tm, jost_tm_decomposed):
+            values = jost(4, k0, self.SHELL)
+            for i, point in enumerate(k0.tolist()):
+                want = jost(4, point, self.SHELL)
+                assert abs(values[i] - want) <= 4e-16 * abs(want)
+
+
+class TestRealAxisImaginaryPart:
+    """Im g from the Jost routes equals its closed form at small k0 R."""
+
+    SHELL = SphericalShell(radius=1.0, omega=2.0)
+
+    @staticmethod
+    def _closed_forms(l, z, shell):
+        j = special.spherical_jn(l, z)
+        rjp = j + z * special.spherical_jn(l, z, derivative=True)
+        k0 = z / shell.radius
+        return (shell.omega * shell.radius**2 * k0 * j * j,
+                (shell.omega / k0) * rjp * rjp)
+
+    @staticmethod
+    def _assert_relative(got, want, what):
+        # a zero closed form is a squared factor that underflowed
+        assert abs(got - want) <= 1e-12 * abs(want), what
+
+    def test_scalar_and_array_k0(self):
+        shell = self.SHELL
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for l in (1, 10, 50):
+                z = np.geomspace(1e-6, 0.1, 11)
+                # below about 4e-5, y_50 or (z y_50)' overflows: there the
+                # TM routes raise
+                y = special.spherical_yn(l, z)
+                clean = np.isfinite(y + z * special.spherical_yn(
+                    l, z, derivative=True))
+                assert l == 50 or clean.all()
+                for point in z[~clean]:
+                    with pytest.raises(SheetModelError):
+                        jost_tm(l, float(point) / shell.radius, shell)
+                z = z[clean]
+                k0 = z / shell.radius
+                te, tm = jost_te(l, k0, shell), jost_tm(l, k0, shell)
+                for i, point in enumerate(z.tolist()):
+                    want_te, want_tm = self._closed_forms(l, point, shell)
+                    scalar_te = jost_te(l, point / shell.radius, shell)
+                    scalar_tm = jost_tm(l, point / shell.radius, shell)
+                    for got in (te[i], scalar_te):
+                        self._assert_relative(got.imag, want_te, (l, point))
+                    for got in (tm[i], scalar_tm):
+                        self._assert_relative(got.imag, want_tm, (l, point))
+
+
+class TestNonFiniteJost:
+    """Where j_l underflows and y_l overflows, the Jost functions raise."""
+
+    POINTS = [(50, 1e-6), (120, 1e-2), (300, 1.0)]
+
+    @pytest.mark.parametrize("l, k0r", POINTS)
+    def test_every_route_raises(self, l, k0r):
+        shell = SphericalShell(radius=1.0, omega=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for jost in (jost_te, jost_te_riccati, jost_tm,
+                         jost_tm_decomposed):
+                for k0 in (k0r, np.array([2.0 * l, k0r])):
+                    with pytest.raises(SheetModelError) as info:
+                        jost(l, k0, shell)
+                    assert f"l = {l}," in str(info.value)
+                    assert f"k0 R = {k0r}" in str(info.value)
