@@ -26,13 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMomentumError, SheetModelError
-from .numerics import (
-    _riccati_scaled,
-    _sph_jh,
-    riccati_bessel,
-    spherical_bessel_j,
-    spherical_hankel1,
-)
+from .numerics import _riccati_scaled, _sph_jh, riccati_bessel, spherical_bessel_j
+
+# Unused here but stays bound: perfbench/tracing.py wraps it by name.
+from .numerics import spherical_hankel1  # noqa: F401
 from .sheet import MinkowskiMomentum, gamma_minkowski
 
 __all__ = [
@@ -92,10 +89,13 @@ def radial_propagator_dl(l, k0, r, rp):
         raise ValueError("radii must be positive")
     if r == rp:
         (j,), (h,), phase = _sph_jh((l,), k0 * r)
-        return 1j * k0 * j * h * phase
-    inner, outer = min(r, rp), max(r, rp)
-    return (1j * k0 * spherical_bessel_j(l, k0 * inner)
-            * spherical_hankel1(l, k0 * outer))
+    else:
+        z_in, z_out = k0 * min(r, rp), k0 * max(r, rp)
+        (j,), _, _ = _sph_jh((l,), z_in)
+        _, (h,), phase = _sph_jh((l,), z_out)
+        # phase belongs to j h at z_out; j carries the scale of z_in
+        phase = phase * np.exp(np.abs(np.imag(z_in)) - np.abs(np.imag(z_out)))
+    return 1j * k0 * j * h * phase
 
 
 def _jost_route(route):

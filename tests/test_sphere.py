@@ -383,25 +383,29 @@ class TestJostArrays:
                                                       abs=1e-9)
 
 
-def mp_jost_imaginary_axis(l, kappa_r, omega_r):
-    """TE and TM Jost functions at k0 R = i kappa R, R = 1, from mpmath.
+def mp_jh_imaginary_axis(n, x):
+    """j_n(i x) and h_n(i x) for real x > 0, from mpmath.
 
-    On the imaginary axis j_n(i x) = i^n sqrt(pi/(2x)) I_(n+1/2)(x) and
-    h_n(i x) = -i^-n sqrt(2/(pi x)) K_(n+1/2)(x). mpmath's own hankel1 loses
-    every digit there, to the cancellation in J + i Y.
+    j_n(i x) = i^n sqrt(pi/(2x)) I_(n+1/2)(x) and
+    h_n(i x) = -i^-n sqrt(2/(pi x)) K_(n+1/2)(x). mpmath's own hankel1
+    loses every digit there, to the cancellation in J + i Y.
     """
+    x = mpmath.mpf(x)
+    return (1j ** n * mpmath.sqrt(mpmath.pi / (2 * x))
+            * mpmath.besseli(n + 0.5, x),
+            -(1j ** -n) * mpmath.sqrt(2 / (mpmath.pi * x))
+            * mpmath.besselk(n + 0.5, x))
+
+
+def mp_jost_imaginary_axis(l, kappa_r, omega_r):
+    """TE and TM Jost functions at k0 R = i kappa R, R = 1, from mpmath."""
     with mpmath.workdps(40):
-        x = mpmath.mpf(kappa_r)
         z = mpmath.mpc(0, kappa_r)
-        j = {n: 1j ** n * mpmath.sqrt(mpmath.pi / (2 * x))
-             * mpmath.besseli(n + 0.5, x) for n in (l - 1, l)}
-        h = {n: -(1j ** -n) * mpmath.sqrt(2 / (mpmath.pi * x))
-             * mpmath.besselk(n + 0.5, x) for n in (l - 1, l)}
-        rjp = z * j[l - 1] - l * j[l]
-        rhp = z * h[l - 1] - l * h[l]
+        (jm, hm), (jl, hl) = (mp_jh_imaginary_axis(n, kappa_r)
+                              for n in (l - 1, l))
         front = 1j * omega_r / z
-        return (complex(1 + front * z * z * j[l] * h[l]),
-                complex(1 + front * rjp * rhp))
+        return (complex(1 + front * z * z * jl * hl),
+                complex(1 + front * (z * jm - l * jl) * (z * hm - l * hl)))
 
 
 class TestImaginaryAxis:
@@ -421,6 +425,19 @@ class TestImaginaryAxis:
                     got = jost(l, k0, self.SHELL)
                     assert abs(got - want) <= 1e-12 * abs(want), (
                         jost.__name__, l, kappa_r)
+
+    @pytest.mark.parametrize("kappa", [20.0, 200.0, 800.0])
+    def test_off_diagonal_propagator_matches_mpmath(self, kappa):
+        # j_l(i kappa r) overflows alone; h_l(i kappa r') underflows
+        with warnings.catch_warnings(), mpmath.workdps(40):
+            warnings.simplefilter("error")
+            for l in (1, 3, 10):
+                j, _ = mp_jh_imaginary_axis(l, kappa * 1.0)
+                _, h = mp_jh_imaginary_axis(l, kappa * 1.1)
+                want = complex(1j * mpmath.mpc(0, kappa) * j * h)
+                for r, rp in ((1.0, 1.1), (1.1, 1.0)):
+                    got = radial_propagator_dl(l, 1j * kappa, r, rp)
+                    assert abs(got - want) <= 1e-12 * abs(want), (l, kappa)
 
     def test_route_pairs_agree_without_warnings(self):
         k0 = 1j * np.geomspace(0.1, 1000.0, 241)
