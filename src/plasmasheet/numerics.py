@@ -342,8 +342,7 @@ def _sph_jh(orders, z):
     if _is_complex(z):
         front = math.sqrt(math.pi / 2) / np.sqrt(z)
         return (front * special.jve(n + 0.5, z),
-                front * special.hankel1e(n + 0.5, z),
-                np.exp(1j * z + np.abs(z.imag)))
+                front * special.hankel1e(n + 0.5, z), _jh_phase(z, z))
     if isinstance(z, np.ndarray):
         j = special.spherical_jn(np.maximum(n, 0), z)
         y = special.spherical_yn(np.maximum(n, 0), z)
@@ -361,6 +360,18 @@ def _sph_jh(orders, z):
     h = np.empty(j.shape, dtype=complex)
     h.real, h.imag = j, y
     return j, h, 1.0
+
+
+def _jh_phase(z_in, z_out):
+    """Factor with j_n(z_in) h_n(z_out) = factor * j * h.
+
+    j and h are what _sph_jh returns at z_in and at z_out. For complex
+    arguments the factor is e^(|Im z_in| + i z_out), of modulus at most 1
+    when 0 <= Im z_in <= Im z_out.
+    """
+    if _is_complex(z_out):
+        return np.exp(np.abs(np.imag(z_in)) + 1j * z_out)
+    return 1.0
 
 
 def _is_complex(z):

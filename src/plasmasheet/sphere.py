@@ -26,7 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMomentumError, SheetModelError
-from .numerics import _riccati_scaled, _sph_jh, riccati_bessel, spherical_bessel_j
+from .numerics import (
+    _jh_phase,
+    _riccati_scaled,
+    _sph_jh,
+    riccati_bessel,
+    spherical_bessel_j,
+)
 
 # Unused here but stays bound: perfbench/tracing.py wraps it by name.
 from .numerics import spherical_hankel1  # noqa: F401
@@ -92,9 +98,8 @@ def radial_propagator_dl(l, k0, r, rp):
     else:
         z_in, z_out = k0 * min(r, rp), k0 * max(r, rp)
         (j,), _, _ = _sph_jh((l,), z_in)
-        _, (h,), phase = _sph_jh((l,), z_out)
-        # phase belongs to j h at z_out; j carries the scale of z_in
-        phase = phase * np.exp(np.abs(np.imag(z_in)) - np.abs(np.imag(z_out)))
+        _, (h,), _ = _sph_jh((l,), z_out)
+        phase = _jh_phase(z_in, z_out)
     return 1j * k0 * j * h * phase
 
 
