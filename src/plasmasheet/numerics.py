@@ -320,19 +320,12 @@ def _sph_jh(orders, z):
     """Spherical Bessel j_n(z) and Hankel h_n(z) = j_n + i y_n for n in orders.
 
     Returns (j, h, phase): arrays of shape (len(orders),) + shape(z), and
-    the factor that makes j_n(z) h_n(z) = phase * j * h. There is one scipy
-    call per function, and the argument picks the formula:
-
-    - a real ndarray goes to ``spherical_jn``/``spherical_yn``; phase = 1.
-      Order -1 (riccati_bessel at l = 0) is j_-1 = -y_0, y_-1 = j_0;
-    - a real scalar goes to the ``jv``/``yv`` ufuncs at order n + 1/2, with
-      j_n(-x) = (-1)^n j_n(x) and y_n(-x) = (-1)^(n+1) y_n(x); phase = 1.
-      The ufuncs skip the Python wrapper of ``spherical_jn``, which costs
-      about 40 us a call, and Re h is j itself, so Im (j h) = j^2 exactly;
-    - a complex z goes to the exponentially scaled ``jve``/``hankel1e``:
-      j = j_n e^-|Im z| and h = h_n e^-iz, and phase = e^(iz + |Im z|).
-      For Im z >= 0 the phase has modulus 1, so a product j h never
-      overflows there, although j_n and y_n alone grow like e^|Im z|.
+    the factor with j_n(z) h_n(z) = phase * j * h. One scipy call per
+    function; the module docstring gives the reason for each route. For a
+    real z, j and h are the functions themselves and phase = 1 (order -1
+    is j_-1 = -y_0, y_-1 = j_0; a negative real scalar uses
+    j_n(-x) = (-1)^n j_n(x), y_n(-x) = (-1)^(n+1) y_n(x)). For a complex
+    z, j = j_n e^-|Im z| and h = h_n e^-iz (``jve``, ``hankel1e``).
     """
     from scipy import special
 
