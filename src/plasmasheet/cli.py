@@ -2,15 +2,15 @@
 
 Each subcommand sweeps one axis and writes a machine-readable table (CSV
 with a '#'-comment metadata preamble, or JSON with a metadata object).
-reflection, charge and sphere take the whole axis as an array and return one
-array per output column; the other subcommands have no array form and run
-one point at a time. Output is fully deterministic: identical configuration
-produces identical bytes, so no wall-clock timestamps are recorded. When an
-array call raises a physics error, the array is split in halves until the
-point that raises stands alone. Rows that raise stay in the table with
-blank output cells and the message in the final 'error' column, and any
-such row turns the exit status to 1. Invalid configuration exits with
-status 2 before any row is computed.
+Each runner takes the whole axis as an array and returns one array per
+output column; casimir, casimir-polder and functions loop over the points
+inside it, as their quadratures refine each point alone. Output is fully
+deterministic: identical configuration produces identical bytes, so no
+wall-clock timestamps are recorded. When a runner call raises a physics
+error, the array is split in halves until the point that raises stands
+alone. Rows that raise stay in the table with blank output cells and the
+message in the final 'error' column, and any such row turns the exit status
+to 1. Invalid configuration exits with status 2 before any row is computed.
 
 Lengths are in user-chosen base units (the model is scale covariant);
 default output columns are dimensionless combinations where one exists, and
@@ -150,16 +150,9 @@ def _parse_param(spec, text):
     return text
 
 
-@dataclass(frozen=True)
-class _Pointwise:
-    """Runner of an operation that has no array form over the axis.
-
-    The quadratures and the root finder adapt to each point on their own,
-    so run() calls row(value) once per point and catches its errors there:
-    a point that raises costs no other point a second evaluation.
-    """
-
-    row: object
+def _each_point(row):
+    """Runner that calls row(value) once per value of the axis array."""
+    return lambda values: zip(*map(row, values.tolist()))
 
 
 def _build_reflection(fixed, tolerance):
@@ -175,13 +168,13 @@ def _build_reflection(fixed, tolerance):
 def _build_dispersion(fixed, tolerance):
     sheet = SheetParameters(omega=fixed["omega"])
 
-    def row(kpar):
+    def runner(kpar):
         closed = tm_plasmon_closed(kpar, sheet)
         root = tm_plasmon_root(kpar, sheet)
-        return (closed, root, abs(closed - root) / closed)
+        return closed, root, np.abs(closed - root) / closed
 
     return ([("k0_closed", "float"), ("k0_root", "float"),
-             ("residual", "float")], _Pointwise(row))
+             ("residual", "float")], runner)
 
 
 def _build_casimir(fixed, tolerance):
@@ -204,7 +197,7 @@ def _build_casimir(fixed, tolerance):
                ("tm_share", "float")]
     if raw:
         columns += [("energy_per_area", "float"), ("pressure", "float")]
-    return columns, _Pointwise(row)
+    return columns, _each_point(row)
 
 
 def _atom_from(fixed):
@@ -230,7 +223,7 @@ def _build_casimir_polder(fixed, tolerance):
     columns = [("a4_energy", "float")]
     if raw:
         columns.append(("energy", "float"))
-    return columns, _Pointwise(row)
+    return columns, _each_point(row)
 
 
 def _build_charge(fixed, tolerance):
@@ -279,7 +272,7 @@ def _build_functions(fixed, tolerance):
         bundle = reduction_functions(x, rtol=tolerance, names=names)
         return tuple(getattr(bundle, name) for name in names)
 
-    return [(name, "float") for name in names], _Pointwise(row)
+    return [(name, "float") for name in names], _each_point(row)
 
 
 @dataclass(frozen=True)
@@ -568,22 +561,6 @@ def _metadata(config):
     return meta
 
 
-def _failed_row(value, width, exc):
-    return (value,) + (None,) * width + (_describe(exc),)
-
-
-def _point_rows(row, values, width):
-    """Table rows of a pointwise operation, and whether any point failed."""
-    rows, failed = [], False
-    for value in values.tolist():
-        try:
-            rows.append((value,) + tuple(row(value)) + ("",))
-        except (SheetModelError, ValueError) as exc:
-            rows.append(_failed_row(value, width, exc))
-            failed = True
-    return rows, failed
-
-
 def _array_rows(runner, values, width):
     """Table rows of an array runner on an axis array, and whether any failed.
 
@@ -595,7 +572,8 @@ def _array_rows(runner, values, width):
         columns = [np.asarray(column).tolist() for column in runner(values)]
     except (SheetModelError, ValueError) as exc:
         if len(values) == 1:
-            return [_failed_row(float(values[0]), width, exc)], True
+            return [(float(values[0]),) + (None,) * width
+                    + (_describe(exc),)], True
         middle = len(values) // 2
         head, head_failed = _array_rows(runner, values[:middle], width)
         tail, tail_failed = _array_rows(runner, values[middle:], width)
@@ -606,11 +584,10 @@ def _array_rows(runner, values, width):
 def run(config):
     """Evaluate the sweep; returns (SweepTable, exit status).
 
-    Bad fixed parameters raise ValueError before any row is computed. An
-    array runner gets the whole axis at once, a pointwise one each point
-    alone. A physics error blanks only the outputs of the point that
-    raises, records the message, and sets the exit status to 1 without
-    stopping the sweep.
+    Bad fixed parameters raise ValueError before any row is computed. The
+    runner gets the whole axis at once. A physics error blanks only the
+    outputs of the point that raises, records the message, and sets the
+    exit status to 1 without stopping the sweep.
     """
     spec = COMMANDS[config.command]
     columns, runner = spec.build(config.fixed, config.tolerance)
@@ -618,10 +595,7 @@ def run(config):
     kinds = ("float",) + tuple(k for _, k in columns) + ("error",)
 
     values = np.array(config.sweep.values())
-    if isinstance(runner, _Pointwise):
-        rows, failed = _point_rows(runner.row, values, len(columns))
-    else:
-        rows, failed = _array_rows(runner, values, len(columns))
+    rows, failed = _array_rows(runner, values, len(columns))
     table = SweepTable(columns=names, kinds=kinds, rows=tuple(rows),
                        metadata=_metadata(config))
     return table, int(failed)

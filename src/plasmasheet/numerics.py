@@ -2,7 +2,7 @@
 
 Plain numerics, no sheet physics. Two fixed rules that take array-valued
 integrands (a trapezoidal rule in ln k for e^-k weighted integrals, and
-Gauss-Legendre), QUADPACK and Brent sit behind small contracts that fail
+Gauss-Legendre), QUADPACK and bisection sit behind small contracts that fail
 loudly instead of returning silently inaccurate numbers.
 
 The spherical Bessel functions come from one primitive, ``_sph_jh``, that
@@ -273,40 +273,55 @@ def integrate_semi_infinite(f, spec=None, scale=1.0):
 
 
 def find_root_bracketed(f, lo, hi, tol=1e-12, maxiter=200):
-    """Root of f inside [lo, hi], bisection-safeguarded superlinear iteration.
+    """Root of f inside [lo, hi], bisected down to neighbouring floats.
 
     Parameters
     ----------
     f : callable
-        Continuous on the bracket with a sign change across it.
-    lo, hi : float
+        Continuous on each bracket with a sign change across it. Called once
+        per step on all midpoints: with floats for scalar lo and hi, else
+        with arrays of their broadcast shape.
+    lo, hi : float or array
     tol : float
         Residual contract: |f(root)| <= tol * max(|f(lo)|, |f(hi)|).
 
     Returns
     -------
-    float
+    float, or an array of that shape
     """
-    if lo >= hi:
-        raise ValueError(f"invalid bracket [{lo}, {hi}]")
-    flo, fhi = f(lo), f(hi)
-    scale = max(abs(flo), abs(fhi))
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise BracketError(f"no sign change over [{lo}, {hi}]")
-    from scipy import optimize
-
-    root, info = optimize.brentq(f, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps,
-                                 maxiter=maxiter, full_output=True, disp=False)
-    if not info.converged:
-        raise IterationLimitError(f"no convergence in {maxiter} iterations")
-    if abs(f(root)) > tol * scale:
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    call = (lambda x: f(float(x))) if scalar else f
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    bad = np.flatnonzero(~(lo < hi))
+    if bad.size:
+        raise ValueError(f"invalid bracket [{lo.flat[bad[0]]}, {hi.flat[bad[0]]}]")
+    flo, fhi = call(lo), call(hi)
+    scale = np.maximum(np.abs(flo), np.abs(fhi))
+    sign_lo, sign_hi = np.sign(flo), np.sign(fhi)
+    bad = np.flatnonzero(~(sign_lo * sign_hi <= 0))
+    if bad.size:
+        raise BracketError(f"no sign change over [{lo.flat[bad[0]]}, {hi.flat[bad[0]]}]")
+    # an endpoint root closes its bracket, on lo when both ends are roots
+    lo = np.where((sign_hi == 0) & (sign_lo != 0), hi, lo)
+    hi = np.where(sign_lo == 0, lo, hi)
+    for step in range(maxiter + 1):
+        mid = 0.5 * lo + 0.5 * hi
+        inside = (lo < mid) & (mid < hi)
+        if not inside.any():
+            break
+        if step == maxiter:
+            raise IterationLimitError(f"no convergence in {maxiter} iterations")
+        sign_mid = np.sign(call(mid))
+        # a zero or NaN at the midpoint closes the bracket there
+        lo = np.where(inside & (sign_mid != sign_hi), mid, lo)
+        hi = np.where(inside & (sign_mid != sign_lo), mid, hi)
+    residual = np.abs(call(mid))
+    bad = np.flatnonzero(~(residual <= tol * scale))
+    if bad.size:
         raise IterationLimitError(
-            f"residual {abs(f(root)):.3e} above {tol:.1e} * bracket scale {scale:.3e}")
-    return float(root)
+            f"residual {residual.flat[bad[0]]:.3e} above {tol:.1e} "
+            f"* bracket scale {scale.flat[bad[0]]:.3e}")
+    return float(mid) if scalar else mid
 
 
 def _check_l(l):
@@ -398,11 +413,16 @@ def spherical_bessel_j(l, z):
     """Spherical Bessel function j_l(z) for real or complex z.
 
     Real input gives a real result, an ndarray an ndarray. z=0 is the
-    regular point j_l(0) = [l == 0] for a scalar or a real ndarray.
+    regular point j_l(0) = [l == 0].
     """
     _check_l(l)
     if not isinstance(z, np.ndarray) and z == 0:
         return 1.0 if l == 0 else 0.0
+    if isinstance(z, np.ndarray) and _is_complex(z) and (z == 0).any():
+        # the scaled complex route divides by sqrt(z)
+        j = spherical_bessel_j(l, np.where(z == 0, 1.0, z))
+        j[z == 0] = 1.0 if l == 0 else 0.0
+        return j
     (j,), (h,), _ = _sph_jh((l,), z)
     j, _ = _unscaled(z, j, h)
     if isinstance(z, (np.ndarray, complex)):

@@ -382,6 +382,16 @@ def polarization_basis(k):
     return PolarizationBasis(vectors=np.array([e0, e1, e2, e3]))
 
 
+def _plasmon_momenta(kpar, sheet):
+    """kpar (a float or an array) as an array, checked for both routes."""
+    kpar = np.asarray(kpar, dtype=float)
+    if not (kpar > 0.0).all():
+        raise DegenerateMomentumError("plasmon branch needs kpar > 0")
+    if sheet.omega <= 0.0:
+        raise ValueError("plasmon branch needs omega > 0")
+    return kpar
+
+
 def tm_plasmon_closed(kpar, sheet):
     """Surface plasmon frequency on the TM branch, closed form.
 
@@ -389,13 +399,10 @@ def tm_plasmon_closed(kpar, sheet):
     the subtraction-free way. The root always lies below the light cone
     (k0 < kpar) and approaches sqrt(Omega kpar/2) for kpar >> Omega.
     """
-    if kpar <= 0.0:
-        raise DegenerateMomentumError("plasmon branch needs kpar > 0")
-    if sheet.omega <= 0.0:
-        raise ValueError("plasmon branch needs omega > 0")
+    kpar = _plasmon_momenta(kpar, sheet)
     om = sheet.omega
-    k0sq = 2.0 * om * kpar * kpar / (math.sqrt(om * om + 16.0 * kpar * kpar) + om)
-    return math.sqrt(k0sq)
+    k0 = np.sqrt(2.0 * om * kpar * kpar / (np.sqrt(om * om + 16.0 * kpar * kpar) + om))
+    return float(k0) if k0.ndim == 0 else k0
 
 
 def tm_plasmon_root(kpar, sheet, tol=1e-12):
@@ -405,17 +412,14 @@ def tm_plasmon_root(kpar, sheet, tol=1e-12):
     the closed form; the residual is certified against the natural scale
     Omega * kpar.
     """
-    if kpar <= 0.0:
-        raise DegenerateMomentumError("plasmon branch needs kpar > 0")
-    if sheet.omega <= 0.0:
-        raise ValueError("plasmon branch needs omega > 0")
+    kpar = _plasmon_momenta(kpar, sheet)
     om = sheet.omega
 
     def eom(k0):
-        return k0 * k0 - 0.5 * om * math.sqrt(max(kpar * kpar - k0 * k0, 0.0))
+        return k0 * k0 - 0.5 * om * np.sqrt(np.maximum(kpar * kpar - k0 * k0, 0.0))
 
     root = find_root_bracketed(eom, 0.0, kpar, tol=tol)
-    if abs(eom(root)) > 1e-10 * om * kpar:
+    if not (np.abs(eom(root)) <= 1e-10 * om * kpar).all():
         raise IterationLimitError("dispersion residual above 1e-10 * Omega * kpar")
     return root
 
@@ -461,5 +465,5 @@ def plasmon_branch(sheet, kpar_grid=None):
     if kpar_grid is None:
         kpar_grid = sheet.omega * np.logspace(-3.0, 3.0, 50)
     kpar_grid = np.asarray(kpar_grid, dtype=float)
-    k0 = np.array([tm_plasmon_closed(kp, sheet) for kp in kpar_grid])
+    k0 = tm_plasmon_closed(kpar_grid, sheet)
     return PlasmonBranch(kpar=kpar_grid, k0=k0, omega=sheet.omega)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -195,6 +196,25 @@ class TestRootFinding:
         with pytest.raises(ValueError):
             numerics.find_root_bracketed(lambda x: x, 1.0, -1.0)
 
+    def test_array_brackets_with_endpoint_roots(self):
+        targets = np.array([0.0, 3.0, 4.0])
+        root = numerics.find_root_bracketed(lambda x: x * x - targets,
+                                            np.zeros(3), 2.0)
+        assert isinstance(root, np.ndarray) and root.shape == (3,)
+        assert root[0] == 0.0 and root[2] == 2.0
+        assert abs(root[1] - math.sqrt(3)) < 1e-14
+
+    def test_array_element_without_sign_change(self):
+        targets = np.array([3.0, -1.0])
+        with pytest.raises(BracketError, match=r"\[0\.0, 2\.0\]"):
+            numerics.find_root_bracketed(lambda x: x * x - targets,
+                                         np.zeros(2), 2.0)
+
+    def test_iteration_limit(self):
+        with pytest.raises(IterationLimitError, match="3 iterations"):
+            numerics.find_root_bracketed(lambda x: x * x - 3.0, 0.0, 2.0,
+                                         maxiter=3)
+
     def test_residual_contract(self):
         # dispersion-style equation with disparate scales
         omega, kpar = 1.0, 1e3
@@ -301,6 +321,13 @@ class TestSphericalBesselArrays:
         z = np.array([0.0, 1.0])
         assert numerics.spherical_bessel_j(0, z)[0] == 1.0
         assert numerics.spherical_bessel_j(3, z)[0] == 0.0
+        zc = np.array([0j, 1.0 + 1j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for l in (0, 3):
+                j = numerics.spherical_bessel_j(l, zc)
+                assert j[0] == (1.0 if l == 0 else 0.0)
+                assert j[1] == numerics.spherical_bessel_j(l, zc[1:])[0]
         with pytest.raises(ValueError):
             numerics.spherical_hankel1(1, z)
         with pytest.raises(ValueError):

@@ -306,10 +306,16 @@ class TestPlasmon:
 
     def test_root_agrees_with_closed_form(self):
         sp = sheet.SheetParameters(1.0)
-        for kpar in np.logspace(-3, 3, 50):
-            a = sheet.tm_plasmon_closed(kpar, sp)
-            b = sheet.tm_plasmon_root(kpar, sp)
-            assert abs(a - b) <= 1e-10 * a
+        kpar = np.logspace(-3, 3, 50)
+        a = sheet.tm_plasmon_closed(kpar, sp)
+        b = sheet.tm_plasmon_root(kpar, sp)
+        assert a.shape == b.shape == kpar.shape
+        assert np.all(np.abs(a - b) <= 1e-10 * a)
+        # each element is the root of its own bracket: the array call
+        # gives the bits of the one-point calls
+        for i in (0, 17, 49):
+            assert sheet.tm_plasmon_closed(float(kpar[i]), sp) == a[i]
+            assert sheet.tm_plasmon_root(float(kpar[i]), sp) == b[i]
 
     def test_below_light_cone(self):
         sp = sheet.SheetParameters(2.7)
