@@ -101,9 +101,8 @@ def _energy_and_slope(x, rtol, te_coeff=_te_euclidean, tm_coeff=_tm_euclidean):
         raise ValueError("x = Omega * a must be positive")
     # 40 starting steps meet the default rtol = 1e-8 one halving earlier
     # than 32 do, for x anywhere in [1e-6, 1e12].
-    outer_spec = QuadratureSpec(kind="exponential-weight", order=40, rtol=rtol)
-    inner_spec = QuadratureSpec(kind="gauss-legendre", order=16,
-                                rtol=0.1 * rtol)
+    outer_spec = QuadratureSpec(order=40, rtol=rtol)
+    inner_spec = QuadratureSpec(order=16, rtol=0.1 * rtol)
 
     def parts(k):
         te, te_slope = _log_terms(k, k / x, te_coeff(0.5 * k, x))

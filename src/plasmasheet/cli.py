@@ -12,6 +12,12 @@ alone. Rows that raise stay in the table with blank output cells and the
 message in the final 'error' column, and any such row turns the exit status
 to 1. Invalid configuration exits with status 2 before any row is computed.
 
+Every option of a command is one ParamSpec row of its option table
+(`_options`): the row adds the long flag to the parser, names the config-file
+key (hyphens or underscores), parses the file value, and gives the default.
+A RunConfig built without the CLI takes the same defaults for the fixed
+parameters it leaves out.
+
 Lengths are in user-chosen base units (the model is scale covariant);
 default output columns are dimensionless combinations where one exists, and
 --raw-units adds the dimensionful values where they differ.
@@ -26,10 +32,10 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from importlib import metadata as importlib_metadata
 
 import numpy as np
 
+from . import __version__
 from .casimir import reduced_energy_and_pressure
 from .errors import SheetModelError
 from .polder import (
@@ -124,30 +130,39 @@ class SweepTable:
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """One fixed (non-swept) command parameter."""
+    """One option of a command: a long flag and a config-file key.
+
+    ``parse`` turns the option's text into its value: ``float``, ``int``,
+    ``str``, ``_flag`` or ``_choice(...)``. ``default`` is the value when the
+    option is not given; None leaves it unset.
+    """
 
     name: str
-    kind: str  # "float" | "int" | "flag" | "choice"
+    parse: object
     default: object
     help: str
-    choices: tuple = ()
+    metavar: str = None
 
 
-def _parse_param(spec, text):
-    if spec.kind == "float":
-        return float(text)
-    if spec.kind == "int":
-        return int(text)
-    if spec.kind == "flag":
-        low = text.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"expected a boolean, got {text!r}")
-    if text not in spec.choices:
-        raise ValueError(f"expected one of {', '.join(spec.choices)}")
-    return text
+def _flag(text):
+    """Boolean of a config-file value; on the command line a bare switch."""
+    low = text.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+def _choice(*choices):
+    """Parser that accepts only the given strings."""
+    def parse(text):
+        if text not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}")
+        return text
+
+    parse.choices = choices
+    return parse
 
 
 def _each_point(row):
@@ -288,8 +303,8 @@ COMMANDS = {
         axis="kpar",
         help="reflection coefficients rTE, rTM against parallel momentum",
         fixed=(
-            ParamSpec("omega", "float", 1.0, "sheet coupling Omega"),
-            ParamSpec("k0", "float", 1.0, "frequency held fixed in the sweep"),
+            ParamSpec("omega", float, 1.0, "sheet coupling Omega"),
+            ParamSpec("k0", float, 1.0, "frequency held fixed in the sweep"),
         ),
         build=_build_reflection,
     ),
@@ -297,7 +312,7 @@ COMMANDS = {
         axis="kpar",
         help="TM surface-plasmon frequency, closed form vs root finder",
         fixed=(
-            ParamSpec("omega", "float", 1.0, "sheet coupling Omega"),
+            ParamSpec("omega", float, 1.0, "sheet coupling Omega"),
         ),
         build=_build_dispersion,
     ),
@@ -305,8 +320,8 @@ COMMANDS = {
         axis="omega_a",
         help="two-sheet energy a^3 E per area against the coupling Omega a",
         fixed=(
-            ParamSpec("a", "float", 1.0, "sheet separation"),
-            ParamSpec("raw_units", "flag", False,
+            ParamSpec("a", float, 1.0, "sheet separation"),
+            ParamSpec("raw_units", _flag, False,
                       "add energy-per-area and pressure columns at this a"),
         ),
         build=_build_casimir,
@@ -315,15 +330,15 @@ COMMANDS = {
         axis="omega_a",
         help="atom-sheet energy shift a^4 E against the coupling Omega a",
         fixed=(
-            ParamSpec("a", "float", 1.0, "atom-sheet distance"),
-            ParamSpec("isotropic_alpha", "float", None,
+            ParamSpec("a", float, 1.0, "atom-sheet distance"),
+            ParamSpec("isotropic_alpha", float, None,
                       "isotropic polarizability (overrides alpha1..alpha3)"),
-            ParamSpec("alpha1", "float", 0.0, "in-plane polarizability"),
-            ParamSpec("alpha2", "float", 0.0, "in-plane polarizability"),
-            ParamSpec("alpha3", "float", 0.0, "normal polarizability"),
-            ParamSpec("e", "float", 1.0, "charge"),
-            ParamSpec("m", "float", 1.0, "mass"),
-            ParamSpec("raw_units", "flag", False,
+            ParamSpec("alpha1", float, 0.0, "in-plane polarizability"),
+            ParamSpec("alpha2", float, 0.0, "in-plane polarizability"),
+            ParamSpec("alpha3", float, 0.0, "normal polarizability"),
+            ParamSpec("e", float, 1.0, "charge"),
+            ParamSpec("m", float, 1.0, "mass"),
+            ParamSpec("raw_units", _flag, False,
                       "add the dimensionful energy column at this a"),
         ),
         build=_build_casimir_polder,
@@ -332,11 +347,11 @@ COMMANDS = {
         axis="omega_a",
         help="charge-sheet energy, electrostatic and kinetic parts",
         fixed=(
-            ParamSpec("a", "float", 1.0, "charge-sheet distance"),
-            ParamSpec("e", "float", 1.0, "charge"),
-            ParamSpec("m", "float", 1.0, "mass"),
-            ParamSpec("p2par", "float", 0.0, "in-plane momentum expectation"),
-            ParamSpec("p23", "float", 0.0, "normal momentum expectation"),
+            ParamSpec("a", float, 1.0, "charge-sheet distance"),
+            ParamSpec("e", float, 1.0, "charge"),
+            ParamSpec("m", float, 1.0, "mass"),
+            ParamSpec("p2par", float, 0.0, "in-plane momentum expectation"),
+            ParamSpec("p23", float, 0.0, "normal momentum expectation"),
         ),
         build=_build_charge,
     ),
@@ -344,9 +359,9 @@ COMMANDS = {
         axis="k0r",
         help="spherical-shell Jost functions gTE, gTM against k0 R",
         fixed=(
-            ParamSpec("l", "int", 1, "partial-wave order (>= 1)"),
-            ParamSpec("omega_r", "float", 1.0, "shell coupling Omega R"),
-            ParamSpec("radius", "float", 1.0, "shell radius"),
+            ParamSpec("l", int, 1, "partial-wave order (>= 1)"),
+            ParamSpec("omega_r", float, 1.0, "shell coupling Omega R"),
+            ParamSpec("radius", float, 1.0, "shell radius"),
         ),
         build=_build_sphere,
     ),
@@ -354,19 +369,41 @@ COMMANDS = {
         axis="x",
         help="reduction functions of the coupling x = Omega a",
         fixed=(
-            ParamSpec("family", "choice", "all",
-                      "which family to tabulate", ("f", "h", "g", "all")),
+            ParamSpec("family", _choice("f", "h", "g", "all"), "all",
+                      "which family to tabulate"),
         ),
         build=_build_functions,
     ),
 }
 
-_COMMON_KEYS = ("count", "scale", "tolerance", "format", "output")
+
+@functools.cache
+def _options(command):
+    """Every option of a command, in --help order."""
+    spec = COMMANDS[command]
+    axis = spec.axis
+    return (
+        ParamSpec(axis, float, None, f"evaluate at a single {axis} value",
+                  "VALUE"),
+        ParamSpec(axis + "_min", float, None, "sweep range lower end", "MIN"),
+        ParamSpec(axis + "_max", float, None, "sweep range upper end", "MAX"),
+        ParamSpec("count", int, None,
+                  f"number of sweep points (default {DEFAULT_COUNT})"),
+        ParamSpec("scale", _choice("linear", "log"), "linear", "grid spacing"),
+        *spec.fixed,
+        ParamSpec("tolerance", float, None,
+                  "relative tolerance for quadratures"),
+        ParamSpec("format", _choice("csv", "json"), "csv", "output format"),
+        ParamSpec("output", str, "-", "output path, or - for stdout", "PATH"),
+    )
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run: command, sweep, fixed parameters, output options."""
+    """Fully resolved run: command, sweep, fixed parameters, output options.
+
+    Fixed parameters left out of ``fixed`` take their ParamSpec defaults.
+    """
 
     command: str
     sweep: SweepSpec
@@ -386,19 +423,12 @@ class RunConfig:
         if self.sweep.axis != spec.axis:
             raise ValueError(f"{self.command} sweeps {spec.axis!r}, "
                              f"not {self.sweep.axis!r}")
-        known = {p.name for p in spec.fixed}
+        defaults = {p.name: p.default for p in spec.fixed}
         for name in self.fixed:
-            if name not in known:
+            if name not in defaults:
                 raise ValueError(f"unknown parameter {name!r} "
                                  f"for {self.command}")
-
-
-def _valid_keys(command):
-    spec = COMMANDS[command]
-    keys = {"command", spec.axis, spec.axis + "_min", spec.axis + "_max"}
-    keys.update(_COMMON_KEYS)
-    keys.update(p.name for p in spec.fixed)
-    return keys
+        object.__setattr__(self, "fixed", {**defaults, **self.fixed})
 
 
 def _read_key_values(path):
@@ -418,41 +448,26 @@ def _read_key_values(path):
 
 
 def _assemble(command, file_strings, overrides):
-    """RunConfig from typed defaults, file strings, and override values.
+    """RunConfig from file strings and override values.
 
     Precedence: overrides (flags) > file values > environment tolerance >
-    built-in defaults.
+    option defaults.
     """
     spec = COMMANDS[command]
-    params = {p.name: p for p in spec.fixed}
-    axis_parsers = {spec.axis: float, spec.axis + "_min": float,
-                    spec.axis + "_max": float, "count": int,
-                    "tolerance": float}
-
-    merged = {}
+    options = {option.name: option for option in _options(command)}
+    given = {}
     for key, text in file_strings.items():
         try:
-            if key in axis_parsers:
-                merged[key] = axis_parsers[key](text)
-            elif key == "scale":
-                if text not in ("linear", "log"):
-                    raise ValueError("expected 'linear' or 'log'")
-                merged[key] = text
-            elif key == "format":
-                if text not in ("csv", "json"):
-                    raise ValueError("expected 'csv' or 'json'")
-                merged[key] = text
-            elif key == "output":
-                merged[key] = text
-            else:
-                merged[key] = _parse_param(params[key], text)
+            given[key] = options[key].parse(text)
         except ValueError as exc:
             raise ValueError(f"config key {key!r}: {exc}") from None
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
+    given.update((key, value) for key, value in overrides.items()
+                 if value is not None)
 
-    tolerance = merged.get("tolerance")
+    def setting(name):
+        return given.get(name, options[name].default)
+
+    tolerance = setting("tolerance")
     if tolerance is None:
         env = os.environ.get(TOLERANCE_ENV_VAR)
         if env is not None:
@@ -466,11 +481,10 @@ def _assemble(command, file_strings, overrides):
         tolerance = DEFAULT_TOLERANCE
 
     axis_flag = "--" + spec.axis.replace("_", "-")
-    single = merged.get(spec.axis)
-    low = merged.get(spec.axis + "_min")
-    high = merged.get(spec.axis + "_max")
-    count = merged.get("count")
-    scale = merged.get("scale", "linear")
+    single = setting(spec.axis)
+    low = setting(spec.axis + "_min")
+    high = setting(spec.axis + "_max")
+    count = setting("count")
     if single is not None:
         if low is not None or high is not None:
             raise ValueError(f"give either {axis_flag} or {axis_flag}-min/"
@@ -484,16 +498,13 @@ def _assemble(command, file_strings, overrides):
             raise ValueError(f"missing sweep axis: give {axis_flag}, or both "
                              f"{axis_flag}-min and {axis_flag}-max")
         sweep = SweepSpec(spec.axis, low, high,
-                          DEFAULT_COUNT if count is None else count, scale)
+                          DEFAULT_COUNT if count is None else count,
+                          setting("scale"))
 
-    fixed = {}
-    for param in spec.fixed:
-        value = merged.get(param.name)
-        fixed[param.name] = param.default if value is None else value
-
+    fixed = {p.name: given[p.name] for p in spec.fixed if p.name in given}
     return RunConfig(command=command, sweep=sweep, fixed=fixed,
-                     tolerance=tolerance, fmt=merged.get("format", "csv"),
-                     output=merged.get("output", "-"))
+                     tolerance=tolerance, fmt=setting("format"),
+                     output=setting("output"))
 
 
 def load_config(path, command=None, overrides=None):
@@ -520,7 +531,7 @@ def load_config(path, command=None, overrides=None):
         lineno = file_command[0] if file_command else 0
         raise ValueError(f"{path}:{lineno}: unknown command {command!r}")
 
-    valid = _valid_keys(command)
+    valid = {option.name for option in _options(command)}
     for key, (lineno, _) in sorted(data.items(), key=lambda kv: kv[1][0]):
         if key not in valid:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
@@ -533,15 +544,6 @@ def _describe(exc):
     message = str(exc)
     name = type(exc).__name__
     return f"{name}: {message}" if message else name
-
-
-@functools.cache
-def _version():
-    """Installed package version, looked up once per process."""
-    try:
-        return importlib_metadata.version("plasmasheet")
-    except importlib_metadata.PackageNotFoundError:
-        return "unknown"
 
 
 def _metadata(config):
@@ -557,7 +559,7 @@ def _metadata(config):
         meta[name] = config.fixed[name]
     meta["tolerance"] = config.tolerance
     meta["format"] = config.fmt
-    meta["version"] = _version()
+    meta["version"] = __version__
     return meta
 
 
@@ -678,68 +680,27 @@ def build_parser():
     for name, spec in COMMANDS.items():
         sub = subparsers.add_parser(name, help=spec.help,
                                     description=spec.help)
-        axis_flag = "--" + spec.axis.replace("_", "-")
-        sub.add_argument(axis_flag, dest="axis_single", type=float,
-                         default=None, metavar="VALUE",
-                         help=f"evaluate at a single {spec.axis} value")
-        sub.add_argument(axis_flag + "-min", dest="axis_min", type=float,
-                         default=None, metavar="MIN",
-                         help="sweep range lower end")
-        sub.add_argument(axis_flag + "-max", dest="axis_max", type=float,
-                         default=None, metavar="MAX",
-                         help="sweep range upper end")
-        sub.add_argument("--count", type=int, default=None,
-                         help=f"number of sweep points "
-                              f"(default {DEFAULT_COUNT})")
-        sub.add_argument("--scale", choices=("linear", "log"), default=None,
-                         help="grid spacing (default linear)")
-        for param in spec.fixed:
-            flag = "--" + param.name.replace("_", "-")
-            if param.kind == "flag":
-                sub.add_argument(flag, dest=param.name, action="store_true",
-                                 default=None, help=param.help)
-            elif param.kind == "choice":
-                sub.add_argument(flag, dest=param.name,
-                                 choices=param.choices, default=None,
-                                 help=param.help + f" (default "
-                                      f"{param.default})")
-            elif param.kind == "int":
-                sub.add_argument(flag, dest=param.name, type=int,
-                                 default=None,
-                                 help=param.help + f" (default "
-                                      f"{param.default})")
-            else:
-                sub.add_argument(flag, dest=param.name, type=float,
-                                 default=None,
-                                 help=param.help + f" (default "
-                                      f"{param.default})")
-        sub.add_argument("--config", default=None, metavar="PATH",
+        for option in _options(name):
+            flag = "--" + option.name.replace("_", "-")
+            if option.parse is _flag:
+                sub.add_argument(flag, action="store_true", default=None,
+                                 help=option.help)
+                continue
+            choices = getattr(option.parse, "choices", None)
+            sub.add_argument(
+                flag, type=None if choices else option.parse, choices=choices,
+                metavar=option.metavar,
+                help=option.help if option.default is None
+                else f"{option.help} (default {option.default})")
+        sub.add_argument("--config", metavar="PATH",
                          help="key=value file; explicit flags override it")
-        sub.add_argument("--tolerance", type=float, default=None,
-                         help="relative tolerance for quadratures")
-        sub.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                         default=None, help="output format (default csv)")
-        sub.add_argument("--output", default=None, metavar="PATH",
-                         help="output path, or - for stdout (default)")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    spec = COMMANDS[args.command]
-    overrides = {
-        spec.axis: args.axis_single,
-        spec.axis + "_min": args.axis_min,
-        spec.axis + "_max": args.axis_max,
-        "count": args.count,
-        "scale": args.scale,
-        "tolerance": args.tolerance,
-        "format": args.fmt,
-        "output": args.output,
-    }
-    for param in spec.fixed:
-        overrides[param.name] = getattr(args, param.name)
+    args = build_parser().parse_args(argv)
+    overrides = {option.name: getattr(args, option.name)
+                 for option in _options(args.command)}
 
     try:
         if args.config is not None:

@@ -40,37 +40,31 @@ __all__ = [
     "riccati_bessel",
 ]
 
-_QUAD_KINDS = ("exponential-weight", "gauss-legendre", "adaptive-finite",
-               "semi-infinite-transformed")
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Method selector and tolerance budget for the integration helpers.
+    """Tolerance budget of the integration helpers.
+
+    The integrator a caller picks is the method; the spec sets only its
+    starting order and tolerances.
 
     Parameters
     ----------
-    kind : str
-        One of ``exponential-weight``, ``gauss-legendre``,
-        ``adaptive-finite``, ``semi-infinite-transformed``.
     order : int
-        Starting step count of the log-k trapezoid rule (exponential-weight),
-        starting Gauss-Legendre order (gauss-legendre), or subdivision budget
-        scale of the QUADPACK routines. At least 2.
+        Starting step count of the log-k trapezoid rule
+        (``integrate_exponential_weight``), starting Gauss-Legendre order
+        (``integrate_legendre``), or subdivision budget scale of the QUADPACK
+        routines. At least 2.
     rtol : float
         Relative tolerance, in (0, 1e-3]. Defaults to 1e-8.
     abs_floor : float
         Absolute tolerance floor protecting near-zero results.
     """
 
-    kind: str = "adaptive-finite"
     order: int = 32
     rtol: float = 1e-8
     abs_floor: float = 1e-300
 
     def __post_init__(self):
-        if self.kind not in _QUAD_KINDS:
-            raise ValueError(f"unknown quadrature kind {self.kind!r}")
         if self.order < 2:
             raise ValueError("order must be at least 2")
         if not 0.0 < self.rtol <= 1e-3:
@@ -170,7 +164,7 @@ def integrate_exponential_weight(f, spec=None):
         When the levels still disagree after the last halving.
     """
     if spec is None:
-        spec = QuadratureSpec(kind="exponential-weight")
+        spec = QuadratureSpec()
 
     def levels():
         total = 0.0
@@ -197,7 +191,7 @@ def integrate_legendre(f, hi, spec=None):
         When two orders up to 512 never agree.
     """
     if spec is None:
-        spec = QuadratureSpec(kind="gauss-legendre")
+        spec = QuadratureSpec()
     hi = np.asarray(hi, dtype=float)[..., None]
 
     def orders():
@@ -228,7 +222,7 @@ def integrate_adaptive(f, lo, hi, spec=None, full_result=False):
     float, or (float, float, int)
     """
     if spec is None:
-        spec = QuadratureSpec(kind="adaptive-finite")
+        spec = QuadratureSpec()
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise ValueError(f"invalid interval [{lo}, {hi}]")
     # Imported on first use: no package code calls QUADPACK any more, and
@@ -256,7 +250,7 @@ def integrate_semi_infinite(f, spec=None, scale=1.0):
     transformed integrand is well resolved.
     """
     if spec is None:
-        spec = QuadratureSpec(kind="semi-infinite-transformed")
+        spec = QuadratureSpec()
     if scale <= 0.0:
         raise ValueError("scale must be positive")
 

@@ -216,7 +216,7 @@ _CHARGE_CHUNK = 1024
 
 
 def _weight_spec(rtol):
-    return QuadratureSpec(kind="exponential-weight", rtol=rtol)
+    return QuadratureSpec(rtol=rtol)
 
 
 def f_te(x, rtol=1e-8):
@@ -280,8 +280,7 @@ def _dual_angular_reduction(x, rtol, prefactor, angular_closed, angular_poly,
     closed = prefactor * integrate_exponential_weight(
         lambda k: k**3 * angular_closed(k / x), _weight_spec(rtol))
 
-    inner_spec = QuadratureSpec(kind="gauss-legendre", order=32,
-                                rtol=0.1 * _INTERNAL_RTOL)
+    inner_spec = QuadratureSpec(order=32, rtol=0.1 * _INTERNAL_RTOL)
 
     def angular_by_quadrature(k):
         rb = np.sqrt(k / x)
@@ -382,7 +381,7 @@ def delta1_integral_form(a, sheet, atom, rtol=1e-8):
     if sheet.omega == 0.0:
         return 0.0
     x = sheet.omega * a
-    inner_spec = QuadratureSpec(kind="gauss-legendre", rtol=0.1 * rtol)
+    inner_spec = QuadratureSpec(rtol=0.1 * rtol)
 
     def radial(k):
         c = k / x

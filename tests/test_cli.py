@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plasmasheet import polder
+from plasmasheet import cli, polder
 from plasmasheet.cli import (
     COMMANDS,
     DEFAULT_TOLERANCE,
@@ -175,6 +175,71 @@ class TestLoadConfig:
     def test_missing_axis_rejected(self):
         with pytest.raises(ValueError, match="--x"):
             _assemble("functions", {}, {})
+
+
+def _option_sample(option, tmp_path):
+    """A value text for the option that differs from its default."""
+    parse = option.parse
+    if parse is cli._flag:
+        return "true"
+    if hasattr(parse, "choices"):
+        return next(c for c in parse.choices if c != option.default)
+    if parse is str:
+        return str(tmp_path / "table.csv")
+    return {int: "2" if option.name == "l" else "3", float: "0.25"}[parse]
+
+
+def _argv(command, values):
+    """argv that gives each option name: text pair as a long flag."""
+    return [command] + [item for name, text in values.items()
+                        for item in ("--" + name.replace("_", "-"), text)]
+
+
+class TestOptionTable:
+    """Each ParamSpec row is one flag and one config key of the same value."""
+
+    @staticmethod
+    def _config_of(monkeypatch, argv):
+        seen = []
+
+        def record(config):
+            seen.append(config)
+            return SweepTable(columns=(), kinds=(), rows=(), metadata={}), 0
+
+        monkeypatch.setattr(cli, "run", record)
+        assert main(argv) == 0
+        return seen[0]
+
+    @pytest.mark.parametrize("key_style", ["underscore", "hyphen"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_flag_and_config_key_give_same_config(self, command, key_style,
+                                                  tmp_path, monkeypatch):
+        monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
+        axis = COMMANDS[command].axis
+        bounds = {axis + "_min": "0.1", axis + "_max": "2"}
+        plain = self._config_of(monkeypatch, _argv(command, bounds))
+        for option in cli._options(command):
+            text = _option_sample(option, tmp_path)
+            base = {} if option.name == axis else dict(bounds)
+            base.pop(option.name, None)
+            flag = _argv(command, {option.name: text})[1:]
+            if option.parse is cli._flag:
+                flag = flag[:1]
+            key = (option.name if key_style == "underscore"
+                   else option.name.replace("_", "-"))
+            path = tmp_path / f"{option.name}.conf"
+            path.write_text(f"{key}={text}\n")
+            by_flag = self._config_of(monkeypatch, _argv(command, base) + flag)
+            by_file = self._config_of(monkeypatch, _argv(command, base)
+                                      + ["--config", str(path)])
+            assert by_flag == by_file != plain, option.name
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_run_config_takes_option_defaults(self, command, monkeypatch):
+        monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
+        axis = COMMANDS[command].axis
+        direct = run(RunConfig(command, SweepSpec(axis, 1.5, 1.5)))
+        assert direct == run(_assemble(command, {}, {axis: 1.5}))
 
 
 class TestRun:
@@ -560,24 +625,17 @@ class TestArrayRunners:
                     assert status == 0
                     assert alone.rows[0] == row
 
-    def test_version_is_looked_up_once(self, monkeypatch):
-        from plasmasheet import cli
+    def test_version_is_the_package_version(self):
+        import tomllib
 
-        lookups = []
-        original = cli.importlib_metadata.version
+        import plasmasheet
 
-        def counted(name):
-            lookups.append(name)
-            return original(name)
-
-        monkeypatch.setattr(cli.importlib_metadata, "version", counted)
-        cli._version.cache_clear()
-        config = _sweep_config("reflection", *SWEEPS["reflection"])
-        first, _ = run(config)
-        second, _ = run(config)
-        assert len(lookups) <= 1
-        assert first.metadata == second.metadata
-        cli._version.cache_clear()
+        pyproject = README.parent / "pyproject.toml"
+        with open(pyproject, "rb") as handle:
+            version = tomllib.load(handle)["project"]["version"]
+        assert version == plasmasheet.__version__
+        table, _ = run(_sweep_config("reflection", *SWEEPS["reflection"]))
+        assert table.metadata["version"] == plasmasheet.__version__
 
     def test_parser_reuse_gives_same_bytes_in_either_order(self, capsys):
         commands = (["reflection", "--omega", "1", "--k0", "2", "--kpar",
@@ -599,6 +657,12 @@ class TestArrayRunners:
         ["casimir", "--omega-a", "1"],
         ["dispersion", "--kpar-min", "1e-3", "--kpar-max", "1e3",
          "--scale", "log"],
+        ["reflection", "--omega", "1", "--k0", "2", "--kpar-min", "0.1",
+         "--kpar-max", "4", "--count", "41"],
+        ["charge", "--omega-a-min", "0.5", "--omega-a-max", "50",
+         "--count", "20", "--p23", "0.2"],
+        ["casimir-polder", "--omega-a", "10", "--isotropic-alpha", "1"],
+        ["functions", "--family", "all", "--x", "1"],
     ], ids=lambda argv: argv[0])
     def test_run_imports_no_scipy(self, argv):
         code = ("import contextlib, io, sys\n"

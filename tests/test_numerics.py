@@ -15,7 +15,7 @@ from plasmasheet.errors import BracketError, IterationLimitError, ToleranceNotMe
 # every argument probed below.
 mpmath.mp.dps = 120
 
-TIGHT = numerics.QuadratureSpec(kind="exponential-weight", rtol=1e-10)
+TIGHT = numerics.QuadratureSpec(rtol=1e-10)
 
 
 def mp_spherical_j(l, z):
@@ -100,8 +100,6 @@ class TestExponentialWeight:
 
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
-            numerics.QuadratureSpec(kind="nope")
-        with pytest.raises(ValueError):
             numerics.QuadratureSpec(order=1)
         with pytest.raises(ValueError):
             numerics.QuadratureSpec(rtol=1e-2)
@@ -122,13 +120,13 @@ class TestLegendre:
             orders.append(t.shape[-1])
             return np.exp(-t) / (1.0 + t * t)
 
-        spec = numerics.QuadratureSpec(kind="gauss-legendre", order=4, rtol=1e-12)
+        spec = numerics.QuadratureSpec(order=4, rtol=1e-12)
         numerics.integrate_legendre(f, 3.0, spec)
         assert orders[:3] == [4, 8, 16]
         assert all(b == 2 * a for a, b in zip(orders, orders[1:]))
 
     def test_kink_never_agrees(self):
-        spec = numerics.QuadratureSpec(kind="gauss-legendre", rtol=1e-12)
+        spec = numerics.QuadratureSpec(rtol=1e-12)
         with pytest.raises(ToleranceNotMet):
             numerics.integrate_legendre(lambda t: np.abs(t - 0.5), 1.0, spec)
 
