@@ -43,8 +43,7 @@ for dip in scan_real_zeros(5, weak, certify_nonzero=False):
           f" (estimate {estimate:.4f})")
     print(f"  |g|^2 at the minimum : {dip.min_abs_g_squared:.2e}")
     print(f"  exact Im g there     : {dip.imag_part_floor:.2e}")
-    print(f"  evaluation noise     : {dip.noise_bound:.2e}")
-print("Im g sits orders of magnitude above noise: a resonance, not a zero.\n")
+print("Im g > 0 carries relative error only: a resonance, not a zero.\n")
 
 print("Large shells approach the flat-sheet TM response at fixed kpar = l/R")
 kpar, k0 = 1.0, 2.0

@@ -38,6 +38,7 @@ import numpy as np
 from . import __version__
 from .casimir import reduced_energy_and_pressure
 from .errors import SheetModelError
+from .numerics import MAX_RTOL
 from .polder import (
     AtomProperties,
     casimir_polder_energy,
@@ -92,6 +93,8 @@ class SweepSpec:
             raise ValueError("sweep bounds must be finite")
         if self.count > 1 and not self.minimum < self.maximum:
             raise ValueError("sweep needs minimum < maximum for count > 1")
+        if self.count == 1 and self.minimum != self.maximum:
+            raise ValueError("sweep count 1 needs minimum == maximum")
         if self.scale not in ("linear", "log"):
             raise ValueError("scale must be 'linear' or 'log'")
         if self.scale == "log" and self.minimum <= 0.0:
@@ -415,8 +418,9 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise ValueError("tolerance must be a positive number")
+        if not 0.0 < self.tolerance <= MAX_RTOL:
+            raise ValueError(f"tolerance must be in (0, {MAX_RTOL:g}], "
+                             f"got {self.tolerance:g}")
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be 'csv' or 'json'")
         spec = COMMANDS[self.command]
@@ -491,6 +495,9 @@ def _assemble(command, file_strings, overrides):
                              f"{axis_flag}-max, not both")
         if count is not None and count != 1:
             raise ValueError(f"count must be 1 when {axis_flag} fixes "
+                             "a single value")
+        if setting("scale") != "linear":
+            raise ValueError(f"scale must be linear when {axis_flag} fixes "
                              "a single value")
         sweep = SweepSpec(spec.axis, single, single, 1, "linear")
     else:

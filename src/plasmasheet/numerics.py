@@ -9,7 +9,8 @@ The spherical Bessel functions come from one primitive, ``_sph_jh``, that
 makes one scipy call per function over all requested orders. A real
 ndarray goes to ``spherical_jn``/``spherical_yn``, which are the fastest
 over a whole array. A real scalar goes to the ``jv``/``yv`` ufuncs, which
-skip that wrapper's per-call cost and give Re h = j exactly. A complex
+skip that wrapper's per-call cost. On both real routes Re h = j exactly,
+since h is assembled from j and y part by part. A complex
 argument goes to the exponentially scaled ``jve``/``hankel1e``: on the
 imaginary axis z = i kappa, j and y grow like e^kappa while h = j + i y
 falls like e^-kappa, so the scaled pair keeps products such as j h finite
@@ -29,6 +30,7 @@ from numpy.polynomial.legendre import leggauss
 from .errors import BracketError, IterationLimitError, ToleranceNotMet
 
 __all__ = [
+    "MAX_RTOL",
     "QuadratureSpec",
     "integrate_exponential_weight",
     "integrate_legendre",
@@ -39,6 +41,12 @@ __all__ = [
     "spherical_hankel1",
     "riccati_bessel",
 ]
+
+# Largest relative tolerance a quadrature accepts.
+MAX_RTOL = 1e-3
+# Absolute tolerance floor protecting near-zero results.
+_ABS_FLOOR = 1e-300
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -55,22 +63,17 @@ class QuadratureSpec:
         (``integrate_legendre``), or subdivision budget scale of the QUADPACK
         routines. At least 2.
     rtol : float
-        Relative tolerance, in (0, 1e-3]. Defaults to 1e-8.
-    abs_floor : float
-        Absolute tolerance floor protecting near-zero results.
+        Relative tolerance, in (0, MAX_RTOL]. Defaults to 1e-8.
     """
 
     order: int = 32
     rtol: float = 1e-8
-    abs_floor: float = 1e-300
 
     def __post_init__(self):
         if self.order < 2:
             raise ValueError("order must be at least 2")
-        if not 0.0 < self.rtol <= 1e-3:
-            raise ValueError("rtol must be in (0, 1e-3]")
-        if self.abs_floor < 0.0:
-            raise ValueError("abs_floor must be nonnegative")
+        if not 0.0 < self.rtol <= MAX_RTOL:
+            raise ValueError(f"rtol must be in (0, {MAX_RTOL:g}]")
 
 
 # The exponential-weight rule works in u = ln k on a fixed range: the part
@@ -127,7 +130,7 @@ def _refine(estimates, spec, what):
     prev, gap = next(estimates), math.inf
     for cur in estimates:
         diff = np.abs(cur - prev)
-        if np.all(diff <= spec.rtol * np.abs(cur) + spec.abs_floor):
+        if np.all(diff <= spec.rtol * np.abs(cur) + _ABS_FLOOR):
             return cur
         prev, gap = cur, float(np.max(diff))
     raise ToleranceNotMet(f"{what} did not reach rtol {spec.rtol:g}",
@@ -230,7 +233,7 @@ def integrate_adaptive(f, lo, hi, spec=None, full_result=False):
     from scipy import integrate
 
     limit = max(50, 4 * spec.order)
-    out = integrate.quad(f, lo, hi, epsabs=spec.abs_floor, epsrel=spec.rtol,
+    out = integrate.quad(f, lo, hi, epsabs=_ABS_FLOOR, epsrel=spec.rtol,
                          limit=limit, full_output=1)
     value, abserr, info = out[0], out[1], out[2]
     if len(out) > 3:

@@ -215,22 +215,18 @@ def _transverse_angular(b):
 _CHARGE_CHUNK = 1024
 
 
-def _weight_spec(rtol):
-    return QuadratureSpec(rtol=rtol)
-
-
 def f_te(x, rtol=1e-8):
     """TE reduction of the single-vertex shift; -> 1 as x -> inf, ~ x at 0."""
     _require_positive(x)
     return integrate_exponential_weight(
-        lambda k: k / (1.0 + k / x), _weight_spec(rtol))
+        lambda k: k / (1.0 + k / x), QuadratureSpec(rtol=rtol))
 
 
 def f_tm(x, rtol=1e-8):
     """TM reduction of the single-vertex shift; -> 1 as x -> inf, ~ 3x at 0."""
     _require_positive(x)
     return 3.0 * x * integrate_exponential_weight(
-        lambda k: _one_minus_atan_ratio(k / x), _weight_spec(rtol))
+        lambda k: _one_minus_atan_ratio(k / x), QuadratureSpec(rtol=rtol))
 
 
 def h_parallel(x, rtol=1e-8):
@@ -238,7 +234,7 @@ def h_parallel(x, rtol=1e-8):
     _require_positive(x)
     return integrate_exponential_weight(
         lambda k: -1.0 / (1.0 + k / x) + 0.5 * k + 1.5 + k / x,
-        _weight_spec(rtol))
+        QuadratureSpec(rtol=rtol))
 
 
 def h_3(x):
@@ -262,7 +258,7 @@ def g_te(x, rtol=1e-8):
     """TE Casimir-Polder reduction, (1/6) Int k^3 e^-k/(1 + k/x)."""
     _require_positive(x)
     return integrate_exponential_weight(
-        lambda k: k**3 / (1.0 + k / x), _weight_spec(rtol)) / 6.0
+        lambda k: k**3 / (1.0 + k / x), QuadratureSpec(rtol=rtol)) / 6.0
 
 
 def _dual_angular_reduction(x, rtol, prefactor, angular_closed, angular_poly,
@@ -278,7 +274,7 @@ def _dual_angular_reduction(x, rtol, prefactor, angular_closed, angular_poly,
     to max(PATH_AGREEMENT_TOL, rtol).
     """
     closed = prefactor * integrate_exponential_weight(
-        lambda k: k**3 * angular_closed(k / x), _weight_spec(rtol))
+        lambda k: k**3 * angular_closed(k / x), QuadratureSpec(rtol=rtol))
 
     inner_spec = QuadratureSpec(order=32, rtol=0.1 * _INTERNAL_RTOL)
 
@@ -290,7 +286,7 @@ def _dual_angular_reduction(x, rtol, prefactor, angular_closed, angular_poly,
 
     double = prefactor * integrate_exponential_weight(
         lambda k: k**3 * angular_by_quadrature(k),
-        _weight_spec(_INTERNAL_RTOL))
+        QuadratureSpec(rtol=_INTERNAL_RTOL))
 
     _require_agreement(label, closed, double, max(PATH_AGREEMENT_TOL, rtol))
     return closed, double
@@ -390,7 +386,8 @@ def delta1_integral_form(a, sheet, atom, rtol=1e-8):
                                 np.arcsinh(rc), inner_spec) / (c * rc)
         return k * (1.0 / (1.0 + c) + tm)
 
-    radial_integral = integrate_exponential_weight(radial, _weight_spec(rtol))
+    radial_integral = integrate_exponential_weight(
+        radial, QuadratureSpec(rtol=rtol))
     return -(atom.e**2 / (32.0 * math.pi**2 * atom.m * a * a)) * radial_integral
 
 
@@ -436,7 +433,7 @@ def charge_sheet_energies(a, x, atom, rtol=1e-8):
     starts = range(0, max(len(flat), 1), _CHARGE_CHUNK)  # empty x: one chunk
     integral = np.concatenate([
         integrate_exponential_weight(braces(flat[start:start + _CHARGE_CHUNK]),
-                                     _weight_spec(rtol))
+                                     QuadratureSpec(rtol=rtol))
         for start in starts])
     kinetic = (atom.e**2 / (16.0 * math.pi * atom.m**2 * a)) * integral
     electrostatic = np.full(x.shape, -atom.e**2 / (8.0 * math.pi * a))

@@ -7,9 +7,11 @@ l-th partial wave scatters with Jost functions
     g_l^(2)(k0) = 1 + (i Omega/k0) j^'_l(k0 R) h^'_l(k0 R)   (TM)
 
 built from the radial propagator d_l and Riccati-Bessel derivatives. For
-real k0 the imaginary part of g^(1) is Omega R^2 k0 j_l(k0 R)^2 >= 0, which
-is the mechanism that forbids real zeros: neither polarization supports a
-spherical surface plasmon, and scan_real_zeros certifies that numerically.
+real k0, Im g^(1) = Omega R^2 k0 j_l^2 and Im g^(2) = (Omega/k0) j^'_l^2
+vanish only where Re g = 1: neither polarization has a real zero, that is,
+a spherical surface plasmon. Since Re h = j holds exactly on the real axis,
+the computed Im g is that square to a few ulp relative, and scan_real_zeros
+certifies a minimum of |g| with Im g > 0 as a resonance, not a zero.
 
 The Jost functions and the radial propagator take k0 as a scalar (real or
 complex) or as any ndarray, evaluated in one pass over the array. The Jost
@@ -26,16 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMomentumError, SheetModelError
-from .numerics import (
-    _jh_phase,
-    _riccati_scaled,
-    _sph_jh,
+from .numerics import _jh_phase, _riccati_scaled, _sph_jh
+
+# Unused here but stay bound: perfbench/tracing.py wraps them by name.
+from .numerics import (  # noqa: F401
     riccati_bessel,
     spherical_bessel_j,
+    spherical_hankel1,
 )
-
-# Unused here but stays bound: perfbench/tracing.py wraps it by name.
-from .numerics import spherical_hankel1  # noqa: F401
 from .sheet import MinkowskiMomentum, gamma_minkowski
 
 __all__ = [
@@ -198,50 +198,24 @@ class ZeroCandidate:
     k0r_location: float
     min_abs_g_squared: float
     imag_part_floor: float
-    noise_bound: float
 
 
 # asymptotic period of the Riccati-Bessel oscillations in k0 R
 _OSCILLATION_PERIOD = math.pi
 
-_JOST_BY_POLARIZATION = {"te": jost_te, "tm": jost_tm}
-
-# absolute uncertainty of one Jost evaluation, relative to its term sizes
-_NOISE_RELATIVE = 1e-12
-_CERTIFICATE_MARGIN = 10.0
-
-
-def _stable_imag_floor(polarization, l, k0, shell):
-    """Im g for real k0 through its cancellation-free closed form.
-
-    Im g^(1) = Omega R^2 k0 j_l^2 and Im g^(2) = (Omega/k0) j^'_l(k0 R)^2 are
-    single squared factors, so they carry relative (not absolute) rounding
-    error; they vanish only where the squared factor does, and at those
-    points Re g = 1. A real zero of g is therefore impossible, and a computed
-    floor well above evaluation noise certifies any minimum as a finite-width
-    resonance rather than a zero.
-    """
-    z = k0 * shell.radius
-    if polarization == "te":
-        j = spherical_bessel_j(l, z)
-        return shell.omega * shell.radius**2 * k0 * (j * j).real
-    _, rjp, _, _ = riccati_bessel(l, z)
-    return (shell.omega / k0) * (rjp * rjp).real
-
-
 def scan_real_zeros(l, shell, k0r_max=30.0, points_per_period=20,
-                    threshold=1e-6, polarizations=("te", "tm"),
-                    certify_nonzero=True):
+                    threshold=1e-6, certify_nonzero=True):
     """Search |g_l|^2 for real-frequency zeros; an empty list certifies none.
 
     Samples k0 R on (0, k0r_max] finely enough to resolve every oscillation,
     in one array evaluation per polarization, sharpens each local minimum
     of |g|^2 by bounded minimization, and keeps those below threshold. At
     small Omega R and growing l the TM function develops resonance dips
-    whose depth shrinks like a high power of k0 R; minima whose exact
-    imaginary part provably exceeds evaluation noise are finite-width
-    resonances, not zeros, and are dropped unless certify_nonzero is
-    disabled (useful for inspecting the dips themselves).
+    whose depth shrinks like a high power of k0 R. Im g at the minimum is a
+    squared factor that carries relative error only (module docstring), so
+    a minimum with Im g > 0 is a finite-width resonance, not a zero; such
+    minima are dropped unless certify_nonzero is disabled (useful for
+    inspecting the dips themselves).
     """
     from scipy.optimize import minimize_scalar
 
@@ -260,9 +234,7 @@ def scan_real_zeros(l, shell, k0r_max=30.0, points_per_period=20,
     radius = shell.radius
 
     found = []
-    for polarization in polarizations:
-        jost = _JOST_BY_POLARIZATION[polarization]
-
+    for polarization, jost in (("te", jost_te), ("tm", jost_tm)):
         def abs_g_squared(z, _jost=jost):
             return abs(_jost(l, z / radius, shell)) ** 2
 
@@ -284,19 +256,15 @@ def scan_real_zeros(l, shell, k0r_max=30.0, points_per_period=20,
             if certified >= threshold:
                 continue
             location = float(result.x)
-            k0 = location / radius
-            g_min = jost(l, k0, shell)
-            floor = _stable_imag_floor(polarization, l, k0, shell)
-            noise = _NOISE_RELATIVE * (1.0 + abs(g_min - 1.0))
-            if certify_nonzero and floor > _CERTIFICATE_MARGIN * noise:
+            floor = jost(l, location / radius, shell).imag
+            if certify_nonzero and floor > 0.0:
                 continue
             found.append(ZeroCandidate(
                 l=l, polarization=polarization,
                 k0r_interval=(float(lo), float(hi)),
                 k0r_location=location,
                 min_abs_g_squared=certified,
-                imag_part_floor=floor,
-                noise_bound=noise))
+                imag_part_floor=floor))
 
     found.sort(key=lambda c: c.k0r_location)
     return found

@@ -28,6 +28,7 @@ from plasmasheet.cli import (
     table_to_json_text,
 )
 from plasmasheet.errors import PathDisagreementError, ToleranceNotMet
+from plasmasheet.numerics import MAX_RTOL, QuadratureSpec
 from plasmasheet.polder import reduction_functions
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -62,6 +63,8 @@ class TestSweepSpec:
             SweepSpec("x", 0.0, 1.0, count=3, scale="log")
         with pytest.raises(ValueError):
             SweepSpec("x", 0.0, 1.0, count=3, scale="cubic")
+        with pytest.raises(ValueError, match="count 1"):
+            SweepSpec("x", 1.0, 2.0, count=1)
 
 
 class TestRunConfig:
@@ -75,6 +78,17 @@ class TestRunConfig:
             RunConfig("functions", sweep, tolerance=0.0)
         with pytest.raises(ValueError):
             RunConfig("functions", sweep, fmt="yaml")
+
+    def test_tolerance_bound_is_the_quadrature_bound(self):
+        sweep = SweepSpec("x", 1.0, 1.0)
+        assert RunConfig("functions", sweep, tolerance=MAX_RTOL)
+        assert QuadratureSpec(rtol=MAX_RTOL)
+        for bad in (2.0 * MAX_RTOL, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tolerance"):
+                RunConfig("reflection", SweepSpec("k0", 1.0, 1.0),
+                          tolerance=bad)
+            with pytest.raises(ValueError, match="rtol"):
+                QuadratureSpec(rtol=bad)
 
     def test_rejects_wrong_axis_and_unknown_parameter(self):
         with pytest.raises(ValueError):
@@ -186,6 +200,8 @@ def _option_sample(option, tmp_path):
         return next(c for c in parse.choices if c != option.default)
     if parse is str:
         return str(tmp_path / "table.csv")
+    if option.name == "tolerance":
+        return "1e-4"
     return {int: "2" if option.name == "l" else "3", float: "0.25"}[parse]
 
 
@@ -386,6 +402,31 @@ class TestMain:
         status = main(["functions"])
         assert status == 2
         assert "--x" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, env, named", [
+        (["functions", "--x", "1", "--family", "f", "--tolerance", "0.01"],
+         None, "tolerance"),
+        (["casimir", "--omega-a", "1"], "0.01", "tolerance"),
+        (["functions", "--x-min", "1", "--x-max", "2", "--count", "1"],
+         None, "count"),
+        (["functions", "--x", "1", "--scale", "log"], None, "scale"),
+    ], ids=["tolerance-flag", "tolerance-env", "count-one-range",
+            "scale-single-value"])
+    def test_dropped_or_unusable_option_exits_two(self, argv, env, named,
+                                                  monkeypatch, capsys):
+        if env is None:
+            monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(TOLERANCE_ENV_VAR, env)
+
+        def no_rows(config):
+            raise AssertionError("no row may be computed")
+
+        monkeypatch.setattr(cli, "run", no_rows)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as info:

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from scipy import special
 
+from plasmasheet import sphere
 from plasmasheet.errors import DegenerateMomentumError, SheetModelError
 from plasmasheet.polder import PATH_AGREEMENT_TOL
 from plasmasheet.sphere import (
     JostEvaluation,
     SphericalShell,
     ZeroCandidate,
-    _stable_imag_floor,
     evaluate_jost,
     jost_te,
     jost_te_riccati,
@@ -196,25 +196,6 @@ class TestJostTM:
             assert jost_tm(l, k0, shell).imag > 0.0
 
 
-class TestStableImagFloor:
-    def test_matches_independent_bessel_routines_everywhere(self):
-        # the closed forms stay accurate deep in the small-k0R regime where
-        # the direct imaginary part loses digits to cancellation
-        shell = SphericalShell(radius=1.4, omega=3.0)
-        for l in range(1, 11):
-            for z in (0.05, 0.4, 1.0, l + 0.5, 3.0 * l, 28.0):
-                k0 = z / shell.radius
-                floor_te = _stable_imag_floor("te", l, k0, shell)
-                oracle_te = (shell.omega * shell.radius**2 * k0
-                             * special.spherical_jn(l, z) ** 2)
-                assert floor_te == pytest.approx(oracle_te, rel=1e-10)
-                floor_tm = _stable_imag_floor("tm", l, k0, shell)
-                rjp = (special.spherical_jn(l, z)
-                       + z * special.spherical_jn(l, z, derivative=True))
-                oracle_tm = (shell.omega / k0) * rjp**2
-                assert floor_tm == pytest.approx(oracle_tm, rel=1e-10)
-
-
 class TestScanRealZeros:
     def test_no_zeros_on_coupling_grid(self):
         for l in range(1, 6):
@@ -233,8 +214,8 @@ class TestScanRealZeros:
 
     def test_raw_scan_exposes_certified_resonance_dip(self):
         # weak coupling and growing l produce a deep finite-width dip of
-        # |g_tm|^2; its exact imaginary part stays far above evaluation
-        # noise, so certification identifies it as a resonance, not a zero
+        # |g_tm|^2; its imaginary part, exact to a few ulp relative, is
+        # positive, so certification identifies it as a resonance, not a zero
         shell = SphericalShell(radius=1.0, omega=0.1)
         raw = scan_real_zeros(5, shell, certify_nonzero=False)
         dips = [c for c in raw if c.polarization == "tm"]
@@ -242,12 +223,31 @@ class TestScanRealZeros:
         dip = dips[0]
         assert isinstance(dip, ZeroCandidate)
         assert dip.min_abs_g_squared < 1e-6
-        assert dip.imag_part_floor > 10.0 * dip.noise_bound
+        assert dip.imag_part_floor > 0.0
         # location tracks the multipole resonance estimate
         # k0 R = sqrt(Omega R l(l+1) / (2l+1))
         estimate = math.sqrt(0.1 * 5 * 6 / 11)
         assert dip.k0r_location == pytest.approx(estimate, rel=0.05)
         # certification removes the same dip
+        assert scan_real_zeros(5, shell) == []
+
+    def test_no_zeros_from_weak_to_strong_coupling(self):
+        # the dips deepen like a high power of Omega R at growing l, but Im g
+        # keeps its relative accuracy however small it gets
+        for l in (*range(1, 11), 20, 30, 50):
+            for omega_r in (0.01, 0.1, 1.0, 10.0, 100.0):
+                shell = SphericalShell(radius=1.0, omega=omega_r)
+                assert scan_real_zeros(l, shell) == [], (l, omega_r)
+
+    def test_certificate_reads_only_the_jost_routes(self, monkeypatch):
+        # no second route to Im g is left: the scan certifies from jost_te
+        # and jost_tm alone
+        def unused(*args):
+            raise AssertionError("the scan must not call this")
+
+        monkeypatch.setattr(sphere, "spherical_bessel_j", unused)
+        monkeypatch.setattr(sphere, "riccati_bessel", unused)
+        shell = SphericalShell(radius=1.0, omega=0.1)
         assert scan_real_zeros(5, shell) == []
 
     def test_loose_threshold_reports_shallow_minima(self):
@@ -462,7 +462,7 @@ class TestImaginaryAxis:
 
 
 class TestRealAxisImaginaryPart:
-    """Im g from the Jost routes equals its closed form at small k0 R."""
+    """Im g from the Jost routes equals its closed form to 1e-12 relative."""
 
     SHELL = SphericalShell(radius=1.0, omega=2.0)
 
@@ -505,6 +505,24 @@ class TestRealAxisImaginaryPart:
                         self._assert_relative(got.imag, want_te, (l, point))
                     for got in (tm[i], scalar_tm):
                         self._assert_relative(got.imag, want_tm, (l, point))
+
+
+    def test_shell_grid_scalar_and_array(self):
+        # from below the first zero of j_l, through the turning point
+        # k0 R = l + 1/2, into the oscillatory regime
+        shell = SphericalShell(radius=1.4, omega=3.0)
+        for l in range(1, 11):
+            z = np.array([0.05, 0.4, 1.0, l + 0.5, 3.0 * l, 28.0])
+            k0 = z / shell.radius
+            te, tm = jost_te(l, k0, shell), jost_tm(l, k0, shell)
+            for i, point in enumerate(z.tolist()):
+                want_te, want_tm = self._closed_forms(l, point, shell)
+                scalar_te = jost_te(l, point / shell.radius, shell)
+                scalar_tm = jost_tm(l, point / shell.radius, shell)
+                for got in (te[i], scalar_te):
+                    self._assert_relative(got.imag, want_te, (l, point))
+                for got in (tm[i], scalar_tm):
+                    self._assert_relative(got.imag, want_tm, (l, point))
 
 
 class TestNonFiniteJost:
