@@ -11,6 +11,9 @@ error, the array is split in halves until the point that raises stands
 alone. Rows that raise stay in the table with blank output cells and the
 message in the final 'error' column, and any such row turns the exit status
 to 1. Invalid configuration exits with status 2 before any row is computed.
+Each writer builds one %-format row template per table from its column
+kinds and writes every successful row with a single % call; failed rows, and
+JSON rows the template cannot render exactly, are written cell by cell.
 
 Every option of a command is one ParamSpec row of its option table
 (`_options`): the row adds the long flag to the parser, names the config-file
@@ -27,6 +30,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -38,7 +42,7 @@ import numpy as np
 from . import __version__
 from .casimir import reduced_energy_and_pressure
 from .errors import SheetModelError
-from .numerics import MAX_RTOL
+from .numerics import MAX_RTOL, MIN_RTOL
 from .polder import (
     AtomProperties,
     casimir_polder_energy,
@@ -418,9 +422,9 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if not 0.0 < self.tolerance <= MAX_RTOL:
-            raise ValueError(f"tolerance must be in (0, {MAX_RTOL:g}], "
-                             f"got {self.tolerance:g}")
+        if not MIN_RTOL <= self.tolerance <= MAX_RTOL:
+            raise ValueError(f"tolerance must be in [{MIN_RTOL:g}, "
+                             f"{MAX_RTOL:g}], got {self.tolerance:g}")
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be 'csv' or 'json'")
         spec = COMMANDS[self.command]
@@ -622,52 +626,127 @@ def _metadata_text(value):
     return str(value)
 
 
-def table_to_csv_text(table):
-    """RFC-4180 CSV with '#'-comment metadata lines above the data section."""
+def _templated(kinds):
+    """Whether row templates fit a table of these kinds.
+
+    They need one error column, the last, after at least one output column
+    (csv quotes a row that is one empty field).
+    """
+    return len(kinds) > 1 and kinds[-1] == "error" and "error" not in kinds[:-1]
+
+
+def _row_template(kinds, cell, pair, separator):
+    """One conversion per output cell: ``pair`` for complex, ``cell`` else."""
+    return separator.join(pair if kind == "complex" else cell
+                          for kind in kinds[:-1])
+
+
+def _template_args(kinds, rows):
+    """Row-template arguments of the rows, built a column at a time.
+
+    They are a row's output cells, with each complex cell split into its
+    real and imaginary parts.
+    """
+    columns = list(zip(*rows))[:-1]
+    for i in reversed(range(len(columns))):
+        if kinds[i] == "complex":
+            cells = columns[i]
+            columns[i:i + 1] = [z.real for z in cells], [z.imag for z in cells]
+    return zip(*columns)
+
+
+def _csv_line(cells):
     buffer = io.StringIO()
-    for key, value in table.metadata.items():
-        buffer.write(f"# {key}: {_metadata_text(value)}\r\n")
-    writer = csv.writer(buffer)
-    header = []
-    for name, kind in zip(table.columns, table.kinds):
-        if kind == "complex":
-            header += [name + "_re", name + "_im"]
-        else:
-            header.append(name)
-    writer.writerow(header)
-    for row in table.rows:
-        cells = []
-        for kind, cell in zip(table.kinds, row):
-            if kind == "error":
-                cells.append(cell)
-            elif cell is None:
-                cells += ["nan", "nan"] if kind == "complex" else ["nan"]
-            elif kind == "complex":
-                cells += [_format_float(cell.real), _format_float(cell.imag)]
-            else:
-                cells.append(_format_float(cell))
-        writer.writerow(cells)
+    csv.writer(buffer).writerow(cells)
     return buffer.getvalue()
 
 
+def _csv_cells(kinds, row):
+    cells = []
+    for kind, cell in zip(kinds, row):
+        if kind == "error":
+            cells.append(cell)
+        elif cell is None:
+            cells += ["nan", "nan"] if kind == "complex" else ["nan"]
+        elif kind == "complex":
+            cells += [_format_float(cell.real), _format_float(cell.imag)]
+        else:
+            cells.append(_format_float(cell))
+    return cells
+
+
+def table_to_csv_text(table):
+    """RFC-4180 CSV with '#'-comment metadata lines above the data section.
+
+    A row with an empty error cell is one ``%`` call of the table's row
+    template; a failed row goes through csv.writer, which quotes its message.
+    """
+    kinds = table.kinds
+    lines = [f"# {key}: {_metadata_text(value)}\r\n"
+             for key, value in table.metadata.items()]
+    header = []
+    for name, kind in zip(table.columns, kinds):
+        header += [name + "_re", name + "_im"] if kind == "complex" else [name]
+    lines.append(_csv_line(header))
+    templated = _templated(kinds)
+    fits = [templated and row[-1] == "" for row in table.rows]
+    args = _template_args(kinds, itertools.compress(table.rows, fits))
+    template = _row_template(kinds, "%.17g", "%.17g,%.17g", ",") + ",\r\n"
+    for row, fit in zip(table.rows, fits):
+        lines.append(template % next(args) if fit
+                     else _csv_line(_csv_cells(kinds, row)))
+    return "".join(lines)
+
+
+def _json_cells(kinds, row):
+    cells = []
+    for kind, cell in zip(kinds, row):
+        if kind == "error":
+            cells.append(cell)
+        elif cell is None:
+            cells.append(None)
+        elif kind == "complex":
+            cells.append([cell.real, cell.imag])
+        else:
+            cells.append(float(cell))
+    return cells
+
+
 def table_to_json_text(table):
-    """JSON document {metadata, columns, rows}; complex cells as [re, im]."""
-    rows = []
-    for row in table.rows:
-        cells = []
-        for kind, cell in zip(table.kinds, row):
-            if kind == "error":
-                cells.append(cell)
-            elif cell is None:
-                cells.append(None)
-            elif kind == "complex":
-                cells.append([cell.real, cell.imag])
-            else:
-                cells.append(float(cell))
-        rows.append(cells)
-    document = {"metadata": table.metadata, "columns": list(table.columns),
-                "rows": rows}
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    """JSON document {metadata, columns, rows}; complex cells as [re, im].
+
+    The layout is that of ``json.dumps(..., indent=2, sort_keys=True)``. A
+    row template reproduces it for a row with an empty error cell whose
+    other cells are finite Python floats and complex numbers, for which
+    ``%r`` is json's float text; any other row goes through json.dumps.
+    """
+    kinds = table.kinds
+    head = json.dumps({"columns": list(table.columns),
+                       "metadata": table.metadata, "rows": []},
+                      indent=2, sort_keys=True)
+    if not table.rows:
+        return head + "\n"
+    templated = _templated(kinds)
+    types = tuple(complex if kind == "complex" else float
+                  for kind in kinds[:-1]) + (str,)
+    fits = [templated and row[-1] == "" and tuple(map(type, row)) == types
+            for row in table.rows]
+    args = _template_args(kinds, itertools.compress(table.rows, fits))
+    template = ("    [\n"
+                + _row_template(kinds, "      %r",
+                                "      [\n        %r,\n        %r\n      ]",
+                                ",\n")
+                + ',\n      ""\n    ]')
+    lines = []
+    for row, fit in zip(table.rows, fits):
+        text = template % next(args) if fit else None
+        # a finite float's repr holds no "n"; "nan" and "inf" both do
+        if text is None or "n" in text:
+            cells = json.dumps(_json_cells(kinds, row), indent=2)
+            text = "    " + cells.replace("\n", "\n    ")
+        lines.append(text)
+    # "rows" sorts last, so the document ends in its empty list
+    return head[:-len("[]\n}")] + "[\n" + ",\n".join(lines) + "\n  ]\n}\n"
 
 
 @functools.lru_cache(maxsize=None)

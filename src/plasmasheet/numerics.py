@@ -31,6 +31,7 @@ from .errors import BracketError, IterationLimitError, ToleranceNotMet
 
 __all__ = [
     "MAX_RTOL",
+    "MIN_RTOL",
     "QuadratureSpec",
     "integrate_exponential_weight",
     "integrate_legendre",
@@ -44,6 +45,11 @@ __all__ = [
 
 # Largest relative tolerance a quadrature accepts.
 MAX_RTOL = 1e-3
+# Smallest relative tolerance a run may ask for. The nested rules refine
+# their inner integral to a tenth of it, and at 1e-14 the Casimir inner
+# Gauss-Legendre rule never meets 1e-15. QuadratureSpec does not apply it,
+# since those inner specs sit below it.
+MIN_RTOL = 1e-13
 # Absolute tolerance floor protecting near-zero results.
 _ABS_FLOOR = 1e-300
 

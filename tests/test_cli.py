@@ -28,7 +28,7 @@ from plasmasheet.cli import (
     table_to_json_text,
 )
 from plasmasheet.errors import PathDisagreementError, ToleranceNotMet
-from plasmasheet.numerics import MAX_RTOL, QuadratureSpec
+from plasmasheet.numerics import MAX_RTOL, MIN_RTOL, QuadratureSpec
 from plasmasheet.polder import reduction_functions
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -89,6 +89,14 @@ class TestRunConfig:
                           tolerance=bad)
             with pytest.raises(ValueError, match="rtol"):
                 QuadratureSpec(rtol=bad)
+
+    def test_tolerance_floor_leaves_inner_rules_room(self):
+        sweep = SweepSpec("x", 1.0, 1.0)
+        assert RunConfig("functions", sweep, tolerance=MIN_RTOL)
+        with pytest.raises(ValueError, match="tolerance"):
+            RunConfig("functions", sweep, tolerance=0.5 * MIN_RTOL)
+        # nested rules refine their inner integral to a tenth of the run's
+        assert QuadratureSpec(rtol=0.1 * MIN_RTOL)
 
     def test_rejects_wrong_axis_and_unknown_parameter(self):
         with pytest.raises(ValueError):
@@ -410,8 +418,12 @@ class TestMain:
         (["functions", "--x-min", "1", "--x-max", "2", "--count", "1"],
          None, "count"),
         (["functions", "--x", "1", "--scale", "log"], None, "scale"),
+        (["casimir", "--omega-a", "1", "--tolerance", "1e-14"], None,
+         "tolerance"),
+        (["casimir", "--omega-a", "1"], "1e-14", "tolerance"),
     ], ids=["tolerance-flag", "tolerance-env", "count-one-range",
-            "scale-single-value"])
+            "scale-single-value", "tolerance-floor-flag",
+            "tolerance-floor-env"])
     def test_dropped_or_unusable_option_exits_two(self, argv, env, named,
                                                   monkeypatch, capsys):
         if env is None:
