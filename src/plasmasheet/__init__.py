@@ -3,150 +3,19 @@
 A single parameter Omega (charge density times e^2/m) controls the sheet;
 Omega -> infinity recovers the ideal conductor. Units: hbar = c = 1,
 Heaviside-Lorentz charges.
+
+The package root re-exports the ``__all__`` of each physics module;
+``numerics`` and ``cli`` stay in their submodules.
 """
 
-from .casimir import (
-    IDEAL_REDUCED_ENERGY,
-    IDEAL_REDUCED_PRESSURE,
-    CasimirResult,
-    casimir_result,
-    lifshitz_energy_per_area,
-    lifshitz_pressure,
-    reduced_energy_and_pressure,
-    reduced_energy_parts,
-)
-from .errors import (
-    BracketError,
-    DegenerateMomentumError,
-    IterationLimitError,
-    OnLightConeError,
-    PathDisagreementError,
-    SheetModelError,
-    ToleranceNotMet,
-)
-from .polder import (
-    BULK_CONDUCTOR_CP_COEFFICIENT,
-    IDEAL_SHEET_CP_COEFFICIENT,
-    AtomProperties,
-    ReductionFunctions,
-    casimir_polder_energy,
-    charge_sheet_energies,
-    charge_sheet_energy,
-    delta1,
-    delta1_integral_form,
-    electrostatic_shift,
-    f_te,
-    f_tm,
-    g_3,
-    g_te,
-    g_tm,
-    h_3,
-    h_parallel,
-    image_potential,
-    reduction_functions,
-)
-from .sheet import (
-    EuclideanMomentum,
-    MinkowskiMomentum,
-    PlasmonBranch,
-    PolarizationBasis,
-    SheetParameters,
-    gamma_minkowski,
-    matching_residual,
-    plasmon_branch,
-    polarization_basis,
-    reflection_coefficients,
-    reflection_te,
-    reflection_te_euclidean,
-    reflection_tm,
-    reflection_tm_euclidean,
-    scalar_propagator,
-    scalar_reflection,
-    te_plasmon_exists,
-    tm_plasmon_closed,
-    tm_plasmon_root,
-)
-from .sphere import (
-    JostEvaluation,
-    SphericalShell,
-    ZeroCandidate,
-    evaluate_jost,
-    jost_te,
-    jost_tm,
-    radial_propagator_dl,
-    scan_real_zeros,
-    tm_flat_limit,
-)
+from . import casimir, errors, polder, sheet, sphere
+from .casimir import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .polder import *  # noqa: F401,F403
+from .sheet import *  # noqa: F401,F403
+from .sphere import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "SheetModelError",
-    "ToleranceNotMet",
-    "IterationLimitError",
-    "BracketError",
-    "OnLightConeError",
-    "DegenerateMomentumError",
-    "PathDisagreementError",
-    # sheet
-    "SheetParameters",
-    "MinkowskiMomentum",
-    "EuclideanMomentum",
-    "gamma_minkowski",
-    "reflection_te",
-    "reflection_tm",
-    "reflection_coefficients",
-    "reflection_te_euclidean",
-    "reflection_tm_euclidean",
-    "scalar_reflection",
-    "scalar_propagator",
-    "matching_residual",
-    "PolarizationBasis",
-    "polarization_basis",
-    "tm_plasmon_closed",
-    "tm_plasmon_root",
-    "te_plasmon_exists",
-    "PlasmonBranch",
-    "plasmon_branch",
-    # casimir
-    "IDEAL_REDUCED_ENERGY",
-    "IDEAL_REDUCED_PRESSURE",
-    "reduced_energy_parts",
-    "reduced_energy_and_pressure",
-    "lifshitz_energy_per_area",
-    "lifshitz_pressure",
-    "CasimirResult",
-    "casimir_result",
-    # polder
-    "IDEAL_SHEET_CP_COEFFICIENT",
-    "BULK_CONDUCTOR_CP_COEFFICIENT",
-    "AtomProperties",
-    "ReductionFunctions",
-    "reduction_functions",
-    "f_te",
-    "f_tm",
-    "h_parallel",
-    "h_3",
-    "g_te",
-    "g_tm",
-    "g_3",
-    "image_potential",
-    "electrostatic_shift",
-    "delta1",
-    "delta1_integral_form",
-    "charge_sheet_energy",
-    "charge_sheet_energies",
-    "casimir_polder_energy",
-    # sphere
-    "SphericalShell",
-    "JostEvaluation",
-    "ZeroCandidate",
-    "radial_propagator_dl",
-    "jost_te",
-    "jost_tm",
-    "evaluate_jost",
-    "scan_real_zeros",
-    "tm_flat_limit",
-]
+__all__ = ["__version__", *errors.__all__, *sheet.__all__, *casimir.__all__,
+           *polder.__all__, *sphere.__all__]

@@ -139,7 +139,7 @@ class SweepTable:
 class ParamSpec:
     """One option of a command: a long flag and a config-file key.
 
-    ``parse`` turns the option's text into its value: ``float``, ``int``,
+    ``parse`` turns the option's text into its value: ``_finite``, ``int``,
     ``str``, ``_flag`` or ``_choice(...)``. ``default`` is the value when the
     option is not given; None leaves it unset.
     """
@@ -149,6 +149,19 @@ class ParamSpec:
     default: object
     help: str
     metavar: str = None
+
+
+def _finite(text):
+    """Float of an option's text; nan and the infinities are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        # argparse prints this message after the flag's name
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return value
 
 
 def _flag(text):
@@ -310,8 +323,8 @@ COMMANDS = {
         axis="kpar",
         help="reflection coefficients rTE, rTM against parallel momentum",
         fixed=(
-            ParamSpec("omega", float, 1.0, "sheet coupling Omega"),
-            ParamSpec("k0", float, 1.0, "frequency held fixed in the sweep"),
+            ParamSpec("omega", _finite, 1.0, "sheet coupling Omega"),
+            ParamSpec("k0", _finite, 1.0, "frequency held fixed in the sweep"),
         ),
         build=_build_reflection,
     ),
@@ -319,7 +332,7 @@ COMMANDS = {
         axis="kpar",
         help="TM surface-plasmon frequency, closed form vs root finder",
         fixed=(
-            ParamSpec("omega", float, 1.0, "sheet coupling Omega"),
+            ParamSpec("omega", _finite, 1.0, "sheet coupling Omega"),
         ),
         build=_build_dispersion,
     ),
@@ -327,7 +340,7 @@ COMMANDS = {
         axis="omega_a",
         help="two-sheet energy a^3 E per area against the coupling Omega a",
         fixed=(
-            ParamSpec("a", float, 1.0, "sheet separation"),
+            ParamSpec("a", _finite, 1.0, "sheet separation"),
             ParamSpec("raw_units", _flag, False,
                       "add energy-per-area and pressure columns at this a"),
         ),
@@ -337,14 +350,14 @@ COMMANDS = {
         axis="omega_a",
         help="atom-sheet energy shift a^4 E against the coupling Omega a",
         fixed=(
-            ParamSpec("a", float, 1.0, "atom-sheet distance"),
-            ParamSpec("isotropic_alpha", float, None,
+            ParamSpec("a", _finite, 1.0, "atom-sheet distance"),
+            ParamSpec("isotropic_alpha", _finite, None,
                       "isotropic polarizability (overrides alpha1..alpha3)"),
-            ParamSpec("alpha1", float, 0.0, "in-plane polarizability"),
-            ParamSpec("alpha2", float, 0.0, "in-plane polarizability"),
-            ParamSpec("alpha3", float, 0.0, "normal polarizability"),
-            ParamSpec("e", float, 1.0, "charge"),
-            ParamSpec("m", float, 1.0, "mass"),
+            ParamSpec("alpha1", _finite, 0.0, "in-plane polarizability"),
+            ParamSpec("alpha2", _finite, 0.0, "in-plane polarizability"),
+            ParamSpec("alpha3", _finite, 0.0, "normal polarizability"),
+            ParamSpec("e", _finite, 1.0, "charge"),
+            ParamSpec("m", _finite, 1.0, "mass"),
             ParamSpec("raw_units", _flag, False,
                       "add the dimensionful energy column at this a"),
         ),
@@ -354,11 +367,11 @@ COMMANDS = {
         axis="omega_a",
         help="charge-sheet energy, electrostatic and kinetic parts",
         fixed=(
-            ParamSpec("a", float, 1.0, "charge-sheet distance"),
-            ParamSpec("e", float, 1.0, "charge"),
-            ParamSpec("m", float, 1.0, "mass"),
-            ParamSpec("p2par", float, 0.0, "in-plane momentum expectation"),
-            ParamSpec("p23", float, 0.0, "normal momentum expectation"),
+            ParamSpec("a", _finite, 1.0, "charge-sheet distance"),
+            ParamSpec("e", _finite, 1.0, "charge"),
+            ParamSpec("m", _finite, 1.0, "mass"),
+            ParamSpec("p2par", _finite, 0.0, "in-plane momentum expectation"),
+            ParamSpec("p23", _finite, 0.0, "normal momentum expectation"),
         ),
         build=_build_charge,
     ),
@@ -367,8 +380,8 @@ COMMANDS = {
         help="spherical-shell Jost functions gTE, gTM against k0 R",
         fixed=(
             ParamSpec("l", int, 1, "partial-wave order (>= 1)"),
-            ParamSpec("omega_r", float, 1.0, "shell coupling Omega R"),
-            ParamSpec("radius", float, 1.0, "shell radius"),
+            ParamSpec("omega_r", _finite, 1.0, "shell coupling Omega R"),
+            ParamSpec("radius", _finite, 1.0, "shell radius"),
         ),
         build=_build_sphere,
     ),
@@ -390,15 +403,17 @@ def _options(command):
     spec = COMMANDS[command]
     axis = spec.axis
     return (
-        ParamSpec(axis, float, None, f"evaluate at a single {axis} value",
+        ParamSpec(axis, _finite, None, f"evaluate at a single {axis} value",
                   "VALUE"),
-        ParamSpec(axis + "_min", float, None, "sweep range lower end", "MIN"),
-        ParamSpec(axis + "_max", float, None, "sweep range upper end", "MAX"),
+        ParamSpec(axis + "_min", _finite, None, "sweep range lower end",
+                  "MIN"),
+        ParamSpec(axis + "_max", _finite, None, "sweep range upper end",
+                  "MAX"),
         ParamSpec("count", int, None,
                   f"number of sweep points (default {DEFAULT_COUNT})"),
         ParamSpec("scale", _choice("linear", "log"), "linear", "grid spacing"),
         *spec.fixed,
-        ParamSpec("tolerance", float, None,
+        ParamSpec("tolerance", _finite, None,
                   "relative tolerance for quadratures"),
         ParamSpec("format", _choice("csv", "json"), "csv", "output format"),
         ParamSpec("output", str, "-", "output path, or - for stdout", "PATH"),
@@ -467,7 +482,7 @@ def _assemble(command, file_strings, overrides):
     for key, text in file_strings.items():
         try:
             given[key] = options[key].parse(text)
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"config key {key!r}: {exc}") from None
     given.update((key, value) for key, value in overrides.items()
                  if value is not None)

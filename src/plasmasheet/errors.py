@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "SheetModelError",
+    "ToleranceNotMet",
+    "IterationLimitError",
+    "BracketError",
+    "OnLightConeError",
+    "DegenerateMomentumError",
+    "PathDisagreementError",
+]
+
 
 class SheetModelError(Exception):
     """Base class for numerics and physics failures raised by this package."""

@@ -2,8 +2,11 @@
 
 Plain numerics, no sheet physics. Two fixed rules that take array-valued
 integrands (a trapezoidal rule in ln k for e^-k weighted integrals, and
-Gauss-Legendre), QUADPACK and bisection sit behind small contracts that fail
-loudly instead of returning silently inaccurate numbers.
+Gauss-Legendre) and bisection sit behind small contracts that fail loudly
+instead of returning silently inaccurate numbers. The QUADPACK wrappers
+``integrate_adaptive`` and ``integrate_semi_infinite`` keep the same
+contract, but no package code calls them: they stay only because the
+benchmark tracer in ``perfbench/tracing.py`` wraps them by name.
 
 The spherical Bessel functions come from one primitive, ``_sph_jh``, that
 makes one scipy call per function over all requested orders. A real

@@ -11,7 +11,7 @@ Units: hbar = c = 1, Heaviside-Lorentz (Coulomb potential e^2/(4 pi r)).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -81,6 +81,10 @@ class AtomProperties:
     quadrupole: float = 0.0
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
         if not self.m > 0.0:
             raise ValueError("mass must be positive")
         if min(self.alpha1, self.alpha2, self.alpha3) < 0.0:

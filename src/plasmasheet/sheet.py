@@ -409,19 +409,26 @@ def tm_plasmon_root(kpar, sheet, tol=1e-12):
     """Surface plasmon frequency found as a bracketed root.
 
     Solves k0^2 = (Omega/2) sqrt(kpar^2 - k0^2) on (0, kpar) without using
-    the closed form; the residual is certified against the natural scale
-    Omega * kpar.
+    the closed form. With k0 = kpar sin t and s = tan(t/2) it reads
+    g(s) = 4 kpar s^2 - (Omega/2)(1 - s^4) = 0 on (0, 1), which keeps its
+    digits where k0 is within an ulp of kpar (kpar << Omega), and
+    k0 = 2 kpar s/(1 + s^2). Since k0^2 - (Omega/2) Gamma =
+    kpar g(s)/(1 + s^2)^2, the residual bound 1e-10 * Omega * kpar on the
+    equation of motion is |g(s)| <= 1e-10 * Omega * (1 + s^2)^2.
     """
     kpar = _plasmon_momenta(kpar, sheet)
     om = sheet.omega
 
-    def eom(k0):
-        return k0 * k0 - 0.5 * om * np.sqrt(np.maximum(kpar * kpar - k0 * k0, 0.0))
+    def g(s):
+        s2 = s * s
+        return 4.0 * kpar * s2 - 0.5 * om * (1.0 - s2 * s2)
 
-    root = find_root_bracketed(eom, 0.0, kpar, tol=tol)
-    if not (np.abs(eom(root)) <= 1e-10 * om * kpar).all():
+    s = find_root_bracketed(g, 0.0, np.ones_like(kpar), tol=tol)
+    s2 = s * s
+    if not (np.abs(g(s)) <= 1e-10 * om * (1.0 + s2) ** 2).all():
         raise IterationLimitError("dispersion residual above 1e-10 * Omega * kpar")
-    return root
+    k0 = 2.0 * kpar * s / (1.0 + s2)
+    return float(k0) if k0.ndim == 0 else k0
 
 
 def te_plasmon_exists(kpar, sheet, samples=201):

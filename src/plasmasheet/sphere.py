@@ -61,10 +61,10 @@ class SphericalShell:
     omega: float
 
     def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ValueError("radius must be positive")
-        if self.omega < 0.0:
-            raise ValueError("omega must be non-negative")
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise ValueError("radius must be finite and positive")
+        if not (math.isfinite(self.omega) and self.omega >= 0.0):
+            raise ValueError("omega must be finite and non-negative")
 
 
 @dataclass(frozen=True)

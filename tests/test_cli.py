@@ -210,7 +210,15 @@ def _option_sample(option, tmp_path):
         return str(tmp_path / "table.csv")
     if option.name == "tolerance":
         return "1e-4"
-    return {int: "2" if option.name == "l" else "3", float: "0.25"}[parse]
+    return {int: "2" if option.name == "l" else "3",
+            cli._finite: "0.25"}[parse]
+
+
+def _takes_a_float(option):
+    try:
+        return type(option.parse("0.25")) is float
+    except ValueError:
+        return False
 
 
 def _argv(command, values):
@@ -439,6 +447,46 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert named in captured.err
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_non_finite_float_option_exits_two(self, command, text, tmp_path,
+                                               monkeypatch, capsys):
+        def no_rows(config):
+            raise AssertionError("no row may be computed")
+
+        monkeypatch.setattr(cli, "run", no_rows)
+        axis = COMMANDS[command].axis
+        floats = [option for option in cli._options(command)
+                  if _takes_a_float(option)]
+        assert {axis, "tolerance"} <= {option.name for option in floats}
+        for option in floats:
+            base = ({} if option.name == axis
+                    else {axis + "_min": "0.1", axis + "_max": "2"})
+            base.pop(option.name, None)
+            flag = "--" + option.name.replace("_", "-")
+            # "=" keeps argparse from reading "-inf" as a flag
+            with pytest.raises(SystemExit) as info:
+                main(_argv(command, base) + [f"{flag}={text}"])
+            assert info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{flag}: expected a finite number" in captured.err
+            path = tmp_path / "bad.conf"
+            path.write_text(f"{option.name}={text}\n")
+            assert main(_argv(command, base) + ["--config", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert (f"config key {option.name!r}: expected a finite number"
+                    in captured.err)
+
+    def test_dispersion_covers_its_stated_domain(self, capsys):
+        assert main(["dispersion", "--omega", "1", "--kpar-min", "1e-12",
+                     "--kpar-max", "1e8", "--count", "81", "--scale",
+                     "log"]) == 0
+        rows = data_section(capsys.readouterr().out).splitlines()[1:]
+        assert len(rows) == 81
+        assert all(row.endswith(",") for row in rows)
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as info:

@@ -56,6 +56,13 @@ class TestAtomProperties:
         with pytest.raises(ValueError):
             AtomProperties(p23=-0.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["e", "m", "alpha1", "alpha2", "alpha3",
+                                      "p2par", "p23", "quadrupole"])
+    def test_rejects_non_finite_fields(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            AtomProperties(**{name: value})
+
 
 class TestImagePotential:
     def test_value_at_origin(self):

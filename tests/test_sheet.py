@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -316,6 +317,24 @@ class TestPlasmon:
         for i in (0, 17, 49):
             assert sheet.tm_plasmon_closed(float(kpar[i]), sp) == a[i]
             assert sheet.tm_plasmon_root(float(kpar[i]), sp) == b[i]
+
+    @pytest.mark.parametrize("omega", [1e-6, 1.0, 1e6])
+    def test_root_matches_mpmath_over_the_domain(self, omega):
+        # kpar/Omega in [1e-12, 1e8]: at the low end the root lies within
+        # an ulp of kpar, where the equation of motion in k0 loses half
+        # its digits
+        sp = sheet.SheetParameters(omega)
+        kpar = omega * np.geomspace(1e-12, 1e8, 81)
+        root = sheet.tm_plasmon_root(kpar, sp)
+        with mpmath.workdps(50):
+            om = mpmath.mpf(omega)
+            for kp, k0 in zip(kpar, root):
+                kp = mpmath.mpf(kp)
+                root_term = mpmath.sqrt(om * om + 16 * kp * kp)
+                exact = mpmath.sqrt(2 * om * kp * kp / (root_term + om))
+                assert abs(float(k0) - exact) <= 1e-15 * exact, float(kp / om)
+        for i in (0, 40, 80):
+            assert sheet.tm_plasmon_root(float(kpar[i]), sp) == root[i]
 
     def test_below_light_cone(self):
         sp = sheet.SheetParameters(2.7)

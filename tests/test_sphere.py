@@ -42,6 +42,13 @@ class TestSphericalShell:
         with pytest.raises(ValueError):
             SphericalShell(radius=1.0, omega=-0.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_fields(self, value):
+        with pytest.raises(ValueError, match="radius must be finite"):
+            SphericalShell(radius=value, omega=1.0)
+        with pytest.raises(ValueError, match="omega must be finite"):
+            SphericalShell(radius=1.0, omega=value)
+
     def test_transparent_shell_is_allowed(self):
         shell = SphericalShell(radius=1.0, omega=0.0)
         assert shell.omega == 0.0
