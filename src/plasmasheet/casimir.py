@@ -107,9 +107,8 @@ def _energy_and_slope(x, rtol, te_coeff=_te_euclidean, tm_coeff=_tm_euclidean):
     def parts(k):
         te, te_slope = _log_terms(k, k / x, te_coeff(0.5 * k, x))
         rb = np.sqrt(k / x)
-        k_col, rb_col = k[:, None], rb[:, None]
 
-        def angular(s):
+        def angular(s, k_col, rb_col):
             t = s * s
             sinh = np.sinh(t)
             r = tm_coeff(0.5 * k_col, sinh / rb_col, x)
@@ -118,7 +117,8 @@ def _energy_and_slope(x, rtol, te_coeff=_te_euclidean, tm_coeff=_tm_euclidean):
             return out
 
         tm, tm_slope = integrate_legendre(
-            angular, np.sqrt(np.arcsinh(rb)), inner_spec) / rb
+            angular, np.sqrt(np.arcsinh(rb)), inner_spec,
+            k[:, None], rb[:, None]) / rb
         return k * k * np.stack((te, tm, te_slope + tm_slope))
 
     te, tm, slope = _NORM * integrate_exponential_weight(parts, outer_spec)

@@ -42,7 +42,7 @@ import numpy as np
 from . import __version__
 from .casimir import reduced_energy_and_pressure
 from .errors import SheetModelError
-from .numerics import MAX_RTOL, MIN_RTOL
+from .numerics import MAX_RTOL, MIN_RTOL, divide_by_power
 from .polder import (
     AtomProperties,
     casimir_polder_energy,
@@ -225,7 +225,8 @@ def _build_casimir(fixed, tolerance):
         cells = ((total, te / total, tm / total) if total != 0.0
                  else (total, 0.0, 1.0))
         if raw:
-            cells += (total / a**3, pressure / a**4)
+            cells += (divide_by_power(total, a, 3),
+                      divide_by_power(pressure, a, 4))
         return cells
 
     columns = [("a3_energy", "float"), ("te_share", "float"),
@@ -251,9 +252,10 @@ def _build_casimir_polder(fixed, tolerance):
     raw = fixed["raw_units"]
 
     def row(x):
-        sheet = SheetParameters(omega=x / a)
-        value = casimir_polder_energy(a, sheet, atom, rtol=tolerance)
-        return (value * a**4, value) if raw else (value * a**4,)
+        # a^4 E depends on x alone: the energy at unit distance
+        reduced = casimir_polder_energy(1.0, SheetParameters(omega=x), atom,
+                                        rtol=tolerance)
+        return (reduced, divide_by_power(reduced, a, 4)) if raw else (reduced,)
 
     columns = [("a4_energy", "float")]
     if raw:

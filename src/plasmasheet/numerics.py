@@ -3,7 +3,11 @@
 Plain numerics, no sheet physics. Two fixed rules that take array-valued
 integrands (a trapezoidal rule in ln k for e^-k weighted integrals, and
 Gauss-Legendre) and bisection sit behind small contracts that fail loudly
-instead of returning silently inaccurate numbers. The QUADPACK wrappers
+instead of returning silently inaccurate numbers. The log-k rule refines
+all its integrands together. Gauss-Legendre refines each element (each
+upper limit) on its own: an element is final at its first pair of agreeing
+orders, and the integrand sees only the elements still refining, with
+their rows of any per-element parameter arrays. The QUADPACK wrappers
 ``integrate_adaptive`` and ``integrate_semi_infinite`` keep the same
 contract, but no package code calls them: they stay only because the
 benchmark tracer in ``perfbench/tracing.py`` wraps them by name.
@@ -40,6 +44,7 @@ __all__ = [
     "integrate_legendre",
     "integrate_adaptive",
     "integrate_semi_infinite",
+    "divide_by_power",
     "find_root_bracketed",
     "spherical_bessel_j",
     "spherical_hankel1",
@@ -189,31 +194,84 @@ def integrate_exponential_weight(f, spec=None):
     return float(result) if np.ndim(result) == 0 else result
 
 
-def integrate_legendre(f, hi, spec=None):
-    """Integrals of f(t) over t in [0, hi] for an array of upper limits hi.
+def integrate_legendre(f, hi, spec=None, *params):
+    """Integrals of f(t) over t in [0, hi] for a float or 1-d array of hi.
 
-    Gauss-Legendre rules starting at ``spec.order`` nodes, doubling the
-    order until two successive orders agree to ``spec.rtol`` for every
-    element. f receives the nodes as an array of shape hi.shape + (order,)
-    and returns values of the same shape.
+    Each element, one upper limit, refines on its own: Gauss-Legendre rules
+    start at ``spec.order`` nodes and double the order until two successive
+    orders agree to ``spec.rtol``. An element is final at its first pair of
+    agreeing orders and keeps the higher order's value; only the elements
+    that have not converged are evaluated at the next order.
+
+    Parameters
+    ----------
+    f : callable
+        Called as ``f(t, *rows)``. t has shape (m, order): the nodes of the
+        m elements still refining. rows are the rows of the ``params`` arrays
+        for those elements. Returns an array of shape (..., m, order); the
+        leading axes hold several integrands on the same nodes, and an
+        element is final when all of them agree.
+    hi : float or 1-d array
+        Upper limits, one per element.
+    spec : QuadratureSpec, optional
+        Tolerances and starting order.
+    *params : arrays
+        Per-element parameters, one row per element of hi along axis 0.
+
+    Returns
+    -------
+    Array of shape (...,) + hi.shape; a float for a float hi and a single
+    integrand.
 
     Raises
     ------
     ToleranceNotMet
-        When two orders up to 512 never agree.
+        When some element's orders up to 512 never agree. Its ``estimate``
+        holds every element's latest value, and ``error_bound`` the largest
+        gap of the elements that did not converge.
     """
     if spec is None:
         spec = QuadratureSpec()
-    hi = np.asarray(hi, dtype=float)[..., None]
-
-    def orders():
-        order = spec.order
-        while order <= _LEGENDRE_MAX_ORDER:
-            nodes, weights = _legendre_rule(order)
-            yield np.sum(weights * f(hi * nodes), axis=-1) * hi[..., 0]
-            order *= 2
-
-    return _refine(orders(), spec, "Gauss-Legendre order doubling")
+    shape = np.shape(hi)
+    hi = np.asarray(hi, dtype=float).reshape(-1)
+    # index: the element of each row of lim, rows and cur still refining;
+    # result holds the final values once some elements have left
+    index = np.arange(hi.size)
+    lim, rows = hi, params
+    result = prev = None
+    gap = math.inf
+    order = spec.order
+    while order <= _LEGENDRE_MAX_ORDER:
+        nodes, weights = _legendre_rule(order)
+        cur = np.sum(weights * f(lim[:, None] * nodes, *rows), axis=-1) * lim
+        if prev is not None:
+            diff = np.abs(cur - prev)
+            agree = diff <= spec.rtol * np.abs(cur) + _ABS_FLOOR
+            if agree.all():
+                if result is not None:
+                    result[..., index] = cur
+                    cur = result
+                cur = cur.reshape(cur.shape[:-1] + shape)
+                return float(cur) if cur.ndim == 0 else cur
+            done = agree.reshape(-1, index.size).all(axis=0)
+            if done.any():
+                if result is None:
+                    result = np.empty(cur.shape[:-1] + hi.shape)
+                result[..., index[done]] = cur[..., done]
+                keep = ~done
+                index, lim, cur, diff = (index[keep], lim[keep], cur[..., keep],
+                                         diff[..., keep])
+                rows = [row[keep] for row in rows]
+            gap = float(np.max(diff))
+        prev = cur
+        order *= 2
+    if result is not None:
+        result[..., index] = prev
+        prev = result
+    raise ToleranceNotMet(
+        f"Gauss-Legendre order doubling did not reach rtol {spec.rtol:g}",
+        estimate=None if prev is None else prev.reshape(prev.shape[:-1] + shape),
+        error_bound=gap)
 
 
 def integrate_adaptive(f, lo, hi, spec=None, full_result=False):
@@ -276,6 +334,26 @@ def integrate_semi_infinite(f, spec=None, scale=1.0):
         return fk * scale / (u * u)
 
     return integrate_adaptive(transformed, 0.0, 1.0, spec)
+
+
+def divide_by_power(value, base, n):
+    """value / base**n for a positive float base, without forming base**n.
+
+    base**n alone over- or underflows where the quotient may still be a
+    float. With base = m 2^e (m in [0.5, 1)), the quotient is
+    (value / m**n) 2^(-n e); the last step is exact for a normal quotient.
+    A quotient below the float range comes back as 0 or subnormal; one
+    above it raises ValueError.
+    """
+    mantissa, exponent = math.frexp(base)
+    try:
+        quotient = math.ldexp(value / mantissa**n, -n * exponent)
+    except OverflowError:
+        quotient = math.inf
+    if math.isinf(quotient):
+        raise ValueError(f"{value:.17g} / {base:.17g}**{n} is beyond the "
+                         "float range")
+    return quotient
 
 
 def find_root_bracketed(f, lo, hi, tol=1e-12, maxiter=200):

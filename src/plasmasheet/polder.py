@@ -20,6 +20,7 @@ from .errors import PathDisagreementError
 # bound: perfbench/tracing.py wraps them by name in this module.
 from .numerics import (  # noqa: F401
     QuadratureSpec,
+    divide_by_power,
     integrate_adaptive,
     integrate_exponential_weight,
     integrate_legendre,
@@ -99,6 +100,7 @@ class AtomProperties:
 
 
 _SHAPE_NAMES = ("fTE", "fTM", "hPar", "h3", "gTE", "gTM", "g3")
+_G_NAMES = ("gTE", "gTM", "g3")
 
 
 @dataclass(frozen=True)
@@ -175,17 +177,21 @@ _TRANSVERSE_ANGULAR_SERIES = _series(
     lambda m: 1.0 / (2 * m + 1) - 1.0 / (2 * m + 3))
 
 
-def _closed_or_series(b, closed, series):
-    """closed(b) where b >= 0.5, the power series below."""
+def _closed_or_series(b, closed, *series):
+    """closed(b) where b >= 0.5, the power series below: one row per series.
+
+    closed returns one row per series; all rows share the powers of b.
+    """
     b = np.asarray(b, dtype=float)
-    out = np.empty_like(b)
+    coeffs = np.array(series)
+    out = np.empty((len(series),) + b.shape)
     large = b >= 0.5
-    out[large] = closed(b[large])
+    out[:, large] = closed(b[large])
     small = b[~large, None]
     powers = np.cumprod(
-        np.broadcast_to(small, (small.size, len(series) - 1)), axis=1)
-    out[~large] = series[0] + powers @ series[1:]
-    return out[()]
+        np.broadcast_to(small, (small.size, coeffs.shape[1] - 1)), axis=1)
+    out[:, ~large] = coeffs[:, :1] + (powers @ coeffs[:, 1:].T).T
+    return out
 
 
 def _atan_ratio(b):
@@ -197,22 +203,25 @@ def _atan_ratio(b):
 def _one_minus_atan_ratio(b):
     """1 - arctan(sqrt(b))/sqrt(b), stable down to b = 0."""
     return _closed_or_series(b, lambda b: 1.0 - _atan_ratio(b),
-                             _ONE_MINUS_ATAN_SERIES)
+                             _ONE_MINUS_ATAN_SERIES)[0]
 
 
-def _tm_angular(b):
-    """Int_0^1 deps (eps^4 + (1-eps^2)^2)/(1 + eps^2 b); equals 11/15 at b=0."""
-    return _closed_or_series(
-        b, lambda b: (2.0 / (3.0 * b) - 2.0 * (1.0 + b) / (b * b)
-                      + ((b * b + 2.0 * b + 2.0) / (b * b)) * _atan_ratio(b)),
-        _TM_ANGULAR_SERIES)
+def _g_angular(b):
+    """Closed angular factors (A_TM, A_3) of g_tm and g_3, stacked in rows.
 
+    A_TM = Int_0^1 deps (eps^4 + (1-eps^2)^2)/(1 + eps^2 b), 11/15 at b = 0;
+    A_3 = Int_0^1 deps (1 - eps^2)/(1 + eps^2 b), 2/3 at b = 0. The rows
+    share arctan(sqrt b)/sqrt b and the powers of b.
+    """
+    def closed(b):
+        b2 = b * b
+        ratio = _atan_ratio(b)
+        return (2.0 / (3.0 * b) - 2.0 * (1.0 + b) / b2
+                + ((b2 + 2.0 * b + 2.0) / b2) * ratio,
+                -1.0 / b + ((1.0 + b) / b) * ratio)
 
-def _transverse_angular(b):
-    """Int_0^1 deps (1 - eps^2)/(1 + eps^2 b); equals 2/3 at b=0."""
-    return _closed_or_series(
-        b, lambda b: -1.0 / b + ((1.0 + b) / b) * _atan_ratio(b),
-        _TRANSVERSE_ANGULAR_SERIES)
+    return _closed_or_series(b, closed, _TM_ANGULAR_SERIES,
+                             _TRANSVERSE_ANGULAR_SERIES)
 
 
 # Couplings per stacked kinetic integral in charge_sheet_energies.
@@ -258,97 +267,122 @@ def _require_agreement(label, first, second, tol=PATH_AGREEMENT_TOL):
             % (label, first, second, gap))
 
 
-def g_te(x, rtol=1e-8):
-    """TE Casimir-Polder reduction, (1/6) Int k^3 e^-k/(1 + k/x)."""
-    _require_positive(x)
-    return integrate_exponential_weight(
-        lambda k: k**3 / (1.0 + k / x), QuadratureSpec(rtol=rtol)) / 6.0
+def _g_closed(k, x):
+    """Closed-route integrands of gTE, gTM and g3 over k, stacked in rows."""
+    b = k / x
+    k3 = k**3
+    a_tm, a_3 = _g_angular(b)
+    return np.stack((k3 / (1.0 + b), k3 * a_tm, k3 * a_3))
 
 
-def _dual_angular_reduction(x, rtol, prefactor, angular_closed, angular_poly,
-                            label):
-    """Outer k-integral of k^3 times an angular factor, evaluated twice.
-
-    The closed route uses the closed angular form and is integrated to
-    rtol. The check route re-integrates the angular factor
-    Int_0^1 P(eps)/(1 + eps^2 b) deps as a tensor-product rule: the same
-    log-k rule in k times Gauss-Legendre in t, where eps = sinh(t)/sqrt(b)
-    turns it into b^-1/2 Int_0^asinh(sqrt b) P(sinh(t)/sqrt(b))/cosh(t) dt.
-    The check route is integrated to _INTERNAL_RTOL; the routes must agree
-    to max(PATH_AGREEMENT_TOL, rtol).
-    """
-    closed = prefactor * integrate_exponential_weight(
-        lambda k: k**3 * angular_closed(k / x), QuadratureSpec(rtol=rtol))
-
-    inner_spec = QuadratureSpec(order=32, rtol=0.1 * _INTERNAL_RTOL)
-
-    def angular_by_quadrature(k):
-        rb = np.sqrt(k / x)
-        return integrate_legendre(
-            lambda t: angular_poly(np.sinh(t) / rb[:, None]) / np.cosh(t),
-            np.arcsinh(rb), inner_spec) / rb
-
-    double = prefactor * integrate_exponential_weight(
-        lambda k: k**3 * angular_by_quadrature(k),
-        QuadratureSpec(rtol=_INTERNAL_RTOL))
-
-    _require_agreement(label, closed, double, max(PATH_AGREEMENT_TOL, rtol))
-    return closed, double
-
-
-def _tm_poly(eps):
+def _g_check_angular(t, rb):
+    """P(eps)/cosh(t) of A_TM and A_3, eps = sinh(t)/rb, stacked in rows."""
+    eps = np.sinh(t) / rb
     eps2 = eps * eps
-    return eps2 * eps2 + (1.0 - eps2) ** 2
+    sech = 1.0 / np.cosh(t)
+    return np.stack(((eps2 * eps2 + (1.0 - eps2) ** 2) * sech,
+                     (1.0 - eps2) * sech))
 
 
-def _transverse_poly(eps):
-    return 1.0 - eps * eps
+def _g_check(k, x, inner_spec):
+    """Check-route integrands of gTM and g3 over k, stacked in rows.
+
+    eps = sinh(t)/sqrt(b) turns each angular factor into
+    b^-1/2 Int_0^asinh(sqrt b) P(sinh(t)/sqrt(b))/cosh(t) dt, integrated by
+    Gauss-Legendre at every k; no closed arctan form is called.
+    """
+    rb = np.sqrt(k / x)
+    angular = integrate_legendre(_g_check_angular, np.arcsinh(rb),
+                                 inner_spec, rb[:, None])
+    return k**3 * (angular / rb)
+
+
+def _g_closed_routes(x, rtol):
+    """(gTE, gTM, g3) by their closed forms, as Python floats.
+
+    One stacked log-k integrand, refined until each of the three reaches
+    rtol.
+    """
+    _require_positive(x)
+    te, tm, g3 = integrate_exponential_weight(
+        lambda k: _g_closed(k, x), QuadratureSpec(rtol=rtol)).tolist()
+    return te / 6.0, 5.0 / 22.0 * tm, 0.25 * g3
+
+
+def _g_family(x, rtol):
+    """The g family at x from one pass: ((gTE, gTM, g3), (gTM, g3) checks).
+
+    Closed routes: _g_closed_routes. Check routes of gTM and g3: one stacked
+    tensor-product integrand, the log-k rule in k times Gauss-Legendre in t
+    starting at order 8, integrated to _INTERNAL_RTOL. The closed and the
+    check route of a quantity share no values. Each pair must agree to
+    max(PATH_AGREEMENT_TOL, rtol), or PathDisagreementError is raised. All
+    five values are Python floats.
+    """
+    closed = _g_closed_routes(x, rtol)
+    inner_spec = QuadratureSpec(order=8, rtol=0.1 * _INTERNAL_RTOL)
+    tm_check, g3_check = integrate_exponential_weight(
+        lambda k: _g_check(k, x, inner_spec),
+        QuadratureSpec(rtol=_INTERNAL_RTOL)).tolist()
+    check = (5.0 / 22.0 * tm_check, 0.25 * g3_check)
+    tol = max(PATH_AGREEMENT_TOL, rtol)
+    _require_agreement("g_tm", closed[1], check[0], tol)
+    _require_agreement("g_3", closed[2], check[1], tol)
+    return closed, check
+
+
+def g_te(x, rtol=1e-8):
+    """TE Casimir-Polder reduction, (1/6) Int k^3 e^-k/(1 + k/x).
+
+    The closed form is its only route. It comes from the closed routes of
+    the g-family pass (see g_tm), so it equals the gTE of
+    reduction_functions, without the check routes of g_tm and g_3.
+    """
+    return _g_closed_routes(x, rtol)[0]
 
 
 def g_tm(x, rtol=1e-8):
     """TM Casimir-Polder reduction, (5/22) Int k^3 e^-k A_TM(k/x).
 
-    Evaluated by two routes, the closed arctan form of the angular factor
-    A_TM and its re-integration over eps. The closed route is integrated to
-    rtol and returned; the check route is integrated to 1e-10. The two must
-    agree to max(PATH_AGREEMENT_TOL, rtol) (1e-8 at the default rtol), or
-    PathDisagreementError is raised.
+    Evaluated by two routes in one pass over the g family: the closed
+    arctan form of the angular factor A_TM and its re-integration over eps.
+    The closed route is integrated to rtol and returned; the check route is
+    integrated to 1e-10. The two must agree to max(PATH_AGREEMENT_TOL, rtol)
+    (1e-8 at the default rtol), or PathDisagreementError is raised; the
+    same pass checks g_3.
     """
-    _require_positive(x)
-    closed, _ = _dual_angular_reduction(x, rtol, 5.0 / 22.0, _tm_angular,
-                                        _tm_poly, "g_tm")
-    return closed
+    return _g_family(x, rtol)[0][1]
 
 
 def g_3(x, rtol=1e-8):
     """Normal-polarizability Casimir-Polder reduction.
 
-    (1/4) Int k^3 e^-k A_3(k/x), dual-route checked like g_tm: the closed
-    route is integrated to rtol and returned, the check route to 1e-10,
-    and the two must agree to max(PATH_AGREEMENT_TOL, rtol) (1e-8 at the
-    default rtol).
+    (1/4) Int k^3 e^-k A_3(k/x), from the g-family pass and dual-route
+    checked like g_tm: the closed route is integrated to rtol and returned,
+    the check route to 1e-10, and the two must agree to
+    max(PATH_AGREEMENT_TOL, rtol) (1e-8 at the default rtol).
     """
-    _require_positive(x)
-    closed, _ = _dual_angular_reduction(x, rtol, 0.25, _transverse_angular,
-                                        _transverse_poly, "g_3")
-    return closed
+    return _g_family(x, rtol)[0][2]
 
 
 def reduction_functions(x, rtol=1e-8, names=_SHAPE_NAMES):
     """Evaluate the named shape functions (all by default) once at a common x.
 
-    Shape functions not named are left as None in the returned bundle.
+    Shape functions not named are left as None in the returned bundle. Any
+    of gTE, gTM and g3 come from one g-family pass.
     """
     compute = {
         "fTE": lambda: f_te(x, rtol),
         "fTM": lambda: f_tm(x, rtol),
         "hPar": lambda: h_parallel(x, rtol),
         "h3": lambda: h_3(x),
-        "gTE": lambda: g_te(x, rtol),
-        "gTM": lambda: g_tm(x, rtol),
-        "g3": lambda: g_3(x, rtol),
     }
-    return ReductionFunctions(x=x, **{name: compute[name]() for name in names})
+    values = {}
+    if any(name in _G_NAMES for name in names):
+        values.update(zip(_G_NAMES, _g_family(x, rtol)[0]))
+    return ReductionFunctions(x=x, **{
+        name: values[name] if name in values else compute[name]()
+        for name in names})
 
 
 # ---------------------------------------------------------------------------
@@ -447,16 +481,17 @@ def charge_sheet_energies(a, x, atom, rtol=1e-8):
 def casimir_polder_energy(a, sheet, atom, rtol=1e-8):
     """Atom-sheet dispersion energy
 
-    -(1/(32 pi^2 a^4)) { (g_TE + (11/5) g_TM) (alpha1+alpha2)/4 + g_3 alpha3 }.
+    -(1/(32 pi^2 a^4)) { (g_TE + (11/5) g_TM) (alpha1+alpha2)/4 + g_3 alpha3 },
+
+    from one g-family pass. An energy below the float range comes back as
+    0; one above it raises ValueError.
     """
     _require_positive(a, "a")
     if sheet.omega == 0.0:
         return 0.0
-    x = sheet.omega * a
     alpha_par = atom.alpha1 + atom.alpha2
-    braces = 0.0
-    if alpha_par != 0.0:
-        braces += (g_te(x, rtol) + 2.2 * g_tm(x, rtol)) * alpha_par / 4.0
-    if atom.alpha3 != 0.0:
-        braces += g_3(x, rtol) * atom.alpha3
-    return -braces / (32.0 * math.pi**2 * a**4)
+    if alpha_par == 0.0 and atom.alpha3 == 0.0:
+        return 0.0
+    te, tm, normal = _g_family(sheet.omega * a, rtol)[0]
+    braces = (te + 2.2 * tm) * alpha_par / 4.0 + normal * atom.alpha3
+    return divide_by_power(-braces / (32.0 * math.pi**2), a, 4)

@@ -512,9 +512,46 @@ class TestMain:
         def broken(x, rtol=1e-8):
             raise PathDisagreementError("g_tm must not run for --family f")
 
-        monkeypatch.setattr(polder, "g_tm", broken)
+        monkeypatch.setattr(polder, "_g_family", broken)
         assert main(["functions", "--family", "f", "--x", "1"]) == 0
         assert "x,fTE,fTM,error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, base, failed", [
+        (["casimir", "--a", "1e-300", "--raw-units"], 3, True),
+        (["casimir", "--a", "1e120", "--raw-units"], 3, False),
+        (["casimir-polder", "--a", "1e100", "--isotropic-alpha", "1"], 1,
+         False),
+        (["casimir-polder", "--a", "1e100", "--isotropic-alpha", "1",
+          "--raw-units"], 1, False),
+    ], ids=["casimir-tiny-a", "casimir-huge-a", "polder-huge-a",
+            "polder-huge-a-raw"])
+    def test_extreme_distance_gives_a_row(self, argv, base, failed, capsys):
+        # the a-independent cells are those of a = 1; a raw-unit cell that
+        # underflows is 0, and one that overflows fails its row
+        assert main(argv[:1] + ["--omega-a", "1"] + argv[1:]) == int(failed)
+        header, row = data_section(capsys.readouterr().out).splitlines()
+        cells = row.split(",")
+        if failed:
+            assert all(cell == "nan" for cell in cells[1:-1])
+            assert cells[-1].startswith("ValueError: ")
+            assert "beyond the float range" in cells[-1]
+            return
+        assert cells[-1] == ""
+        unit = argv[:2] + ["1"] + [arg for arg in argv[3:]
+                                   if arg != "--raw-units"]
+        assert main(unit[:1] + ["--omega-a", "1"] + unit[1:]) == 0
+        unit_row = data_section(capsys.readouterr().out).splitlines()[1]
+        assert cells[:1 + base] == unit_row.split(",")[:1 + base]
+        assert all(float(cell) == 0.0 for cell in cells[1 + base:-1])
+
+    def test_negative_exponent_form_needs_equals(self, capsys):
+        assert main(["charge", "--omega-a", "1", "--p23", "1",
+                     "--e=-2e-1"]) == 0
+        equals_form = capsys.readouterr().out
+        assert main(["charge", "--omega-a", "1", "--p23", "1",
+                     "--e", "-0.2"]) == 0
+        assert capsys.readouterr().out == equals_form
+        assert "# e: -0.20000000000000001" in equals_form
 
     def test_readme_examples_exit_zero(self, monkeypatch, capsys):
         monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)

@@ -127,8 +127,69 @@ class TestLegendre:
 
     def test_kink_never_agrees(self):
         spec = numerics.QuadratureSpec(rtol=1e-12)
-        with pytest.raises(ToleranceNotMet):
+        with pytest.raises(ToleranceNotMet) as info:
             numerics.integrate_legendre(lambda t: np.abs(t - 0.5), 1.0, spec)
+        assert abs(info.value.estimate - 0.25) < 1e-4
+        assert 0.0 < info.value.error_bound < 1e-4
+
+    def test_kinked_element_keeps_the_converged_ones_in_its_estimate(self):
+        # element 0 is smooth, element 1 has a kink at t = 0.5
+        spec = numerics.QuadratureSpec(rtol=1e-12)
+        with pytest.raises(ToleranceNotMet) as info:
+            numerics.integrate_legendre(
+                lambda t, kink: np.where(kink, np.abs(t - 0.5), np.cos(t)),
+                np.array([1.0, 1.0]), spec, np.array([[False], [True]]))
+        estimate = info.value.estimate
+        assert estimate.shape == (2,)
+        assert abs(estimate[0] - math.sin(1.0)) < 1e-15
+        assert abs(estimate[1] - 0.25) < 1e-4
+        assert 0.0 < info.value.error_bound < 1e-4
+
+    def test_converged_element_keeps_its_first_agreeing_pair(self):
+        # a cubic is exact at order 4, so element 0 is final at orders
+        # (4, 8) while element 1 refines on
+        spec = numerics.QuadratureSpec(order=4, rtol=1e-12)
+        hi = np.array([2.0, 30.0])
+        val = numerics.integrate_legendre(
+            lambda t, cubic: np.where(cubic, t**3, np.cos(t)), hi, spec,
+            np.array([[True], [False]]))
+        nodes, weights = numerics._legendre_rule(8)
+        assert val[0] == np.sum(weights * (2.0 * nodes) ** 3) * 2.0
+        assert abs(val[0] - 4.0) < 1e-14
+        assert abs(val[1] - math.sin(30.0)) < 1e-12
+
+    def test_f_gets_only_the_rows_still_refining(self):
+        seen = []
+
+        def f(t, rows, scale):
+            seen.append((t.shape, rows[:, 0].tolist()))
+            assert scale.shape == (len(rows), 1)
+            return np.cos(scale * t)
+
+        # the oscillation grows with the row, and so does the order it needs
+        scale = np.array([[0.5], [1.0], [20.0], [100.0]])
+        hi = np.full(4, 1.0)
+        rows = np.arange(4)[:, None]
+        spec = numerics.QuadratureSpec(order=8, rtol=1e-12)
+        val = numerics.integrate_legendre(f, hi, spec, rows, scale)
+        assert np.all(np.abs(val - np.sin(scale[:, 0]) / scale[:, 0]) < 1e-13)
+        assert seen == [((4, 8), [0, 1, 2, 3]), ((4, 16), [0, 1, 2, 3]),
+                        ((2, 32), [2, 3]), ((2, 64), [2, 3]),
+                        ((1, 128), [3]), ((1, 256), [3])]
+
+    def test_stacked_integrands_converge_together(self):
+        calls = []
+
+        def f(t):
+            calls.append(t.shape)
+            return np.stack((np.ones_like(t), np.cos(40.0 * t)))
+
+        spec = numerics.QuadratureSpec(order=4, rtol=1e-12)
+        both = numerics.integrate_legendre(f, np.array([1.0]), spec)
+        assert both.shape == (2, 1)
+        assert both[0, 0] == pytest.approx(1.0, rel=1e-15)
+        assert abs(both[1, 0] - math.sin(40.0) / 40.0) < 1e-13
+        assert len(calls) > 2
 
 
 class TestAdaptive:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -123,6 +124,33 @@ class TestShapeFunctionValues:
         assert g_tm(1.0) == pytest.approx(G_TM_1, rel=1e-10)
         assert g_3(1.0) == pytest.approx(G_3_1, rel=1e-10)
 
+    @pytest.mark.parametrize("x", [1e-9, 1e14])
+    def test_g_family_at_the_domain_edges(self, x):
+        # mpmath, 60 digits, from the closed angular factors; the points lie
+        # outside the x in [1e-6, 1e12] that the benchmark covers
+        with mpmath.workdps(60):
+            xm = mpmath.mpf(x)
+
+            def ratio(b):
+                rb = mpmath.sqrt(b)
+                return mpmath.atan(rb) / rb
+
+            def weighted(angular):
+                points = [mpmath.mpf(p) for p in sorted({0, x, 1, 10, 40})
+                          if p < 60] + [mpmath.inf]
+                return mpmath.quad(
+                    lambda k: k**3 * mpmath.exp(-k) * angular(k / xm), points)
+
+            refs = (
+                weighted(lambda b: 1 / (1 + b)) / 6,
+                mpmath.mpf(5) / 22 * weighted(
+                    lambda b: 2 / (3 * b) - 2 * (1 + b) / b**2
+                    + ((b * b + 2 * b + 2) / b**2) * ratio(b)),
+                weighted(lambda b: -1 / b + ((1 + b) / b) * ratio(b)) / 4,
+            )
+        for fn, ref in zip((g_te, g_tm, g_3), refs):
+            assert abs(fn(x) - float(ref)) <= 1e-10 * float(ref), fn.__name__
+
     def test_h3_closed_form(self):
         assert h_3(1.0) == 2.0
         assert h_3(4.0) == 1.25
@@ -192,21 +220,22 @@ class TestDualRoutes:
         # x = 10^(k/4) over [1e-6, 1e12], the whole coupling range
         for k in range(-24, 49):
             x = 10.0 ** (k / 4)
-            for args in ((5.0 / 22.0, polder._tm_angular, polder._tm_poly, "g_tm"),
-                         (0.25, polder._transverse_angular,
-                          polder._transverse_poly, "g_3")):
-                closed, check = polder._dual_angular_reduction(x, 1e-8, *args)
-                assert abs(closed - check) <= 1e-11 * closed, (x, args[-1])
+            closed, check = polder._g_family(x, 1e-8)
+            for label, value, other in zip(("g_tm", "g_3"), closed[1:], check):
+                assert abs(value - other) <= 1e-11 * value, (x, label)
 
-    @pytest.mark.parametrize("kernel, fn", [("_tm_angular", g_tm),
-                                            ("_transverse_angular", g_3)])
-    def test_perturbed_closed_form_is_caught(self, monkeypatch, kernel, fn):
-        # the check route never calls the closed forms, so a 1e-6 error in
-        # one of them must surface as a route disagreement
-        original = getattr(polder, kernel)
-        monkeypatch.setattr(polder, kernel, lambda b: original(b) * (1.0 + 1e-6))
+    @pytest.mark.parametrize("row, fn", [pytest.param(0, g_tm, id="A_TM-g_tm"),
+                                         pytest.param(1, g_3, id="A_3-g_3")])
+    def test_perturbed_closed_form_is_caught(self, monkeypatch, row, fn):
+        # the check routes never call the closed forms, so a 1e-6 error in
+        # one closed angular factor must surface as that route's disagreement
+        original = polder._g_angular
+        scale = np.ones((2, 1))
+        scale[row] += 1e-6
+        monkeypatch.setattr(polder, "_g_angular", lambda b: original(b) * scale)
         for x in (1e-3, 1.0, 1e3):
-            with pytest.raises(PathDisagreementError):
+            with pytest.raises(PathDisagreementError,
+                               match=f"^{fn.__name__} routes disagree"):
                 fn(x)
 
     def test_shape_functions_never_call_quadpack(self, monkeypatch):
@@ -242,6 +271,55 @@ class TestDualRoutes:
         fn(1.0, 1e-10)
         assert abs(loose - exact) <= 1e-4 * exact
         assert loose_calls < calls[0]
+
+    def test_family_pass_once_per_x_in_floats(self, monkeypatch):
+        passes = []
+        original = polder._g_family
+
+        def counted(x, rtol):
+            passes.append(x)
+            return original(x, rtol)
+
+        monkeypatch.setattr(polder, "_g_family", counted)
+        bundle = reduction_functions(2.5)
+        assert passes == [2.5]
+        for name in polder._SHAPE_NAMES:
+            assert type(getattr(bundle, name)) is float, name
+        passes.clear()
+        for atom in (AtomProperties.isotropic(1.0), AtomProperties(alpha1=1.0),
+                     AtomProperties(alpha3=1.0)):
+            energy = casimir_polder_energy(1.5, SheetParameters(omega=2.0),
+                                           atom)
+            assert type(energy) is float and energy < 0.0
+        assert passes == [3.0, 3.0, 3.0]
+        # g_te has one route and runs no check route
+        assert g_te(2.5) == bundle.gTE
+        assert passes == [3.0, 3.0, 3.0]
+        closed, check = original(2.5, 1e-8)
+        assert all(type(value) is float for value in closed + check)
+
+    @pytest.mark.parametrize("x", [1e-6, 1.0, 1e12])
+    def test_inner_nodes_per_x_are_pinned(self, monkeypatch, x):
+        # nodes of the check routes' inner Gauss-Legendre rule, gTM and g3
+        # together; deterministic, and 98,496 when every element ran to
+        # order 64
+        nodes = []
+        original = polder.integrate_legendre
+
+        def counted(f, hi, spec, *params):
+            def f_counted(t, *rows):
+                nodes.append(t.size)
+                return f(t, *rows)
+
+            return original(f_counted, hi, spec, *params)
+
+        monkeypatch.setattr(polder, "integrate_legendre", counted)
+        polder._g_family(x, 1e-8)
+        assert sum(nodes) <= 26000
+        first = sum(nodes)
+        nodes.clear()
+        polder._g_family(x, 1e-8)
+        assert sum(nodes) == first
 
     def test_agreement_guard_fires(self):
         with pytest.raises(PathDisagreementError):
@@ -423,6 +501,17 @@ class TestCasimirPolder:
         assert all(v < 0.0 for v in values)
         for weak, strong in zip(values, values[1:]):
             assert abs(strong) > abs(weak)
+
+    def test_extreme_distance_raises_no_arithmetic_error(self):
+        atom = AtomProperties.isotropic(1.0)
+        unit = casimir_polder_energy(1.0, SheetParameters(omega=1.0), atom)
+        # the same x = 1: the energy scales as a^-4
+        far = casimir_polder_energy(1e100, SheetParameters(omega=1e-100), atom)
+        assert far == 0.0
+        near = casimir_polder_energy(1e-70, SheetParameters(omega=1e70), atom)
+        assert near == pytest.approx(unit * 1e280, rel=1e-12)
+        with pytest.raises(ValueError, match="beyond the float range"):
+            casimir_polder_energy(1e-100, SheetParameters(omega=1e100), atom)
 
     def test_scale_collapse(self):
         atom = AtomProperties.isotropic(1.0)
