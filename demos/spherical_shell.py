@@ -12,7 +12,7 @@ import numpy as np
 
 from plasmasheet import (
     SphericalShell,
-    evaluate_jost,
+    jost_te,
     jost_tm,
     scan_real_zeros,
     tm_flat_limit,
@@ -23,9 +23,9 @@ shell = SphericalShell(radius=1.0, omega=1.0)
 print("Jost functions at Omega R = 1 (imaginary parts are always >= 0)")
 print(f"{'k0 R':>6} {'Re gTE':>10} {'Im gTE':>10} {'Re gTM':>10} {'Im gTM':>10}")
 for z in (0.5, 1.0, 3.0, 10.0):
-    result = evaluate_jost(2, z, shell)
-    print(f"{z:6.1f} {result.gTE.real:10.4f} {result.gTE.imag:10.4f}"
-          f" {result.gTM.real:10.4f} {result.gTM.imag:10.4f}")
+    te, tm = jost_te(2, z, shell), jost_tm(2, z, shell)
+    print(f"{z:6.1f} {te.real:10.4f} {te.imag:10.4f}"
+          f" {tm.real:10.4f} {tm.imag:10.4f}")
 print()
 
 print("Certified zero scan over l = 1..5, Omega R in {0.1, 1, 10}:")

@@ -29,6 +29,7 @@ import numpy as np
 # bound: perfbench/tracing.py wraps them by name in this module.
 from .numerics import (  # noqa: F401
     QuadratureSpec,
+    divide_by_power,
     integrate_adaptive,
     integrate_exponential_weight,
     integrate_legendre,
@@ -165,12 +166,7 @@ def reduced_energy_and_pressure(x, rtol=1e-8):
 
 def lifshitz_energy_per_area(a, sheet, rtol=1e-8):
     """Casimir energy per unit area of two sheets a apart (negative)."""
-    if a <= 0.0:
-        raise ValueError("distance must be positive")
-    if sheet.omega == 0.0:
-        return 0.0
-    te, tm = reduced_energy_parts(sheet.omega * a, rtol)
-    return (te + tm) / a**3
+    return casimir_result(a, sheet, rtol).energy_per_area
 
 
 def lifshitz_pressure(a, sheet, rtol=1e-8):
@@ -205,7 +201,12 @@ class CasimirResult:
 
 
 def casimir_result(a, sheet, rtol=1e-8):
-    """Bundle energy, pressure and TE/TM shares at distance a, from one pass."""
+    """Bundle energy, pressure and TE/TM shares at distance a, from one pass.
+
+    E/A = F(x)/a^3 and P = a^4 P/a^4 by divide_by_power: ValueError where
+    either lies beyond the float range, and also where either underflows to
+    0, since the result promises E < 0 and P < 0.
+    """
     if a <= 0.0:
         raise ValueError("distance must be positive")
     if sheet.omega == 0.0:
@@ -213,11 +214,16 @@ def casimir_result(a, sheet, rtol=1e-8):
                              pressure=0.0, te_share=0.0, tm_share=1.0)
     te, tm, pressure = reduced_energy_and_pressure(sheet.omega * a, rtol)
     total = te + tm
+    energy = divide_by_power(total, a, 3)
+    pressure = divide_by_power(pressure, a, 4)
+    if energy == 0.0 or pressure == 0.0:
+        raise ValueError(f"energy or pressure at a = {a:.17g} is below the "
+                         "float range")
     return CasimirResult(
         distance=a,
         omega=sheet.omega,
-        energy_per_area=total / a**3,
-        pressure=pressure / a**4,
+        energy_per_area=energy,
+        pressure=pressure,
         te_share=te / total,
         tm_share=tm / total,
     )

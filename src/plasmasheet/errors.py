@@ -43,8 +43,11 @@ class OnLightConeError(SheetModelError):
 class DegenerateMomentumError(SheetModelError):
     """Momentum configuration where the requested quantity is not defined.
 
-    Raised for vanishing parallel momentum, vanishing Euclidean radius, and
-    the coincident mirror point of the image potential.
+    Raised at kpar = 0 (scalar reflection, polarization basis), at
+    kpar <= 0 (TM plasmon frequencies, TE plasmon scan), at a vanishing
+    Euclidean radius gamma = 0, on the light cone (polarization basis), at
+    k0 = 0 (scalar and TM jump coefficients of matching_residual) and at
+    k0 = 0 on a spherical shell (Jost functions, radial propagator).
     """
 
 

@@ -342,18 +342,19 @@ def divide_by_power(value, base, n):
     base**n alone over- or underflows where the quotient may still be a
     float. With base = m 2^e (m in [0.5, 1)), the quotient is
     (value / m**n) 2^(-n e); the last step is exact for a normal quotient.
-    A quotient below the float range comes back as 0 or subnormal; one
-    above it raises ValueError.
+    value is a float, giving a float, or an array, giving an array. A
+    quotient below the float range comes back as 0 or subnormal; one above
+    it raises ValueError naming the first such value.
     """
     mantissa, exponent = math.frexp(base)
-    try:
-        quotient = math.ldexp(value / mantissa**n, -n * exponent)
-    except OverflowError:
-        quotient = math.inf
-    if math.isinf(quotient):
-        raise ValueError(f"{value:.17g} / {base:.17g}**{n} is beyond the "
+    with np.errstate(over="ignore"):
+        quotient = np.ldexp(np.divide(value, mantissa**n), -n * exponent)
+    beyond = np.isinf(quotient)
+    if beyond.any():
+        first = np.ravel(value)[np.ravel(beyond)][0]
+        raise ValueError(f"{first:.17g} / {base:.17g}**{n} is beyond the "
                          "float range")
-    return quotient
+    return quotient if np.ndim(value) else float(quotient)
 
 
 def find_root_bracketed(f, lo, hi, tol=1e-12, maxiter=200):

@@ -141,18 +141,24 @@ def image_potential(x1, x2, x3, a, e):
 
     The sheet lies in the plane at height a; a unit source at the origin sees
     the potential of a mirror charge at (0, 0, 2a), for any sheet strength.
+    A potential above the float range raises ValueError.
     """
-    distance = math.sqrt(x1 * x1 + x2 * x2 + (x3 - 2.0 * a) ** 2)
+    distance = math.hypot(x1, x2, x3 - 2.0 * a)
     if distance == 0.0:
         raise ValueError("observation point coincides with the mirror charge")
-    return e * e / (4.0 * math.pi * distance)
+    return divide_by_power(e * e / (4.0 * math.pi), distance, 1)
 
 
 def electrostatic_shift(a, atom):
-    """Static multipole interaction with the sheet, through quadrupole order."""
+    """Static multipole interaction with the sheet, through quadrupole order.
+
+    (e^2/(4 pi)) (1/(2a) + Q/(16 a^3)); a term below the float range comes
+    back as 0, and one above it raises ValueError.
+    """
     _require_positive(a, "a")
-    return (atom.e**2 / (4.0 * math.pi)) * (
-        1.0 / (2.0 * a) + atom.quadrupole / (16.0 * a**3))
+    coupling = atom.e**2 / (4.0 * math.pi)
+    return (divide_by_power(0.5 * coupling, a, 1)
+            + divide_by_power(coupling * atom.quadrupole / 16.0, a, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +230,7 @@ def _g_angular(b):
                              _TRANSVERSE_ANGULAR_SERIES)
 
 
-# Couplings per stacked kinetic integral in charge_sheet_energies.
+# Couplings per stacked h_par integral in charge_sheet_energies.
 _CHARGE_CHUNK = 1024
 
 
@@ -242,12 +248,20 @@ def f_tm(x, rtol=1e-8):
         lambda k: _one_minus_atan_ratio(k / x), QuadratureSpec(rtol=rtol))
 
 
+def _h_parallel_integrand(x):
+    """Factor of e^-k in h_par(x), for a float x or a column of them."""
+    def integrand(k):
+        b = k / x
+        return -1.0 / (1.0 + b) + 0.5 * k + 1.5 + b
+
+    return integrand
+
+
 def h_parallel(x, rtol=1e-8):
     """In-plane kinetic shape of the charge interaction; decreases to 1."""
     _require_positive(x)
-    return integrate_exponential_weight(
-        lambda k: -1.0 / (1.0 + k / x) + 0.5 * k + 1.5 + k / x,
-        QuadratureSpec(rtol=rtol))
+    return integrate_exponential_weight(_h_parallel_integrand(x),
+                                        QuadratureSpec(rtol=rtol))
 
 
 def h_3(x):
@@ -395,8 +409,9 @@ def delta1(a, sheet, atom, rtol=1e-8):
     if sheet.omega == 0.0:
         return 0.0
     x = sheet.omega * a
-    prefactor = -atom.e**2 / (32.0 * math.pi**2 * atom.m * a * a)
-    return prefactor * (f_te(x, rtol) + f_tm(x, rtol) / 3.0)
+    braces = f_te(x, rtol) + f_tm(x, rtol) / 3.0
+    return divide_by_power(-atom.e**2 / (32.0 * math.pi**2 * atom.m) * braces,
+                           a, 2)
 
 
 def delta1_integral_form(a, sheet, atom, rtol=1e-8):
@@ -426,17 +441,19 @@ def delta1_integral_form(a, sheet, atom, rtol=1e-8):
 
     radial_integral = integrate_exponential_weight(
         radial, QuadratureSpec(rtol=rtol))
-    return -(atom.e**2 / (32.0 * math.pi**2 * atom.m * a * a)) * radial_integral
+    return divide_by_power(
+        -atom.e**2 / (32.0 * math.pi**2 * atom.m) * radial_integral, a, 2)
 
 
 def charge_sheet_energy(a, sheet, atom, rtol=1e-8):
     """No-recoil energy of a single charge, as (electrostatic, kinetic).
 
     The electrostatic part -e^2/(8 pi a) is exact and sheet-independent. The
-    kinetic part integrates the explicit surface-mode pole contribution; its
-    momentum integral is evaluated in the rescaled variable q = 2 k a, which
-    makes the e^-q decay weight explicit. In shape-function terms it equals
-    -(e^2/(16 pi m^2 a)) [h_par(x) <p_par^2>/2 + (1 + 1/(2x)) <p_3^2>].
+    kinetic part, the explicit surface-mode pole contribution, is
+    -(e^2/(16 pi m^2 a)) [h_par(x) <p_par^2>/2 + (1 + 1/(2x)) <p_3^2>]: its
+    in-plane term integrates h_par, the normal term is closed. Both parts
+    follow divide_by_power: below the float range they come back as 0 or
+    subnormal, above it they raise ValueError.
     """
     electrostatic, kinetic = charge_sheet_energies(
         a, np.array([sheet.omega * a]), atom, rtol)
@@ -446,7 +463,7 @@ def charge_sheet_energy(a, sheet, atom, rtol=1e-8):
 def charge_sheet_energies(a, x, atom, rtol=1e-8):
     """charge_sheet_energy for an array of couplings x = Omega a at distance a.
 
-    Returns (electrostatic, kinetic) arrays shaped like x. The kinetic
+    Returns (electrostatic, kinetic) arrays shaped like x. The h_par
     integrals of up to _CHARGE_CHUNK couplings at a time are one stacked
     integrand of integrate_exponential_weight, refined until every one
     reaches rtol; the chunks bound the memory of a long sweep.
@@ -458,23 +475,19 @@ def charge_sheet_energies(a, x, atom, rtol=1e-8):
     if not np.all(x > 0.0):
         raise ValueError("kinetic part diverges for a transparent sheet")
 
-    def braces(xs):
-        def integrand(q):
-            par = ((1.0 / (1.0 + q / xs) - (0.5 * q + 1.5 + q / xs))
-                   * 0.5 * atom.p2par)
-            perp = (0.5 * q + 0.5 + 0.5 * q / xs) * atom.p23
-            return par - perp
-
-        return integrand
-
-    flat = x.reshape(-1, 1)
-    starts = range(0, max(len(flat), 1), _CHARGE_CHUNK)  # empty x: one chunk
-    integral = np.concatenate([
-        integrate_exponential_weight(braces(flat[start:start + _CHARGE_CHUNK]),
-                                     QuadratureSpec(rtol=rtol))
+    flat = x.reshape(-1)
+    spec = QuadratureSpec(rtol=rtol)
+    starts = range(0, max(flat.size, 1), _CHARGE_CHUNK)  # empty x: one chunk
+    h_par = np.concatenate([
+        integrate_exponential_weight(
+            _h_parallel_integrand(flat[start:start + _CHARGE_CHUNK, None]), spec)
         for start in starts])
-    kinetic = (atom.e**2 / (16.0 * math.pi * atom.m**2 * a)) * integral
-    electrostatic = np.full(x.shape, -atom.e**2 / (8.0 * math.pi * a))
+    braces = 0.5 * atom.p2par * h_par + atom.p23 * (1.0 + 0.5 / flat)
+    # 0 - v, not -v: a charge with no momenta has kinetic energy +0.0
+    kinetic = divide_by_power(
+        0.0 - atom.e**2 / (16.0 * math.pi * atom.m**2) * braces, a, 1)
+    electrostatic = np.full(
+        x.shape, divide_by_power(-atom.e**2 / (8.0 * math.pi), a, 1))
     return electrostatic, kinetic.reshape(x.shape)
 
 

@@ -210,18 +210,23 @@ def scalar_reflection(k, sheet):
                   (sheet.omega * k.kpar * k.kpar))
 
 
-_POLARIZATIONS = ("scalar", "te", "tm")
+# Reflection coefficient of each polarization, and the numerator N of its
+# delta-potential strength: the strength multiplying D(0, y3) in the jump of
+# the normal derivative is N / k0^2, or Omega itself for TE.
+_POLARIZATIONS = {
+    "scalar": (scalar_reflection, lambda k, omega: omega * k.kpar * k.kpar),
+    "te": (reflection_te, None),
+    "tm": (reflection_tm, lambda k, omega: omega * gamma_minkowski(k) ** 2),
+}
 
 
-def _reflection_for(polarization):
-    pol = polarization.lower()
-    if pol == "scalar":
-        return scalar_reflection
-    if pol == "te":
-        return reflection_te
-    if pol == "tm":
-        return reflection_tm
-    raise ValueError(f"polarization must be one of {_POLARIZATIONS}")
+def _polarization(name):
+    """(reflection, strength numerator) of a polarization, in any case."""
+    rule = _POLARIZATIONS.get(name.lower())
+    if rule is None:
+        raise ValueError(
+            f"polarization must be one of {tuple(_POLARIZATIONS)}")
+    return rule
 
 
 def scalar_propagator(x3, y3, k, sheet, polarization="scalar", parts=False):
@@ -251,28 +256,12 @@ def scalar_propagator(x3, y3, k, sheet, polarization="scalar", parts=False):
     gamma = gamma_minkowski(k)
     if gamma == 0.0:
         raise OnLightConeError("free propagator pole at Gamma = 0")
-    r = _reflection_for(polarization)(k, sheet)
+    r = _polarization(polarization)[0](k, sheet)
     free = cmath.exp(1j * gamma * abs(x3 - y3)) / (2j * gamma)
     boundary = r * cmath.exp(1j * gamma * (abs(x3) + abs(y3))) / (2j * gamma)
     if parts:
         return free, boundary
     return free - boundary
-
-
-def _jump_coefficient(k, sheet, polarization):
-    """Delta-potential strength multiplying D(0, y3) in the derivative jump."""
-    pol = polarization.lower()
-    if pol == "te":
-        return complex(sheet.omega)
-    k0sq = complex(k.k0) ** 2
-    if k0sq == 0.0:
-        raise DegenerateMomentumError(
-            f"{pol} jump coefficient is singular at k0 = 0")
-    if pol == "scalar":
-        return sheet.omega * k.kpar * k.kpar / k0sq
-    if pol == "tm":
-        return sheet.omega * gamma_minkowski(k) ** 2 / k0sq
-    raise ValueError(f"polarization must be one of {_POLARIZATIONS}")
 
 
 def matching_residual(k, sheet, polarization="scalar", probe_offset=1e-3, y3=None):
@@ -281,10 +270,10 @@ def matching_residual(k, sheet, polarization="scalar", probe_offset=1e-3, y3=Non
     The propagator must be continuous across the sheet while its normal
     derivative jumps by the delta-potential strength times the value:
     [D'](0) = C D(0, y3). Both properties are probed with second-order
-    one-sided stencils at offsets (h, 2h) applied to the boundary part of the
-    propagator; the free part is analytic across the plane and drops out of
-    the discontinuities identically, so a transparent sheet gives exact
-    zeros.
+    one-sided stencils at offsets (h, 2h) applied to the boundary part of
+    scalar_propagator; the free part is analytic across the plane and drops
+    out of the discontinuities identically, so a transparent sheet gives
+    exact zeros.
 
     Returns
     -------
@@ -301,11 +290,18 @@ def matching_residual(k, sheet, polarization="scalar", probe_offset=1e-3, y3=Non
         y3 = max(0.75 / abs(gamma), 8.0 * h)
     if y3 <= 2.0 * h:
         raise ValueError("source point y3 must sit beyond the probe stencil")
-    coeff = _jump_coefficient(k, sheet, polarization)
-    r = _reflection_for(polarization)(k, sheet)
+    numerator = _polarization(polarization)[1]
+    if numerator is None:
+        coeff = complex(sheet.omega)
+    else:
+        k0sq = complex(k.k0) ** 2
+        if k0sq == 0.0:
+            raise DegenerateMomentumError(
+                f"{polarization.lower()} jump coefficient is singular at k0 = 0")
+        coeff = numerator(k, sheet.omega) / k0sq
 
     def dbar(x):
-        return r * cmath.exp(1j * gamma * (abs(x) + y3)) / (2j * gamma)
+        return scalar_propagator(x, y3, k, sheet, polarization, parts=True)[1]
 
     vplus = 2.0 * dbar(h) - dbar(2 * h)
     vminus = 2.0 * dbar(-h) - dbar(-2 * h)
@@ -315,9 +311,8 @@ def matching_residual(k, sheet, polarization="scalar", probe_offset=1e-3, y3=Non
     dminus = (3.0 * dbar(0.0) - 4.0 * dbar(-h) + dbar(-2 * h)) / (2 * h)
     jump_fd = -(dplus - dminus)  # boundary part carries the full kink of D
 
-    free0 = cmath.exp(1j * gamma * y3) / (2j * gamma)
-    value0 = free0 - dbar(0.0)
-    jump = abs(jump_fd - coeff * value0)
+    free0, dbar0 = scalar_propagator(0.0, y3, k, sheet, polarization, parts=True)
+    jump = abs(jump_fd - coeff * (free0 - dbar0))
     return continuity, jump
 
 
@@ -334,22 +329,6 @@ class PolarizationBasis:
     """
 
     vectors: np.ndarray
-
-    @property
-    def e0(self):
-        return self.vectors[0]
-
-    @property
-    def e1(self):
-        return self.vectors[1]
-
-    @property
-    def e2(self):
-        return self.vectors[2]
-
-    @property
-    def e3(self):
-        return self.vectors[3]
 
     def orthonormality_residual(self):
         """Max deviation of E^s g E^t from g_st (no conjugation)."""
@@ -405,7 +384,7 @@ def tm_plasmon_closed(kpar, sheet):
     return float(k0) if k0.ndim == 0 else k0
 
 
-def tm_plasmon_root(kpar, sheet, tol=1e-12):
+def tm_plasmon_root(kpar, sheet):
     """Surface plasmon frequency found as a bracketed root.
 
     Solves k0^2 = (Omega/2) sqrt(kpar^2 - k0^2) on (0, kpar) without using
@@ -423,7 +402,7 @@ def tm_plasmon_root(kpar, sheet, tol=1e-12):
         s2 = s * s
         return 4.0 * kpar * s2 - 0.5 * om * (1.0 - s2 * s2)
 
-    s = find_root_bracketed(g, 0.0, np.ones_like(kpar), tol=tol)
+    s = find_root_bracketed(g, 0.0, np.ones_like(kpar))
     s2 = s * s
     if not (np.abs(g(s)) <= 1e-10 * om * (1.0 + s2) ** 2).all():
         raise IterationLimitError("dispersion residual above 1e-10 * Omega * kpar")
@@ -431,17 +410,23 @@ def tm_plasmon_root(kpar, sheet, tol=1e-12):
     return float(k0) if k0.ndim == 0 else k0
 
 
-def te_plasmon_exists(kpar, sheet, samples=201):
+# Midpoints of the k0 grid on (0, kpar) in te_plasmon_exists.
+_TE_SCAN_SAMPLES = 201
+
+
+def te_plasmon_exists(kpar, sheet):
     """Whether the TE mode supports a surface plasmon. It never does.
 
     Below the light cone the TE mode equation reduces to
-    1 + Omega/(2 sqrt(kpar^2 - k0^2)) = 0, whose left side a scan certifies
-    to stay >= 1 + Omega/(2 kpar) > 1 on the whole interval.
+    1 + Omega/(2 sqrt(kpar^2 - k0^2)) = 0, whose left side a scan of
+    _TE_SCAN_SAMPLES midpoints certifies to stay >= 1 + Omega/(2 kpar) > 1
+    on the whole interval.
     """
     if kpar <= 0.0:
         raise DegenerateMomentumError("plasmon scan needs kpar > 0")
     if sheet.omega <= 0.0:
         raise ValueError("plasmon scan needs omega > 0")
+    samples = _TE_SCAN_SAMPLES
     grid = np.linspace(0.0, kpar, samples + 1)[:-1] + kpar / (2.0 * samples)
     residual = 1.0 + sheet.omega / (2.0 * np.sqrt(kpar * kpar - grid * grid))
     return bool(residual.min() <= 1.0)
@@ -464,13 +449,11 @@ class PlasmonBranch:
             raise ValueError("plasmon branch must satisfy 0 < k0 < kpar")
 
 
-def plasmon_branch(sheet, kpar_grid=None):
-    """TM plasmon dispersion sampled on a grid (default: kpar/Omega in
-    [1e-3, 1e3], 50 points, log-spaced)."""
+def plasmon_branch(sheet):
+    """TM plasmon dispersion sampled at kpar/Omega in [1e-3, 1e3], 50
+    points, log-spaced."""
     if sheet.omega <= 0.0:
         raise ValueError("plasmon branch needs omega > 0")
-    if kpar_grid is None:
-        kpar_grid = sheet.omega * np.logspace(-3.0, 3.0, 50)
-    kpar_grid = np.asarray(kpar_grid, dtype=float)
-    k0 = tm_plasmon_closed(kpar_grid, sheet)
-    return PlasmonBranch(kpar=kpar_grid, k0=k0, omega=sheet.omega)
+    kpar = sheet.omega * np.logspace(-3.0, 3.0, 50)
+    return PlasmonBranch(kpar=kpar, k0=tm_plasmon_closed(kpar, sheet),
+                         omega=sheet.omega)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMomentumError, SheetModelError
-from .numerics import _jh_phase, _riccati_scaled, _sph_jh
+from .numerics import _check_l, _jh_phase, _riccati_scaled, _sph_jh
 
 # Unused here but stay bound: perfbench/tracing.py wraps them by name.
 from .numerics import (  # noqa: F401
@@ -40,14 +40,12 @@ from .sheet import MinkowskiMomentum, gamma_minkowski
 
 __all__ = [
     "SphericalShell",
-    "JostEvaluation",
     "ZeroCandidate",
     "radial_propagator_dl",
     "jost_te",
     "jost_te_riccati",
     "jost_tm",
     "jost_tm_decomposed",
-    "evaluate_jost",
     "scan_real_zeros",
     "tm_flat_limit",
 ]
@@ -67,29 +65,17 @@ class SphericalShell:
             raise ValueError("omega must be finite and non-negative")
 
 
-@dataclass(frozen=True)
-class JostEvaluation:
-    """Both Jost functions of one partial wave at one frequency."""
-
-    l: int
-    k0: complex
-    gTE: complex
-    gTM: complex
-
-    def __post_init__(self):
-        if self.l < 0 or self.l != int(self.l):
-            raise ValueError("l must be a non-negative integer")
-
-
 def _require_dynamic(k0):
     if (k0 == 0).any() if isinstance(k0, np.ndarray) else k0 == 0:
         raise DegenerateMomentumError("static limit k0 = 0 not modeled")
 
 
 def radial_propagator_dl(l, k0, r, rp):
-    """Radial photon propagator d_l(r, r') = i k0 j_l(k0 r_<) h_l(k0 r_>)."""
-    if l < 0:
-        raise ValueError("l must be non-negative")
+    """Radial photon propagator d_l(r, r') = i k0 j_l(k0 r_<) h_l(k0 r_>).
+
+    l must be a nonnegative integer (ValueError otherwise).
+    """
+    _check_l(l)
     _require_dynamic(k0)
     if not (r > 0.0 and rp > 0.0):
         raise ValueError("radii must be positive")
@@ -106,13 +92,15 @@ def radial_propagator_dl(l, k0, r, rp):
 def _jost_route(route):
     """Jost function from route(l, k0, shell), checked and finite.
 
-    Checks l and k0, gives exactly 1 for a transparent shell, and raises
-    SheetModelError where a value is not finite: at large l and small k0 R,
-    j_l underflows while y_l overflows.
+    Checks l and k0 (ValueError unless l is an integer >= 1), gives exactly
+    1 for a transparent shell, and raises SheetModelError where a value is
+    not finite: at large l and small k0 R, j_l underflows while y_l
+    overflows.
     """
 
     @functools.wraps(route)
     def jost(l, k0, shell):
+        _check_l(l)
         if l < 1:
             raise ValueError("Jost functions need l >= 1")
         _require_dynamic(k0)
@@ -171,12 +159,6 @@ def jost_tm_decomposed(l, k0, shell):
     return 1.0 + (1j * shell.omega / k0) * rjp * rhp * phase
 
 
-def evaluate_jost(l, k0, shell):
-    """Bundle both polarizations at one (l, k0)."""
-    return JostEvaluation(l=l, k0=k0, gTE=jost_te(l, k0, shell),
-                          gTM=jost_tm(l, k0, shell))
-
-
 def tm_flat_limit(k0, kpar, omega):
     """Large-shell TM asymptote 1 + i Omega Gamma/(2 k0^2) at fixed kpar.
 
@@ -215,12 +197,11 @@ def scan_real_zeros(l, shell, k0r_max=30.0, points_per_period=20,
     squared factor that carries relative error only (module docstring), so
     a minimum with Im g > 0 is a finite-width resonance, not a zero; such
     minima are dropped unless certify_nonzero is disabled (useful for
-    inspecting the dips themselves).
+    inspecting the dips themselves). l must be an integer >= 1, as for the
+    Jost functions (ValueError otherwise).
     """
     from scipy.optimize import minimize_scalar
 
-    if l < 1:
-        raise ValueError("Jost functions need l >= 1")
     if k0r_max <= 0.0:
         raise ValueError("k0r_max must be positive")
     if points_per_period < 20:

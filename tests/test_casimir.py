@@ -160,6 +160,13 @@ class TestEnergyPerArea:
         with pytest.raises(ValueError):
             lifshitz_energy_per_area(0.0, SheetParameters(omega=1.0))
 
+    def test_below_the_float_range_raises(self):
+        # x = 1 at a = 1e120: E a^3 is ordinary, E underflows
+        sheet = SheetParameters(omega=1e-120)
+        for quantity in (lifshitz_energy_per_area, lifshitz_pressure):
+            with pytest.raises(ValueError, match="below the float range"):
+                quantity(1e120, sheet)
+
 
 class TestPressure:
     def test_matches_secant_slope(self):
@@ -257,6 +264,19 @@ class TestCasimirResult:
                        "--count", "2"] + extra)
         assert status == 1
         assert "x = Omega * a must be positive" in capsys.readouterr().out
+
+    def test_beyond_the_float_range_raises(self):
+        # x = 1 at a = 1e-300: a**3 alone would underflow to 0
+        with pytest.raises(ValueError, match="beyond the float range"):
+            casimir_result(1e-300, SheetParameters(omega=1e300))
+
+    def test_extreme_distance_inside_the_float_range(self):
+        res = casimir_result(1e-70, SheetParameters(omega=1e70))
+        unit = casimir_result(1.0, SheetParameters(omega=1.0))
+        assert res.energy_per_area == pytest.approx(
+            unit.energy_per_area * 1e210, rel=1e-14)
+        assert res.pressure == pytest.approx(unit.pressure * 1e280, rel=1e-14)
+        assert res.te_share == unit.te_share
 
     def test_transparent_sheet_convention(self):
         res = casimir_result(1.0, SheetParameters(omega=0.0))

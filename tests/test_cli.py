@@ -518,13 +518,14 @@ class TestMain:
 
     @pytest.mark.parametrize("argv, base, failed", [
         (["casimir", "--a", "1e-300", "--raw-units"], 3, True),
+        (["charge", "--a", "1e-310", "--p23", "1", "--p2par", "1"], 0, True),
         (["casimir", "--a", "1e120", "--raw-units"], 3, False),
         (["casimir-polder", "--a", "1e100", "--isotropic-alpha", "1"], 1,
          False),
         (["casimir-polder", "--a", "1e100", "--isotropic-alpha", "1",
           "--raw-units"], 1, False),
-    ], ids=["casimir-tiny-a", "casimir-huge-a", "polder-huge-a",
-            "polder-huge-a-raw"])
+    ], ids=["casimir-tiny-a", "charge-tiny-a", "casimir-huge-a",
+            "polder-huge-a", "polder-huge-a-raw"])
     def test_extreme_distance_gives_a_row(self, argv, base, failed, capsys):
         # the a-independent cells are those of a = 1; a raw-unit cell that
         # underflows is 0, and one that overflows fails its row
@@ -543,6 +544,32 @@ class TestMain:
         unit_row = data_section(capsys.readouterr().out).splitlines()[1]
         assert cells[:1 + base] == unit_row.split(",")[:1 + base]
         assert all(float(cell) == 0.0 for cell in cells[1 + base:-1])
+
+    def test_charge_at_huge_distance_keeps_subnormal_energies(self, capsys):
+        assert main(["charge", "--omega-a", "1", "--a", "1e308", "--p23", "1",
+                     "--p2par", "1"]) == 0
+        row = data_section(capsys.readouterr().out).splitlines()[1]
+        _, electrostatic, kinetic, error = row.split(",")
+        assert error == ""
+        assert float(electrostatic) == -1.0 / (8.0 * math.pi) / 1e308
+        assert float(electrostatic) < 0.0 and float(kinetic) < 0.0
+
+    @pytest.mark.parametrize("command, value, extra", [
+        ("casimir", "0", []),
+        ("casimir-polder", "-1", ["--isotropic-alpha", "1"]),
+        ("charge", "0", []),
+    ])
+    def test_nonpositive_distance_exits_two(self, command, value, extra,
+                                            tmp_path, capsys):
+        path = tmp_path / "a.conf"
+        path.write_text(f"a={value}\n")
+        sweep = [command, "--omega-a-min", "0.5", "--omega-a-max", "2",
+                 "--count", "3", *extra]
+        for given in ([f"--a={value}"], ["--config", str(path)]):
+            assert main(sweep + given) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "a must be positive" in captured.err
 
     def test_negative_exponent_form_needs_equals(self, capsys):
         assert main(["charge", "--omega-a", "1", "--p23", "1",

@@ -239,6 +239,21 @@ class TestSemiInfinite:
         assert abs(val - 0.5) < 1e-10
 
 
+class TestDivideByPower:
+    def test_array_value_matches_scalar_calls(self):
+        value = np.array([-3.5e-3, 1.0, 2.5e300, -0.0, 7e-320])
+        got = numerics.divide_by_power(value, 1.7e-3, 2)
+        assert got.shape == value.shape
+        want = [numerics.divide_by_power(float(v), 1.7e-3, 2) for v in value]
+        assert got.tolist() == want
+        assert math.copysign(1.0, got[3]) == -1.0
+        assert isinstance(want[0], float)
+
+    def test_array_beyond_the_float_range_names_its_value(self):
+        with pytest.raises(ValueError, match=r"^-2\.5 / 1e-300\*\*2 is beyond"):
+            numerics.divide_by_power(np.array([0.0, -2.5, 3.0]), 1e-300, 2)
+
+
 class TestRootFinding:
     def test_sqrt3(self):
         root = numerics.find_root_bracketed(lambda x: x * x - 3.0, 0.0, 2.0)
@@ -391,6 +406,20 @@ class TestSphericalBesselArrays:
             numerics.spherical_hankel1(1, z)
         with pytest.raises(ValueError):
             numerics.riccati_bessel(1, z)
+
+    @pytest.mark.parametrize("x", [-0.3, -2.0, -25.0])
+    def test_negative_real_scalar_matches_array_and_parity(self, x):
+        orders = tuple(range(6))
+        sign_j = (-1.0) ** np.arange(6)
+        j, h, _ = numerics._sph_jh(orders, x)
+        ja, ha, _ = numerics._sph_jh(orders, np.array([x]))
+        jp, hp, _ = numerics._sph_jh(orders, -x)
+        assert h.real.tolist() == j.tolist()
+        # j_n(-x) = (-1)^n j_n(x), y_n(-x) = (-1)^(n+1) y_n(x)
+        assert j.tolist() == (sign_j * jp).tolist()
+        assert h.imag.tolist() == (-sign_j * hp.imag).tolist()
+        for got, want in ((ja[:, 0], j), (ha[:, 0], h)):
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), x
 
     def test_complex_array_matches_scalar_calls(self):
         # same formulas; numpy's exp may round an array and a scalar apart

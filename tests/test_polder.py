@@ -92,6 +92,14 @@ class TestImagePotential:
         with pytest.raises(ValueError):
             image_potential(0.0, 0.0, 2.0, 1.0, 1.0)
 
+    def test_extreme_distances(self):
+        # the squared distance under- or overflows; the distance does not
+        for a in (1e-200, 1e200):
+            assert image_potential(0.0, 0.0, 0.0, a, 1.0) == pytest.approx(
+                1.0 / (8.0 * math.pi) / a, rel=1e-15)
+        with pytest.raises(ValueError, match="beyond the float range"):
+            image_potential(0.0, 0.0, 0.0, 1e-310, 1.0)
+
 
 class TestElectrostaticShift:
     def test_monopole_only(self):
@@ -113,6 +121,14 @@ class TestElectrostaticShift:
     def test_rejects_nonpositive_distance(self):
         with pytest.raises(ValueError):
             electrostatic_shift(0.0, AtomProperties())
+
+    def test_extreme_distances(self):
+        atom = AtomProperties(quadrupole=1.0)
+        with pytest.raises(ValueError, match="beyond the float range"):
+            electrostatic_shift(1e-170, atom)
+        # the quadrupole term underflows to 0, the monopole term does not
+        far = electrostatic_shift(1e200, atom)
+        assert far == pytest.approx(1.0 / (8.0 * math.pi * 1e200), rel=1e-15)
 
 
 class TestShapeFunctionValues:
@@ -369,6 +385,13 @@ class TestDelta1:
             omega = float(rng.uniform(0.05, 50.0))
             assert delta1(a, SheetParameters(omega=omega), atom) < 0.0
 
+    def test_extreme_distance_raises_beyond_the_float_range(self):
+        # x = 1; a * a underflows to 0 at a = 1e-170
+        sheet, atom = SheetParameters(omega=1e170), AtomProperties()
+        for route in (delta1, delta1_integral_form):
+            with pytest.raises(ValueError, match="beyond the float range"):
+                route(1e-170, sheet, atom)
+
 
 class TestChargeSheetEnergy:
     def test_electrostatic_part_pinned(self):
@@ -411,7 +434,19 @@ class TestChargeSheetEnergy:
     def test_no_momenta_no_kinetic_energy(self):
         _, kin = charge_sheet_energy(1.0, SheetParameters(omega=1.0),
                                      AtomProperties())
-        assert kin == 0.0
+        assert kin == 0.0 and math.copysign(1.0, kin) == 1.0  # prints 0
+
+    def test_extreme_distances(self):
+        atom = AtomProperties(p2par=1.0, p23=1.0)
+        x = np.array([0.5, 1.0, 2.0])
+        with pytest.raises(ValueError, match="beyond the float range"):
+            charge_sheet_energies(1e-310, x, atom)
+        # subnormal, not rounded to -0: -e^2/(8 pi a) at a = 1e308
+        es, kin = charge_sheet_energies(1e308, x, atom)
+        assert np.all(es == -1.0 / (8.0 * math.pi) / 1e308)
+        assert np.all(es < 0.0) and np.all(kin < 0.0)
+        _, unit = charge_sheet_energies(1.0, x, atom)
+        assert kin == pytest.approx(unit / 1e308, rel=1e-5)
 
     def test_transparent_sheet_rejected(self):
         with pytest.raises(ValueError):

@@ -272,7 +272,7 @@ class TestPolarizationBasis:
 
     def test_te_vector_lies_in_plane_and_transverse(self):
         k = sheet.MinkowskiMomentum(k0=2.0, k1=0.8, k2=0.6)
-        e1 = sheet.polarization_basis(k).e1
+        e1 = sheet.polarization_basis(k).vectors[1]
         assert e1[0] == 0.0 and e1[3] == 0.0
         # orthogonal to the spatial parallel momentum
         assert abs(e1[1] * k.k1 + e1[2] * k.k2) < 1e-15

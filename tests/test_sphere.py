@@ -11,10 +11,8 @@ from plasmasheet import sphere
 from plasmasheet.errors import DegenerateMomentumError, SheetModelError
 from plasmasheet.polder import PATH_AGREEMENT_TOL
 from plasmasheet.sphere import (
-    JostEvaluation,
     SphericalShell,
     ZeroCandidate,
-    evaluate_jost,
     jost_te,
     jost_te_riccati,
     jost_tm,
@@ -310,20 +308,28 @@ class TestTmFlatLimit:
         assert deviations[2] < 0.01
 
 
-class TestJostEvaluation:
-    def test_bundles_both_polarizations(self):
-        shell = SphericalShell(radius=1.3, omega=2.0)
-        result = evaluate_jost(4, 2.2, shell)
-        assert result.gTE == jost_te(4, 2.2, shell)
-        assert result.gTM == jost_tm(4, 2.2, shell)
-        assert result.l == 4
-        assert result.k0 == 2.2
+class TestOrderIsAnInteger:
+    """Every Jost route, d_l and the zero scan take an integer l only."""
 
-    def test_rejects_fractional_order(self):
-        with pytest.raises(ValueError):
-            JostEvaluation(l=1.5, k0=1.0, gTE=1.0, gTM=1.0)
-        with pytest.raises(ValueError):
-            JostEvaluation(l=-1, k0=1.0, gTE=1.0, gTM=1.0)
+    SHELL = SphericalShell(radius=1.3, omega=2.0)
+
+    @pytest.mark.parametrize("route", [jost_te, jost_te_riccati, jost_tm,
+                                       jost_tm_decomposed])
+    @pytest.mark.parametrize("k0", [2.2, 2.0j, np.array([0.5, 2.2])])
+    def test_jost_routes_reject_fractional_order(self, route, k0):
+        with pytest.raises(ValueError, match="integer"):
+            route(1.5, k0, self.SHELL)
+
+    def test_jost_routes_take_numpy_integers(self):
+        assert jost_te(np.int64(4), 2.2, self.SHELL) == jost_te(4, 2.2, self.SHELL)
+
+    def test_radial_propagator_rejects_fractional_order(self):
+        with pytest.raises(ValueError, match="integer"):
+            radial_propagator_dl(1.5, 2.0, 1.0, 1.0)
+
+    def test_scan_rejects_fractional_order(self):
+        with pytest.raises(ValueError, match="integer"):
+            scan_real_zeros(1.5, self.SHELL)
 
 
 class TestJostArrays:
