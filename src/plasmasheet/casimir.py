@@ -17,7 +17,11 @@ reflection coefficients have the form r = 1/(1 + c) with c proportional to
 nodes as F: the pressure comes with the energy, not from a finite
 difference. The nodes are a tensor-product rule: the log-k trapezoid rule
 in k = 2g, times Gauss-Legendre for the TM angular integral in s, with
-eps = sinh(t) sqrt(x/k) and t = s^2.
+eps = sinh(t) sqrt(x/k) and t = s^2. The outer rule's first level, 41
+nodes, alone spans all of k in [1e-20, 800]; each later level refines only
+the support where the three integrands are not negligible. At the default
+rtol that support runs from k = 3e-5 to 57 at x = 1, 11 of the 40 starting
+steps, and from 6e-7 to 57 at x = 1e-3, 14 steps.
 """
 
 import math
@@ -90,16 +94,18 @@ def _log_terms(k, c, r):
 def _energy_and_slope(x, rtol, te_coeff=_te_euclidean, tm_coeff=_tm_euclidean):
     """(TE part, TM part, x F'(x)) of a^3 E/A = F(x) from one quadrature pass.
 
-    Outer rule: the log-k trapezoid rule in k = 2g, refined until all three
-    integrals reach rtol. Inner rule: the TM angular integral over eps in
-    [0, 1], refined to rtol/10 at every outer node, as Gauss-Legendre in s
-    with eps = sinh(t) sqrt(x/k) and t = s^2. The square clusters the nodes
+    Outer rule: the log-k trapezoid rule in k = 2g, refined on the support
+    of the three integrands until all three reach rtol. Inner rule: the TM
+    angular integral over eps in [0, 1], refined to rtol/10 at every outer
+    node, as Gauss-Legendre in s with eps = sinh(t) sqrt(x/k) and t = s^2. The square clusters the nodes
     near t = 0, where ln(1 - w) ~ ln(k + 2 t^2) has branch points at
     t = +-i sqrt(k/2); without it x = 1e-6 cannot reach rtol = 1e-10 below
     Gauss-Legendre order 512.
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError("x = Omega * a must be positive")
+    if x == math.inf:
+        raise ValueError("x = Omega * a must be finite")
     # 40 starting steps meet the default rtol = 1e-8 one halving earlier
     # than 32 do, for x anywhere in [1e-6, 1e12].
     outer_spec = QuadratureSpec(order=40, rtol=rtol)

@@ -4,10 +4,14 @@ Plain numerics, no sheet physics. Two fixed rules that take array-valued
 integrands (a trapezoidal rule in ln k for e^-k weighted integrals, and
 Gauss-Legendre) and bisection sit behind small contracts that fail loudly
 instead of returning silently inaccurate numbers. The log-k rule refines
-all its integrands together. Gauss-Legendre refines each element (each
-upper limit) on its own: an element is final at its first pair of agreeing
-orders, and the integrand sees only the elements still refining, with
-their rows of any per-element parameter arrays. The QUADPACK wrappers
+all its integrands together, and only where they live: its level 0 alone
+samples all of k in [1e-20, 800], and later levels refine only the support
+that level 0 finds, between its leading and trailing runs of negligible
+nodes. For f bounded as k -> 0, each dropped side is below rtol/100 of the
+total. Gauss-Legendre refines each element (each upper limit) on its own:
+an element is final at its first pair of agreeing orders, and the
+integrand sees only the elements still refining, with their rows of any
+per-element parameter arrays. The QUADPACK wrappers
 ``integrate_adaptive`` and ``integrate_semi_infinite`` keep the same
 contract, but no package code calls them: they stay only because the
 benchmark tracer in ``perfbench/tracing.py`` wraps them by name.
@@ -97,6 +101,9 @@ _K_MIN = 1e-20
 _K_MAX = 800.0
 # Refinement stops after this many halvings of the starting step.
 _MAX_HALVINGS = 10
+# A level-0 node of the log-k rule whose terms are all at most this times
+# rtol times their totals is negligible (see integrate_exponential_weight).
+_TAIL_FRACTION = 1e-3
 # leggauss builds a rule by an eigenvalue solve that grows as order^3.
 _LEGENDRE_MAX_ORDER = 512
 
@@ -154,13 +161,28 @@ def _refine(estimates, spec, what):
 def integrate_exponential_weight(f, spec=None):
     """Integral of e^(-k) f(k) over k in [0, inf).
 
-    Trapezoidal rule in u = ln k over k in [1e-20, 800], starting with
-    ``spec.order`` steps. Each refinement halves the step and evaluates f only
-    at the new midpoints, in one call on an array of nodes; it stops when two
-    successive levels agree to ``spec.rtol``. The rule converges
-    geometrically for integrands e^-k k^n R(k/x) with R analytic off
-    (-inf, -1], whatever the scale x: in u they are analytic in a strip of
-    width pi about the real axis.
+    Trapezoidal rule in u = ln k, starting with ``spec.order`` steps of
+    h0 = ln(800/1e-20)/order; each node's term is w f(k) with
+    w = h e^(-k) k. Level 0 alone samples the whole range k in [1e-20, 800],
+    and it fixes the support: a level-0 node is negligible when every
+    stacked integrand's term there is at most
+    _TAIL_FRACTION * rtol * |its level-0 total|, and the support runs from
+    the last node of the leading run of negligible nodes to the first node
+    of the trailing run. Negligible nodes inside it stay. Each refinement
+    halves the step and evaluates f only at the new midpoints inside the
+    support, in one call on an array of nodes. Every level, level 0
+    included, sums over the support alone, so all levels refine one node
+    set; the rule stops when two successive levels agree to ``spec.rtol``.
+
+    The rule converges geometrically for integrands e^-k k^n R(k/x),
+    n >= 0, with R analytic off (-inf, -1], whatever the scale x: in u they
+    are analytic in a strip of width pi about the real axis. Such an f is
+    bounded as k -> 0, so below the support the terms fall at least by
+    e^(h0) per level-0 step, and the dropped left side is at most
+    _TAIL_FRACTION/h0 * rtol of the total. Above the support they fall like
+    e^-k, and the dropped right side is smaller still where the support
+    ends beyond k = max(2, 2n). Both are below rtol/100 for any order up
+    to 500.
 
     Parameters
     ----------
@@ -184,14 +206,36 @@ def integrate_exponential_weight(f, spec=None):
         spec = QuadratureSpec()
 
     def levels():
-        total = 0.0
-        for level in range(_MAX_HALVINGS + 1):
+        k, w = _log_k_level(spec.order, 0)
+        terms = w * f(k)
+        total = np.sum(terms, axis=-1)
+        lo, hi = _support(terms, total, spec.rtol)
+        total = np.sum(terms[..., lo:hi + 1], axis=-1)
+        yield total
+        for level in range(1, _MAX_HALVINGS + 1):
             k, w = _log_k_level(spec.order, level)
-            total = 0.5 * total + np.sum(w * f(k), axis=-1)
+            per_step = 2 ** (level - 1)  # new midpoints per level-0 step
+            new = slice(lo * per_step, hi * per_step)
+            total = 0.5 * total + np.sum(w[new] * f(k[new]), axis=-1)
             yield total
 
     result = _refine(levels(), spec, "log-k trapezoid refinement")
     return float(result) if np.ndim(result) == 0 else result
+
+
+def _support(terms, total, rtol):
+    """First and last level-0 node of the log-k rule's support.
+
+    terms has the nodes on its last axis and total their sums; the rule is
+    in integrate_exponential_weight. With no node above the threshold, the
+    support is every node.
+    """
+    bound = _TAIL_FRACTION * rtol * np.abs(total)[..., None]
+    above = (np.abs(terms) > bound).reshape(-1, terms.shape[-1]).any(axis=0)
+    kept = np.flatnonzero(above)
+    if kept.size == 0:
+        return 0, terms.shape[-1] - 1
+    return max(kept[0] - 1, 0), min(kept[-1] + 1, terms.shape[-1] - 1)
 
 
 def integrate_legendre(f, hi, spec=None, *params):

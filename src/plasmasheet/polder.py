@@ -136,6 +136,14 @@ def _require_positive(x, name="x"):
         raise ValueError("%s must be positive" % name)
 
 
+def _coupling(a, sheet):
+    """x = Omega a, which must be finite: Omega and a may overflow it."""
+    x = sheet.omega * a
+    if x == math.inf:
+        raise ValueError("x = Omega * a must be finite")
+    return x
+
+
 def image_potential(x1, x2, x3, a, e):
     """Mirror-charge Coulomb potential e^2/(4 pi |r - r_mirror|).
 
@@ -408,7 +416,7 @@ def delta1(a, sheet, atom, rtol=1e-8):
     _require_positive(a, "a")
     if sheet.omega == 0.0:
         return 0.0
-    x = sheet.omega * a
+    x = _coupling(a, sheet)
     braces = f_te(x, rtol) + f_tm(x, rtol) / 3.0
     return divide_by_power(-atom.e**2 / (32.0 * math.pi**2 * atom.m) * braces,
                            a, 2)
@@ -429,7 +437,7 @@ def delta1_integral_form(a, sheet, atom, rtol=1e-8):
     _require_positive(a, "a")
     if sheet.omega == 0.0:
         return 0.0
-    x = sheet.omega * a
+    x = _coupling(a, sheet)
     inner_spec = QuadratureSpec(rtol=0.1 * rtol)
 
     def radial(k):
@@ -470,6 +478,8 @@ def charge_sheet_energies(a, x, atom, rtol=1e-8):
     """
     _require_positive(a, "a")
     x = np.asarray(x, dtype=float)
+    if np.any(x == math.inf):
+        raise ValueError("x = Omega * a must be finite")
     if not np.all(np.isfinite(x) & (x >= 0.0)):
         raise ValueError("omega must be finite and nonnegative")
     if not np.all(x > 0.0):
@@ -505,6 +515,6 @@ def casimir_polder_energy(a, sheet, atom, rtol=1e-8):
     alpha_par = atom.alpha1 + atom.alpha2
     if alpha_par == 0.0 and atom.alpha3 == 0.0:
         return 0.0
-    te, tm, normal = _g_family(sheet.omega * a, rtol)[0]
+    te, tm, normal = _g_family(_coupling(a, sheet), rtol)[0]
     braces = (te + 2.2 * tm) * alpha_par / 4.0 + normal * atom.alpha3
     return divide_by_power(-braces / (32.0 * math.pi**2), a, 4)

@@ -129,6 +129,35 @@ class TestReducedEnergy:
         assert np.all(energies < 0.0) and np.all(pressures < 0.0)
         assert np.all(np.diff(energies) < 0.0) and np.all(np.diff(pressures) < 0.0)
 
+    @pytest.mark.parametrize("x, bound", [(1e-3, 18000), (1.0, 8200),
+                                          (1e3, 7700), (1e6, 7700)])
+    def test_inner_nodes_per_x_are_pinned(self, monkeypatch, x, bound):
+        # nodes of the inner TM Gauss-Legendre rule over all outer nodes;
+        # deterministic, and 35,952, 16,368 and 15,408 when every level of
+        # the outer rule spanned all of k in [1e-20, 800]
+        nodes = []
+        original = casimir.integrate_legendre
+
+        def counted(f, hi, spec, *params):
+            def f_counted(t, *rows):
+                nodes.append(t.size)
+                return f(t, *rows)
+
+            return original(f_counted, hi, spec, *params)
+
+        monkeypatch.setattr(casimir, "integrate_legendre", counted)
+        casimir._energy_and_slope(x, 1e-8)
+        assert sum(nodes) <= bound
+        first = sum(nodes)
+        nodes.clear()
+        casimir._energy_and_slope(x, 1e-8)
+        assert sum(nodes) == first
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    def test_rejects_non_finite_x(self, x):
+        with pytest.raises(ValueError, match="x = Omega \\* a must be"):
+            reduced_energy_and_pressure(x)
+
     def test_rejects_nonpositive_x(self):
         with pytest.raises(ValueError):
             reduced_energy_parts(0.0)
@@ -269,6 +298,11 @@ class TestCasimirResult:
         # x = 1 at a = 1e-300: a**3 alone would underflow to 0
         with pytest.raises(ValueError, match="beyond the float range"):
             casimir_result(1e-300, SheetParameters(omega=1e300))
+
+    def test_overflowing_coupling_names_x(self):
+        # a and Omega are finite, their product is not
+        with pytest.raises(ValueError, match="x = Omega \\* a must be finite"):
+            casimir_result(1e200, SheetParameters(omega=1e200))
 
     def test_extreme_distance_inside_the_float_range(self):
         res = casimir_result(1e-70, SheetParameters(omega=1e70))

@@ -62,12 +62,39 @@ class TestExponentialWeight:
             return k / (1.0 + k)
 
         numerics.integrate_exponential_weight(f, TIGHT)
-        nodes = np.concatenate(seen)
         assert len(seen) >= 3
         assert all(k.ndim == 1 for k in seen)
-        assert len(seen[1]) == TIGHT.order
+        # level 0 samples the whole range
+        k0, w0 = numerics._log_k_level(TIGHT.order, 0)
+        assert np.array_equal(seen[0], k0)
+        # level 1: the level-0 midpoints (in ln k) of one run of steps
+        mid = np.sqrt(k0[:-1] * k0[1:])
+        lo = int(np.argmin(np.abs(mid - seen[1][0])))
+        hi = lo + len(seen[1])
+        np.testing.assert_allclose(seen[1], mid[lo:hi], rtol=1e-14)
+        assert 0 < lo and hi < TIGHT.order
         assert all(len(b) == 2 * len(a) for a, b in zip(seen[1:], seen[2:]))
+        nodes = np.concatenate(seen)
         assert len(np.unique(nodes)) == len(nodes)
+        # every later node lies inside the support [k0[lo], k0[hi]]
+        assert nodes[len(k0):].min() > k0[lo]
+        assert nodes[len(k0):].max() < k0[hi]
+        # the level-0 nodes outside it are negligible
+        terms = w0 * k0 / (1.0 + k0)
+        outside = np.r_[terms[:lo], terms[hi + 1:]]
+        assert np.all(np.abs(outside) <= numerics._TAIL_FRACTION * TIGHT.rtol
+                      * abs(terms.sum()))
+
+    @pytest.mark.parametrize("x", [1e-6, 1e-3, 1.0, 1e3, 1e12])
+    @pytest.mark.parametrize("n", range(9))
+    def test_rational_moments_against_mpmath(self, n, x):
+        # Int_0^inf e^-k k^n/(1 + k/x) dk = x n! x^n e^x Gamma(-n, x)
+        val = numerics.integrate_exponential_weight(
+            lambda k: k**n / (1.0 + k / x), TIGHT)
+        xm = mpmath.mpf(x)
+        exact = float(xm * mpmath.factorial(n) * xm**n * mpmath.e**xm
+                      * mpmath.gammainc(-n, xm))
+        assert abs(val - exact) <= TIGHT.rtol * exact
 
     @pytest.mark.parametrize("x", [1e-6, 1e-3, 1e3, 1e12])
     def test_pole_near_origin_at_every_scale(self, x):

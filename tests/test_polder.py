@@ -318,7 +318,8 @@ class TestDualRoutes:
     def test_inner_nodes_per_x_are_pinned(self, monkeypatch, x):
         # nodes of the check routes' inner Gauss-Legendre rule, gTM and g3
         # together; deterministic, and 98,496 when every element ran to
-        # order 64
+        # order 64 (25,592 at most when every level of the outer rule
+        # spanned all of k in [1e-20, 800])
         nodes = []
         original = polder.integrate_legendre
 
@@ -331,7 +332,7 @@ class TestDualRoutes:
 
         monkeypatch.setattr(polder, "integrate_legendre", counted)
         polder._g_family(x, 1e-8)
-        assert sum(nodes) <= 26000
+        assert sum(nodes) <= 16000
         first = sum(nodes)
         nodes.clear()
         polder._g_family(x, 1e-8)
@@ -553,3 +554,12 @@ class TestCasimirPolder:
         near = casimir_polder_energy(2.0, SheetParameters(omega=1.0), atom)
         far = casimir_polder_energy(1.0, SheetParameters(omega=2.0), atom)
         assert near * 16.0 == pytest.approx(far, rel=1e-8)
+
+
+@pytest.mark.parametrize("energy", [delta1, delta1_integral_form,
+                                    casimir_polder_energy, charge_sheet_energy])
+def test_overflowing_coupling_names_x(energy):
+    # a and Omega are finite, their product x = Omega a is not
+    atom = AtomProperties.isotropic(1.0, p2par=0.4, p23=0.9)
+    with pytest.raises(ValueError, match="x = Omega \\* a must be finite"):
+        energy(1e200, SheetParameters(omega=1e200), atom)
