@@ -101,6 +101,10 @@ def _energy_and_slope(x, rtol, te_coeff=_te_euclidean, tm_coeff=_tm_euclidean):
     near t = 0, where ln(1 - w) ~ ln(k + 2 t^2) has branch points at
     t = +-i sqrt(k/2); without it x = 1e-6 cannot reach rtol = 1e-10 below
     Gauss-Legendre order 512.
+
+    te_coeff and tm_coeff are the Euclidean reflection coefficients as
+    functions of (g[, eps], x) on arrays; polarization_convention_equivalence
+    passes an algebraically equivalent pair.
     """
     if not x > 0.0:
         raise ValueError("x = Omega * a must be positive")
@@ -132,26 +136,22 @@ def _energy_and_slope(x, rtol, te_coeff=_te_euclidean, tm_coeff=_tm_euclidean):
     return float(te), float(tm), float(slope)
 
 
-def reduced_energy_parts(x, rtol=1e-8, te_coeff=_te_euclidean, tm_coeff=_tm_euclidean):
+def reduced_energy_parts(x, rtol=1e-8):
     """Dimensionless TE and TM parts of a^3 E/A at x = Omega a.
 
     Parameters
     ----------
     x : float
-        Omega times distance, positive.
+        Omega times distance, positive and finite.
     rtol : float
         Relative tolerance handed to the quadrature.
-    te_coeff, tm_coeff : callable
-        Euclidean reflection coefficients as functions of (g[, eps], x),
-        called on arrays; swappable so algebraically equivalent conventions
-        can be compared.
 
     Returns
     -------
     (te, tm) : tuple of float
         Both negative; their sum is a^3 E/A.
     """
-    te, tm, _ = _energy_and_slope(x, rtol, te_coeff, tm_coeff)
+    te, tm, _ = _energy_and_slope(x, rtol)
     return te, tm
 
 
@@ -256,7 +256,7 @@ def polarization_convention_equivalence(a, sheet, rtol=1e-8):
         og = x_ * g
         return og / (og + 2.0 * g * g * eps * eps)
 
-    te, tm = reduced_energy_parts(x, rtol)
-    te2, tm2 = reduced_energy_parts(x, rtol, te_coeff=te_alt, tm_coeff=tm_alt)
+    te, tm, _ = _energy_and_slope(x, rtol)
+    te2, tm2, _ = _energy_and_slope(x, rtol, te_alt, tm_alt)
     base = te + tm
     return abs((te2 + tm2) - base) / abs(base)

@@ -106,6 +106,8 @@ _MAX_HALVINGS = 10
 _TAIL_FRACTION = 1e-3
 # leggauss builds a rule by an eigenvalue solve that grows as order^3.
 _LEGENDRE_MAX_ORDER = 512
+# Residual bound of find_root_bracketed, relative to |f| at the ends.
+_ROOT_RESIDUAL = 1e-12
 
 
 def _frozen(*arrays):
@@ -141,21 +143,6 @@ def _legendre_rule(order):
     """Gauss-Legendre nodes mapped to [0, 1] and their weights."""
     nodes, weights = leggauss(order)
     return _frozen(0.5 * (nodes + 1.0), 0.5 * weights)
-
-
-def _refine(estimates, spec, what):
-    """First estimate that agrees with its predecessor to spec.rtol.
-
-    Estimates may be arrays; then every element must agree.
-    """
-    prev, gap = next(estimates), math.inf
-    for cur in estimates:
-        diff = np.abs(cur - prev)
-        if np.all(diff <= spec.rtol * np.abs(cur) + _ABS_FLOOR):
-            return cur
-        prev, gap = cur, float(np.max(diff))
-    raise ToleranceNotMet(f"{what} did not reach rtol {spec.rtol:g}",
-                          estimate=prev, error_bound=gap)
 
 
 def integrate_exponential_weight(f, spec=None):
@@ -205,22 +192,23 @@ def integrate_exponential_weight(f, spec=None):
     if spec is None:
         spec = QuadratureSpec()
 
-    def levels():
-        k, w = _log_k_level(spec.order, 0)
-        terms = w * f(k)
-        total = np.sum(terms, axis=-1)
-        lo, hi = _support(terms, total, spec.rtol)
-        total = np.sum(terms[..., lo:hi + 1], axis=-1)
-        yield total
-        for level in range(1, _MAX_HALVINGS + 1):
-            k, w = _log_k_level(spec.order, level)
-            per_step = 2 ** (level - 1)  # new midpoints per level-0 step
-            new = slice(lo * per_step, hi * per_step)
-            total = 0.5 * total + np.sum(w[new] * f(k[new]), axis=-1)
-            yield total
-
-    result = _refine(levels(), spec, "log-k trapezoid refinement")
-    return float(result) if np.ndim(result) == 0 else result
+    k, w = _log_k_level(spec.order, 0)
+    terms = w * f(k)
+    lo, hi = _support(terms, np.sum(terms, axis=-1), spec.rtol)
+    prev = np.sum(terms[..., lo:hi + 1], axis=-1)
+    gap = math.inf
+    for level in range(1, _MAX_HALVINGS + 1):
+        k, w = _log_k_level(spec.order, level)
+        per_step = 2 ** (level - 1)  # new midpoints per level-0 step
+        new = slice(lo * per_step, hi * per_step)
+        cur = 0.5 * prev + np.sum(w[new] * f(k[new]), axis=-1)
+        diff = np.abs(cur - prev)
+        if np.all(diff <= spec.rtol * np.abs(cur) + _ABS_FLOOR):
+            return float(cur) if np.ndim(cur) == 0 else cur
+        prev, gap = cur, float(np.max(diff))
+    raise ToleranceNotMet(
+        f"log-k trapezoid refinement did not reach rtol {spec.rtol:g}",
+        estimate=prev, error_bound=gap)
 
 
 def _support(terms, total, rtol):
@@ -401,8 +389,10 @@ def divide_by_power(value, base, n):
     return quotient if np.ndim(value) else float(quotient)
 
 
-def find_root_bracketed(f, lo, hi, tol=1e-12, maxiter=200):
+def find_root_bracketed(f, lo, hi, maxiter=200):
     """Root of f inside [lo, hi], bisected down to neighbouring floats.
+
+    Residual contract: |f(root)| <= 1e-12 * max(|f(lo)|, |f(hi)|).
 
     Parameters
     ----------
@@ -411,12 +401,20 @@ def find_root_bracketed(f, lo, hi, tol=1e-12, maxiter=200):
         per step on all midpoints: with floats for scalar lo and hi, else
         with arrays of their broadcast shape.
     lo, hi : float or array
-    tol : float
-        Residual contract: |f(root)| <= tol * max(|f(lo)|, |f(hi)|).
+    maxiter : int
+        Bisection steps allowed before IterationLimitError.
 
     Returns
     -------
     float, or an array of that shape
+
+    Raises
+    ------
+    BracketError
+        When f has no sign change over a bracket.
+    IterationLimitError
+        When maxiter steps leave a bracket open, or a root breaks the
+        residual contract.
     """
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
     call = (lambda x: f(float(x))) if scalar else f
@@ -445,10 +443,10 @@ def find_root_bracketed(f, lo, hi, tol=1e-12, maxiter=200):
         lo = np.where(inside & (sign_mid != sign_hi), mid, lo)
         hi = np.where(inside & (sign_mid != sign_lo), mid, hi)
     residual = np.abs(call(mid))
-    bad = np.flatnonzero(~(residual <= tol * scale))
+    bad = np.flatnonzero(~(residual <= _ROOT_RESIDUAL * scale))
     if bad.size:
         raise IterationLimitError(
-            f"residual {residual.flat[bad[0]]:.3e} above {tol:.1e} "
+            f"residual {residual.flat[bad[0]]:.3e} above {_ROOT_RESIDUAL:.1e} "
             f"* bracket scale {scale.flat[bad[0]]:.3e}")
     return float(mid) if scalar else mid
 

@@ -121,8 +121,7 @@ class ReductionFunctions:
     g3: float = None
 
     def __post_init__(self):
-        if not self.x > 0.0:
-            raise ValueError("x must be positive")
+        _require_x(self.x)
         for name in _SHAPE_NAMES:
             value = getattr(self, name)
             if value is None:
@@ -131,9 +130,15 @@ class ReductionFunctions:
                 raise ValueError("%s must be positive and finite" % name)
 
 
-def _require_positive(x, name="x"):
-    if not x > 0.0:
+def _require_positive(value, name):
+    if not value > 0.0:
         raise ValueError("%s must be positive" % name)
+
+
+def _require_x(x):
+    """x = Omega a of a shape function, which must be positive and finite."""
+    if not 0.0 < x < math.inf:
+        raise ValueError("x must be positive and finite")
 
 
 def _coupling(a, sheet):
@@ -244,14 +249,14 @@ _CHARGE_CHUNK = 1024
 
 def f_te(x, rtol=1e-8):
     """TE reduction of the single-vertex shift; -> 1 as x -> inf, ~ x at 0."""
-    _require_positive(x)
+    _require_x(x)
     return integrate_exponential_weight(
         lambda k: k / (1.0 + k / x), QuadratureSpec(rtol=rtol))
 
 
 def f_tm(x, rtol=1e-8):
     """TM reduction of the single-vertex shift; -> 1 as x -> inf, ~ 3x at 0."""
-    _require_positive(x)
+    _require_x(x)
     return 3.0 * x * integrate_exponential_weight(
         lambda k: _one_minus_atan_ratio(k / x), QuadratureSpec(rtol=rtol))
 
@@ -267,14 +272,14 @@ def _h_parallel_integrand(x):
 
 def h_parallel(x, rtol=1e-8):
     """In-plane kinetic shape of the charge interaction; decreases to 1."""
-    _require_positive(x)
+    _require_x(x)
     return integrate_exponential_weight(_h_parallel_integrand(x),
                                         QuadratureSpec(rtol=rtol))
 
 
 def h_3(x):
     """Normal kinetic shape of the charge interaction, exactly 1 + 1/x."""
-    _require_positive(x)
+    _require_x(x)
     return 1.0 + 1.0 / x
 
 
@@ -325,7 +330,7 @@ def _g_closed_routes(x, rtol):
     One stacked log-k integrand, refined until each of the three reaches
     rtol.
     """
-    _require_positive(x)
+    _require_x(x)
     te, tm, g3 = integrate_exponential_weight(
         lambda k: _g_closed(k, x), QuadratureSpec(rtol=rtol)).tolist()
     return te / 6.0, 5.0 / 22.0 * tm, 0.25 * g3

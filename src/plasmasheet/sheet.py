@@ -28,7 +28,6 @@ __all__ = [
     "MinkowskiMomentum",
     "EuclideanMomentum",
     "PolarizationBasis",
-    "PlasmonBranch",
     "gamma_minkowski",
     "reflection_te",
     "reflection_tm",
@@ -42,7 +41,6 @@ __all__ = [
     "tm_plasmon_closed",
     "tm_plasmon_root",
     "te_plasmon_exists",
-    "plasmon_branch",
 ]
 
 
@@ -430,30 +428,3 @@ def te_plasmon_exists(kpar, sheet):
     grid = np.linspace(0.0, kpar, samples + 1)[:-1] + kpar / (2.0 * samples)
     residual = 1.0 + sheet.omega / (2.0 * np.sqrt(kpar * kpar - grid * grid))
     return bool(residual.min() <= 1.0)
-
-
-@dataclass(frozen=True)
-class PlasmonBranch:
-    """Sampled TM surface-plasmon dispersion curve k0(kpar)."""
-
-    kpar: np.ndarray
-    k0: np.ndarray
-    omega: float
-
-    def __post_init__(self):
-        if len(self.kpar) != len(self.k0) or len(self.kpar) == 0:
-            raise ValueError("kpar and k0 must be equal-length, nonempty")
-        if np.any(np.diff(self.kpar) <= 0.0):
-            raise ValueError("kpar samples must increase strictly")
-        if np.any(self.k0 <= 0.0) or np.any(self.k0 >= self.kpar):
-            raise ValueError("plasmon branch must satisfy 0 < k0 < kpar")
-
-
-def plasmon_branch(sheet):
-    """TM plasmon dispersion sampled at kpar/Omega in [1e-3, 1e3], 50
-    points, log-spaced."""
-    if sheet.omega <= 0.0:
-        raise ValueError("plasmon branch needs omega > 0")
-    kpar = sheet.omega * np.logspace(-3.0, 3.0, 50)
-    return PlasmonBranch(kpar=kpar, k0=tm_plasmon_closed(kpar, sheet),
-                         omega=sheet.omega)

@@ -134,9 +134,13 @@ class TestReducedEnergy:
     def test_inner_nodes_per_x_are_pinned(self, monkeypatch, x, bound):
         # nodes of the inner TM Gauss-Legendre rule over all outer nodes;
         # deterministic, and 35,952, 16,368 and 15,408 when every level of
-        # the outer rule spanned all of k in [1e-20, 800]
-        nodes = []
+        # the outer rule spanned all of k in [1e-20, 800]. The integrand
+        # calls are pinned exactly: 4 of the log-k rule at every x, and
+        # those of the inner rule per x below.
+        inner_calls = {1e-3: 12, 1.0: 9, 1e3: 8, 1e6: 8}[x]
+        nodes, outer_calls = [], []
         original = casimir.integrate_legendre
+        original_outer = casimir.integrate_exponential_weight
 
         def counted(f, hi, spec, *params):
             def f_counted(t, *rows):
@@ -145,9 +149,19 @@ class TestReducedEnergy:
 
             return original(f_counted, hi, spec, *params)
 
+        def outer_counted(f, spec):
+            def f_counted(k):
+                outer_calls.append(k.size)
+                return f(k)
+
+            return original_outer(f_counted, spec)
+
         monkeypatch.setattr(casimir, "integrate_legendre", counted)
+        monkeypatch.setattr(casimir, "integrate_exponential_weight",
+                            outer_counted)
         casimir._energy_and_slope(x, 1e-8)
         assert sum(nodes) <= bound
+        assert (len(outer_calls), len(nodes)) == (4, inner_calls)
         first = sum(nodes)
         nodes.clear()
         casimir._energy_and_slope(x, 1e-8)

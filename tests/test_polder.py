@@ -198,6 +198,14 @@ class TestShapeFunctionValues:
             with pytest.raises(ValueError):
                 fn(0.0)
 
+    @pytest.mark.parametrize("fn", [f_te, f_tm, h_parallel, h_3, g_te, g_tm,
+                                    g_3, reduction_functions,
+                                    ReductionFunctions],
+                             ids=lambda fn: fn.__name__)
+    def test_rejects_infinite_argument(self, fn):
+        with pytest.raises(ValueError, match="x must be positive and finite"):
+            fn(math.inf)
+
     def test_bundle_matches_standalone(self):
         x = 3.7
         rf = reduction_functions(x)
@@ -319,9 +327,13 @@ class TestDualRoutes:
         # nodes of the check routes' inner Gauss-Legendre rule, gTM and g3
         # together; deterministic, and 98,496 when every element ran to
         # order 64 (25,592 at most when every level of the outer rule
-        # spanned all of k in [1e-20, 800])
-        nodes = []
+        # spanned all of k in [1e-20, 800]). The integrand calls are pinned
+        # exactly: 10 of the log-k rule (closed and check routes) at every
+        # x, and those of the inner rule per x below.
+        inner_calls = {1e-6: 20, 1.0: 15, 1e12: 10}[x]
+        nodes, outer_calls = [], []
         original = polder.integrate_legendre
+        original_outer = polder.integrate_exponential_weight
 
         def counted(f, hi, spec, *params):
             def f_counted(t, *rows):
@@ -330,9 +342,19 @@ class TestDualRoutes:
 
             return original(f_counted, hi, spec, *params)
 
+        def outer_counted(f, spec):
+            def f_counted(k):
+                outer_calls.append(k.size)
+                return f(k)
+
+            return original_outer(f_counted, spec)
+
         monkeypatch.setattr(polder, "integrate_legendre", counted)
+        monkeypatch.setattr(polder, "integrate_exponential_weight",
+                            outer_counted)
         polder._g_family(x, 1e-8)
         assert sum(nodes) <= 16000
+        assert (len(outer_calls), len(nodes)) == (10, inner_calls)
         first = sum(nodes)
         nodes.clear()
         polder._g_family(x, 1e-8)

@@ -354,10 +354,11 @@ class TestPlasmon:
         for kpar in np.logspace(-3, 3, 25):
             assert sheet.te_plasmon_exists(kpar, sp) is False
 
-    def test_branch_object(self):
+    def test_closed_branch_on_log_grid(self):
         sp = sheet.SheetParameters(2.0)
-        branch = sheet.plasmon_branch(sp)
-        assert len(branch.kpar) == 50
-        assert branch.kpar[0] == pytest.approx(2.0e-3)
-        assert np.all(branch.k0 < branch.kpar)
-        assert np.all(np.diff(branch.k0) > 0.0)
+        kpar = sp.omega * np.logspace(-3.0, 3.0, 50)
+        k0 = sheet.tm_plasmon_closed(kpar, sp)
+        assert k0.shape == (50,)
+        assert kpar[0] == pytest.approx(2.0e-3)
+        assert np.all((0.0 < k0) & (k0 < kpar))
+        assert np.all(np.diff(k0) > 0.0)
