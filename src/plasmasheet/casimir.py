@@ -97,10 +97,10 @@ def _energy_and_slope(x, rtol, te_coeff=_te_euclidean, tm_coeff=_tm_euclidean):
     Outer rule: the log-k trapezoid rule in k = 2g, refined on the support
     of the three integrands until all three reach rtol. Inner rule: the TM
     angular integral over eps in [0, 1], refined to rtol/10 at every outer
-    node, as Gauss-Legendre in s with eps = sinh(t) sqrt(x/k) and t = s^2. The square clusters the nodes
-    near t = 0, where ln(1 - w) ~ ln(k + 2 t^2) has branch points at
-    t = +-i sqrt(k/2); without it x = 1e-6 cannot reach rtol = 1e-10 below
-    Gauss-Legendre order 512.
+    node, as Gauss-Legendre in s with eps = sinh(t) sqrt(x/k) and t = s^2.
+    The square clusters the nodes near t = 0, where ln(1 - w) ~
+    ln(k + 2 t^2) has branch points at t = +-i sqrt(k/2); without it
+    x = 1e-6 cannot reach rtol = 1e-10 below Gauss-Legendre order 512.
 
     te_coeff and tm_coeff are the Euclidean reflection coefficients as
     functions of (g[, eps], x) on arrays; polarization_convention_equivalence

@@ -11,7 +11,9 @@ nodes. For f bounded as k -> 0, each dropped side is below rtol/100 of the
 total. Gauss-Legendre refines each element (each upper limit) on its own:
 an element is final at its first pair of agreeing orders, and the
 integrand sees only the elements still refining, with their rows of any
-per-element parameter arrays. The QUADPACK wrappers
+per-element parameter arrays. Its first call takes the first pair of
+orders, n and 2n, on their joined nodes, so t has shape (m, 3n) there;
+every later order is one call. The QUADPACK wrappers
 ``integrate_adaptive`` and ``integrate_semi_infinite`` keep the same
 contract, but no package code calls them: they stay only because the
 benchmark tracer in ``perfbench/tracing.py`` wraps them by name.
@@ -145,6 +147,14 @@ def _legendre_rule(order):
     return _frozen(0.5 * (nodes + 1.0), 0.5 * weights)
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre_pair(order):
+    """Joined nodes of the order and 2*order rules, and their two weights."""
+    nodes, weights = _legendre_rule(order)
+    nodes2, weights2 = _legendre_rule(2 * order)
+    return _frozen(np.concatenate((nodes, nodes2)))[0], weights, weights2
+
+
 def integrate_exponential_weight(f, spec=None):
     """Integral of e^(-k) f(k) over k in [0, inf).
 
@@ -233,16 +243,22 @@ def integrate_legendre(f, hi, spec=None, *params):
     start at ``spec.order`` nodes and double the order until two successive
     orders agree to ``spec.rtol``. An element is final at its first pair of
     agreeing orders and keeps the higher order's value; only the elements
-    that have not converged are evaluated at the next order.
+    that have not converged are evaluated at the next order. The first
+    pair, orders n = ``spec.order`` and 2n, takes one call of f on their
+    joined nodes; each later order takes one call.
 
     Parameters
     ----------
     f : callable
         Called as ``f(t, *rows)``. t has shape (m, order): the nodes of the
-        m elements still refining. rows are the rows of the ``params`` arrays
-        for those elements. Returns an array of shape (..., m, order); the
+        m elements still refining; on the first call, shape (m, 3 n): the n
+        nodes of order n, then the 2n of order 2n (shape (m, n) if 2n is
+        above 512). rows are the rows of the ``params`` arrays for those
+        elements. Returns an array of shape (..., m, t.shape[1]); the
         leading axes hold several integrands on the same nodes, and an
-        element is final when all of them agree.
+        element is final when all of them agree. When f acts on each node
+        alone, as elementwise numpy does, its values do not depend on how
+        the nodes are grouped into calls.
     hi : float or 1-d array
         Upper limits, one per element.
     spec : QuadratureSpec, optional
@@ -270,12 +286,21 @@ def integrate_legendre(f, hi, spec=None, *params):
     # result holds the final values once some elements have left
     index = np.arange(hi.size)
     lim, rows = hi, params
-    result = prev = None
+    result = prev = cur = None
     gap = math.inf
     order = spec.order
+    if 2 * order <= _LEGENDRE_MAX_ORDER:
+        # one call for the first pair of orders, on their joined nodes
+        nodes, weights, weights2 = _legendre_pair(order)
+        values = f(hi[:, None] * nodes, *params)
+        prev = np.sum(weights * values[..., :order], axis=-1) * hi
+        cur = np.sum(weights2 * values[..., order:], axis=-1) * hi
+        order *= 2
     while order <= _LEGENDRE_MAX_ORDER:
-        nodes, weights = _legendre_rule(order)
-        cur = np.sum(weights * f(lim[:, None] * nodes, *rows), axis=-1) * lim
+        if cur is None:
+            nodes, weights = _legendre_rule(order)
+            cur = np.sum(weights * f(lim[:, None] * nodes, *rows),
+                         axis=-1) * lim
         if prev is not None:
             diff = np.abs(cur - prev)
             agree = diff <= spec.rtol * np.abs(cur) + _ABS_FLOOR
@@ -295,7 +320,7 @@ def integrate_legendre(f, hi, spec=None, *params):
                                          diff[..., keep])
                 rows = [row[keep] for row in rows]
             gap = float(np.max(diff))
-        prev = cur
+        prev, cur = cur, None
         order *= 2
     if result is not None:
         result[..., index] = prev

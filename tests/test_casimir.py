@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -129,15 +130,16 @@ class TestReducedEnergy:
         assert np.all(energies < 0.0) and np.all(pressures < 0.0)
         assert np.all(np.diff(energies) < 0.0) and np.all(np.diff(pressures) < 0.0)
 
-    @pytest.mark.parametrize("x, bound", [(1e-3, 18000), (1.0, 8200),
-                                          (1e3, 7700), (1e6, 7700)])
-    def test_inner_nodes_per_x_are_pinned(self, monkeypatch, x, bound):
-        # nodes of the inner TM Gauss-Legendre rule over all outer nodes;
-        # deterministic, and 35,952, 16,368 and 15,408 when every level of
-        # the outer rule spanned all of k in [1e-20, 800]. The integrand
-        # calls are pinned exactly: 4 of the log-k rule at every x, and
-        # those of the inner rule per x below.
-        inner_calls = {1e-3: 12, 1.0: 9, 1e3: 8, 1e6: 8}[x]
+    @pytest.mark.parametrize("x", [1e-3, 1.0, 1e3, 1e6])
+    def test_inner_nodes_per_x_are_pinned(self, monkeypatch, x):
+        # nodes of the inner TM Gauss-Legendre rule over all outer nodes,
+        # pinned exactly; deterministic, and 35,952, 16,368 and 15,408 when
+        # every level of the outer rule spanned all of k in [1e-20, 800].
+        # The integrand calls are pinned exactly too: 4 of the log-k rule at
+        # every x, and those of the inner rule per x below, whose first call
+        # takes its first two orders together.
+        total = {1e-3: 15568, 1.0: 5792, 1e3: 5328, 1e6: 5328}[x]
+        inner_calls = {1e-3: 8, 1.0: 5, 1e3: 4, 1e6: 4}[x]
         nodes, outer_calls = [], []
         original = casimir.integrate_legendre
         original_outer = casimir.integrate_exponential_weight
@@ -160,7 +162,7 @@ class TestReducedEnergy:
         monkeypatch.setattr(casimir, "integrate_exponential_weight",
                             outer_counted)
         casimir._energy_and_slope(x, 1e-8)
-        assert sum(nodes) <= bound
+        assert sum(nodes) == total
         assert (len(outer_calls), len(nodes)) == (4, inner_calls)
         first = sum(nodes)
         nodes.clear()
@@ -244,6 +246,63 @@ class TestPressure:
         sheet = SheetParameters(omega=x)
         p = lifshitz_pressure(1.0, sheet)
         assert abs(p - stencil_pressure(1.0, sheet)) <= 1e-8 * abs(p)
+
+
+@pytest.fixture(scope="module")
+def weak_coupling_constant():
+    """C of the x -> 0 limit a^3 E_TM/A -> -C sqrt(x), summed by mpmath.
+
+    From ln(1 - w) = -sum_n w^n/n and Int_0^inf (1 + u^2)^(-m) du
+    = sqrt(pi) Gamma(m - 1/2)/(2 Gamma(m)):
+    C = Gamma(5/2) (sqrt(pi)/2)/(32 pi^2) sum_n n^(-7/2) Gamma(2n - 1/2)/Gamma(2n).
+    """
+    with mpmath.workdps(20):
+        total = mpmath.nsum(lambda n: n ** mpmath.mpf(-3.5)
+                            * mpmath.gamma(2 * n - 0.5) / mpmath.gamma(2 * n),
+                            [1, mpmath.inf])
+        return float(mpmath.gamma(2.5) * mpmath.sqrt(mpmath.pi)
+                     / (64 * mpmath.pi**2) * total)
+
+
+class TestAsymptotes:
+    """Both ends of x against closed leading terms, at rtol 1e-10.
+
+    Each bound states the size of the next term.
+    """
+
+    def test_weak_coupling_constant(self, weak_coupling_constant):
+        assert weak_coupling_constant == pytest.approx(0.0035437552338344084,
+                                                       rel=1e-15)
+
+    @pytest.mark.parametrize("x", [1e-6, 1e-5])
+    def test_tm_goes_like_root_x(self, weak_coupling_constant, x):
+        # next term O(x^(3/2)) relative: -3.0e-10 at 1e-6, -9.4e-9 at 1e-5
+        _, tm, _ = reduced_energy_and_pressure(x, 1e-10)
+        gap = tm / (-weak_coupling_constant * math.sqrt(x)) - 1.0
+        assert abs(gap) <= 0.5 * x**1.5
+
+    def test_te_goes_like_x_squared(self):
+        # next term -2x (ln(1/x) - Euler gamma) relative, from
+        # Int e^-k (k/(k + x))^2 dk: -2.5e-5 at x = 1e-6
+        x = 1e-6
+        te, _, _ = reduced_energy_and_pressure(x, 1e-10)
+        gap = te / (-x * x / (32.0 * math.pi**2)) - 1.0
+        assert abs(gap) <= 3.0 * x * math.log(1.0 / x)
+
+    def test_pressure_to_energy_ratio_tends_to_five_halves(self):
+        # a^4 P = 3F - xF' is 5/2 of the TM part and 1 of the TE part, whose
+        # share of F is about x^(3/2): 2.4999999991 at x = 1e-6
+        x = 1e-6
+        te, tm, pressure = reduced_energy_and_pressure(x, 1e-10)
+        assert abs(pressure / (te + tm) - 2.5) <= 2.0 * x**1.5
+
+    @pytest.mark.parametrize("x", [1e6, 1e7, 1e8])
+    def test_strong_coupling_first_correction(self, x):
+        # F = -pi^2/720 + pi^2/(180 x) + O(x^-2): the gap is -5.3e-6,
+        # -5.3e-7 and -3.3e-8 at x = 1e6, 1e7 and 1e8
+        te, tm, _ = reduced_energy_and_pressure(x, 1e-10)
+        gap = (te + tm - IDEAL_REDUCED_ENERGY) * 180.0 * x / math.pi**2 - 1.0
+        assert abs(gap) <= 10.0 / x
 
 
 class TestCasimirResult:

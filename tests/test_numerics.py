@@ -134,6 +134,35 @@ class TestExponentialWeight:
             numerics.QuadratureSpec(rtol=0.0)
 
 
+def legendre_reference(f, hi, spec, *params):
+    """integrate_legendre one element at a time, one integrand call per order.
+
+    Returns (values, error_bound): error_bound is None when every element
+    converged, else the largest last gap of those that did not, and values
+    then holds each element's latest value.
+    """
+    values, gaps = [], []
+    for i in range(hi.size):
+        lim, rows = hi[i:i + 1], [param[i:i + 1] for param in params]
+        prev, gap, order = None, math.inf, spec.order
+        while order <= numerics._LEGENDRE_MAX_ORDER:
+            nodes, weights = numerics._legendre_rule(order)
+            cur = np.sum(weights * f(lim[:, None] * nodes, *rows),
+                         axis=-1) * lim
+            if prev is not None:
+                diff = np.abs(cur - prev)
+                if np.all(diff <= spec.rtol * np.abs(cur) + numerics._ABS_FLOOR):
+                    values.append(cur)
+                    break
+                gap = float(np.max(diff))
+            prev = cur
+            order *= 2
+        else:
+            values.append(prev)
+            gaps.append(gap)
+    return np.concatenate(values, axis=-1), max(gaps) if gaps else None
+
+
 class TestLegendre:
     def test_array_of_upper_limits(self):
         hi = np.array([1e-12, 0.3, 2.0, 11.0])
@@ -147,10 +176,10 @@ class TestLegendre:
             orders.append(t.shape[-1])
             return np.exp(-t) / (1.0 + t * t)
 
+        # the first call takes orders 4 and 8 together on 12 nodes
         spec = numerics.QuadratureSpec(order=4, rtol=1e-12)
         numerics.integrate_legendre(f, 3.0, spec)
-        assert orders[:3] == [4, 8, 16]
-        assert all(b == 2 * a for a, b in zip(orders, orders[1:]))
+        assert orders == [12, 16, 32, 64]
 
     def test_kink_never_agrees(self):
         spec = numerics.QuadratureSpec(rtol=1e-12)
@@ -200,9 +229,36 @@ class TestLegendre:
         spec = numerics.QuadratureSpec(order=8, rtol=1e-12)
         val = numerics.integrate_legendre(f, hi, spec, rows, scale)
         assert np.all(np.abs(val - np.sin(scale[:, 0]) / scale[:, 0]) < 1e-13)
-        assert seen == [((4, 8), [0, 1, 2, 3]), ((4, 16), [0, 1, 2, 3]),
-                        ((2, 32), [2, 3]), ((2, 64), [2, 3]),
-                        ((1, 128), [3]), ((1, 256), [3])]
+        assert seen == [((4, 24), [0, 1, 2, 3]), ((2, 32), [2, 3]),
+                        ((2, 64), [2, 3]), ((1, 128), [3]), ((1, 256), [3])]
+
+    @pytest.mark.parametrize("f, hi, order, params", [
+        # per-element parameters: each element needs its own order
+        (lambda t, scale: np.cos(scale * t), [1.0, 0.5, 2.0, 1.0], 8,
+         [[[0.5], [1.0], [20.0], [100.0]]]),
+        # stacked integrands on the same nodes
+        (lambda t, scale: np.stack((np.exp(-t), np.cos(scale * t), t**3)),
+         [0.3, 1.0, 3.0], 4, [[[1.0], [30.0], [5.0]]]),
+        # element 1 has a kink and never converges
+        (lambda t, kink: np.where(kink, np.abs(t - 0.5), np.cos(t)),
+         [1.0, 1.0, 2.0], 16, [[[False], [True], [False]]]),
+        # a single order fits below 512: no pair, error bound inf
+        (np.cos, [1.0, 2.0], 300, []),
+    ], ids=["params", "stacked", "kink", "one-order"])
+    def test_matches_order_by_order_reference(self, f, hi, order, params):
+        hi = np.array(hi)
+        params = [np.array(param) for param in params]
+        spec = numerics.QuadratureSpec(order=order, rtol=1e-12)
+        want, bound = legendre_reference(f, hi, spec, *params)
+        if bound is None:
+            got = numerics.integrate_legendre(f, hi, spec, *params)
+        else:
+            with pytest.raises(ToleranceNotMet) as info:
+                numerics.integrate_legendre(f, hi, spec, *params)
+            got = info.value.estimate
+            assert info.value.error_bound == bound
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_stacked_integrands_converge_together(self):
         calls = []

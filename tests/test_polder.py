@@ -325,12 +325,14 @@ class TestDualRoutes:
     @pytest.mark.parametrize("x", [1e-6, 1.0, 1e12])
     def test_inner_nodes_per_x_are_pinned(self, monkeypatch, x):
         # nodes of the check routes' inner Gauss-Legendre rule, gTM and g3
-        # together; deterministic, and 98,496 when every element ran to
-        # order 64 (25,592 at most when every level of the outer rule
-        # spanned all of k in [1e-20, 800]). The integrand calls are pinned
-        # exactly: 10 of the log-k rule (closed and check routes) at every
-        # x, and those of the inner rule per x below.
-        inner_calls = {1e-6: 20, 1.0: 15, 1e12: 10}[x]
+        # together, pinned exactly; deterministic, and 98,496 when every
+        # element ran to order 64 (25,592 at most when every level of the
+        # outer rule spanned all of k in [1e-20, 800]). The integrand calls
+        # are pinned exactly too: 10 of the log-k rule (closed and check
+        # routes) at every x, and those of the inner rule per x below, whose
+        # first call takes its first two orders together.
+        total = {1e-6: 15008, 1.0: 4920, 1e12: 3672}[x]
+        inner_calls = {1e-6: 15, 1.0: 10, 1e12: 5}[x]
         nodes, outer_calls = [], []
         original = polder.integrate_legendre
         original_outer = polder.integrate_exponential_weight
@@ -353,7 +355,7 @@ class TestDualRoutes:
         monkeypatch.setattr(polder, "integrate_exponential_weight",
                             outer_counted)
         polder._g_family(x, 1e-8)
-        assert sum(nodes) <= 16000
+        assert sum(nodes) == total
         assert (len(outer_calls), len(nodes)) == (10, inner_calls)
         first = sum(nodes)
         nodes.clear()
