@@ -213,7 +213,7 @@ def casimir_result(a, sheet, rtol=1e-8):
     either lies beyond the float range, and also where either underflows to
     0, since the result promises E < 0 and P < 0.
     """
-    if a <= 0.0:
+    if not a > 0.0:
         raise ValueError("distance must be positive")
     if sheet.omega == 0.0:
         return CasimirResult(distance=a, omega=0.0, energy_per_area=0.0,
@@ -243,7 +243,7 @@ def polarization_convention_equivalence(a, sheet, rtol=1e-8):
     rational function written differently; the energies they produce must
     agree to rounding. Returns |E_alt - E|/|E|.
     """
-    if a <= 0.0:
+    if not a > 0.0:
         raise ValueError("distance must be positive")
     if sheet.omega == 0.0:
         return 0.0

@@ -33,7 +33,6 @@ import io
 import itertools
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -64,7 +63,6 @@ from .sheet import reflection_te, reflection_tm  # noqa: F401
 
 __all__ = [
     "DEFAULT_TOLERANCE",
-    "TOLERANCE_ENV_VAR",
     "RunConfig",
     "SweepSpec",
     "SweepTable",
@@ -75,7 +73,6 @@ __all__ = [
     "table_to_json_text",
 ]
 
-TOLERANCE_ENV_VAR = "PLASMASHEET_TOLERANCE"
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_COUNT = 50
 
@@ -415,8 +412,9 @@ def _options(command):
                   f"number of sweep points (default {DEFAULT_COUNT})"),
         ParamSpec("scale", _choice("linear", "log"), "linear", "grid spacing"),
         *spec.fixed,
-        ParamSpec("tolerance", _finite, None,
-                  "relative tolerance for quadratures"),
+        ParamSpec("tolerance", _finite, DEFAULT_TOLERANCE,
+                  f"relative tolerance for quadratures, in "
+                  f"[{MIN_RTOL:g}, {MAX_RTOL:g}]"),
         ParamSpec("format", _choice("csv", "json"), "csv", "output format"),
         ParamSpec("output", str, "-", "output path, or - for stdout", "PATH"),
     )
@@ -475,8 +473,7 @@ def _read_key_values(path):
 def _assemble(command, file_strings, overrides):
     """RunConfig from file strings and override values.
 
-    Precedence: overrides (flags) > file values > environment tolerance >
-    option defaults.
+    Precedence: overrides (flags) > file values > option defaults.
     """
     spec = COMMANDS[command]
     options = {option.name: option for option in _options(command)}
@@ -491,19 +488,6 @@ def _assemble(command, file_strings, overrides):
 
     def setting(name):
         return given.get(name, options[name].default)
-
-    tolerance = setting("tolerance")
-    if tolerance is None:
-        env = os.environ.get(TOLERANCE_ENV_VAR)
-        if env is not None:
-            try:
-                tolerance = float(env)
-            except ValueError:
-                raise ValueError(
-                    f"{TOLERANCE_ENV_VAR} must be a number, got {env!r}"
-                ) from None
-    if tolerance is None:
-        tolerance = DEFAULT_TOLERANCE
 
     axis_flag = "--" + spec.axis.replace("_", "-")
     single = setting(spec.axis)
@@ -531,7 +515,7 @@ def _assemble(command, file_strings, overrides):
 
     fixed = {p.name: given[p.name] for p in spec.fixed if p.name in given}
     return RunConfig(command=command, sweep=sweep, fixed=fixed,
-                     tolerance=tolerance, fmt=setting("format"),
+                     tolerance=setting("tolerance"), fmt=setting("format"),
                      output=setting("output"))
 
 
@@ -539,8 +523,9 @@ def load_config(path, command=None, overrides=None):
     """RunConfig from a key=value file; override values win over the file.
 
     The file may set any long option of the command (hyphens or underscores)
-    plus 'command' itself; unknown keys and unparseable values are reported
-    with the file name, line, and key.
+    plus 'command' itself, which must agree with ``command`` when both are
+    given; unknown keys, unparseable values and a disagreeing command are
+    reported with the file name, line, and key.
     """
     entries = _read_key_values(path)
     file_command = None
@@ -551,12 +536,17 @@ def load_config(path, command=None, overrides=None):
         else:
             data[key] = (lineno, value)
 
+    lineno = 0
+    if file_command is not None:
+        lineno, named = file_command
+        if command is None:
+            command = named
+        elif named != command:
+            raise ValueError(f"{path}:{lineno}: config file sets command "
+                             f"{named!r}, but the run is {command!r}")
     if command is None:
-        if file_command is None:
-            raise ValueError(f"{path}: config file does not set 'command'")
-        command = file_command[1]
+        raise ValueError(f"{path}: config file does not set 'command'")
     if command not in COMMANDS:
-        lineno = file_command[0] if file_command else 0
         raise ValueError(f"{path}:{lineno}: unknown command {command!r}")
 
     valid = {option.name for option in _options(command)}
@@ -774,10 +764,7 @@ def build_parser():
         description="Parameter sweeps over the plasma-sheet model: "
                     "reflection, plasmon dispersion, Casimir and "
                     "Casimir-Polder energies, charge-sheet energy, "
-                    "spherical-shell Jost functions.",
-        epilog=f"The default relative tolerance is {DEFAULT_TOLERANCE:g}; "
-               f"the environment variable {TOLERANCE_ENV_VAR} overrides it, "
-               "and --tolerance (flag or config file) wins over both.")
+                    "spherical-shell Jost functions.")
     subparsers = parser.add_subparsers(dest="command", required=True,
                                        metavar="command")
     for name, spec in COMMANDS.items():

@@ -47,7 +47,8 @@ class DegenerateMomentumError(SheetModelError):
     kpar <= 0 (TM plasmon frequencies, TE plasmon scan), at a vanishing
     Euclidean radius gamma = 0, on the light cone (polarization basis), at
     k0 = 0 (scalar and TM jump coefficients of matching_residual) and at
-    k0 = 0 on a spherical shell (Jost functions, radial propagator).
+    k0 = 0 on a spherical shell (Jost functions, radial propagator, TM flat
+    limit).
     """
 
 

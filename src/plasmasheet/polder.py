@@ -154,8 +154,14 @@ def image_potential(x1, x2, x3, a, e):
 
     The sheet lies in the plane at height a; a unit source at the origin sees
     the potential of a mirror charge at (0, 0, 2a), for any sheet strength.
-    A potential above the float range raises ValueError.
+    A potential above the float range raises ValueError, and so do a
+    non-finite point or charge and a = nan; a = inf gives the limit 0.
     """
+    for name, value in (("x1", x1), ("x2", x2), ("x3", x3), ("e", e)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+    if math.isnan(a):
+        raise ValueError("a must not be nan")
     distance = math.hypot(x1, x2, x3 - 2.0 * a)
     if distance == 0.0:
         raise ValueError("observation point coincides with the mirror charge")

@@ -279,15 +279,16 @@ def matching_residual(k, sheet, polarization="scalar", probe_offset=1e-3, y3=Non
         Magnitudes that vanish at least quadratically as probe_offset -> 0.
     """
     h = float(probe_offset)
-    if h <= 0.0:
-        raise ValueError("probe_offset must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError("probe_offset must be positive and finite")
     gamma = gamma_minkowski(k)
     if gamma == 0.0:
         raise OnLightConeError("free propagator pole at Gamma = 0")
     if y3 is None:
         y3 = max(0.75 / abs(gamma), 8.0 * h)
-    if y3 <= 2.0 * h:
-        raise ValueError("source point y3 must sit beyond the probe stencil")
+    if not 2.0 * h < y3 < math.inf:
+        raise ValueError("source point y3 must be finite and sit beyond the "
+                         "probe stencil")
     numerator = _polarization(polarization)[1]
     if numerator is None:
         coeff = complex(sheet.omega)
@@ -362,6 +363,8 @@ def polarization_basis(k):
 def _plasmon_momenta(kpar, sheet):
     """kpar (a float or an array) as an array, checked for both routes."""
     kpar = np.asarray(kpar, dtype=float)
+    if not np.isfinite(kpar).all():
+        raise ValueError("kpar must be finite")
     if not (kpar > 0.0).all():
         raise DegenerateMomentumError("plasmon branch needs kpar > 0")
     if sheet.omega <= 0.0:
@@ -420,10 +423,7 @@ def te_plasmon_exists(kpar, sheet):
     _TE_SCAN_SAMPLES midpoints certifies to stay >= 1 + Omega/(2 kpar) > 1
     on the whole interval.
     """
-    if kpar <= 0.0:
-        raise DegenerateMomentumError("plasmon scan needs kpar > 0")
-    if sheet.omega <= 0.0:
-        raise ValueError("plasmon scan needs omega > 0")
+    kpar = _plasmon_momenta(kpar, sheet)
     samples = _TE_SCAN_SAMPLES
     grid = np.linspace(0.0, kpar, samples + 1)[:-1] + kpar / (2.0 * samples)
     residual = 1.0 + sheet.omega / (2.0 * np.sqrt(kpar * kpar - grid * grid))

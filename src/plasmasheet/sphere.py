@@ -77,8 +77,8 @@ def radial_propagator_dl(l, k0, r, rp):
     """
     _check_l(l)
     _require_dynamic(k0)
-    if not (r > 0.0 and rp > 0.0):
-        raise ValueError("radii must be positive")
+    if not (0.0 < r < math.inf and 0.0 < rp < math.inf):
+        raise ValueError("radii must be positive and finite")
     if r == rp:
         (j,), (h,), phase = _sph_jh((l,), k0 * r)
     else:
@@ -166,6 +166,7 @@ def tm_flat_limit(k0, kpar, omega):
     held fixed; proportional to the flat-sheet TM Jost structure
     1 - 2 i k0^2/(Omega Gamma), so it shares its zeros.
     """
+    _require_dynamic(k0)
     gamma = gamma_minkowski(MinkowskiMomentum.from_parallel(k0, kpar))
     return 1.0 + 1j * omega * gamma / (2.0 * k0 * k0)
 
@@ -198,12 +199,15 @@ def scan_real_zeros(l, shell, k0r_max=30.0, points_per_period=20,
     a minimum with Im g > 0 is a finite-width resonance, not a zero; such
     minima are dropped unless certify_nonzero is disabled (useful for
     inspecting the dips themselves). l must be an integer >= 1, as for the
-    Jost functions (ValueError otherwise).
+    Jost functions, k0r_max positive and finite, and points_per_period at
+    least 1 (ValueError otherwise).
     """
     from scipy.optimize import minimize_scalar
 
-    if k0r_max <= 0.0:
-        raise ValueError("k0r_max must be positive")
+    if not 0.0 < k0r_max < math.inf:
+        raise ValueError("k0r_max must be positive and finite")
+    if not points_per_period >= 1:
+        raise ValueError("points_per_period must be >= 1")
     if points_per_period < 20:
         warnings.warn(
             "fewer than 20 points per oscillation period may skip over "

@@ -205,6 +205,13 @@ class TestEnergyPerArea:
         with pytest.raises(ValueError):
             lifshitz_energy_per_area(0.0, SheetParameters(omega=1.0))
 
+    @pytest.mark.parametrize("quantity", [
+        casimir_result, lifshitz_energy_per_area, lifshitz_pressure,
+        polarization_convention_equivalence])
+    def test_nan_distance_is_named(self, quantity):
+        with pytest.raises(ValueError, match="distance must be positive"):
+            quantity(math.nan, SheetParameters(omega=1.0))
+
     def test_below_the_float_range_raises(self):
         # x = 1 at a = 1e120: E a^3 is ordinary, E underflows
         sheet = SheetParameters(omega=1e-120)

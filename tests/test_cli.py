@@ -15,7 +15,6 @@ from plasmasheet import cli, polder
 from plasmasheet.cli import (
     COMMANDS,
     DEFAULT_TOLERANCE,
-    TOLERANCE_ENV_VAR,
     RunConfig,
     SweepSpec,
     SweepTable,
@@ -107,31 +106,32 @@ class TestRunConfig:
 
 
 class TestTolerancePrecedence:
-    def test_default_applies(self, monkeypatch):
-        monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
+    def test_default_applies(self):
         config = _assemble("functions", {}, {"x": 1.0})
         assert config.tolerance == DEFAULT_TOLERANCE
 
-    def test_environment_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(TOLERANCE_ENV_VAR, "1e-4")
-        config = _assemble("functions", {}, {"x": 1.0})
-        assert config.tolerance == 1e-4
-
-    def test_config_file_overrides_environment(self, monkeypatch):
-        monkeypatch.setenv(TOLERANCE_ENV_VAR, "1e-4")
+    def test_config_file_overrides_default(self):
         config = _assemble("functions", {"tolerance": "1e-6"}, {"x": 1.0})
         assert config.tolerance == 1e-6
 
-    def test_flag_overrides_config_file(self, monkeypatch):
-        monkeypatch.setenv(TOLERANCE_ENV_VAR, "1e-4")
+    def test_flag_overrides_config_file(self):
         config = _assemble("functions", {"tolerance": "1e-6"},
                            {"x": 1.0, "tolerance": 1e-3})
         assert config.tolerance == 1e-3
 
-    def test_unparseable_environment_is_a_config_error(self, monkeypatch):
-        monkeypatch.setenv(TOLERANCE_ENV_VAR, "fast")
-        with pytest.raises(ValueError, match=TOLERANCE_ENV_VAR):
-            _assemble("functions", {}, {"x": 1.0})
+    @pytest.mark.parametrize("env", ["1e-4", "fast"])
+    def test_environment_does_not_set_the_tolerance(self, env, monkeypatch,
+                                                    capsys):
+        # no environment variable is a source of the tolerance
+        monkeypatch.setenv("PLASMASHEET_TOLERANCE", env)
+        assert main(["casimir", "--omega-a", "1"]) == 0
+        assert "# tolerance: 1e-08\r\n" in capsys.readouterr().out
+
+    def test_help_shows_default_and_range(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["casimir", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "[1e-13, 0.001] (default 1e-08)" in text
 
 
 class TestLoadConfig:
@@ -190,6 +190,23 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="command"):
             load_config(str(path))
 
+    def test_file_command_must_agree_with_the_run(self, tmp_path, capsys):
+        path = tmp_path / "sweep.conf"
+        path.write_text("command=casimir\ntolerance=1e-6\n")
+        agreed = load_config(str(path), command="casimir",
+                             overrides={"omega_a": 1.0})
+        assert agreed.command == "casimir" and agreed.tolerance == 1e-6
+        assert load_config(str(path), overrides={"omega_a": 1.0}) == agreed
+        path.write_text("command=sphere\ntolerance=1e-6\n")
+        with pytest.raises(ValueError,
+                           match=r"sweep\.conf:1: .*'sphere'.*'casimir'"):
+            load_config(str(path), command="casimir",
+                        overrides={"omega_a": 1.0})
+        assert main(["casimir", "--omega-a", "1", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'sphere'" in captured.err and "'casimir'" in captured.err
+
     def test_axis_conflict_rejected(self):
         with pytest.raises(ValueError, match="not both"):
             _assemble("functions", {}, {"x": 1.0, "x_min": 0.1, "x_max": 2.0})
@@ -246,7 +263,6 @@ class TestOptionTable:
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_flag_and_config_key_give_same_config(self, command, key_style,
                                                   tmp_path, monkeypatch):
-        monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
         axis = COMMANDS[command].axis
         bounds = {axis + "_min": "0.1", axis + "_max": "2"}
         plain = self._config_of(monkeypatch, _argv(command, bounds))
@@ -267,8 +283,7 @@ class TestOptionTable:
             assert by_flag == by_file != plain, option.name
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
-    def test_run_config_takes_option_defaults(self, command, monkeypatch):
-        monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
+    def test_run_config_takes_option_defaults(self, command):
         axis = COMMANDS[command].axis
         direct = run(RunConfig(command, SweepSpec(axis, 1.5, 1.5)))
         assert direct == run(_assemble(command, {}, {axis: 1.5}))
@@ -419,26 +434,17 @@ class TestMain:
         assert status == 2
         assert "--x" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, env, named", [
+    @pytest.mark.parametrize("argv, named", [
         (["functions", "--x", "1", "--family", "f", "--tolerance", "0.01"],
-         None, "tolerance"),
-        (["casimir", "--omega-a", "1"], "0.01", "tolerance"),
-        (["functions", "--x-min", "1", "--x-max", "2", "--count", "1"],
-         None, "count"),
-        (["functions", "--x", "1", "--scale", "log"], None, "scale"),
-        (["casimir", "--omega-a", "1", "--tolerance", "1e-14"], None,
          "tolerance"),
-        (["casimir", "--omega-a", "1"], "1e-14", "tolerance"),
-    ], ids=["tolerance-flag", "tolerance-env", "count-one-range",
-            "scale-single-value", "tolerance-floor-flag",
-            "tolerance-floor-env"])
-    def test_dropped_or_unusable_option_exits_two(self, argv, env, named,
+        (["functions", "--x-min", "1", "--x-max", "2", "--count", "1"],
+         "count"),
+        (["functions", "--x", "1", "--scale", "log"], "scale"),
+        (["casimir", "--omega-a", "1", "--tolerance", "1e-14"], "tolerance"),
+    ], ids=["tolerance-flag", "count-one-range", "scale-single-value",
+            "tolerance-floor-flag"])
+    def test_dropped_or_unusable_option_exits_two(self, argv, named,
                                                   monkeypatch, capsys):
-        if env is None:
-            monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
-        else:
-            monkeypatch.setenv(TOLERANCE_ENV_VAR, env)
-
         def no_rows(config):
             raise AssertionError("no row may be computed")
 
@@ -580,8 +586,7 @@ class TestMain:
         assert capsys.readouterr().out == equals_form
         assert "# e: -0.20000000000000001" in equals_form
 
-    def test_readme_examples_exit_zero(self, monkeypatch, capsys):
-        monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
+    def test_readme_examples_exit_zero(self, capsys):
         blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
         commands = [shlex.split(line)[1:] for block in blocks
                     for line in block.splitlines()

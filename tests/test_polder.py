@@ -100,6 +100,13 @@ class TestImagePotential:
         with pytest.raises(ValueError, match="beyond the float range"):
             image_potential(0.0, 0.0, 0.0, 1e-310, 1.0)
 
+    def test_rejects_nan_and_keeps_the_far_sheet_limit(self):
+        point = {"x1": 0.0, "x2": 0.0, "x3": 0.0, "a": 1.0, "e": 1.0}
+        for name in point:
+            with pytest.raises(ValueError, match=f"^{name} must"):
+                image_potential(**{**point, name: math.nan})
+        assert image_potential(0.0, 0.0, 0.0, math.inf, 1.0) == 0.0
+
 
 class TestElectrostaticShift:
     def test_monopole_only(self):

@@ -262,6 +262,14 @@ class TestMatching:
             sheet.matching_residual(momentum(0.0, 1.5), sheet.SheetParameters(1.0),
                                     "scalar", probe_offset=1e-3)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_offsets(self, value):
+        k, sp = momentum(2.0, 1.0), sheet.SheetParameters(1.0)
+        with pytest.raises(ValueError, match="probe_offset"):
+            sheet.matching_residual(k, sp, probe_offset=value)
+        with pytest.raises(ValueError, match="y3"):
+            sheet.matching_residual(k, sp, y3=value)
+
 
 class TestPolarizationBasis:
     def test_orthonormal_and_complete_at_reference_point(self):
@@ -353,6 +361,17 @@ class TestPlasmon:
         sp = sheet.SheetParameters(0.5)
         for kpar in np.logspace(-3, 3, 25):
             assert sheet.te_plasmon_exists(kpar, sp) is False
+
+    @pytest.mark.parametrize("kpar", [math.inf, math.nan,
+                                      np.array([1.0, math.inf])])
+    def test_rejects_non_finite_kpar(self, kpar):
+        sp = sheet.SheetParameters(1.0)
+        for plasmon in (sheet.tm_plasmon_closed, sheet.tm_plasmon_root):
+            with pytest.raises(ValueError, match="kpar must be finite"):
+                plasmon(kpar, sp)
+        if np.ndim(kpar) == 0:
+            with pytest.raises(ValueError, match="kpar must be finite"):
+                sheet.te_plasmon_exists(kpar, sp)
 
     def test_closed_branch_on_log_grid(self):
         sp = sheet.SheetParameters(2.0)

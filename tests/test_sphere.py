@@ -92,6 +92,13 @@ class TestRadialPropagator:
         with pytest.raises(ValueError):
             radial_propagator_dl(1, 1.0, 1.0, -2.0)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_radii(self, value):
+        for r, rp in ((value, 1.0), (1.0, value)):
+            with pytest.raises(ValueError, match="radii must be positive "
+                                                 "and finite"):
+                radial_propagator_dl(1, 1.0, r, rp)
+
 
 class TestJostTE:
     def test_transparent_shell_gives_exactly_one(self):
@@ -274,6 +281,22 @@ class TestScanRealZeros:
         with pytest.raises(ValueError):
             scan_real_zeros(1, shell, k0r_max=-1.0)
 
+    @pytest.mark.parametrize("keyword, value, message", [
+        ("k0r_max", math.inf, "k0r_max must be positive and finite"),
+        ("k0r_max", math.nan, "k0r_max must be positive and finite"),
+        ("points_per_period", 0, "points_per_period must be >= 1"),
+        ("points_per_period", -5, "points_per_period must be >= 1"),
+    ])
+    def test_rejects_unusable_grid_before_any_jost_call(self, keyword, value,
+                                                        message, monkeypatch):
+        def no_jost(*args):
+            raise AssertionError("no Jost value may be computed")
+
+        monkeypatch.setattr(sphere, "jost_te", no_jost)
+        monkeypatch.setattr(sphere, "jost_tm", no_jost)
+        with pytest.raises(ValueError, match=message):
+            scan_real_zeros(1, SphericalShell(1.0, 1.0), **{keyword: value})
+
 
 class TestTmFlatLimit:
     def test_propagating_value(self):
@@ -281,6 +304,10 @@ class TestTmFlatLimit:
         gamma = math.sqrt(k0**2 - kpar**2)
         expected = 1.0 + 1j * omega * gamma / (2.0 * k0**2)
         assert tm_flat_limit(k0, kpar, omega) == pytest.approx(expected)
+
+    def test_static_limit_rejected(self):
+        with pytest.raises(DegenerateMomentumError):
+            tm_flat_limit(0.0, 1.0, 1.0)
 
     def test_evanescent_value_is_real_below_one(self):
         g = tm_flat_limit(1.0, 2.0, 3.0)

@@ -18,7 +18,6 @@ import pytest
 
 from plasmasheet import cli
 from plasmasheet.cli import (
-    TOLERANCE_ENV_VAR,
     SweepTable,
     main,
     table_to_csv_text,
@@ -99,7 +98,6 @@ def table_of(argv, monkeypatch):
         seen.append(table)
         return ""
 
-    monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
     monkeypatch.setattr(cli, "table_to_csv_text", keep)
     monkeypatch.setattr(cli, "table_to_json_text", keep)
     status = main(argv)
