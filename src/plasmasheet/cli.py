@@ -470,21 +470,10 @@ def _read_key_values(path):
     return entries
 
 
-def _assemble(command, file_strings, overrides):
-    """RunConfig from file strings and override values.
-
-    Precedence: overrides (flags) > file values > option defaults.
-    """
+def _assemble(command, given):
+    """RunConfig from parsed option values; options not given take defaults."""
     spec = COMMANDS[command]
     options = {option.name: option for option in _options(command)}
-    given = {}
-    for key, text in file_strings.items():
-        try:
-            given[key] = options[key].parse(text)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ValueError(f"config key {key!r}: {exc}") from None
-    given.update((key, value) for key, value in overrides.items()
-                 if value is not None)
 
     def setting(name):
         return given.get(name, options[name].default)
@@ -525,7 +514,8 @@ def load_config(path, command=None, overrides=None):
     The file may set any long option of the command (hyphens or underscores)
     plus 'command' itself, which must agree with ``command`` when both are
     given; unknown keys, unparseable values and a disagreeing command are
-    reported with the file name, line, and key.
+    reported with the file name, line, and key. A key given twice takes its
+    last line. ``overrides`` maps option names to parsed values.
     """
     entries = _read_key_values(path)
     file_command = None
@@ -549,13 +539,18 @@ def load_config(path, command=None, overrides=None):
     if command not in COMMANDS:
         raise ValueError(f"{path}:{lineno}: unknown command {command!r}")
 
-    valid = {option.name for option in _options(command)}
-    for key, (lineno, _) in sorted(data.items(), key=lambda kv: kv[1][0]):
-        if key not in valid:
+    options = {option.name: option for option in _options(command)}
+    given = {}
+    for key, (lineno, text) in sorted(data.items(), key=lambda kv: kv[1][0]):
+        if key not in options:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-
-    strings = {key: value for key, (_, value) in data.items()}
-    return _assemble(command, strings, overrides or {})
+        try:
+            given[key] = options[key].parse(text)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(
+                f"{path}:{lineno}: config key {key!r}: {exc}") from None
+    given.update(overrides or {})
+    return _assemble(command, given)
 
 
 def _describe(exc):
@@ -582,23 +577,23 @@ def _metadata(config):
 
 
 def _array_rows(runner, values, width):
-    """Table rows of an array runner on an axis array, and whether any failed.
+    """Table rows of an array runner on an axis array.
 
     A call that raises a physics error is split into halves, down to single
     points: the clean parts stay array calls, and only a point that raises
-    on its own gets blank outputs and the message in its 'error' cell.
+    on its own gets blank outputs and the message in its 'error' cell,
+    which is never empty (_describe).
     """
     try:
         columns = [np.asarray(column).tolist() for column in runner(values)]
     except (SheetModelError, ValueError) as exc:
         if len(values) == 1:
             return [(float(values[0]),) + (None,) * width
-                    + (_describe(exc),)], True
+                    + (_describe(exc),)]
         middle = len(values) // 2
-        head, head_failed = _array_rows(runner, values[:middle], width)
-        tail, tail_failed = _array_rows(runner, values[middle:], width)
-        return head + tail, head_failed or tail_failed
-    return [cells + ("",) for cells in zip(values.tolist(), *columns)], False
+        return (_array_rows(runner, values[:middle], width)
+                + _array_rows(runner, values[middle:], width))
+    return [cells + ("",) for cells in zip(values.tolist(), *columns)]
 
 
 def run(config):
@@ -615,10 +610,10 @@ def run(config):
     kinds = ("float",) + tuple(k for _, k in columns) + ("error",)
 
     values = np.array(config.sweep.values())
-    rows, failed = _array_rows(runner, values, len(columns))
+    rows = _array_rows(runner, values, len(columns))
     table = SweepTable(columns=names, kinds=kinds, rows=tuple(rows),
                        metadata=_metadata(config))
-    return table, int(failed)
+    return table, int(any(row[-1] for row in rows))
 
 
 def _format_float(value):
@@ -789,15 +784,17 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    overrides = {option.name: getattr(args, option.name)
-                 for option in _options(args.command)}
+    flags = vars(args)
+    given = {option.name: flags[option.name]
+             for option in _options(args.command)
+             if flags[option.name] is not None}
 
     try:
         if args.config is not None:
             config = load_config(args.config, command=args.command,
-                                 overrides=overrides)
+                                 overrides=given)
         else:
-            config = _assemble(args.command, {}, overrides)
+            config = _assemble(args.command, given)
         table, status = run(config)
         text = (table_to_csv_text(table) if config.fmt == "csv"
                 else table_to_json_text(table))

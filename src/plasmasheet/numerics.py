@@ -13,7 +13,8 @@ an element is final at its first pair of agreeing orders, and the
 integrand sees only the elements still refining, with their rows of any
 per-element parameter arrays. Its first call takes the first pair of
 orders, n and 2n, on their joined nodes, so t has shape (m, 3n) there;
-every later order is one call. The QUADPACK wrappers
+every later order is one call. Orders stop at 512, so a starting order n
+above 256 is refused before f is called. The QUADPACK wrappers
 ``integrate_adaptive`` and ``integrate_semi_infinite`` keep the same
 contract, but no package code calls them: they stay only because the
 benchmark tracer in ``perfbench/tracing.py`` wraps them by name.
@@ -206,7 +207,6 @@ def integrate_exponential_weight(f, spec=None):
     terms = w * f(k)
     lo, hi = _support(terms, np.sum(terms, axis=-1), spec.rtol)
     prev = np.sum(terms[..., lo:hi + 1], axis=-1)
-    gap = math.inf
     for level in range(1, _MAX_HALVINGS + 1):
         k, w = _log_k_level(spec.order, level)
         per_step = 2 ** (level - 1)  # new midpoints per level-0 step
@@ -215,10 +215,10 @@ def integrate_exponential_weight(f, spec=None):
         diff = np.abs(cur - prev)
         if np.all(diff <= spec.rtol * np.abs(cur) + _ABS_FLOOR):
             return float(cur) if np.ndim(cur) == 0 else cur
-        prev, gap = cur, float(np.max(diff))
+        prev = cur
     raise ToleranceNotMet(
         f"log-k trapezoid refinement did not reach rtol {spec.rtol:g}",
-        estimate=prev, error_bound=gap)
+        estimate=prev, error_bound=float(np.max(diff)))
 
 
 def _support(terms, total, rtol):
@@ -245,20 +245,20 @@ def integrate_legendre(f, hi, spec=None, *params):
     agreeing orders and keeps the higher order's value; only the elements
     that have not converged are evaluated at the next order. The first
     pair, orders n = ``spec.order`` and 2n, takes one call of f on their
-    joined nodes; each later order takes one call.
+    joined nodes; each later order takes one call. Orders stop at 512, so n
+    must be at most 256.
 
     Parameters
     ----------
     f : callable
         Called as ``f(t, *rows)``. t has shape (m, order): the nodes of the
         m elements still refining; on the first call, shape (m, 3 n): the n
-        nodes of order n, then the 2n of order 2n (shape (m, n) if 2n is
-        above 512). rows are the rows of the ``params`` arrays for those
-        elements. Returns an array of shape (..., m, t.shape[1]); the
-        leading axes hold several integrands on the same nodes, and an
-        element is final when all of them agree. When f acts on each node
-        alone, as elementwise numpy does, its values do not depend on how
-        the nodes are grouped into calls.
+        nodes of order n, then the 2n of order 2n. rows are the rows of the
+        ``params`` arrays for those elements. Returns an array of shape
+        (..., m, t.shape[1]); the leading axes hold several integrands on
+        the same nodes, and an element is final when all of them agree. When
+        f acts on each node alone, as elementwise numpy does, its values do
+        not depend on how the nodes are grouped into calls.
     hi : float or 1-d array
         Upper limits, one per element.
     spec : QuadratureSpec, optional
@@ -273,6 +273,8 @@ def integrate_legendre(f, hi, spec=None, *params):
 
     Raises
     ------
+    ValueError
+        When ``spec.order`` is above 256, before f is called.
     ToleranceNotMet
         When some element's orders up to 512 never agree. Its ``estimate``
         holds every element's latest value, and ``error_bound`` the largest
@@ -280,55 +282,50 @@ def integrate_legendre(f, hi, spec=None, *params):
     """
     if spec is None:
         spec = QuadratureSpec()
+    order = spec.order
+    if 2 * order > _LEGENDRE_MAX_ORDER:
+        raise ValueError(f"starting order {order} is above "
+                         f"{_LEGENDRE_MAX_ORDER // 2}")
     shape = np.shape(hi)
     hi = np.asarray(hi, dtype=float).reshape(-1)
+    # one call for the first pair of orders, on their joined nodes
+    nodes, weights, weights2 = _legendre_pair(order)
+    values = f(hi[:, None] * nodes, *params)
+    prev = np.sum(weights * values[..., :order], axis=-1) * hi
+    cur = np.sum(weights2 * values[..., order:], axis=-1) * hi
+    order *= 2
     # index: the element of each row of lim, rows and cur still refining;
     # result holds the final values once some elements have left
-    index = np.arange(hi.size)
-    lim, rows = hi, params
-    result = prev = cur = None
-    gap = math.inf
-    order = spec.order
-    if 2 * order <= _LEGENDRE_MAX_ORDER:
-        # one call for the first pair of orders, on their joined nodes
-        nodes, weights, weights2 = _legendre_pair(order)
-        values = f(hi[:, None] * nodes, *params)
-        prev = np.sum(weights * values[..., :order], axis=-1) * hi
-        cur = np.sum(weights2 * values[..., order:], axis=-1) * hi
+    index, lim, rows, result = np.arange(hi.size), hi, params, None
+    while True:
+        diff = np.abs(cur - prev)
+        agree = diff <= spec.rtol * np.abs(cur) + _ABS_FLOOR
+        if agree.all():
+            break
+        done = agree.reshape(-1, index.size).all(axis=0)
+        if done.any():
+            if result is None:
+                result = np.empty(cur.shape[:-1] + hi.shape)
+            result[..., index[done]] = cur[..., done]
+            keep = ~done
+            index, lim, cur, diff = (index[keep], lim[keep], cur[..., keep],
+                                     diff[..., keep])
+            rows = [row[keep] for row in rows]
         order *= 2
-    while order <= _LEGENDRE_MAX_ORDER:
-        if cur is None:
-            nodes, weights = _legendre_rule(order)
-            cur = np.sum(weights * f(lim[:, None] * nodes, *rows),
-                         axis=-1) * lim
-        if prev is not None:
-            diff = np.abs(cur - prev)
-            agree = diff <= spec.rtol * np.abs(cur) + _ABS_FLOOR
-            if agree.all():
-                if result is not None:
-                    result[..., index] = cur
-                    cur = result
-                cur = cur.reshape(cur.shape[:-1] + shape)
-                return float(cur) if cur.ndim == 0 else cur
-            done = agree.reshape(-1, index.size).all(axis=0)
-            if done.any():
-                if result is None:
-                    result = np.empty(cur.shape[:-1] + hi.shape)
-                result[..., index[done]] = cur[..., done]
-                keep = ~done
-                index, lim, cur, diff = (index[keep], lim[keep], cur[..., keep],
-                                         diff[..., keep])
-                rows = [row[keep] for row in rows]
-            gap = float(np.max(diff))
-        prev, cur = cur, None
-        order *= 2
+        if order > _LEGENDRE_MAX_ORDER:
+            break
+        nodes, weights = _legendre_rule(order)
+        prev, cur = cur, np.sum(weights * f(lim[:, None] * nodes, *rows),
+                                axis=-1) * lim
     if result is not None:
-        result[..., index] = prev
-        prev = result
+        result[..., index] = cur
+        cur = result
+    cur = cur.reshape(cur.shape[:-1] + shape)
+    if agree.all():
+        return float(cur) if cur.ndim == 0 else cur
     raise ToleranceNotMet(
         f"Gauss-Legendre order doubling did not reach rtol {spec.rtol:g}",
-        estimate=None if prev is None else prev.reshape(prev.shape[:-1] + shape),
-        error_bound=gap)
+        estimate=cur, error_bound=float(np.max(diff)))
 
 
 def integrate_adaptive(f, lo, hi, spec=None, full_result=False):

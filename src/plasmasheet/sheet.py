@@ -103,16 +103,41 @@ class EuclideanMomentum:
         object.__setattr__(self, "gamma", math.hypot(self.k4, self.kpar))
 
 
+# A momentum component above this modulus has a square beyond the float
+# range.
+_SQUARE_MAX = 2.0 ** 511
+
+
+def _modulus_bound(k0):
+    """Largest modulus of the real and imaginary parts of a complex k0."""
+    return max(abs(k0.real), abs(k0.imag))
+
+
 def gamma_minkowski(k):
     """Normal momentum Gamma = sqrt(k0^2 - kpar^2 + i0).
 
     Real and positive above the light cone, +i sqrt(kpar^2 - k0^2) below it;
     for complex k0 the branch with Im Gamma >= 0 continues these choices.
+    Where a square of k0 or kpar would overflow, Gamma comes from the
+    momenta divided by a power of two near their larger modulus, as in
+    numerics.divide_by_power; a Gamma beyond the float range raises
+    ValueError.
     """
-    s = complex(k.k0) ** 2 - k.kpar * k.kpar
-    g = cmath.sqrt(s)
+    k0, kpar = complex(k.k0), k.kpar
+    top = max(_modulus_bound(k0), kpar)
+    scale = 1.0
+    if top > _SQUARE_MAX:
+        scale = math.ldexp(1.0, math.frexp(top)[1] - 1)
+        k0, kpar = k0 / scale, kpar / scale
+    g = cmath.sqrt(k0 ** 2 - kpar * kpar)
     if g.imag < 0.0 or (g.imag == 0.0 and g.real < 0.0):
         g = -g
+    if scale == 1.0:
+        return g
+    g = scale * g
+    if not cmath.isfinite(g):
+        raise ValueError(f"Gamma at k0 = {k.k0}, kpar = {k.kpar} is beyond "
+                         "the float range")
     return g
 
 
@@ -138,7 +163,13 @@ def reflection_tm(k, sheet):
         if k.k0 == 0.0:
             return 1.0 + 0.0j  # static limit along kpar = 0
         raise OnLightConeError(f"Gamma = 0 at k0 = {k.k0}")
-    return 1.0 / (1.0 - 2j * complex(k.k0) ** 2 / (sheet.omega * gamma))
+    k0 = complex(k.k0)
+    if _modulus_bound(k0) > _SQUARE_MAX:
+        # k0^2 would overflow: r_TM = h/(h - i k0 (k0/Gamma)), h = Omega/2,
+        # which stays finite where k0^2/Gamma overflows
+        half = 0.5 * sheet.omega
+        return half / (half - 1j * (k0 * (k0 / gamma)))
+    return 1.0 / (1.0 - 2j * k0 ** 2 / (sheet.omega * gamma))
 
 
 def reflection_coefficients(k0, kpar, sheet):
@@ -147,7 +178,8 @@ def reflection_coefficients(k0, kpar, sheet):
     Array form of reflection_te and reflection_tm, with the same branch of
     Gamma and the same rules: a transparent sheet gives zeros, and a kpar
     on the light cone (Gamma = 0) raises OnLightConeError unless k0 = 0,
-    where r_TM = 1.
+    where r_TM = 1. Where a square of k0 or kpar would overflow, the row
+    takes the scalar functions, which scale the momenta (gamma_minkowski).
     """
     if not cmath.isfinite(complex(k0)):
         raise ValueError("k0 must be finite")
@@ -159,6 +191,18 @@ def reflection_coefficients(k0, kpar, sheet):
     if sheet.omega == 0.0:
         return (np.zeros(kpar.shape, dtype=complex),
                 np.zeros(kpar.shape, dtype=complex))
+    big = np.maximum(kpar, _modulus_bound(complex(k0))) > _SQUARE_MAX
+    if big.any():
+        r_te = np.empty(kpar.shape, dtype=complex)
+        r_tm = np.empty(kpar.shape, dtype=complex)
+        if not big.all():
+            r_te[~big], r_tm[~big] = reflection_coefficients(
+                k0, kpar[~big], sheet)
+        for i in np.flatnonzero(big):
+            k = MinkowskiMomentum.from_parallel(k0, float(kpar.flat[i]))
+            r_te.flat[i], r_tm.flat[i] = (reflection_te(k, sheet),
+                                          reflection_tm(k, sheet))
+        return r_te, r_tm
     k0sq = complex(k0) ** 2
     gamma = np.sqrt(k0sq - kpar * kpar)
     gamma = np.where((gamma.imag < 0.0)

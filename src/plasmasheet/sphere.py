@@ -20,6 +20,7 @@ finite on the imaginary axis k0 = i kappa; where a value still is not
 finite they raise SheetModelError.
 """
 
+import cmath
 import functools
 import math
 import warnings
@@ -66,14 +67,21 @@ class SphericalShell:
 
 
 def _require_dynamic(k0):
-    if (k0 == 0).any() if isinstance(k0, np.ndarray) else k0 == 0:
+    """The one check of k0: nonzero and finite, every element of an array."""
+    if isinstance(k0, np.ndarray):
+        zero, finite = (k0 == 0).any(), np.isfinite(k0).all()
+    else:
+        zero, finite = k0 == 0, cmath.isfinite(k0)
+    if zero:
         raise DegenerateMomentumError("static limit k0 = 0 not modeled")
+    if not finite:
+        raise ValueError("k0 must be finite")
 
 
 def radial_propagator_dl(l, k0, r, rp):
     """Radial photon propagator d_l(r, r') = i k0 j_l(k0 r_<) h_l(k0 r_>).
 
-    l must be a nonnegative integer (ValueError otherwise).
+    l must be a nonnegative integer and k0 finite (ValueError otherwise).
     """
     _check_l(l)
     _require_dynamic(k0)
@@ -92,10 +100,10 @@ def radial_propagator_dl(l, k0, r, rp):
 def _jost_route(route):
     """Jost function from route(l, k0, shell), checked and finite.
 
-    Checks l and k0 (ValueError unless l is an integer >= 1), gives exactly
-    1 for a transparent shell, and raises SheetModelError where a value is
-    not finite: at large l and small k0 R, j_l underflows while y_l
-    overflows.
+    Checks l and k0 (ValueError unless l is an integer >= 1 and k0 is
+    finite), gives exactly 1 for a transparent shell, and raises
+    SheetModelError where a value is not finite: at large l and small k0 R,
+    j_l underflows while y_l overflows.
     """
 
     @functools.wraps(route)
@@ -164,9 +172,12 @@ def tm_flat_limit(k0, kpar, omega):
 
     Oscillation average of jost_tm as l -> inf, R -> inf with kpar = l/R
     held fixed; proportional to the flat-sheet TM Jost structure
-    1 - 2 i k0^2/(Omega Gamma), so it shares its zeros.
+    1 - 2 i k0^2/(Omega Gamma), so it shares its zeros. omega must be
+    finite and non-negative, as for SphericalShell.
     """
     _require_dynamic(k0)
+    if not (math.isfinite(omega) and omega >= 0.0):
+        raise ValueError("omega must be finite and non-negative")
     gamma = gamma_minkowski(MinkowskiMomentum.from_parallel(k0, kpar))
     return 1.0 + 1j * omega * gamma / (2.0 * k0 * k0)
 

@@ -107,16 +107,21 @@ class TestRunConfig:
 
 class TestTolerancePrecedence:
     def test_default_applies(self):
-        config = _assemble("functions", {}, {"x": 1.0})
+        config = _assemble("functions", {"x": 1.0})
         assert config.tolerance == DEFAULT_TOLERANCE
 
-    def test_config_file_overrides_default(self):
-        config = _assemble("functions", {"tolerance": "1e-6"}, {"x": 1.0})
+    def test_config_file_overrides_default(self, tmp_path):
+        path = tmp_path / "sweep.conf"
+        path.write_text("tolerance=1e-6\n")
+        config = load_config(str(path), command="functions",
+                             overrides={"x": 1.0})
         assert config.tolerance == 1e-6
 
-    def test_flag_overrides_config_file(self):
-        config = _assemble("functions", {"tolerance": "1e-6"},
-                           {"x": 1.0, "tolerance": 1e-3})
+    def test_flag_overrides_config_file(self, tmp_path):
+        path = tmp_path / "sweep.conf"
+        path.write_text("tolerance=1e-6\n")
+        config = load_config(str(path), command="functions",
+                             overrides={"x": 1.0, "tolerance": 1e-3})
         assert config.tolerance == 1e-3
 
     @pytest.mark.parametrize("env", ["1e-4", "fast"])
@@ -172,6 +177,15 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="count"):
             load_config(str(path), command="functions")
 
+    def test_bad_value_names_the_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.conf"
+        path.write_text("omega=1\nk0=nan\n")
+        argv = ["reflection", "--kpar", "1", "--config", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"plasmasheet: {path}:2: config key 'k0': expected a finite "
+            "number, got 'nan'\n")
+
     def test_line_without_equals_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.conf"
         path.write_text("x=1\njust some words\n")
@@ -209,11 +223,11 @@ class TestLoadConfig:
 
     def test_axis_conflict_rejected(self):
         with pytest.raises(ValueError, match="not both"):
-            _assemble("functions", {}, {"x": 1.0, "x_min": 0.1, "x_max": 2.0})
+            _assemble("functions", {"x": 1.0, "x_min": 0.1, "x_max": 2.0})
 
     def test_missing_axis_rejected(self):
         with pytest.raises(ValueError, match="--x"):
-            _assemble("functions", {}, {})
+            _assemble("functions", {})
 
 
 def _option_sample(option, tmp_path):
@@ -286,12 +300,12 @@ class TestOptionTable:
     def test_run_config_takes_option_defaults(self, command):
         axis = COMMANDS[command].axis
         direct = run(RunConfig(command, SweepSpec(axis, 1.5, 1.5)))
-        assert direct == run(_assemble(command, {}, {axis: 1.5}))
+        assert direct == run(_assemble(command, {axis: 1.5}))
 
 
 class TestRun:
     def test_functions_row_matches_library(self):
-        config = _assemble("functions", {}, {"x": 1.0, "family": "g"})
+        config = _assemble("functions", {"x": 1.0, "family": "g"})
         table, status = run(config)
         assert status == 0
         assert table.columns == ("x", "gTE", "gTM", "g3", "error")
@@ -303,7 +317,7 @@ class TestRun:
         assert row[4] == ""
 
     def test_dispersion_residuals_small(self):
-        config = _assemble("dispersion", {}, {
+        config = _assemble("dispersion", {
             "omega": 1.0, "kpar_min": 1e-3, "kpar_max": 1e3,
             "count": 9, "scale": "log"})
         table, status = run(config)
@@ -316,7 +330,7 @@ class TestRun:
     def test_physics_error_row_flagged(self):
         # omega_a = 0 makes the charge kinetic part diverge; the row stays,
         # blanked, and the run reports partial failure
-        config = _assemble("charge", {}, {
+        config = _assemble("charge", {
             "omega_a_min": 0.0, "omega_a_max": 2.0, "count": 3,
             "p23": 1.0})
         table, status = run(config)
@@ -329,7 +343,7 @@ class TestRun:
             assert row[1] == pytest.approx(-1.0 / (8.0 * math.pi))
 
     def test_light_cone_row_flagged(self):
-        config = _assemble("reflection", {}, {
+        config = _assemble("reflection", {
             "omega": 2.0, "k0": 1.0, "kpar_min": 0.5, "kpar_max": 1.5,
             "count": 3})
         table, status = run(config)
@@ -338,28 +352,28 @@ class TestRun:
         assert table.rows[0][3] == table.rows[2][3] == ""
 
     def test_bad_fixed_parameter_raises_before_rows(self):
-        config = _assemble("sphere", {}, {"k0r": 1.0, "l": 0})
+        config = _assemble("sphere", {"k0r": 1.0, "l": 0})
         with pytest.raises(ValueError):
             run(config)
 
 
 class TestCsvOutput:
     def test_header_names_stable(self):
-        config = _assemble("reflection", {}, {"kpar": 0.5})
+        config = _assemble("reflection", {"kpar": 0.5})
         table, _ = run(config)
         text = table_to_csv_text(table)
         header = data_section(text).splitlines()[0]
         assert header == "kpar,rTE_re,rTE_im,rTM_re,rTM_im,error"
 
     def test_metadata_preamble_before_data(self):
-        config = _assemble("functions", {}, {"x": 1.0})
+        config = _assemble("functions", {"x": 1.0})
         table, _ = run(config)
         lines = table_to_csv_text(table).splitlines()
         assert lines[0].startswith("# command: functions")
         assert any(line.startswith("# tolerance:") for line in lines)
 
     def test_error_row_uses_nan_cells(self):
-        config = _assemble("charge", {}, {"omega_a": 0.0, "p23": 1.0})
+        config = _assemble("charge", {"omega_a": 0.0, "p23": 1.0})
         table, status = run(config)
         assert status == 1
         data_row = data_section(table_to_csv_text(table)).splitlines()[1]
@@ -370,14 +384,14 @@ class TestCsvOutput:
     def test_identical_config_gives_identical_bytes(self):
         overrides = {"omega_a_min": 0.1, "omega_a_max": 10.0,
                      "count": 3, "scale": "log"}
-        first, _ = run(_assemble("casimir", {}, dict(overrides)))
-        second, _ = run(_assemble("casimir", {}, dict(overrides)))
+        first, _ = run(_assemble("casimir", dict(overrides)))
+        second, _ = run(_assemble("casimir", dict(overrides)))
         assert table_to_csv_text(first) == table_to_csv_text(second)
 
 
 class TestJsonOutput:
     def test_round_trip_reproduces_values(self):
-        config = _assemble("sphere", {}, {
+        config = _assemble("sphere", {
             "k0r_min": 0.5, "k0r_max": 2.0, "count": 3, "l": 2})
         table, _ = run(config)
         text = table_to_json_text(table)
@@ -393,7 +407,7 @@ class TestJsonOutput:
             == text
 
     def test_failed_cells_become_null(self):
-        config = _assemble("charge", {}, {"omega_a": 0.0, "p23": 1.0})
+        config = _assemble("charge", {"omega_a": 0.0, "p23": 1.0})
         table, _ = run(config)
         parsed = json.loads(table_to_json_text(table))
         assert parsed["rows"][0][1] is None
@@ -401,6 +415,21 @@ class TestJsonOutput:
 
 
 class TestMain:
+    def test_reflection_rows_whose_squares_overflow(self, capsys):
+        # kpar = 1 is on the light cone; kpar^2 overflows at 1e300, and
+        # k0^2 at k0 = 1e300
+        assert main(["reflection", "--k0", "1", "--kpar-min", "1",
+                     "--kpar-max", "1e300", "--count", "3",
+                     "--scale", "log"]) == 1
+        rows = data_section(capsys.readouterr().out).splitlines()
+        assert rows[2:] == ["9.9999999999999998e+149,5e-151,0,1,0,",
+                            "1.0000000000000001e+300,5.0000000000000001e-301,"
+                            "0,1,0,"]
+        assert main(["reflection", "--k0", "1e300", "--kpar", "1"]) == 0
+        rows = data_section(capsys.readouterr().out).splitlines()
+        assert rows[1] == ("1,0,5.0000000000000001e-301,0,"
+                           "5.0000000000000001e-301,")
+
     def test_writes_csv_to_stdout(self, capsys):
         status = main(["functions", "--family", "g", "--x", "1.0"])
         captured = capsys.readouterr()
@@ -632,7 +661,7 @@ STACKED_QUADRATURE = {("charge", "kinetic")}
 def _sweep_config(command, fixed, bounds):
     low, high, count, scale = bounds
     axis = _axis(command)
-    return _assemble(command, {}, dict(fixed, **{
+    return _assemble(command, dict(fixed, **{
         axis + "_min": low, axis + "_max": high, "count": count,
         "scale": scale}))
 
@@ -650,7 +679,7 @@ class TestArrayRunners:
         tolerance = batched.metadata["tolerance"]
         for row in batched.rows:
             alone, status = run(_assemble(
-                command, {}, dict(fixed, **{_axis(command): row[0]})))
+                command, dict(fixed, **{_axis(command): row[0]})))
             assert status == 0
             (single,) = alone.rows
             for name, cell, expected in zip(batched.columns, row, single):
@@ -737,7 +766,7 @@ class TestArrayRunners:
         assert sum(sizes) <= 3 * 40
         for row in table.rows:
             if not row[-1]:
-                alone, _ = run(_assemble("reflection", {},
+                alone, _ = run(_assemble("reflection",
                                          dict(fixed, kpar=row[0])))
                 assert alone.rows[0] == row
 
@@ -791,7 +820,7 @@ class TestArrayRunners:
             for row in table.rows:
                 if not row[-1]:
                     alone, status = run(_assemble(
-                        "sphere", {}, dict(fixed, k0r=row[0])))
+                        "sphere", dict(fixed, k0r=row[0])))
                     assert status == 0
                     assert alone.rows[0] == row
 

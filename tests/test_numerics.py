@@ -242,9 +242,9 @@ class TestLegendre:
         # element 1 has a kink and never converges
         (lambda t, kink: np.where(kink, np.abs(t - 0.5), np.cos(t)),
          [1.0, 1.0, 2.0], 16, [[[False], [True], [False]]]),
-        # a single order fits below 512: no pair, error bound inf
-        (np.cos, [1.0, 2.0], 300, []),
-    ], ids=["params", "stacked", "kink", "one-order"])
+        # the last starting order: one pair, 256 and 512
+        (np.cos, [1.0, 2.0], 256, []),
+    ], ids=["params", "stacked", "kink", "last-pair"])
     def test_matches_order_by_order_reference(self, f, hi, order, params):
         hi = np.array(hi)
         params = [np.array(param) for param in params]
@@ -259,6 +259,14 @@ class TestLegendre:
             assert info.value.error_bound == bound
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    def test_starting_order_above_256_is_refused_before_f(self):
+        def f(t):
+            raise AssertionError("f was called")
+
+        spec = numerics.QuadratureSpec(order=300, rtol=1e-12)
+        with pytest.raises(ValueError, match="starting order 300 is above 256"):
+            numerics.integrate_legendre(f, np.array([1.0, 2.0]), spec)
 
     def test_stacked_integrands_converge_together(self):
         calls = []

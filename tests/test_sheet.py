@@ -154,6 +154,50 @@ class TestReflectionArray:
                                           sheet.SheetParameters(1.0))
 
 
+class TestMomentaWhoseSquaresOverflow:
+    """Gamma from scaled momenta where k0^2 or kpar^2 leaves the float range."""
+
+    POINTS = [(1.0, 1e160), (1.0, 1e300), (1e300, 1.0), (1e200, 5e199)]
+
+    @staticmethod
+    def _reference(k0, kpar):
+        with mpmath.workdps(40):
+            k0, kpar = mpmath.mpf(k0), mpmath.mpf(kpar)
+            gamma = mpmath.sqrt(k0**2 - kpar**2)
+            if gamma.imag < 0:
+                gamma = -gamma
+            return (complex(gamma), complex(1 / (1 - 2j * gamma)),
+                    complex(1 / (1 - 2j * k0**2 / gamma)))
+
+    @pytest.mark.parametrize("k0, kpar", POINTS)
+    def test_scalar_and_array_match_mpmath(self, k0, kpar):
+        gamma, r_te, r_tm = self._reference(k0, kpar)
+        sp = sheet.SheetParameters(1.0)
+        k = momentum(k0, kpar)
+        r_te_array, r_tm_array = sheet.reflection_coefficients(
+            k0, np.array([kpar]), sp)
+        for got, want in ((sheet.gamma_minkowski(k), gamma),
+                          (sheet.reflection_te(k, sp), r_te),
+                          (sheet.reflection_tm(k, sp), r_tm),
+                          (r_te_array[0], r_te), (r_tm_array[0], r_tm)):
+            assert abs(got - want) <= 1e-15 * abs(want), (got, want)
+
+    def test_only_the_overflowing_rows_change_route(self):
+        sp = sheet.SheetParameters(2.0)
+        kpar = np.array([0.5, 1e150, 1e300, 3.0])
+        r_te, r_tm = sheet.reflection_coefficients(1.0, kpar, sp)
+        small = sheet.reflection_coefficients(1.0, kpar[[0, 1, 3]], sp)
+        assert r_te[[0, 1, 3]].tobytes() == small[0].tobytes()
+        assert r_tm[[0, 1, 3]].tobytes() == small[1].tobytes()
+        assert r_te[2] == sheet.reflection_te(momentum(1.0, 1e300), sp)
+        assert r_tm[2] == sheet.reflection_tm(momentum(1.0, 1e300), sp)
+
+    def test_gamma_beyond_the_float_range_names_the_momentum(self):
+        k = momentum(1.5e308j, 1.5e308)
+        with pytest.raises(ValueError, match="k0 = 1.5e[+]308j, kpar = 1.5e[+]308"):
+            sheet.gamma_minkowski(k)
+
+
 class TestEuclideanReflection:
     def test_te_half_point(self):
         sp = sheet.SheetParameters(2.0)

@@ -92,6 +92,24 @@ class TestRadialPropagator:
         with pytest.raises(ValueError):
             radial_propagator_dl(1, 1.0, 1.0, -2.0)
 
+    @pytest.mark.parametrize("k0", [math.nan, math.inf, complex(1.0, math.inf),
+                                    np.array([1.0, math.nan])])
+    def test_rejects_non_finite_k0_before_any_bessel_call(self, k0,
+                                                          monkeypatch):
+        def no_bessel(*args):
+            raise AssertionError("Bessel function called")
+
+        monkeypatch.setattr(sphere, "_sph_jh", no_bessel)
+        monkeypatch.setattr(sphere, "_riccati_scaled", no_bessel)
+        shell = SphericalShell(radius=1.0, omega=1.0)
+        with pytest.raises(ValueError, match="^k0 must be finite$"):
+            radial_propagator_dl(1, k0, 1.0, 1.0)
+        for jost in (jost_te, jost_te_riccati, jost_tm, jost_tm_decomposed):
+            with pytest.raises(ValueError, match="^k0 must be finite$"):
+                jost(2, k0, shell)
+        with pytest.raises(DegenerateMomentumError):
+            radial_propagator_dl(1, np.array([0.0, 1.0]), 1.0, 1.0)
+
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_rejects_non_finite_radii(self, value):
         for r, rp in ((value, 1.0), (1.0, value)):
@@ -308,6 +326,12 @@ class TestTmFlatLimit:
     def test_static_limit_rejected(self):
         with pytest.raises(DegenerateMomentumError):
             tm_flat_limit(0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -1.0])
+    def test_coupling_must_be_finite_and_non_negative(self, omega):
+        with pytest.raises(ValueError,
+                           match="omega must be finite and non-negative"):
+            tm_flat_limit(1.0, 1.0, omega)
 
     def test_evanescent_value_is_real_below_one(self):
         g = tm_flat_limit(1.0, 2.0, 3.0)
