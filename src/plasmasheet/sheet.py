@@ -11,6 +11,19 @@ see the sheet through reflection coefficients
 with Gamma = sqrt(k0^2 - kpar^2 + i0) the normal momentum component.
 Omega -> infinity is the ideal conductor, Omega = 0 is free space. Units
 hbar = c = 1.
+
+Scaling rule. Every function here depends on the momenta through ratios
+or a power of one common scale. Where the largest modulus of Re k0, Im k0
+and kpar is nonzero and outside [2^-511, 2^511], so that a square would
+leave the normal float range, the momenta are divided by the power of two
+s that brings it into [1, 2) (ldexp, exact), and the result is formed from
+the scaled momenta and s: the scaled-norm technique of J. L. Blue, ACM TOMS
+4, 15 (1978), as in numerics.divide_by_power. _power_scale holds this
+decision and _scaled applies it to (k0, kpar). Inside the range s = 1 and
+each formula is the unscaled one, bit for bit; a formula that divides by
+the square of the smaller momentum forms a ratio first where that square
+is not normal (_square_is_normal). The plasmon routes divide (Omega, kpar)
+by a power of two in every row (_plasmon_momenta).
 """
 
 import cmath
@@ -103,14 +116,69 @@ class EuclideanMomentum:
         object.__setattr__(self, "gamma", math.hypot(self.k4, self.kpar))
 
 
-# A momentum component above this modulus has a square beyond the float
-# range.
-_SQUARE_MAX = 2.0 ** 511
+# Momenta whose largest modulus lies in this range have normal squares.
+_SQUARE_MIN, _SQUARE_MAX = 2.0 ** -511, 2.0 ** 511
 
 
-def _modulus_bound(k0):
-    """Largest modulus of the real and imaginary parts of a complex k0."""
-    return max(abs(k0.real), abs(k0.imag))
+def _power_scale(top):
+    """Exponent e of the power of two that momenta of largest modulus top
+    are divided by: 0 where top is 0 or in [_SQUARE_MIN, _SQUARE_MAX], else
+    the e that brings top into [1, 2). A float gives an int, an array an
+    int array.
+    """
+    if isinstance(top, np.ndarray):
+        wide = (top != 0.0) & ((top < _SQUARE_MIN) | (top > _SQUARE_MAX))
+        return np.where(wide, np.frexp(top)[1] - 1, 0)
+    if top == 0.0 or _SQUARE_MIN <= top <= _SQUARE_MAX:
+        return 0
+    return math.frexp(top)[1] - 1
+
+
+def _square_is_normal(scale, divisor):
+    """Whether a formula that divides by divisor^2 may run unscaled: the
+    momenta are at scale 1 and divisor^2 is a normal float (or divisor is 0,
+    which the callers refuse before).
+    """
+    return scale == 1.0 and not _power_scale(divisor)
+
+
+def _scaled(k0, kpar):
+    """The scaling rule: (k0/s, kpar/s, Gamma/s, s) with s = 2^e.
+
+    e is _power_scale of the largest modulus of Re k0, Im k0 and kpar, and
+    Gamma/s = sqrt((k0/s)^2 - (kpar/s)^2) on the branch of gamma_minkowski.
+    k0 is a number and kpar a float, giving numbers, or an array of floats,
+    giving arrays.
+    """
+    k0 = complex(k0)
+    if isinstance(kpar, np.ndarray):
+        e = _power_scale(np.asarray(np.maximum(kpar, max(abs(k0.real),
+                                                         abs(k0.imag)))))
+        k0, kpar = (np.ldexp(k0.real, -e) + 1j * np.ldexp(k0.imag, -e),
+                    np.ldexp(kpar, -e))
+        # k0^2 from the real products of the scalar complex multiply, which
+        # numpy's complex multiply does not round alike
+        gamma = np.sqrt((k0.real * k0.real - k0.imag * k0.imag) - kpar * kpar
+                        + 2j * (k0.real * k0.imag))
+        gamma = np.where((gamma.imag < 0.0)
+                         | ((gamma.imag == 0.0) & (gamma.real < 0.0)),
+                         -gamma, gamma)
+        return k0, kpar, gamma, np.ldexp(1.0, e)
+    e = _power_scale(max(abs(k0.real), abs(k0.imag), kpar))
+    scale = 1.0
+    if e:
+        k0 = complex(math.ldexp(k0.real, -e), math.ldexp(k0.imag, -e))
+        kpar, scale = math.ldexp(kpar, -e), math.ldexp(1.0, e)
+    gamma = cmath.sqrt(k0 ** 2 - kpar * kpar)
+    if gamma.imag < 0.0 or (gamma.imag == 0.0 and gamma.real < 0.0):
+        gamma = -gamma
+    return k0, kpar, gamma, scale
+
+
+def _beyond_float_range(k0, kpar):
+    """The error for a Gamma beyond the float range, naming the momenta."""
+    return ValueError(f"Gamma at k0 = {k0}, kpar = {kpar} is beyond the "
+                      "float range")
 
 
 def gamma_minkowski(k):
@@ -118,27 +186,16 @@ def gamma_minkowski(k):
 
     Real and positive above the light cone, +i sqrt(kpar^2 - k0^2) below it;
     for complex k0 the branch with Im Gamma >= 0 continues these choices.
-    Where a square of k0 or kpar would overflow, Gamma comes from the
-    momenta divided by a power of two near their larger modulus, as in
-    numerics.divide_by_power; a Gamma beyond the float range raises
-    ValueError.
+    Gamma comes from the scaled momenta (module docstring); a Gamma beyond
+    the float range raises ValueError.
     """
-    k0, kpar = complex(k.k0), k.kpar
-    top = max(_modulus_bound(k0), kpar)
-    scale = 1.0
-    if top > _SQUARE_MAX:
-        scale = math.ldexp(1.0, math.frexp(top)[1] - 1)
-        k0, kpar = k0 / scale, kpar / scale
-    g = cmath.sqrt(k0 ** 2 - kpar * kpar)
-    if g.imag < 0.0 or (g.imag == 0.0 and g.real < 0.0):
-        g = -g
+    _, _, gamma, scale = _scaled(k.k0, k.kpar)
     if scale == 1.0:
-        return g
-    g = scale * g
-    if not cmath.isfinite(g):
-        raise ValueError(f"Gamma at k0 = {k.k0}, kpar = {k.kpar} is beyond "
-                         "the float range")
-    return g
+        return gamma
+    gamma = scale * gamma
+    if not cmath.isfinite(gamma):
+        raise _beyond_float_range(k.k0, k.kpar)
+    return gamma
 
 
 def reflection_te(k, sheet):
@@ -154,32 +211,31 @@ def reflection_tm(k, sheet):
 
     The static mode reflects perfectly: r_TM(k0=0) = 1 exactly for any
     omega > 0. On the light cone (Gamma = 0 with k0 != 0) the 1/Gamma pole
-    makes the value undefined.
+    makes the value undefined. Beyond scale 1 (module docstring) the value
+    is (Omega/2)/(Omega/2 - i k0 (k0/Gamma) s) in the scaled momenta.
     """
     if sheet.omega == 0.0:
         return 0.0 + 0.0j
-    gamma = gamma_minkowski(k)
+    k0, _, gamma, scale = _scaled(k.k0, k.kpar)
     if gamma == 0.0:
         if k.k0 == 0.0:
             return 1.0 + 0.0j  # static limit along kpar = 0
         raise OnLightConeError(f"Gamma = 0 at k0 = {k.k0}")
-    k0 = complex(k.k0)
-    if _modulus_bound(k0) > _SQUARE_MAX:
-        # k0^2 would overflow: r_TM = h/(h - i k0 (k0/Gamma)), h = Omega/2,
-        # which stays finite where k0^2/Gamma overflows
-        half = 0.5 * sheet.omega
-        return half / (half - 1j * (k0 * (k0 / gamma)))
-    return 1.0 / (1.0 - 2j * k0 ** 2 / (sheet.omega * gamma))
+    if scale == 1.0:
+        return 1.0 / (1.0 - 2j * k0 ** 2 / (sheet.omega * gamma))
+    half = 0.5 * sheet.omega
+    return half / (half - 1j * (k0 * (k0 / gamma)) * scale)
 
 
 def reflection_coefficients(k0, kpar, sheet):
     """(r_TE, r_TM) at one frequency k0 over an array of parallel momenta.
 
     Array form of reflection_te and reflection_tm, with the same branch of
-    Gamma and the same rules: a transparent sheet gives zeros, and a kpar
-    on the light cone (Gamma = 0) raises OnLightConeError unless k0 = 0,
-    where r_TM = 1. Where a square of k0 or kpar would overflow, the row
-    takes the scalar functions, which scale the momenta (gamma_minkowski).
+    Gamma, the same scaling rule (module docstring) and the same rules: a
+    transparent sheet gives zeros, a kpar on the light cone (Gamma = 0)
+    raises OnLightConeError unless k0 = 0, where r_TM = 1, and a Gamma
+    beyond the float range raises ValueError. Each row depends on its own
+    kpar alone.
     """
     if not cmath.isfinite(complex(k0)):
         raise ValueError("k0 must be finite")
@@ -191,30 +247,29 @@ def reflection_coefficients(k0, kpar, sheet):
     if sheet.omega == 0.0:
         return (np.zeros(kpar.shape, dtype=complex),
                 np.zeros(kpar.shape, dtype=complex))
-    big = np.maximum(kpar, _modulus_bound(complex(k0))) > _SQUARE_MAX
-    if big.any():
-        r_te = np.empty(kpar.shape, dtype=complex)
-        r_tm = np.empty(kpar.shape, dtype=complex)
-        if not big.all():
-            r_te[~big], r_tm[~big] = reflection_coefficients(
-                k0, kpar[~big], sheet)
-        for i in np.flatnonzero(big):
-            k = MinkowskiMomentum.from_parallel(k0, float(kpar.flat[i]))
-            r_te.flat[i], r_tm.flat[i] = (reflection_te(k, sheet),
-                                          reflection_tm(k, sheet))
-        return r_te, r_tm
-    k0sq = complex(k0) ** 2
-    gamma = np.sqrt(k0sq - kpar * kpar)
-    gamma = np.where((gamma.imag < 0.0)
-                     | ((gamma.imag == 0.0) & (gamma.real < 0.0)),
-                     -gamma, gamma)
-    r_te = 1.0 / (1.0 - 2j * gamma / sheet.omega)
+    k0s, _, gamma, scale = _scaled(k0, kpar)
+    unit = scale == 1.0
+    with np.errstate(over="ignore"):
+        full = gamma * scale
+    if not np.isfinite(full).all():
+        raise _beyond_float_range(k0, kpar[~np.isfinite(full)][0])
     on_cone = gamma == 0.0
     if on_cone.any():
         if k0 != 0.0:
             raise OnLightConeError(f"Gamma = 0 at k0 = {k0}")
         gamma = np.where(on_cone, 1.0, gamma)  # static limit: r_TM = 1
-    r_tm = 1.0 / (1.0 - 2j * k0sq / (sheet.omega * gamma))
+    r_tm = np.empty(kpar.shape, dtype=complex)
+    wide = ~unit
+    k0s, half = k0s[wide], 0.5 * sheet.omega
+    # a term beside 1 beyond the float range gives r = 0, as in the scalar
+    # functions
+    with np.errstate(over="ignore"):
+        r_te = 1.0 / (1.0 - 2j * full / sheet.omega)
+        if unit.any():
+            r_tm[unit] = 1.0 / (1.0 - 2j * complex(k0) ** 2
+                                / (sheet.omega * gamma[unit]))
+        r_tm[wide] = half / (half - 1j * (k0s * (k0s / gamma[wide]))
+                             * scale[wide])
     return r_te, r_tm
 
 
@@ -241,24 +296,34 @@ def scalar_reflection(k, sheet):
 
     The sheet enters the scalar wave equation through a delta potential of
     strength Omega kpar^2/k0^2, giving r = 1/(1 - (2 i Gamma/Omega)(k0^2/kpar^2)).
-    The static value is exactly 1.
+    The static value is exactly 1. Beyond scale 1 or a normal kpar^2
+    (module docstring), or where the unscaled product overflows,
+    k0^2/kpar^2 is formed as the square of k0/kpar; where the term beside 1
+    still leaves the float range, r is 0.
     """
     if k.kpar == 0.0:
         raise DegenerateMomentumError("scalar reflection needs kpar != 0")
     if sheet.omega == 0.0:
         return 0.0 + 0.0j
-    gamma = gamma_minkowski(k)
-    return 1.0 / (1.0 - 2j * gamma * complex(k.k0) ** 2 /
-                  (sheet.omega * k.kpar * k.kpar))
+    k0, kpar, gamma, scale = _scaled(k.k0, k.kpar)
+    if _square_is_normal(scale, kpar):
+        term = 2j * gamma * k0 ** 2 / (sheet.omega * kpar * kpar)
+        if cmath.isfinite(term):
+            return 1.0 / (1.0 - term)
+    ratio = complex(k.k0) / k.kpar
+    term = 2j * (gamma * ratio) * (ratio * scale) / sheet.omega
+    return 1.0 / (1.0 - term) if cmath.isfinite(term) else 0.0 + 0.0j
 
 
 # Reflection coefficient of each polarization, and the numerator N of its
 # delta-potential strength: the strength multiplying D(0, y3) in the jump of
-# the normal derivative is N / k0^2, or Omega itself for TE.
+# the normal derivative is N / k0^2, or Omega itself for TE. N takes the
+# scaled momenta (module docstring); N / k0^2 does not depend on the scale.
 _POLARIZATIONS = {
-    "scalar": (scalar_reflection, lambda k, omega: omega * k.kpar * k.kpar),
+    "scalar": (scalar_reflection,
+               lambda omega, kpar, gamma: omega * kpar * kpar),
     "te": (reflection_te, None),
-    "tm": (reflection_tm, lambda k, omega: omega * gamma_minkowski(k) ** 2),
+    "tm": (reflection_tm, lambda omega, kpar, gamma: omega * (gamma * gamma)),
 }
 
 
@@ -325,23 +390,28 @@ def matching_residual(k, sheet, polarization="scalar", probe_offset=1e-3, y3=Non
     h = float(probe_offset)
     if not 0.0 < h < math.inf:
         raise ValueError("probe_offset must be positive and finite")
-    gamma = gamma_minkowski(k)
+    k0, kpar, gamma, scale = _scaled(k.k0, k.kpar)
     if gamma == 0.0:
         raise OnLightConeError("free propagator pole at Gamma = 0")
     if y3 is None:
-        y3 = max(0.75 / abs(gamma), 8.0 * h)
+        y3 = max(0.75 / abs(gamma) / scale, 8.0 * h)
     if not 2.0 * h < y3 < math.inf:
         raise ValueError("source point y3 must be finite and sit beyond the "
                          "probe stencil")
     numerator = _polarization(polarization)[1]
     if numerator is None:
         coeff = complex(sheet.omega)
-    else:
-        k0sq = complex(k.k0) ** 2
-        if k0sq == 0.0:
-            raise DegenerateMomentumError(
-                f"{polarization.lower()} jump coefficient is singular at k0 = 0")
-        coeff = numerator(k, sheet.omega) / k0sq
+    elif k.k0 == 0.0:
+        raise DegenerateMomentumError(
+            f"{polarization.lower()} jump coefficient is singular at k0 = 0")
+    elif _square_is_normal(scale, abs(k0)):
+        coeff = numerator(sheet.omega, kpar, gamma) / k0 ** 2
+    else:  # N is homogeneous of degree 2: N / k0^2 = N(kpar/k0, Gamma/k0)
+        coeff = numerator(sheet.omega, k.kpar / complex(k.k0),
+                          gamma * (scale / complex(k.k0)))
+    if not cmath.isfinite(coeff):
+        raise ValueError(f"jump coefficient at k0 = {k.k0}, kpar = {k.kpar} "
+                         "is beyond the float range")
 
     def dbar(x):
         return scalar_propagator(x, y3, k, sheet, polarization, parts=True)[1]
@@ -389,23 +459,36 @@ def polarization_basis(k):
     """Polarization four-vectors for a momentum off the light cone.
 
     Needs kpar != 0 and Gamma != 0; on either degeneracy the basis below is
-    not defined (0/0 in the TE/TM directions).
+    not defined (0/0 in the TE/TM directions). Every vector is homogeneous
+    of degree 0 in the momenta, so it comes from the scaled momenta (module
+    docstring).
     """
     if k.kpar == 0.0:
         raise DegenerateMomentumError("basis undefined at kpar = 0")
-    gamma = gamma_minkowski(k)
+    k0, kp, gamma, scale = _scaled(k.k0, k.kpar)
     if gamma == 0.0:
         raise DegenerateMomentumError("basis undefined on the light cone")
-    k0, k1, k2, kp = complex(k.k0), k.k1, k.k2, k.kpar
+    k1, k2 = k.k1 / scale, k.k2 / scale
     e0 = np.array([k0, k1, k2, 0.0]) / gamma
-    e1 = np.array([0.0, k2, -k1, 0.0]) / kp
-    e2 = np.array([kp * kp, k0 * k1, k0 * k2, 0.0]) / (gamma * kp)
+    e1 = np.array([0.0, k.k2, -k.k1, 0.0]) / k.kpar
+    if _square_is_normal(scale, kp):
+        e2 = np.array([kp * kp, k0 * k1, k0 * k2, 0.0]) / (gamma * kp)
+    else:  # the same vector from ratios
+        ratio = k0 / gamma
+        e2 = np.array([kp / gamma, ratio * (k.k1 / k.kpar),
+                       ratio * (k.k2 / k.kpar), 0.0])
     e3 = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
     return PolarizationBasis(vectors=np.array([e0, e1, e2, e3]))
 
 
 def _plasmon_momenta(kpar, sheet):
-    """kpar (a float or an array) as an array, checked for both routes."""
+    """(Omega, kpar) / 2^e and e, with kpar (a float or an array) checked
+    for every plasmon route and 2^e the power of two of max(Omega, kpar).
+
+    The plasmon quantities are homogeneous in (Omega, kpar), and the closed
+    form has a cube, which can leave the float range where no square does.
+    So every row is divided; the division is exact and keeps the bits.
+    """
     kpar = np.asarray(kpar, dtype=float)
     if not np.isfinite(kpar).all():
         raise ValueError("kpar must be finite")
@@ -413,7 +496,8 @@ def _plasmon_momenta(kpar, sheet):
         raise DegenerateMomentumError("plasmon branch needs kpar > 0")
     if sheet.omega <= 0.0:
         raise ValueError("plasmon branch needs omega > 0")
-    return kpar
+    e = np.frexp(np.maximum(kpar, sheet.omega))[1]
+    return np.ldexp(float(sheet.omega), -e), np.ldexp(kpar, -e), e
 
 
 def tm_plasmon_closed(kpar, sheet):
@@ -423,9 +507,9 @@ def tm_plasmon_closed(kpar, sheet):
     the subtraction-free way. The root always lies below the light cone
     (k0 < kpar) and approaches sqrt(Omega kpar/2) for kpar >> Omega.
     """
-    kpar = _plasmon_momenta(kpar, sheet)
-    om = sheet.omega
+    om, kpar, e = _plasmon_momenta(kpar, sheet)
     k0 = np.sqrt(2.0 * om * kpar * kpar / (np.sqrt(om * om + 16.0 * kpar * kpar) + om))
+    k0 = np.ldexp(k0, e)
     return float(k0) if k0.ndim == 0 else k0
 
 
@@ -440,8 +524,7 @@ def tm_plasmon_root(kpar, sheet):
     kpar g(s)/(1 + s^2)^2, the residual bound 1e-10 * Omega * kpar on the
     equation of motion is |g(s)| <= 1e-10 * Omega * (1 + s^2)^2.
     """
-    kpar = _plasmon_momenta(kpar, sheet)
-    om = sheet.omega
+    om, kpar, e = _plasmon_momenta(kpar, sheet)
 
     def g(s):
         s2 = s * s
@@ -451,7 +534,7 @@ def tm_plasmon_root(kpar, sheet):
     s2 = s * s
     if not (np.abs(g(s)) <= 1e-10 * om * (1.0 + s2) ** 2).all():
         raise IterationLimitError("dispersion residual above 1e-10 * Omega * kpar")
-    k0 = 2.0 * kpar * s / (1.0 + s2)
+    k0 = np.ldexp(2.0 * kpar * s / (1.0 + s2), e)
     return float(k0) if k0.ndim == 0 else k0
 
 
@@ -467,8 +550,8 @@ def te_plasmon_exists(kpar, sheet):
     _TE_SCAN_SAMPLES midpoints certifies to stay >= 1 + Omega/(2 kpar) > 1
     on the whole interval.
     """
-    kpar = _plasmon_momenta(kpar, sheet)
+    om, kpar, _ = _plasmon_momenta(kpar, sheet)
     samples = _TE_SCAN_SAMPLES
     grid = np.linspace(0.0, kpar, samples + 1)[:-1] + kpar / (2.0 * samples)
-    residual = 1.0 + sheet.omega / (2.0 * np.sqrt(kpar * kpar - grid * grid))
+    residual = 1.0 + om / (2.0 * np.sqrt(kpar * kpar - grid * grid))
     return bool(residual.min() <= 1.0)

@@ -37,7 +37,7 @@ from .numerics import (  # noqa: F401
     spherical_bessel_j,
     spherical_hankel1,
 )
-from .sheet import MinkowskiMomentum, gamma_minkowski
+from .sheet import MinkowskiMomentum, _scaled, _square_is_normal
 
 __all__ = [
     "SphericalShell",
@@ -173,13 +173,23 @@ def tm_flat_limit(k0, kpar, omega):
     Oscillation average of jost_tm as l -> inf, R -> inf with kpar = l/R
     held fixed; proportional to the flat-sheet TM Jost structure
     1 - 2 i k0^2/(Omega Gamma), so it shares its zeros. omega must be
-    finite and non-negative, as for SphericalShell.
+    finite and non-negative, as for SphericalShell. Gamma/k0^2 comes from
+    the momenta scaled as in sheet; a value beyond the float range raises
+    ValueError.
     """
     _require_dynamic(k0)
     if not (math.isfinite(omega) and omega >= 0.0):
         raise ValueError("omega must be finite and non-negative")
-    gamma = gamma_minkowski(MinkowskiMomentum.from_parallel(k0, kpar))
-    return 1.0 + 1j * omega * gamma / (2.0 * k0 * k0)
+    k = MinkowskiMomentum.from_parallel(k0, kpar)
+    _, _, gamma, scale = _scaled(k.k0, k.kpar)
+    if _square_is_normal(scale, abs(k0)):
+        value = 1.0 + 1j * omega * gamma / (2.0 * k0 * k0)
+    else:  # Gamma/k0^2 as (Gamma/s)/k0 times s/k0, without k0^2
+        value = 1.0 + 1j * omega * (gamma / k0 * (scale / (2.0 * k0)))
+    if not cmath.isfinite(value):
+        raise ValueError(f"tm_flat_limit at k0 = {k0}, kpar = {kpar} is "
+                         "beyond the float range")
+    return value
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 Each cell of the row must match an independent reference to within 10 times
 the run tolerance, as the benchmark checks its rows: mpmath for the shape
-functions and the reflection coefficients, the closed limits of the Casimir
-energy, the closed h_par(x) = 2 + 1/x - x e^x E1(x) for the charge energy,
-and mpmath spherical Bessel functions for the Jost functions.
+functions, the reflection coefficients and the closed plasmon frequency,
+the closed limits of the Casimir energy, the closed
+h_par(x) = 2 + 1/x - x e^x E1(x) for the charge energy, and mpmath
+spherical Bessel functions for the Jost functions.
 """
 
 import contextlib
@@ -95,6 +96,13 @@ def _reflection(k0, kpar):
     return [1 / (1 - 2j * gamma), 1 / (1 - 2j * k0**2 / gamma)]
 
 
+def _dispersion(kpar):
+    """Closed plasmon frequency at Omega = kpar: both columns, residual 0."""
+    kpar = mpmath.mpf(kpar)
+    k0 = mpmath.sqrt(2 * kpar**3 / (mpmath.sqrt(17) * kpar + kpar))
+    return [k0, k0, 0]
+
+
 def _jost(l, z):
     """g_TE and g_TM at R = 1, Omega R = 1 from mpmath spherical Bessels."""
     z = mpmath.mpf(z)
@@ -131,6 +139,16 @@ CASES = [
      lambda: _reflection(1e300, 1)),
     (["reflection", "--k0", "1e200", "--kpar", "5e199"],
      lambda: _reflection(1e200, 5e199)),
+    (["reflection", "--k0", "2e-170", "--kpar", "1e-170"],
+     lambda: _reflection(2e-170, 1e-170)),
+    (["reflection", "--k0", "1e-200", "--kpar", "0"],
+     lambda: _reflection(1e-200, 0)),
+    (["reflection", "--k0", "1e-300", "--kpar", "5e-301"],
+     lambda: _reflection(1e-300, 5e-301)),
+    (["dispersion", "--omega", "1e200", "--kpar", "1e200"],
+     lambda: _dispersion(1e200)),
+    (["dispersion", "--omega", "1e-200", "--kpar", "1e-200"],
+     lambda: _dispersion(1e-200)),
     (["sphere", "--l", "1", "--k0r", "1e-6"], lambda: _jost(1, 1e-6)),
     (["sphere", "--l", "40", "--k0r", "1e-6"], lambda: _jost(40, 1e-6)),
     (["sphere", "--l", "1", "--k0r", "1e6"], lambda: _jost(1, 1e6)),
@@ -152,4 +170,22 @@ def test_command_at_an_end_of_its_domain(argv, reference):
         want = [complex(value) for value in reference()]
     assert len(cells) == len(want)
     for got, ref in zip(cells, want):
-        assert abs(got - ref) <= TOLERANCE * abs(ref), (got, ref)
+        # a reference of 0 is a relative residual column, bounded as one
+        assert abs(got - ref) <= TOLERANCE * (abs(ref) or 1.0), (got, ref)
+
+
+def test_reflection_sweep_whose_squares_underflow():
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        status = main(["reflection", "--k0", "2e-170", "--kpar-min", "0",
+                       "--kpar-max", "1e-170", "--count", "3",
+                       "--format", "json"])
+    assert status == 0
+    rows = json.loads(buffer.getvalue())["rows"]
+    assert len(rows) == 3
+    for row in rows:
+        assert row[-1] == ""
+        with mpmath.workdps(60):
+            want = [complex(value) for value in _reflection(2e-170, row[0])]
+        for got, ref in zip(row[1:-1], want):
+            assert abs(complex(*got) - ref) <= TOLERANCE * abs(ref)

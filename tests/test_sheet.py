@@ -182,7 +182,7 @@ class TestMomentaWhoseSquaresOverflow:
                           (r_te_array[0], r_te), (r_tm_array[0], r_tm)):
             assert abs(got - want) <= 1e-15 * abs(want), (got, want)
 
-    def test_only_the_overflowing_rows_change_route(self):
+    def test_rows_do_not_depend_on_their_neighbours(self):
         sp = sheet.SheetParameters(2.0)
         kpar = np.array([0.5, 1e150, 1e300, 3.0])
         r_te, r_tm = sheet.reflection_coefficients(1.0, kpar, sp)
@@ -196,6 +196,93 @@ class TestMomentaWhoseSquaresOverflow:
         k = momentum(1.5e308j, 1.5e308)
         with pytest.raises(ValueError, match="k0 = 1.5e[+]308j, kpar = 1.5e[+]308"):
             sheet.gamma_minkowski(k)
+        with pytest.raises(ValueError, match="k0 = 1.5e[+]308j, kpar = 1.5e[+]308"):
+            sheet.reflection_coefficients(1.5e308j, np.array([1.0, 1.5e308]),
+                                          sheet.SheetParameters(1.0))
+
+
+def _scalar_reference(k0, kpar, omega=1.0):
+    """mpmath r of the scalar model problem."""
+    with mpmath.workdps(40):
+        k0, kpar = mpmath.mpf(k0), mpmath.mpf(kpar)
+        gamma = mpmath.sqrt(k0**2 - kpar**2)
+        if gamma.imag < 0:
+            gamma = -gamma
+        return complex(1 / (1 - 2j * gamma / omega * k0**2 / kpar**2))
+
+
+class TestMomentaWhoseSquaresLeaveTheRange:
+    """Every sheet route at momenta whose squares over- or underflow.
+
+    Each gives the mpmath value, and none raises a bare ArithmeticError or
+    a light-cone error off the light cone.
+    """
+
+    SMALL = [(2e-170, 1e-170), (1e-200, 0.0), (1e-300, 5e-301),
+             (2e-200, 1e-200)]
+
+    @pytest.mark.parametrize("k0, kpar", SMALL)
+    def test_small_momenta_match_mpmath(self, k0, kpar):
+        gamma, r_te, r_tm = TestMomentaWhoseSquaresOverflow._reference(
+            k0, kpar)
+        sp = sheet.SheetParameters(1.0)
+        k = momentum(k0, kpar)
+        r_te_array, r_tm_array = sheet.reflection_coefficients(
+            k0, np.array([kpar]), sp)
+        for got, want in ((sheet.gamma_minkowski(k), gamma),
+                          (sheet.reflection_te(k, sp), r_te),
+                          (sheet.reflection_tm(k, sp), r_tm),
+                          (r_te_array[0], r_te), (r_tm_array[0], r_tm)):
+            assert abs(got - want) <= 1e-15 * abs(want), (got, want)
+
+    def test_tm_at_rest_parallel_momentum_underflow(self):
+        r = sheet.reflection_tm(momentum(1e-200, 0.0), sheet.SheetParameters(1.0))
+        assert abs(r - (1 + 2e-200j)) <= 1e-15
+        assert abs(r.imag - 2e-200) <= 1e-15 * 2e-200
+
+    @pytest.mark.parametrize("k0, kpar", [(1e200, 1.0), (2e-200, 1e-200),
+                                          (1.0, 1e-200), (1e300, 1e-320)])
+    def test_scalar_reflection_matches_mpmath(self, k0, kpar):
+        want = _scalar_reference(k0, kpar)
+        got = sheet.scalar_reflection(momentum(k0, kpar),
+                                      sheet.SheetParameters(1.0))
+        assert abs(got - want) <= 1e-15 * abs(want), (got, want)
+
+    def test_matching_residual_matches_mpmath(self):
+        # the stencil of matching_residual, in mpmath; its residuals lie
+        # near 1e-600, so both round to 0
+        k0, kpar, h = 1e200, 1.0, 1e-3
+        with mpmath.workdps(40):
+            gamma = mpmath.sqrt(mpmath.mpf(k0)**2 - mpmath.mpf(kpar)**2)
+            y3 = max(mpmath.mpf(0.75) / gamma, 8 * mpmath.mpf(h))
+            r = 1 / (1 - 2j * gamma * mpmath.mpf(k0)**2 / kpar**2)
+
+            def dbar(x):
+                return r * mpmath.expj(gamma * (abs(x) + y3)) / (2j * gamma)
+
+            continuity = abs(2 * dbar(h) - dbar(2 * h)
+                             - 2 * dbar(-h) + dbar(-2 * h))
+            jump_fd = -((-3 * dbar(0) + 4 * dbar(h) - dbar(2 * h))
+                        - (3 * dbar(0) - 4 * dbar(-h) + dbar(-2 * h))) / (2 * h)
+            free0 = mpmath.expj(gamma * y3) / (2j * gamma)
+            jump = abs(jump_fd - kpar**2 / mpmath.mpf(k0)**2 * (free0 - dbar(0)))
+            want = (float(continuity), float(jump))
+        got = sheet.matching_residual(momentum(k0, kpar),
+                                      sheet.SheetParameters(1.0))
+        assert got == want == (0.0, 0.0)
+
+    def test_matching_residual_names_a_coefficient_beyond_the_range(self):
+        with pytest.raises(ValueError, match="k0 = 1e-200, kpar = 1.0"):
+            sheet.matching_residual(momentum(1e-200, 1.0),
+                                    sheet.SheetParameters(1.0), "tm")
+
+    @pytest.mark.parametrize("k0, kpar", [(1e200, 5e199), (2e-200, 1e-200),
+                                          (1e258, 1e-191)])
+    def test_polarization_basis_is_orthonormal_and_complete(self, k0, kpar):
+        basis = sheet.polarization_basis(momentum(k0, kpar))
+        assert np.isfinite(basis.vectors).all()
+        assert basis.orthonormality_residual() <= 1e-15
+        assert basis.completeness_residual() <= 1e-15
 
 
 class TestEuclideanReflection:
@@ -370,23 +457,28 @@ class TestPlasmon:
             assert sheet.tm_plasmon_closed(float(kpar[i]), sp) == a[i]
             assert sheet.tm_plasmon_root(float(kpar[i]), sp) == b[i]
 
-    @pytest.mark.parametrize("omega", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("omega", [1e-280, 1e-100, 1e-6, 1.0, 1e6,
+                                       1e100, 1e300])
     def test_root_matches_mpmath_over_the_domain(self, omega):
-        # kpar/Omega in [1e-12, 1e8]: at the low end the root lies within
-        # an ulp of kpar, where the equation of motion in k0 loses half
-        # its digits
+        # kpar/Omega in [1e-12, 1e8] at any Omega: at the low end the root
+        # lies within an ulp of kpar, where the equation of motion in k0
+        # loses half its digits
         sp = sheet.SheetParameters(omega)
         kpar = omega * np.geomspace(1e-12, 1e8, 81)
         root = sheet.tm_plasmon_root(kpar, sp)
+        closed = sheet.tm_plasmon_closed(kpar, sp)
         with mpmath.workdps(50):
             om = mpmath.mpf(omega)
-            for kp, k0 in zip(kpar, root):
+            for kp, k0, k0_closed in zip(kpar, root, closed):
                 kp = mpmath.mpf(kp)
                 root_term = mpmath.sqrt(om * om + 16 * kp * kp)
                 exact = mpmath.sqrt(2 * om * kp * kp / (root_term + om))
                 assert abs(float(k0) - exact) <= 1e-15 * exact, float(kp / om)
+                assert abs(float(k0_closed) - exact) <= 1e-15 * exact
         for i in (0, 40, 80):
             assert sheet.tm_plasmon_root(float(kpar[i]), sp) == root[i]
+        assert not sheet.te_plasmon_exists(float(kpar[0]), sp)
+        assert not sheet.te_plasmon_exists(float(kpar[-1]), sp)
 
     def test_below_light_cone(self):
         sp = sheet.SheetParameters(2.7)

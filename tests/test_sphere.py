@@ -338,6 +338,23 @@ class TestTmFlatLimit:
         assert g.imag == 0.0
         assert g.real < 1.0
 
+    @pytest.mark.parametrize("k0, kpar", [(1e-170, 5e-171), (1e-170, 1e-153),
+                                          (1e200, 5e199)])
+    def test_momenta_whose_squares_leave_the_range(self, k0, kpar):
+        with mpmath.workdps(40):
+            k0m, kparm = mpmath.mpf(k0), mpmath.mpf(kpar)
+            gamma = mpmath.sqrt(k0m**2 - kparm**2)
+            if gamma.imag < 0:
+                gamma = -gamma
+            want = complex(1 + 1j * gamma / (2 * k0m**2))
+        got = tm_flat_limit(k0, kpar, 1.0)
+        assert abs(got - want) <= 1e-15 * abs(want), (got, want)
+
+    def test_value_beyond_the_float_range_names_the_point(self):
+        # 1 - 5e399
+        with pytest.raises(ValueError, match="k0 = 1e-200, kpar = 1.0"):
+            tm_flat_limit(1e-200, 1.0, 1.0)
+
     def test_sphere_converges_at_fixed_parallel_momentum(self):
         # window-average jost_tm over one oscillation period T = pi k0/gamma
         # and compare to the flat asymptote; quadrupling the radius at fixed
