@@ -3,8 +3,10 @@
 Each subcommand sweeps one axis and writes a machine-readable table (CSV
 with a '#'-comment metadata preamble, or JSON with a metadata object).
 Each runner takes the whole axis as an array and returns one array per
-output column; casimir, casimir-polder and functions loop over the points
-inside it, as their quadratures refine each point alone. Output is fully
+output column. The quadrature runners (casimir, casimir-polder and
+functions) pass a fixed chunk of points at a time, and refine each point
+alone inside it, so a cell does not depend on the other points; charge
+refines its points together. Output is fully
 deterministic: identical configuration produces identical bytes, so no
 wall-clock timestamps are recorded. When a runner call raises a physics
 error, the array is split in halves until the point that raises stands
@@ -44,9 +46,9 @@ from .errors import SheetModelError
 from .numerics import MAX_RTOL, MIN_RTOL, divide_by_power
 from .polder import (
     AtomProperties,
-    casimir_polder_energy,
+    casimir_polder_energies,
     charge_sheet_energies,
-    reduction_functions,
+    reduction_function_columns,
 )
 from .sheet import (
     SheetParameters,
@@ -58,7 +60,11 @@ from .sphere import SphericalShell, jost_te, jost_tm
 
 # Unused here but stay bound: perfbench/tracing.py wraps them by name.
 from .casimir import lifshitz_pressure, reduced_energy_parts  # noqa: F401
-from .polder import charge_sheet_energy  # noqa: F401
+from .polder import (  # noqa: F401
+    casimir_polder_energy,
+    charge_sheet_energy,
+    reduction_functions,
+)
 from .sheet import reflection_te, reflection_tm  # noqa: F401
 
 __all__ = [
@@ -182,11 +188,6 @@ def _choice(*choices):
     return parse
 
 
-def _each_point(row):
-    """Runner that calls row(value) once per value of the axis array."""
-    return lambda values: zip(*map(row, values.tolist()))
-
-
 def _build_reflection(fixed, tolerance):
     sheet = SheetParameters(omega=fixed["omega"])
     k0 = fixed["k0"]
@@ -215,12 +216,13 @@ def _build_casimir(fixed, tolerance):
         raise ValueError("a must be positive")
     raw = fixed["raw_units"]
 
-    def row(x):
-        # energy, shares and pressure from one quadrature pass
+    def runner(x):
+        # energy, shares and pressure from one quadrature pass per chunk
         te, tm, pressure = reduced_energy_and_pressure(x, rtol=tolerance)
         total = te + tm
-        cells = ((total, te / total, tm / total) if total != 0.0
-                 else (total, 0.0, 1.0))
+        lit = total != 0.0
+        cells = (total, np.divide(te, total, out=np.zeros_like(te), where=lit),
+                 np.divide(tm, total, out=np.ones_like(tm), where=lit))
         if raw:
             cells += (divide_by_power(total, a, 3),
                       divide_by_power(pressure, a, 4))
@@ -230,7 +232,7 @@ def _build_casimir(fixed, tolerance):
                ("tm_share", "float")]
     if raw:
         columns += [("energy_per_area", "float"), ("pressure", "float")]
-    return columns, _each_point(row)
+    return columns, runner
 
 
 def _atom_from(fixed):
@@ -248,16 +250,15 @@ def _build_casimir_polder(fixed, tolerance):
     atom = _atom_from(fixed)
     raw = fixed["raw_units"]
 
-    def row(x):
+    def runner(x):
         # a^4 E depends on x alone: the energy at unit distance
-        reduced = casimir_polder_energy(1.0, SheetParameters(omega=x), atom,
-                                        rtol=tolerance)
+        reduced = casimir_polder_energies(1.0, x, atom, rtol=tolerance)
         return (reduced, divide_by_power(reduced, a, 4)) if raw else (reduced,)
 
     columns = [("a4_energy", "float")]
     if raw:
         columns.append(("energy", "float"))
-    return columns, _each_point(row)
+    return columns, runner
 
 
 def _build_charge(fixed, tolerance):
@@ -302,11 +303,10 @@ def _build_functions(fixed, tolerance):
     else:
         names = _FAMILY_COLUMNS[family]
 
-    def row(x):
-        bundle = reduction_functions(x, rtol=tolerance, names=names)
-        return tuple(getattr(bundle, name) for name in names)
+    def runner(x):
+        return reduction_function_columns(x, rtol=tolerance, names=names)
 
-    return [(name, "float") for name in names], _each_point(row)
+    return [(name, "float") for name in names], runner
 
 
 @dataclass(frozen=True)

@@ -3,20 +3,29 @@
 Plain numerics, no sheet physics. Two fixed rules that take array-valued
 integrands (a trapezoidal rule in ln k for e^-k weighted integrals, and
 Gauss-Legendre) and bisection sit behind small contracts that fail loudly
-instead of returning silently inaccurate numbers. The log-k rule refines
-all its integrands together, and only where they live: its level 0 alone
-samples all of k in [1e-20, 800], and later levels refine only the support
-that level 0 finds, between its leading and trailing runs of negligible
-nodes. For f bounded as k -> 0, each dropped side is below rtol/100 of the
-total. Gauss-Legendre refines each element (each upper limit) on its own:
-an element is final at its first pair of agreeing orders, and the
-integrand sees only the elements still refining, with their rows of any
-per-element parameter arrays. Its first call takes the first pair of
-orders, n and 2n, on their joined nodes, so t has shape (m, 3n) there;
-every later order is one call. Orders stop at 512, so a starting order n
-above 256 is refused before f is called. The QUADPACK wrappers
-``integrate_adaptive`` and ``integrate_semi_infinite`` keep the same
-contract, but no package code calls them: they stay only because the
+instead of returning silently inaccurate numbers. Both rules refine each
+element on its own, in one loop: an element is final at its first pair of
+agreeing levels or orders and leaves, and the integrand sees only the
+elements still refining, with their rows of any per-element parameter
+arrays. An element's value therefore does not depend on the elements that
+share its calls.
+
+The log-k rule's elements are the rows of its parameter arrays; without
+them there is one element, whose several integrands refine together. It
+refines each element only where it lives: its level 0 alone samples all of
+k in [1e-20, 800], and later levels refine only the support that level 0
+finds for that element, between its leading and trailing runs of
+negligible nodes. For f bounded as k -> 0, each dropped side is below
+rtol/100 of the total. Each level is one call of f on the new midpoints
+from the first support start to the last support end of the elements
+still refining, and each element sums over its own nodes alone.
+
+The Gauss-Legendre elements are the upper limits. The first call takes
+the first pair of orders, n and 2n, on their joined nodes, so t has shape
+(m, 3n) there; every later order is one call. Orders stop at 512, so a
+starting order n above 256 is refused before f is called. The QUADPACK
+wrappers ``integrate_adaptive`` and ``integrate_semi_infinite`` keep the
+same contract, but no package code calls them: they stay only because the
 benchmark tracer in ``perfbench/tracing.py`` wraps them by name.
 
 The spherical Bessel functions come from one primitive, ``_sph_jh``, that
@@ -51,6 +60,7 @@ __all__ = [
     "integrate_legendre",
     "integrate_adaptive",
     "integrate_semi_infinite",
+    "by_chunks",
     "divide_by_power",
     "find_root_bracketed",
     "spherical_bessel_j",
@@ -156,21 +166,28 @@ def _legendre_pair(order):
     return _frozen(np.concatenate((nodes, nodes2)))[0], weights, weights2
 
 
-def integrate_exponential_weight(f, spec=None):
-    """Integral of e^(-k) f(k) over k in [0, inf).
+def integrate_exponential_weight(f, spec=None, *params):
+    """Integrals of e^(-k) f(k) over k in [0, inf), one per element.
 
     Trapezoidal rule in u = ln k, starting with ``spec.order`` steps of
     h0 = ln(800/1e-20)/order; each node's term is w f(k) with
-    w = h e^(-k) k. Level 0 alone samples the whole range k in [1e-20, 800],
-    and it fixes the support: a level-0 node is negligible when every
-    stacked integrand's term there is at most
-    _TAIL_FRACTION * rtol * |its level-0 total|, and the support runs from
-    the last node of the leading run of negligible nodes to the first node
-    of the trailing run. Negligible nodes inside it stay. Each refinement
-    halves the step and evaluates f only at the new midpoints inside the
-    support, in one call on an array of nodes. Every level, level 0
-    included, sums over the support alone, so all levels refine one node
-    set; the rule stops when two successive levels agree to ``spec.rtol``.
+    w = h e^(-k) k. With ``params``, each row of the params arrays is one
+    element with integrands of its own; without, there is one element.
+    Each element refines alone. Level 0 samples the whole range
+    k in [1e-20, 800] and fixes the element's support: a level-0 node is
+    negligible when each of the element's integrands has a term there of
+    at most _TAIL_FRACTION * rtol * |its level-0 total|, and the support
+    runs from the last node of the leading run of negligible nodes to the
+    first node of the trailing run. Negligible nodes inside it stay. Each
+    refinement halves the step and adds the midpoints inside the support.
+    Every level, level 0 included, sums over the support alone, so all
+    levels refine one node set; the element is final at the first level
+    that agrees with the one before to ``spec.rtol``, and leaves. Each
+    level calls f once, on the new midpoints from the first support start
+    to the last support end of the elements still refining, and each
+    element sums over its own nodes alone, in the order it would alone: its
+    value, support and level do not depend on the other elements. When all
+    supports coincide, one sum serves every element.
 
     The rule converges geometrically for integrands e^-k k^n R(k/x),
     n >= 0, with R analytic off (-inf, -1], whatever the scale x: in u they
@@ -185,55 +202,120 @@ def integrate_exponential_weight(f, spec=None):
     Parameters
     ----------
     f : callable
-        Factor multiplying the e^(-k) weight. Takes an array of k and returns
-        an array of the same shape, or of shape (m, len(k)) for m integrands
-        on the same nodes.
+        Called as ``f(k, *rows)`` with a 1-d array of nodes k. Without
+        params it returns an array shaped like k, or (..., len(k)) for
+        several integrands on the same nodes, which the one element refines
+        together. With params, rows are the rows of the ``params`` arrays
+        for the m elements still refining, and f returns (..., m, len(k)).
+        When f acts on each node and row alone, as elementwise numpy does,
+        an element's value does not depend on which elements share its
+        calls.
     spec : QuadratureSpec, optional
         Tolerances and starting step count.
+    *params : arrays
+        Per-element parameters, one row per element along axis 0.
 
     Returns
     -------
-    float, or an array of m floats that each reached ``spec.rtol``
+    Without params, a float, or an array of floats for several integrands;
+    with params, an array of shape (..., m) over the m elements.
 
     Raises
     ------
     ToleranceNotMet
-        When the levels still disagree after the last halving.
+        When some element's levels still disagree after the last halving.
+        Its ``estimate`` holds every element's latest value, and
+        ``error_bound`` the largest gap of the elements that did not
+        converge.
     """
     if spec is None:
         spec = QuadratureSpec()
 
+    # a single element refines without the element axis, on floats where
+    # it has one integrand
+    single = len(params[0]) == 1 if params else True
+    squeeze = (..., 0, slice(None)) if params and single else ...
+
     k, w = _log_k_level(spec.order, 0)
-    terms = w * f(k)
-    lo, hi = _support(terms, np.sum(terms, axis=-1), spec.rtol)
-    prev = np.sum(terms[..., lo:hi + 1], axis=-1)
+    terms = w * f(k, *params)[squeeze]
+    supports = _supports(terms[..., None, :] if single else terms, spec.rtol)
+    lo, hi, offsets = _span(supports)
+    prev = _support_sums(terms[..., lo:hi + 1], offsets, 1, 1)
+    # index: the element of each refining row; result: every element's
+    # latest value once some elements have left
+    index, rows, result = np.arange(len(supports)), params, None
     for level in range(1, _MAX_HALVINGS + 1):
         k, w = _log_k_level(spec.order, level)
         per_step = 2 ** (level - 1)  # new midpoints per level-0 step
         new = slice(lo * per_step, hi * per_step)
-        cur = 0.5 * prev + np.sum(w[new] * f(k[new]), axis=-1)
+        cur = 0.5 * prev + _support_sums(w[new] * f(k[new], *rows)[squeeze],
+                                         offsets, per_step, 0)
         diff = np.abs(cur - prev)
-        if np.all(diff <= spec.rtol * np.abs(cur) + _ABS_FLOOR):
-            return float(cur) if np.ndim(cur) == 0 else cur
+        agree = diff <= spec.rtol * np.abs(cur) + _ABS_FLOOR
+        if agree.all():
+            break
+        # elements whose integrands all agree leave; one never leaves alone
+        done = () if single else agree.reshape(-1, index.size).all(axis=0)
+        if any(done):
+            if result is None:
+                result = np.empty(cur.shape[:-1] + (len(params[0]),))
+            result[..., index[done]] = cur[..., done]
+            keep = ~done
+            index, cur, diff = index[keep], cur[..., keep], diff[..., keep]
+            rows = [row[keep] for row in rows]
+            supports = [s for s, kept in zip(supports, keep) if kept]
+            lo, hi, offsets = _span(supports)
         prev = cur
+    if result is not None:
+        result[..., index] = cur
+        cur = result
+    if squeeze is not ...:
+        cur = cur[..., None]
+    if agree.all():
+        return float(cur) if cur.ndim == 0 else cur
     raise ToleranceNotMet(
         f"log-k trapezoid refinement did not reach rtol {spec.rtol:g}",
-        estimate=prev, error_bound=float(np.max(diff)))
+        estimate=cur, error_bound=float(np.max(diff)))
 
 
-def _support(terms, total, rtol):
-    """First and last level-0 node of the log-k rule's support.
+def _supports(terms, rtol):
+    """First and last level-0 node of each element's support, as int pairs.
 
-    terms has the nodes on its last axis and total their sums; the rule is
-    in integrate_exponential_weight. With no node above the threshold, the
-    support is every node.
+    terms has the nodes on its last axis and the elements on the one before;
+    the rule is in integrate_exponential_weight. An element with no node
+    above the threshold keeps every node.
     """
-    bound = _TAIL_FRACTION * rtol * np.abs(total)[..., None]
-    above = (np.abs(terms) > bound).reshape(-1, terms.shape[-1]).any(axis=0)
-    kept = np.flatnonzero(above)
-    if kept.size == 0:
-        return 0, terms.shape[-1] - 1
-    return max(kept[0] - 1, 0), min(kept[-1] + 1, terms.shape[-1] - 1)
+    bound = _TAIL_FRACTION * rtol * np.abs(np.sum(terms, axis=-1))[..., None]
+    above = (np.abs(terms) > bound).any(axis=tuple(range(terms.ndim - 2)))
+    last = terms.shape[-1] - 1
+    first = above.argmax(axis=1).tolist()
+    final = (last - above[:, ::-1].argmax(axis=1)).tolist()
+    return [(max(a - 1, 0), min(b + 1, last)) for a, b in zip(first, final)]
+
+
+def _span(supports):
+    """(lo, hi, offsets): the first and last node of all the supports, and
+    each support's ends counted from lo, or None when all supports are one.
+    """
+    lo = min((a for a, _ in supports), default=0)
+    hi = max((b for _, b in supports), default=0)
+    if all(support == (lo, hi) for support in supports):
+        return lo, hi, None
+    return lo, hi, [(a - lo, b - lo) for a, b in supports]
+
+
+def _support_sums(values, offsets, per_step, end):
+    """Sum over each element's own nodes of values on a span of nodes.
+
+    values has the span's nodes on its last axis and the elements on the one
+    before. Element i sums nodes a * per_step to b * per_step + end - 1 for
+    its offsets (a, b); offsets None sums every node in one call.
+    """
+    if offsets is None:
+        return np.sum(values, axis=-1)
+    return np.stack([np.sum(values[..., i, a * per_step:b * per_step + end],
+                            axis=-1) for i, (a, b) in enumerate(offsets)],
+                    axis=-1)
 
 
 def integrate_legendre(f, hi, spec=None, *params):
@@ -388,6 +470,17 @@ def integrate_semi_infinite(f, spec=None, scale=1.0):
         return fk * scale / (u * u)
 
     return integrate_adaptive(transformed, 0.0, 1.0, spec)
+
+
+def by_chunks(f, x, size):
+    """f on each run of size elements of a 1-d array x, joined on the last axis.
+
+    The runs bound the memory of a pass over a long array. An empty x is
+    one empty run.
+    """
+    return np.concatenate([f(x[start:start + size])
+                           for start in range(0, max(x.size, 1), size)],
+                          axis=-1)
 
 
 def divide_by_power(value, base, n):

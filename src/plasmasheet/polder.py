@@ -5,7 +5,9 @@ Every energy here reduces to an ideal-conductor value times a dimensionless
 shape function of x = Omega a: the f-family controls the quadratic-field
 single-vertex shift, the h-family the no-recoil charge interaction, and the
 g-family the Casimir-Polder energy. All shape functions tend to 1 as
-x -> infinity and die off (h excepted, it diverges) as x -> 0.
+x -> infinity and die off (h excepted, it diverges) as x -> 0. Each takes a
+float x, giving a float, or a 1-d array, giving an array; every x is one
+element of the log-k passes, so its value does not depend on the other x.
 
 Units: hbar = c = 1, Heaviside-Lorentz (Coulomb potential e^2/(4 pi r)).
 """
@@ -20,6 +22,7 @@ from .errors import PathDisagreementError
 # bound: perfbench/tracing.py wraps them by name in this module.
 from .numerics import (  # noqa: F401
     QuadratureSpec,
+    by_chunks,
     divide_by_power,
     integrate_adaptive,
     integrate_exponential_weight,
@@ -46,7 +49,9 @@ __all__ = [
     "charge_sheet_energy",
     "charge_sheet_energies",
     "casimir_polder_energy",
+    "casimir_polder_energies",
     "reduction_functions",
+    "reduction_function_columns",
 ]
 
 # Isotropic-polarizability coefficient of -alpha/(32 pi^2 a^4) for an
@@ -136,8 +141,10 @@ def _require_positive(value, name):
 
 
 def _require_x(x):
-    """x = Omega a of a shape function, which must be positive and finite."""
-    if not 0.0 < x < math.inf:
+    """x = Omega a of a shape function, a float or an array of them: each
+    must be positive and finite."""
+    if not (0.0 < x < math.inf if np.ndim(x) == 0
+            else np.all((0.0 < x) & (x < math.inf))):
         raise ValueError("x must be positive and finite")
 
 
@@ -205,7 +212,9 @@ _TRANSVERSE_ANGULAR_SERIES = _series(
 def _closed_or_series(b, closed, *series):
     """closed(b) where b >= 0.5, the power series below: one row per series.
 
-    closed returns one row per series; all rows share the powers of b.
+    closed returns one row per series; all rows share the powers of b. Each
+    series is summed elementwise over its terms, not by a matrix product,
+    whose rounding depends on how many values share the call.
     """
     b = np.asarray(b, dtype=float)
     coeffs = np.array(series)
@@ -215,7 +224,8 @@ def _closed_or_series(b, closed, *series):
     small = b[~large, None]
     powers = np.cumprod(
         np.broadcast_to(small, (small.size, coeffs.shape[1] - 1)), axis=1)
-    out[:, ~large] = coeffs[:, :1] + (powers @ coeffs[:, 1:].T).T
+    out[:, ~large] = (coeffs[:, :1]
+                      + (powers * coeffs[:, None, 1:]).sum(axis=-1))
     return out
 
 
@@ -251,36 +261,47 @@ def _g_angular(b):
 
 # Couplings per stacked h_par integral in charge_sheet_energies.
 _CHARGE_CHUNK = 1024
+# Couplings per log-k pass of a shape-function or Casimir-Polder sweep. The
+# passes refine each x alone, so the chunk sets only the cost and memory of
+# a sweep, not its values; 16 was the fastest in timings of the g family.
+_SWEEP_CHUNK = 16
+
+
+def _log_k(f, x, spec):
+    """The log-k rule on f(k, x) with each coupling of x one element.
+
+    A 1-d array x gives arrays over x, handing f a column of the couplings
+    still refining; a float x is the one-element case, handed to f as the
+    float, and gives floats.
+    """
+    if np.ndim(x) == 0:
+        return integrate_exponential_weight(lambda k: f(k, x), spec)
+    return integrate_exponential_weight(f, spec, x[:, None])
 
 
 def f_te(x, rtol=1e-8):
     """TE reduction of the single-vertex shift; -> 1 as x -> inf, ~ x at 0."""
     _require_x(x)
-    return integrate_exponential_weight(
-        lambda k: k / (1.0 + k / x), QuadratureSpec(rtol=rtol))
+    return _log_k(lambda k, x: k / (1.0 + k / x), x, QuadratureSpec(rtol=rtol))
 
 
 def f_tm(x, rtol=1e-8):
     """TM reduction of the single-vertex shift; -> 1 as x -> inf, ~ 3x at 0."""
     _require_x(x)
-    return 3.0 * x * integrate_exponential_weight(
-        lambda k: _one_minus_atan_ratio(k / x), QuadratureSpec(rtol=rtol))
+    return 3.0 * x * _log_k(lambda k, x: _one_minus_atan_ratio(k / x), x,
+                            QuadratureSpec(rtol=rtol))
 
 
-def _h_parallel_integrand(x):
+def _h_parallel_terms(k, x):
     """Factor of e^-k in h_par(x), for a float x or a column of them."""
-    def integrand(k):
-        b = k / x
-        return -1.0 / (1.0 + b) + 0.5 * k + 1.5 + b
-
-    return integrand
+    b = k / x
+    return -1.0 / (1.0 + b) + 0.5 * k + 1.5 + b
 
 
 def h_parallel(x, rtol=1e-8):
     """In-plane kinetic shape of the charge interaction; decreases to 1."""
     _require_x(x)
-    return integrate_exponential_weight(_h_parallel_integrand(x),
-                                        QuadratureSpec(rtol=rtol))
+    return _log_k(_h_parallel_terms, x, QuadratureSpec(rtol=rtol))
 
 
 def h_3(x):
@@ -304,7 +325,7 @@ def _g_closed(k, x):
     """Closed-route integrands of gTE, gTM and g3 over k, stacked in rows."""
     b = k / x
     k3 = k**3
-    a_tm, a_3 = _g_angular(b)
+    a_tm, a_3 = _g_angular(b.reshape(-1)).reshape((2,) + b.shape)
     return np.stack((k3 / (1.0 + b), k3 * a_tm, k3 * a_3))
 
 
@@ -322,45 +343,50 @@ def _g_check(k, x, inner_spec):
 
     eps = sinh(t)/sqrt(b) turns each angular factor into
     b^-1/2 Int_0^asinh(sqrt b) P(sinh(t)/sqrt(b))/cosh(t) dt, integrated by
-    Gauss-Legendre at every k; no closed arctan form is called.
+    Gauss-Legendre at every (x, k), each pair one element of the inner
+    rule; no closed arctan form is called.
     """
     rb = np.sqrt(k / x)
-    angular = integrate_legendre(_g_check_angular, np.arcsinh(rb),
-                                 inner_spec, rb[:, None])
-    return k**3 * (angular / rb)
+    angular = integrate_legendre(_g_check_angular, np.arcsinh(rb).reshape(-1),
+                                 inner_spec, rb.reshape(-1, 1))
+    return k**3 * (angular.reshape((2,) + rb.shape) / rb)
 
 
 def _g_closed_routes(x, rtol):
-    """(gTE, gTM, g3) by their closed forms, as Python floats.
+    """(gTE, gTM, g3) by their closed forms, at a float or 1-d array x.
 
-    One stacked log-k integrand, refined until each of the three reaches
-    rtol.
+    One stacked log-k integrand, each x one element, refined until each of
+    its three reaches rtol.
     """
-    _require_x(x)
-    te, tm, g3 = integrate_exponential_weight(
-        lambda k: _g_closed(k, x), QuadratureSpec(rtol=rtol)).tolist()
+    te, tm, g3 = _log_k(_g_closed, x, QuadratureSpec(rtol=rtol))
     return te / 6.0, 5.0 / 22.0 * tm, 0.25 * g3
 
 
 def _g_family(x, rtol):
     """The g family at x from one pass: ((gTE, gTM, g3), (gTM, g3) checks).
 
-    Closed routes: _g_closed_routes. Check routes of gTM and g3: one stacked
-    tensor-product integrand, the log-k rule in k times Gauss-Legendre in t
-    starting at order 8, integrated to _INTERNAL_RTOL. The closed and the
-    check route of a quantity share no values. Each pair must agree to
-    max(PATH_AGREEMENT_TOL, rtol), or PathDisagreementError is raised. All
-    five values are Python floats.
+    x is a float, giving floats, or a 1-d array, giving arrays; each x is
+    one element of the log-k passes, so its values do not depend on the
+    other x. Closed routes: _g_closed_routes. Check routes of gTM and g3:
+    one stacked tensor-product integrand, the log-k rule in k times
+    Gauss-Legendre in t starting at order 8, integrated to _INTERNAL_RTOL.
+    The closed and the check route of a quantity share no values. Each pair
+    must agree to max(PATH_AGREEMENT_TOL, rtol) at every x, or
+    PathDisagreementError is raised.
     """
+    _require_x(x)
     closed = _g_closed_routes(x, rtol)
     inner_spec = QuadratureSpec(order=8, rtol=0.1 * _INTERNAL_RTOL)
-    tm_check, g3_check = integrate_exponential_weight(
-        lambda k: _g_check(k, x, inner_spec),
-        QuadratureSpec(rtol=_INTERNAL_RTOL)).tolist()
+    tm_check, g3_check = _log_k(lambda k, x: _g_check(k, x, inner_spec), x,
+                                QuadratureSpec(rtol=_INTERNAL_RTOL))
     check = (5.0 / 22.0 * tm_check, 0.25 * g3_check)
     tol = max(PATH_AGREEMENT_TOL, rtol)
-    _require_agreement("g_tm", closed[1], check[0], tol)
-    _require_agreement("g_3", closed[2], check[1], tol)
+    pairs = np.reshape(closed[1:] + check, (4, -1)).T.tolist()
+    for tm, g3, tm_other, g3_other in pairs:
+        _require_agreement("g_tm", tm, tm_other, tol)
+        _require_agreement("g_3", g3, g3_other, tol)
+    if np.ndim(x) == 0:
+        return tuple(map(float, closed)), tuple(map(float, check))
     return closed, check
 
 
@@ -371,7 +397,9 @@ def g_te(x, rtol=1e-8):
     the g-family pass (see g_tm), so it equals the gTE of
     reduction_functions, without the check routes of g_tm and g_3.
     """
-    return _g_closed_routes(x, rtol)[0]
+    _require_x(x)
+    te = _g_closed_routes(x, rtol)[0]
+    return float(te) if np.ndim(x) == 0 else te
 
 
 def g_tm(x, rtol=1e-8):
@@ -398,11 +426,10 @@ def g_3(x, rtol=1e-8):
     return _g_family(x, rtol)[0][2]
 
 
-def reduction_functions(x, rtol=1e-8, names=_SHAPE_NAMES):
-    """Evaluate the named shape functions (all by default) once at a common x.
+def _shape_functions(x, rtol, names):
+    """The named shape functions at a float or 1-d array x, in names order.
 
-    Shape functions not named are left as None in the returned bundle. Any
-    of gTE, gTM and g3 come from one g-family pass.
+    Any of gTE, gTM and g3 come from one g-family pass.
     """
     compute = {
         "fTE": lambda: f_te(x, rtol),
@@ -413,9 +440,36 @@ def reduction_functions(x, rtol=1e-8, names=_SHAPE_NAMES):
     values = {}
     if any(name in _G_NAMES for name in names):
         values.update(zip(_G_NAMES, _g_family(x, rtol)[0]))
-    return ReductionFunctions(x=x, **{
-        name: values[name] if name in values else compute[name]()
-        for name in names})
+    return tuple(values[name] if name in values else compute[name]()
+                 for name in names)
+
+
+def reduction_functions(x, rtol=1e-8, names=_SHAPE_NAMES):
+    """Evaluate the named shape functions (all by default) once at a common x.
+
+    Shape functions not named are left as None in the returned bundle. Any
+    of gTE, gTM and g3 come from one g-family pass.
+    """
+    return ReductionFunctions(x=x, **dict(zip(
+        names, _shape_functions(x, rtol, names))))
+
+
+def reduction_function_columns(x, rtol=1e-8, names=_SHAPE_NAMES):
+    """reduction_functions over a 1-d array of x: one array per name.
+
+    The arrays follow the order of names. Each x is one element of every
+    pass, so its values equal those of reduction_functions at that x;
+    _SWEEP_CHUNK couplings share a pass. Every value must be positive and
+    finite, as in ReductionFunctions.
+    """
+    x = np.asarray(x, dtype=float)
+    _require_x(x)
+    columns = tuple(by_chunks(lambda x: _shape_functions(x, rtol, names), x,
+                              _SWEEP_CHUNK))
+    for name, column in zip(names, columns):
+        if not np.all(np.isfinite(column) & (column > 0.0)):
+            raise ValueError("%s must be positive and finite" % name)
+    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +533,18 @@ def charge_sheet_energy(a, sheet, atom, rtol=1e-8):
     return float(electrostatic[0]), float(kinetic[0])
 
 
+def _sweep_couplings(a, x):
+    """The couplings x = Omega a of an energy sweep at distance a, as an
+    array: a must be positive, and every x finite and nonnegative."""
+    _require_positive(a, "a")
+    x = np.asarray(x, dtype=float)
+    if np.any(x == math.inf):
+        raise ValueError("x = Omega * a must be finite")
+    if not np.all(np.isfinite(x) & (x >= 0.0)):
+        raise ValueError("omega must be finite and nonnegative")
+    return x
+
+
 def charge_sheet_energies(a, x, atom, rtol=1e-8):
     """charge_sheet_energy for an array of couplings x = Omega a at distance a.
 
@@ -487,22 +553,14 @@ def charge_sheet_energies(a, x, atom, rtol=1e-8):
     integrand of integrate_exponential_weight, refined until every one
     reaches rtol; the chunks bound the memory of a long sweep.
     """
-    _require_positive(a, "a")
-    x = np.asarray(x, dtype=float)
-    if np.any(x == math.inf):
-        raise ValueError("x = Omega * a must be finite")
-    if not np.all(np.isfinite(x) & (x >= 0.0)):
-        raise ValueError("omega must be finite and nonnegative")
+    x = _sweep_couplings(a, x)
     if not np.all(x > 0.0):
         raise ValueError("kinetic part diverges for a transparent sheet")
 
     flat = x.reshape(-1)
     spec = QuadratureSpec(rtol=rtol)
-    starts = range(0, max(flat.size, 1), _CHARGE_CHUNK)  # empty x: one chunk
-    h_par = np.concatenate([
-        integrate_exponential_weight(
-            _h_parallel_integrand(flat[start:start + _CHARGE_CHUNK, None]), spec)
-        for start in starts])
+    h_par = by_chunks(lambda x: integrate_exponential_weight(
+        lambda k: _h_parallel_terms(k, x[:, None]), spec), flat, _CHARGE_CHUNK)
     braces = 0.5 * atom.p2par * h_par + atom.p23 * (1.0 + 0.5 / flat)
     # 0 - v, not -v: a charge with no momenta has kinetic energy +0.0
     kinetic = divide_by_power(
@@ -521,11 +579,36 @@ def casimir_polder_energy(a, sheet, atom, rtol=1e-8):
     0; one above it raises ValueError.
     """
     _require_positive(a, "a")
-    if sheet.omega == 0.0:
+    if sheet.omega == 0.0 or _unpolarizable(atom):
         return 0.0
-    alpha_par = atom.alpha1 + atom.alpha2
-    if alpha_par == 0.0 and atom.alpha3 == 0.0:
-        return 0.0
-    te, tm, normal = _g_family(_coupling(a, sheet), rtol)[0]
-    braces = (te + 2.2 * tm) * alpha_par / 4.0 + normal * atom.alpha3
+    return _polder_energy(a, _g_family(_coupling(a, sheet), rtol)[0], atom)
+
+
+def casimir_polder_energies(a, x, atom, rtol=1e-8):
+    """casimir_polder_energy for an array of couplings x = Omega a at a.
+
+    Returns an array shaped like x. A coupling of 0, a transparent sheet,
+    gives 0. Each x is one element of the g-family passes, so its energy
+    equals that of casimir_polder_energy; _SWEEP_CHUNK couplings share a
+    pass.
+    """
+    x = _sweep_couplings(a, x)
+    energy = np.zeros(x.shape)
+    lit = x > 0.0
+    if lit.any() and not _unpolarizable(atom):
+        g = by_chunks(lambda x: _g_family(x, rtol)[0], x[lit], _SWEEP_CHUNK)
+        energy[lit] = _polder_energy(a, g, atom)
+    return energy
+
+
+def _unpolarizable(atom):
+    return atom.alpha1 + atom.alpha2 == 0.0 and atom.alpha3 == 0.0
+
+
+def _polder_energy(a, g, atom):
+    """Casimir-Polder energy at distance a from (gTE, gTM, g3), floats or
+    arrays."""
+    te, tm, normal = g
+    braces = ((te + 2.2 * tm) * (atom.alpha1 + atom.alpha2) / 4.0
+              + normal * atom.alpha3)
     return divide_by_power(-braces / (32.0 * math.pi**2), a, 4)

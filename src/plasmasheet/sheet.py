@@ -386,6 +386,13 @@ def matching_residual(k, sheet, polarization="scalar", probe_offset=1e-3, y3=Non
     -------
     (continuity_residual, jump_residual) : tuple of float
         Magnitudes that vanish at least quadratically as probe_offset -> 0.
+
+    Raises
+    ------
+    ValueError
+        Naming k0 and kpar where the default source point 0.75/|Gamma| or
+        the residuals are beyond the float range, as where Gamma is so
+        small that the free propagator 1/(2i Gamma) nears the top of it.
     """
     h = float(probe_offset)
     if not 0.0 < h < math.inf:
@@ -395,6 +402,10 @@ def matching_residual(k, sheet, polarization="scalar", probe_offset=1e-3, y3=Non
         raise OnLightConeError("free propagator pole at Gamma = 0")
     if y3 is None:
         y3 = max(0.75 / abs(gamma) / scale, 8.0 * h)
+        if y3 == math.inf:
+            raise ValueError(f"default source point 0.75/|Gamma| at k0 = "
+                             f"{k.k0}, kpar = {k.kpar} is beyond the float "
+                             "range")
     if not 2.0 * h < y3 < math.inf:
         raise ValueError("source point y3 must be finite and sit beyond the "
                          "probe stencil")
@@ -426,6 +437,11 @@ def matching_residual(k, sheet, polarization="scalar", probe_offset=1e-3, y3=Non
 
     free0, dbar0 = scalar_propagator(0.0, y3, k, sheet, polarization, parts=True)
     jump = abs(jump_fd - coeff * (free0 - dbar0))
+    if not (math.isfinite(continuity) and math.isfinite(jump)):
+        raise ValueError(
+            f"matching residuals at k0 = {k.k0}, kpar = {k.kpar} are beyond "
+            "the float range: the free propagator 1/(2i Gamma) has modulus "
+            f"{0.5 / abs(gamma) / scale:.3g}")
     return continuity, jump
 
 

@@ -151,12 +151,12 @@ class TestReducedEnergy:
 
             return original(f_counted, hi, spec, *params)
 
-        def outer_counted(f, spec):
-            def f_counted(k):
+        def outer_counted(f, spec, *params):
+            def f_counted(k, *rows):
                 outer_calls.append(k.size)
-                return f(k)
+                return f(k, *rows)
 
-            return original_outer(f_counted, spec)
+            return original_outer(f_counted, spec, *params)
 
         monkeypatch.setattr(casimir, "integrate_legendre", counted)
         monkeypatch.setattr(casimir, "integrate_exponential_weight",
@@ -179,6 +179,27 @@ class TestReducedEnergy:
             reduced_energy_parts(0.0)
         with pytest.raises(ValueError):
             reduced_energy_parts(-1.0)
+
+
+class TestSweeps:
+    def test_array_has_the_bits_of_float_calls(self):
+        # x = 10^(k/4) over [1e-3, 1e6]; each x is one element of its pass
+        x = np.array([10.0 ** (k / 4) for k in range(-12, 25)])
+        columns = reduced_energy_and_pressure(x)
+        for i, value in enumerate(x.tolist()):
+            assert tuple(column[i] for column in columns) == (
+                reduced_energy_and_pressure(value)), value
+
+    def test_empty_array_gives_empty_arrays(self):
+        te, tm, pressure = reduced_energy_and_pressure(np.array([]))
+        assert te.shape == tm.shape == pressure.shape == (0,)
+
+    @pytest.mark.parametrize("x, message", [
+        ([1.0, 0.0], "must be positive"), ([1.0, -2.0], "must be positive"),
+        ([1.0, math.nan], "must be positive"), ([1.0, math.inf], "finite")])
+    def test_array_rejects_bad_couplings(self, x, message):
+        with pytest.raises(ValueError, match=message):
+            reduced_energy_and_pressure(np.array(x))
 
 
 class TestEnergyPerArea:
@@ -335,15 +356,30 @@ class TestCasimirResult:
         assert len(passes) == 1
 
     @pytest.mark.parametrize("extra", [[], ["--raw-units"]])
-    def test_cli_makes_one_kernel_pass_per_row(self, monkeypatch, capsys, extra):
+    @pytest.mark.parametrize("chunk, sizes", [(None, [7]), (3, [3, 3, 1])])
+    def test_cli_makes_one_kernel_pass_per_chunk(self, monkeypatch, capsys,
+                                                 extra, chunk, sizes):
+        # one kernel call for the sweep, which makes one outer log-k pass
+        # per chunk of couplings
         passes = count_kernel_passes(monkeypatch)
+        chunks = []
+        original = casimir.integrate_exponential_weight
+
+        def counted(f, spec, *params):
+            chunks.append(len(params[0]))
+            return original(f, spec, *params)
+
+        monkeypatch.setattr(casimir, "integrate_exponential_weight", counted)
+        if chunk is not None:
+            monkeypatch.setattr(casimir, "_SWEEP_CHUNK", chunk)
         status = main(["casimir", "--omega-a-min", "0.1", "--omega-a-max", "100",
-                       "--count", "4", "--scale", "log", "--a", "2"] + extra)
+                       "--count", "7", "--scale", "log", "--a", "2"] + extra)
         assert status == 0
-        assert len(passes) == 4
+        assert len(passes) == 1
+        assert chunks == sizes
         rows = [line for line in capsys.readouterr().out.splitlines()
                 if line and not line.startswith("#")]
-        assert len(rows) == 5
+        assert len(rows) == 8
 
     def test_cli_raw_row_matches_casimir_result(self, capsys):
         status = main(["casimir", "--omega-a-min", "0.1", "--omega-a-max", "100",

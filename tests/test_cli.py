@@ -719,6 +719,13 @@ class TestArrayRunners:
          "OnLightConeError: Gamma = 0 at k0 = 1.0"),
         ("dispersion", {"omega": 1.0}, (0.0, 4.0, 5, "linear"),
          "DegenerateMomentumError: plasmon branch needs kpar > 0"),
+        ("casimir-polder", {"isotropic_alpha": 1.0, "raw_units": True},
+         (-1.0, 3.0, 5, "linear"),
+         "ValueError: omega must be finite and nonnegative"),
+        ("casimir", {"raw_units": True}, (0.0, 4.0, 5, "linear"),
+         "ValueError: x = Omega * a must be positive"),
+        ("functions", {"family": "all"}, (0.0, 4.0, 5, "linear"),
+         "ValueError: x must be positive and finite"),
     ])
     def test_raising_point_blanks_only_its_row(self, command, fixed, bounds,
                                                 message):
@@ -770,28 +777,58 @@ class TestArrayRunners:
                                          dict(fixed, kpar=row[0])))
                 assert alone.rows[0] == row
 
-    def test_per_point_runner_is_isolated_by_halving(self, monkeypatch):
-        from plasmasheet import cli
+    def test_quadrature_runner_is_isolated_by_halving(self, monkeypatch):
+        from plasmasheet import polder
 
         seen = []
-        original = cli.casimir_polder_energy
+        original = polder._g_family
 
-        def counted(a, sheet, atom, rtol):
-            seen.append(sheet.omega)
-            if sheet.omega == 2.0:
+        def counted(x, rtol):
+            seen.append(x.tolist())
+            if 2.0 in x:
                 raise ToleranceNotMet("no convergence at 2")
-            return original(a, sheet, atom, rtol=rtol)
+            return original(x, rtol)
 
-        monkeypatch.setattr(cli, "casimir_polder_energy", counted)
+        monkeypatch.setattr(polder, "_g_family", counted)
         config = _sweep_config("casimir-polder", {"isotropic_alpha": 1.0},
                                (0.0, 3.0, 4, "linear"))
         table, status = run(config)
         assert status == 1
         assert [row[-1] for row in table.rows] == [
             "", "", "ToleranceNotMet: no convergence at 2", ""]
-        # the points before the raising one in each call run again, in the
-        # halves; each point is reached at most twice on average
-        assert len(seen) <= 2 * len(table.rows)
+        # one g-family pass for the lit points, then two halves per level
+        # down to the raising point; the transparent x = 0 needs no pass
+        assert seen == [[1.0, 2.0, 3.0], [1.0], [2.0, 3.0], [2.0], [3.0]]
+
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_transparent_sheet_row_is_zero(self, raw):
+        config = _sweep_config("casimir-polder",
+                               {"isotropic_alpha": 1.0, "raw_units": raw},
+                               (0.0, 1e6, 7, "linear"))
+        table, status = run(config)
+        assert status == 0
+        assert table.rows[0] == (0.0, 0.0) + (0.0,) * raw + ("",)
+
+    @pytest.mark.parametrize("command, fixed", [
+        ("functions", {"family": "all"}),
+        ("casimir-polder", {"isotropic_alpha": 1.0, "a": 2.0}),
+        ("casimir-polder", {"isotropic_alpha": 1.0, "a": 2.0,
+                            "raw_units": True}),
+        ("casimir", {"a": 2.0}),
+        ("casimir", {"a": 2.0, "raw_units": True}),
+    ], ids=["functions", "casimir-polder", "casimir-polder-raw", "casimir",
+            "casimir-raw"])
+    def test_sweep_cells_equal_single_point_runs(self, command, fixed):
+        # each x refines alone inside its chunk of the sweep: every cell has
+        # the bits of the run of that x alone, across 18 decades
+        sweep, status = run(_sweep_config(command, fixed,
+                                          (1e-6, 1e12, 19, "log")))
+        assert status == 0
+        for row in sweep.rows:
+            alone, status = run(_assemble(
+                command, dict(fixed, **{_axis(command): row[0]})))
+            assert status == 0
+            assert alone.rows == (row,), row[0]
 
     def test_negative_charge_coupling_keeps_sheet_message(self):
         config = _sweep_config("charge", {"p23": 1.0},

@@ -134,6 +134,80 @@ class TestExponentialWeight:
             numerics.QuadratureSpec(rtol=0.0)
 
 
+# Elements (x, c) of the log-k rule: the pole at k = -x sets the support,
+# the oscillation cos(c k) the stopping level.
+ELEMENTS = [(1e-6, 0.0), (1.0, 1.0), (1e3, 10.0), (1e12, 0.0)]
+ELEMENT_PARAMS = tuple(np.array(ELEMENTS).T[:, :, None])
+
+
+def oscillating_pair(k, x, c):
+    """Two integrands on the same nodes, for a float or a column of (x, c)."""
+    wave = np.cos(c * k) / (1.0 + k / x)
+    return np.stack((k * wave, np.sqrt(k) * wave))
+
+
+def solo_log_k(x, c):
+    """The log-k rule on the element (x, c) alone, and the nodes of each call."""
+    seen = []
+
+    def f(k):
+        seen.append(k.copy())
+        return oscillating_pair(k, x, c)
+
+    return numerics.integrate_exponential_weight(f, TIGHT), seen
+
+
+class TestExponentialWeightElements:
+    def test_each_element_equals_its_solo_call(self):
+        got = numerics.integrate_exponential_weight(oscillating_pair, TIGHT,
+                                                    *ELEMENT_PARAMS)
+        assert got.shape == (2, len(ELEMENTS))
+        solos = [solo_log_k(*element) for element in ELEMENTS]
+        for i, (want, _) in enumerate(solos):
+            assert got[:, i].tobytes() == want.tobytes(), ELEMENTS[i]
+        # the neighbours refine different supports to different levels
+        assert len({len(seen) for _, seen in solos}) > 1
+        assert len({(seen[1][0], seen[1][-1]) for _, seen in solos}) > 1
+
+    def test_f_gets_only_the_elements_still_refining(self):
+        calls = []
+
+        def f(k, x, c):
+            calls.append((k.copy(), list(zip(x[:, 0].tolist(),
+                                             c[:, 0].tolist()))))
+            return oscillating_pair(k, x, c)
+
+        numerics.integrate_exponential_weight(f, TIGHT, *ELEMENT_PARAMS)
+        solos = [solo_log_k(*element)[1] for element in ELEMENTS]
+        assert len(calls) == max(map(len, solos))
+        for level, (k, rows) in enumerate(calls):
+            refining = [seen[level] for seen in solos if len(seen) > level]
+            assert rows == [element for element, seen in zip(ELEMENTS, solos)
+                            if len(seen) > level]
+            # one call on the new midpoints of the refining supports
+            assert np.array_equal(k, np.unique(np.concatenate(refining)))
+
+    def test_estimate_carries_every_element(self):
+        # element 1 has a step, which the trapezoid rule resolves to O(h)
+        def step(k):
+            return np.where(k > 1.0, 1.0, 0.0)
+
+        def f(k, stepped):
+            return np.where(stepped, step(k), k / (1.0 + k))
+
+        with pytest.raises(ToleranceNotMet) as info:
+            numerics.integrate_exponential_weight(
+                f, TIGHT, np.array([[False], [True], [False]]))
+        with pytest.raises(ToleranceNotMet) as alone:
+            numerics.integrate_exponential_weight(step, TIGHT)
+        smooth = numerics.integrate_exponential_weight(
+            lambda k: k / (1.0 + k), TIGHT)
+        estimate = info.value.estimate
+        assert estimate.shape == (3,)
+        assert estimate.tolist() == [smooth, alone.value.estimate, smooth]
+        assert info.value.error_bound == alone.value.error_bound
+
+
 def legendre_reference(f, hi, spec, *params):
     """integrate_legendre one element at a time, one integrand call per order.
 

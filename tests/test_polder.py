@@ -13,6 +13,7 @@ from plasmasheet.polder import (
     AtomProperties,
     ReductionFunctions,
     _require_agreement,
+    casimir_polder_energies,
     casimir_polder_energy,
     charge_sheet_energies,
     charge_sheet_energy,
@@ -27,6 +28,7 @@ from plasmasheet.polder import (
     h_3,
     h_parallel,
     image_potential,
+    reduction_function_columns,
     reduction_functions,
 )
 from plasmasheet.sheet import SheetParameters
@@ -286,14 +288,14 @@ class TestDualRoutes:
         calls = []
         integrate = polder.integrate_exponential_weight
 
-        def counting(f, spec):
+        def counting(f, spec, *params):
             calls.append(0)
 
-            def counted(k):
+            def counted(k, *rows):
                 calls[-1] += 1
-                return f(k)
+                return f(k, *rows)
 
-            return integrate(counted, spec)
+            return integrate(counted, spec, *params)
 
         monkeypatch.setattr(polder, "integrate_exponential_weight", counting)
         loose = fn(1.0, 1e-4)
@@ -351,12 +353,12 @@ class TestDualRoutes:
 
             return original(f_counted, hi, spec, *params)
 
-        def outer_counted(f, spec):
-            def f_counted(k):
+        def outer_counted(f, spec, *params):
+            def f_counted(k, *rows):
                 outer_calls.append(k.size)
-                return f(k)
+                return f(k, *rows)
 
-            return original_outer(f_counted, spec)
+            return original_outer(f_counted, spec, *params)
 
         monkeypatch.setattr(polder, "integrate_legendre", counted)
         monkeypatch.setattr(polder, "integrate_exponential_weight",
@@ -594,3 +596,67 @@ def test_overflowing_coupling_names_x(energy):
     atom = AtomProperties.isotropic(1.0, p2par=0.4, p23=0.9)
     with pytest.raises(ValueError, match="x = Omega \\* a must be finite"):
         energy(1e200, SheetParameters(omega=1e200), atom)
+
+
+# x = 10^(k/4) over [1e-6, 1e12], the whole coupling range
+LATTICE = np.array([10.0 ** (k / 4) for k in range(-24, 49)])
+
+
+class TestSweeps:
+    def test_columns_have_the_bits_of_float_calls(self):
+        # each x is one element of every pass, whatever its neighbours
+        columns = reduction_function_columns(LATTICE)
+        (closed, check) = polder._g_family(LATTICE, 1e-8)
+        for i, x in enumerate(LATTICE.tolist()):
+            bundle = reduction_functions(x)
+            assert [column[i] for column in columns] == [
+                getattr(bundle, name) for name in polder._SHAPE_NAMES], x
+            assert polder._g_family(x, 1e-8) == (
+                tuple(route[i] for route in closed),
+                tuple(route[i] for route in check)), x
+
+    def test_passes_take_one_chunk_each(self, monkeypatch):
+        sizes = []
+        original = polder._g_family
+
+        def counted(x, rtol):
+            sizes.append(len(x))
+            return original(x, rtol)
+
+        monkeypatch.setattr(polder, "_g_family", counted)
+        monkeypatch.setattr(polder, "_SWEEP_CHUNK", 4)
+        reduction_function_columns(LATTICE[:10], names=("gTM",))
+        assert sizes == [4, 4, 2]
+
+    @pytest.mark.parametrize("atom", [AtomProperties.isotropic(1.0),
+                                      AtomProperties(alpha3=2.0),
+                                      AtomProperties()])
+    def test_energies_have_the_bits_of_float_calls(self, atom):
+        x = np.concatenate(([0.0], LATTICE[::6]))
+        energies = casimir_polder_energies(1.5, x, atom)
+        assert energies.shape == x.shape
+        for value, energy in zip(x.tolist(), energies.tolist()):
+            sheet = SheetParameters(omega=value / 1.5)
+            assert energy == casimir_polder_energy(1.5, sheet, atom), value
+
+    @pytest.mark.parametrize("x, message", [
+        ([1.0, -0.5], "omega must be finite and nonnegative"),
+        ([1.0, math.nan], "omega must be finite and nonnegative"),
+        ([1.0, math.inf], "x = Omega \\* a must be finite"),
+    ])
+    def test_energies_reject_bad_couplings(self, x, message):
+        with pytest.raises(ValueError, match=message):
+            casimir_polder_energies(1.0, np.array(x),
+                                    AtomProperties.isotropic(1.0))
+
+    def test_empty_sweeps_give_empty_arrays(self):
+        columns = reduction_function_columns(np.array([]))
+        assert [column.shape for column in columns] == [(0,)] * 7
+        energies = casimir_polder_energies(1.0, np.array([]),
+                                           AtomProperties.isotropic(1.0))
+        assert energies.shape == (0,)
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.inf, math.nan])
+    def test_columns_reject_bad_couplings(self, x):
+        with pytest.raises(ValueError, match="x must be positive and finite"):
+            reduction_function_columns(np.array([1.0, x]))

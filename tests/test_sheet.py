@@ -276,6 +276,29 @@ class TestMomentaWhoseSquaresLeaveTheRange:
             sheet.matching_residual(momentum(1e-200, 1.0),
                                     sheet.SheetParameters(1.0), "tm")
 
+    @pytest.mark.parametrize("k0, kpar, cause", [
+        # Gamma = 8.1e-309: 1/(2 Gamma) = 6.2e307, and the stencil overflows
+        (1.2686515575041045e-308, 9.7548133321888e-309,
+         "matching residuals at k0 = 1.2686515575041045e-308, "
+         "kpar = 9.7548133321888e-309 are beyond the float range"),
+        # Gamma = 2e-315: the default source point 0.75/|Gamma| overflows
+        (4.231184515e-315, 4.6668488e-315,
+         "default source point 0.75/|Gamma| at k0 = 4.231184515e-315, "
+         "kpar = 4.6668488e-315 is beyond the float range"),
+    ])
+    def test_matching_residual_at_subnormal_momenta_names_them(self, k0, kpar,
+                                                               cause):
+        with pytest.raises(ValueError) as info:
+            sheet.matching_residual(momentum(k0, kpar),
+                                    sheet.SheetParameters(1.0))
+        assert str(info.value).startswith(cause)
+
+    def test_matching_residual_keeps_the_message_of_a_given_y3(self):
+        with pytest.raises(ValueError, match="^source point y3 must be "
+                                             "finite"):
+            sheet.matching_residual(momentum(4.231184515e-315, 4.6668488e-315),
+                                    sheet.SheetParameters(1.0), y3=math.inf)
+
     @pytest.mark.parametrize("k0, kpar", [(1e200, 5e199), (2e-200, 1e-200),
                                           (1e258, 1e-191)])
     def test_polarization_basis_is_orthonormal_and_complete(self, k0, kpar):
