@@ -28,16 +28,28 @@ wrappers ``integrate_adaptive`` and ``integrate_semi_infinite`` keep the
 same contract, but no package code calls them: they stay only because the
 benchmark tracer in ``perfbench/tracing.py`` wraps them by name.
 
-The spherical Bessel functions come from one primitive, ``_sph_jh``, that
-makes one scipy call per function over all requested orders. A real
-ndarray goes to ``spherical_jn``/``spherical_yn``, which are the fastest
-over a whole array. A real scalar goes to the ``jv``/``yv`` ufuncs, which
-skip that wrapper's per-call cost. On both real routes Re h = j exactly,
-since h is assembled from j and y part by part. A complex
-argument goes to the exponentially scaled ``jve``/``hankel1e``: on the
-imaginary axis z = i kappa, j and y grow like e^kappa while h = j + i y
-falls like e^-kappa, so the scaled pair keeps products such as j h finite
-where the functions themselves overflow.
+The spherical Bessel functions come from one primitive, ``_sph_jh``, with
+one route per kind of argument:
+
+- a real ndarray goes to ``spherical_jn``/``spherical_yn``, one call each
+  over all requested orders: the fastest over a whole array;
+- a real scalar, a Python float or an ``np.float64`` alike (``minimize_scalar``
+  passes the latter), goes to the ``jv``/``yv`` ufuncs at n + 1/2, one call
+  of each per order, and the rest runs on Python floats: no arrays of
+  orders, and no wrapper's per-call cost. The Jost functions keep such a
+  call on floats from end to end;
+- a complex argument, scalar or ndarray, goes to the exponentially scaled
+  ``jve``/``hankel1e``: on the imaginary axis z = i kappa, j and y grow like
+  e^kappa while h = j + i y falls like e^-kappa, so the scaled pair keeps
+  products such as j h finite where the functions themselves overflow.
+
+On both real routes Re h = j exactly, since h is assembled from j and y
+part by part.
+
+``find_root_bracketed`` splits the same way. A scalar bracket (floats,
+``np.float64`` or 0-d arrays) runs a loop on Python floats that takes the
+array loop's steps, so its root has the bits of a one-element array
+bracket; an ndarray bracket runs on arrays.
 
 scipy is imported on first use: importing it takes longer than the rest of
 the package together.
@@ -531,13 +543,13 @@ def find_root_bracketed(f, lo, hi, maxiter=200):
         When maxiter steps leave a bracket open, or a root breaks the
         residual contract.
     """
-    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
-    call = (lambda x: f(float(x))) if scalar else f
+    if np.ndim(lo) == 0 and np.ndim(hi) == 0:
+        return _bisect_floats(f, float(lo), float(hi), maxiter)
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     bad = np.flatnonzero(~(lo < hi))
     if bad.size:
         raise ValueError(f"invalid bracket [{lo.flat[bad[0]]}, {hi.flat[bad[0]]}]")
-    flo, fhi = call(lo), call(hi)
+    flo, fhi = f(lo), f(hi)
     scale = np.maximum(np.abs(flo), np.abs(fhi))
     sign_lo, sign_hi = np.sign(flo), np.sign(fhi)
     bad = np.flatnonzero(~(sign_lo * sign_hi <= 0))
@@ -553,17 +565,59 @@ def find_root_bracketed(f, lo, hi, maxiter=200):
             break
         if step == maxiter:
             raise IterationLimitError(f"no convergence in {maxiter} iterations")
-        sign_mid = np.sign(call(mid))
+        sign_mid = np.sign(f(mid))
         # a zero or NaN at the midpoint closes the bracket there
         lo = np.where(inside & (sign_mid != sign_hi), mid, lo)
         hi = np.where(inside & (sign_mid != sign_lo), mid, hi)
-    residual = np.abs(call(mid))
+    residual = np.abs(f(mid))
     bad = np.flatnonzero(~(residual <= _ROOT_RESIDUAL * scale))
     if bad.size:
-        raise IterationLimitError(
-            f"residual {residual.flat[bad[0]]:.3e} above {_ROOT_RESIDUAL:.1e} "
-            f"* bracket scale {scale.flat[bad[0]]:.3e}")
-    return float(mid) if scalar else mid
+        raise _residual_error(residual.flat[bad[0]], scale.flat[bad[0]])
+    return mid
+
+
+def _bisect_floats(f, lo, hi, maxiter):
+    """find_root_bracketed on a float bracket: the array path's steps, with
+    the same midpoints, errors and calls of f, on Python floats."""
+    if not lo < hi:
+        raise ValueError(f"invalid bracket [{lo}, {hi}]")
+    flo, fhi = f(lo), f(hi)
+    sign_lo, sign_hi = _sign(flo), _sign(fhi)
+    if not sign_lo * sign_hi <= 0:
+        raise BracketError(f"no sign change over [{lo}, {hi}]")
+    scale = max(abs(flo), abs(fhi))
+    # an endpoint root closes the bracket, on lo when both ends are roots
+    if sign_hi == 0 and sign_lo != 0:
+        lo = hi
+    if sign_lo == 0:
+        hi = lo
+    for step in range(maxiter + 1):
+        mid = 0.5 * lo + 0.5 * hi
+        if not lo < mid < hi:
+            break
+        if step == maxiter:
+            raise IterationLimitError(f"no convergence in {maxiter} iterations")
+        sign_mid = _sign(f(mid))
+        # a zero or NaN at the midpoint closes the bracket there
+        if sign_mid != sign_hi:
+            lo = mid
+        if sign_mid != sign_lo:
+            hi = mid
+    residual = abs(f(mid))
+    if not residual <= _ROOT_RESIDUAL * scale:
+        raise _residual_error(residual, scale)
+    return mid
+
+
+def _sign(x):
+    """np.sign of a float: -1.0, 0.0 or 1.0, and NaN for NaN."""
+    return 1.0 if x > 0 else -1.0 if x < 0 else x
+
+
+def _residual_error(residual, scale):
+    return IterationLimitError(
+        f"residual {residual:.3e} above {_ROOT_RESIDUAL:.1e} "
+        f"* bracket scale {scale:.3e}")
 
 
 def _check_l(l):
@@ -576,16 +630,31 @@ def _check_l(l):
 def _sph_jh(orders, z):
     """Spherical Bessel j_n(z) and Hankel h_n(z) = j_n + i y_n for n in orders.
 
-    Returns (j, h, phase): arrays of shape (len(orders),) + shape(z), and
-    the factor with j_n(z) h_n(z) = phase * j * h. One scipy call per
-    function; the module docstring gives the reason for each route. For a
-    real z, j and h are the functions themselves and phase = 1 (order -1
-    is j_-1 = -y_0, y_-1 = j_0; a negative real scalar uses
-    j_n(-x) = (-1)^n j_n(x), y_n(-x) = (-1)^(n+1) y_n(x)). For a complex
-    z, j = j_n e^-|Im z| and h = h_n e^-iz (``jve``, ``hankel1e``).
+    Returns (j, h, phase): for an ndarray or a complex z, arrays of shape
+    (len(orders),) + shape(z); for a real scalar z, lists of floats and
+    of complex numbers, one per order. phase is the factor with
+    j_n(z) h_n(z) = phase * j * h. The module docstring gives the route of
+    each z. For a real z, j and h are the functions themselves and
+    phase = 1 (order -1 is j_-1 = -y_0, y_-1 = j_0; a negative real scalar
+    uses j_n(-x) = (-1)^n j_n(x), y_n(-x) = (-1)^(n+1) y_n(x)). For a
+    complex z, j = j_n e^-|Im z| and h = h_n e^-iz (``jve``, ``hankel1e``).
     """
     from scipy import special
 
+    if not isinstance(z, (np.ndarray, complex)):
+        x = abs(z)
+        front = math.sqrt(math.pi / (2 * x))
+        j, h = [], []
+        for n in orders:
+            jn = front * float(special.jv(n + 0.5, x))
+            yn = front * float(special.yv(n + 0.5, x))
+            if z < 0:
+                jn, yn = (-1.0) ** n * jn, (-1.0) ** (n + 1) * yn
+            j.append(jn)
+            # from its parts: jn + 1j * yn would turn an infinite yn into a
+            # NaN real part
+            h.append(complex(jn, yn))
+        return j, h, 1.0
     n = np.array(orders)
     if isinstance(z, np.ndarray):
         n = n.reshape((-1,) + (1,) * z.ndim)
@@ -593,20 +662,11 @@ def _sph_jh(orders, z):
         front = math.sqrt(math.pi / 2) / np.sqrt(z)
         return (front * special.jve(n + 0.5, z),
                 front * special.hankel1e(n + 0.5, z), _jh_phase(z, z))
-    if isinstance(z, np.ndarray):
-        j = special.spherical_jn(np.maximum(n, 0), z)
-        y = special.spherical_yn(np.maximum(n, 0), z)
-        if n[0] < 0:
-            j[0], y[0] = -y[1], j[1]
-    else:
-        x = abs(z)
-        front = math.sqrt(math.pi / (2 * x))
-        j = front * special.jv(n + 0.5, x)
-        y = front * special.yv(n + 0.5, x)
-        if z < 0:
-            j, y = (-1.0) ** n * j, (-1.0) ** (n + 1) * y
-    # set the parts one by one: j + 1j * y would turn an infinite y into a
-    # NaN real part
+    j = special.spherical_jn(np.maximum(n, 0), z)
+    y = special.spherical_yn(np.maximum(n, 0), z)
+    if n[0] < 0:
+        j[0], y[0] = -y[1], j[1]
+    # set the parts one by one, as for a scalar
     h = np.empty(j.shape, dtype=complex)
     h.real, h.imag = j, y
     return j, h, 1.0

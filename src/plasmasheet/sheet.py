@@ -190,6 +190,12 @@ def gamma_minkowski(k):
     the float range raises ValueError.
     """
     _, _, gamma, scale = _scaled(k.k0, k.kpar)
+    return _unscaled_gamma(k, gamma, scale)
+
+
+def _unscaled_gamma(k, gamma, scale):
+    """Gamma from the scaled Gamma/s and s, or ValueError beyond the float
+    range."""
     if scale == 1.0:
         return gamma
     gamma = scale * gamma
@@ -199,11 +205,19 @@ def gamma_minkowski(k):
 
 
 def reflection_te(k, sheet):
-    """TE (transverse electric) reflection coefficient of a single sheet."""
+    """TE (transverse electric) reflection coefficient of a single sheet.
+
+    Beyond scale 1 (module docstring) the value is
+    (Omega/2)/(Omega/2 - i Gamma), so that 2 Gamma/Omega need not be a
+    float.
+    """
     if sheet.omega == 0.0:
         return 0.0 + 0.0j
-    gamma = gamma_minkowski(k)
-    return 1.0 / (1.0 - 2j * gamma / sheet.omega)
+    _, _, gamma, scale = _scaled(k.k0, k.kpar)
+    if scale == 1.0:
+        return 1.0 / (1.0 - 2j * gamma / sheet.omega)
+    half = 0.5 * sheet.omega
+    return half / (half - 1j * _unscaled_gamma(k, gamma, scale))
 
 
 def reflection_tm(k, sheet):
@@ -258,16 +272,18 @@ def reflection_coefficients(k0, kpar, sheet):
         if k0 != 0.0:
             raise OnLightConeError(f"Gamma = 0 at k0 = {k0}")
         gamma = np.where(on_cone, 1.0, gamma)  # static limit: r_TM = 1
+    r_te = np.empty(kpar.shape, dtype=complex)
     r_tm = np.empty(kpar.shape, dtype=complex)
     wide = ~unit
     k0s, half = k0s[wide], 0.5 * sheet.omega
     # a term beside 1 beyond the float range gives r = 0, as in the scalar
     # functions
     with np.errstate(over="ignore"):
-        r_te = 1.0 / (1.0 - 2j * full / sheet.omega)
         if unit.any():
+            r_te[unit] = 1.0 / (1.0 - 2j * full[unit] / sheet.omega)
             r_tm[unit] = 1.0 / (1.0 - 2j * complex(k0) ** 2
                                 / (sheet.omega * gamma[unit]))
+        r_te[wide] = half / (half - 1j * full[wide])
         r_tm[wide] = half / (half - 1j * (k0s * (k0s / gamma[wide]))
                              * scale[wide])
     return r_te, r_tm
@@ -503,15 +519,25 @@ def _plasmon_momenta(kpar, sheet):
 
     The plasmon quantities are homogeneous in (Omega, kpar), and the closed
     form has a cube, which can leave the float range where no square does.
-    So every row is divided; the division is exact and keeps the bits.
+    So every row is divided; the division is exact and keeps the bits. A
+    scalar kpar gives Python floats, with the same operations.
     """
-    kpar = np.asarray(kpar, dtype=float)
-    if not np.isfinite(kpar).all():
+    scalar = np.ndim(kpar) == 0
+    if scalar:
+        kpar = float(kpar)
+        finite, positive = math.isfinite(kpar), kpar > 0.0
+    else:
+        kpar = np.asarray(kpar, dtype=float)
+        finite, positive = np.isfinite(kpar).all(), (kpar > 0.0).all()
+    if not finite:
         raise ValueError("kpar must be finite")
-    if not (kpar > 0.0).all():
+    if not positive:
         raise DegenerateMomentumError("plasmon branch needs kpar > 0")
     if sheet.omega <= 0.0:
         raise ValueError("plasmon branch needs omega > 0")
+    if scalar:
+        e = math.frexp(max(kpar, sheet.omega))[1]
+        return math.ldexp(sheet.omega, -e), math.ldexp(kpar, -e), e
     e = np.frexp(np.maximum(kpar, sheet.omega))[1]
     return np.ldexp(float(sheet.omega), -e), np.ldexp(kpar, -e), e
 
@@ -524,9 +550,10 @@ def tm_plasmon_closed(kpar, sheet):
     (k0 < kpar) and approaches sqrt(Omega kpar/2) for kpar >> Omega.
     """
     om, kpar, e = _plasmon_momenta(kpar, sheet)
-    k0 = np.sqrt(2.0 * om * kpar * kpar / (np.sqrt(om * om + 16.0 * kpar * kpar) + om))
-    k0 = np.ldexp(k0, e)
-    return float(k0) if k0.ndim == 0 else k0
+    lib = np if isinstance(kpar, np.ndarray) else math
+    k0 = lib.sqrt(2.0 * om * kpar * kpar
+                  / (lib.sqrt(om * om + 16.0 * kpar * kpar) + om))
+    return lib.ldexp(k0, e)
 
 
 def tm_plasmon_root(kpar, sheet):
@@ -541,17 +568,18 @@ def tm_plasmon_root(kpar, sheet):
     equation of motion is |g(s)| <= 1e-10 * Omega * (1 + s^2)^2.
     """
     om, kpar, e = _plasmon_momenta(kpar, sheet)
+    lib = np if isinstance(kpar, np.ndarray) else math
 
     def g(s):
         s2 = s * s
         return 4.0 * kpar * s2 - 0.5 * om * (1.0 - s2 * s2)
 
-    s = find_root_bracketed(g, 0.0, np.ones_like(kpar))
+    s = find_root_bracketed(g, 0.0, np.ones_like(kpar) if lib is np else 1.0)
     s2 = s * s
-    if not (np.abs(g(s)) <= 1e-10 * om * (1.0 + s2) ** 2).all():
+    small = abs(g(s)) <= 1e-10 * om * (1.0 + s2) ** 2
+    if not (small.all() if lib is np else small):
         raise IterationLimitError("dispersion residual above 1e-10 * Omega * kpar")
-    k0 = np.ldexp(2.0 * kpar * s / (1.0 + s2), e)
-    return float(k0) if k0.ndim == 0 else k0
+    return lib.ldexp(2.0 * kpar * s / (1.0 + s2), e)
 
 
 # Midpoints of the k0 grid on (0, kpar) in te_plasmon_exists.

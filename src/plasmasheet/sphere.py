@@ -87,6 +87,11 @@ def radial_propagator_dl(l, k0, r, rp):
     _require_dynamic(k0)
     if not (0.0 < r < math.inf and 0.0 < rp < math.inf):
         raise ValueError("radii must be positive and finite")
+    return _propagator(l, k0, r, rp)
+
+
+def _propagator(l, k0, r, rp):
+    """radial_propagator_dl for arguments it has checked."""
     if r == rp:
         (j,), (h,), phase = _sph_jh((l,), k0 * r)
     else:
@@ -116,16 +121,22 @@ def _jost_route(route):
             if isinstance(k0, np.ndarray):
                 return np.ones(k0.shape, dtype=complex)
             return complex(1.0)
-        with np.errstate(all="ignore"):
-            g = route(l, k0, shell)
-        finite = np.isfinite(g)
-        if not finite.all():
+        if isinstance(k0, (np.ndarray, complex)):
+            with np.errstate(all="ignore"):
+                g = route(l, k0, shell)
+        else:  # a real scalar: Python floats, which raise no numpy errors
+            g = route(l, float(k0), shell)
+        if isinstance(g, np.ndarray):
+            finite = np.isfinite(g)
+            if finite.all():
+                return g
+            z = (k0 * shell.radius)[~finite][0]
+        elif cmath.isfinite(g):
+            return g
+        else:
             z = k0 * shell.radius
-            if isinstance(z, np.ndarray):
-                z = z[~finite][0]
-            raise SheetModelError(
-                f"{route.__name__} is not finite at l = {l}, k0 R = {z}")
-        return g
+        raise SheetModelError(
+            f"{route.__name__} is not finite at l = {l}, k0 R = {z}")
 
     return jost
 
@@ -134,7 +145,7 @@ def _jost_route(route):
 def jost_te(l, k0, shell):
     """TE Jost function 1 + Omega R^2 d_l(R, R)."""
     radius = shell.radius
-    return 1.0 + shell.omega * radius * radius * radial_propagator_dl(
+    return 1.0 + shell.omega * radius * radius * _propagator(
         l, k0, radius, radius)
 
 
@@ -244,7 +255,9 @@ def scan_real_zeros(l, shell, k0r_max=30.0, points_per_period=20,
         def abs_g_squared(z, _jost=jost):
             return abs(_jost(l, z / radius, shell)) ** 2
 
-        values = np.abs(jost(l, grid / radius, shell)) ** 2
+        # floats: the comparisons below cost less on them than on numpy
+        # scalars
+        values = (np.abs(jost(l, grid / radius, shell)) ** 2).tolist()
         candidates = [i for i in range(1, len(grid) - 1)
                       if values[i] <= values[i - 1] and values[i] <= values[i + 1]]
         if values[0] < values[1]:
@@ -258,7 +271,7 @@ def scan_real_zeros(l, shell, k0r_max=30.0, points_per_period=20,
             result = minimize_scalar(abs_g_squared, bounds=(lo, hi),
                                      method="bounded",
                                      options={"xatol": 1e-12})
-            certified = min(float(result.fun), float(values[i]))
+            certified = min(float(result.fun), values[i])
             if certified >= threshold:
                 continue
             location = float(result.x)

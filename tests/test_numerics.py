@@ -576,9 +576,10 @@ class TestSphericalBesselArrays:
     def test_negative_real_scalar_matches_array_and_parity(self, x):
         orders = tuple(range(6))
         sign_j = (-1.0) ** np.arange(6)
-        j, h, _ = numerics._sph_jh(orders, x)
+        # a real scalar gives lists, one value per order
+        j, h, jp, hp = map(np.array, numerics._sph_jh(orders, x)[:2]
+                           + numerics._sph_jh(orders, -x)[:2])
         ja, ha, _ = numerics._sph_jh(orders, np.array([x]))
-        jp, hp, _ = numerics._sph_jh(orders, -x)
         assert h.real.tolist() == j.tolist()
         # j_n(-x) = (-1)^n j_n(x), y_n(-x) = (-1)^(n+1) y_n(x)
         assert j.tolist() == (sign_j * jp).tolist()

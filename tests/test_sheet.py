@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -191,6 +192,25 @@ class TestMomentaWhoseSquaresOverflow:
         assert r_tm[[0, 1, 3]].tobytes() == small[1].tobytes()
         assert r_te[2] == sheet.reflection_te(momentum(1.0, 1e300), sp)
         assert r_tm[2] == sheet.reflection_tm(momentum(1.0, 1e300), sp)
+
+    def test_te_ratio_to_omega_beyond_the_float_range(self):
+        # 2 Gamma/Omega overflows here; r_TE comes from the scaled Gamma
+        k0 = -6.175187941769306e+303 - 1.8876259450117483e+304j
+        kpar = 78.86570576884708
+        sp = sheet.SheetParameters(5.0136409615969665e-05)
+        with mpmath.workdps(40):
+            gamma = mpmath.sqrt(mpmath.mpc(k0) ** 2 - mpmath.mpf(kpar) ** 2)
+            if gamma.imag < 0:
+                gamma = -gamma
+            want = complex(1 / (1 - 2j * gamma / mpmath.mpf(sp.omega)))
+        assert abs(want - (1.2e-309 + 3.9e-310j)) < 1e-310
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sheet.reflection_te(momentum(k0, kpar), sp)
+            r_te, _ = sheet.reflection_coefficients(
+                k0, np.array([1.0, kpar]), sp)
+        for value in (got, r_te[1]):
+            assert abs(value - want) <= 1e-12 * abs(want), (value, want)
 
     def test_gamma_beyond_the_float_range_names_the_momentum(self):
         k = momentum(1.5e308j, 1.5e308)
