@@ -46,15 +46,11 @@ one route per kind of argument:
 On both real routes Re h = j exactly, since h is assembled from j and y
 part by part.
 
-``find_root_bracketed`` splits the same way. A scalar bracket (floats,
-``np.float64`` or 0-d arrays) runs a loop on Python floats that takes the
-array loop's steps, so its root has the bits of a one-element array
-bracket; an ndarray bracket runs on arrays.
-
 scipy is imported on first use: importing it takes longer than the rest of
 the package together.
 """
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -543,13 +539,13 @@ def find_root_bracketed(f, lo, hi, maxiter=200):
         When maxiter steps leave a bracket open, or a root breaks the
         residual contract.
     """
-    if np.ndim(lo) == 0 and np.ndim(hi) == 0:
-        return _bisect_floats(f, float(lo), float(hi), maxiter)
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    call = (lambda x: f(float(x))) if scalar else f
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     bad = np.flatnonzero(~(lo < hi))
     if bad.size:
         raise ValueError(f"invalid bracket [{lo.flat[bad[0]]}, {hi.flat[bad[0]]}]")
-    flo, fhi = f(lo), f(hi)
+    flo, fhi = call(lo), call(hi)
     scale = np.maximum(np.abs(flo), np.abs(fhi))
     sign_lo, sign_hi = np.sign(flo), np.sign(fhi)
     bad = np.flatnonzero(~(sign_lo * sign_hi <= 0))
@@ -565,59 +561,17 @@ def find_root_bracketed(f, lo, hi, maxiter=200):
             break
         if step == maxiter:
             raise IterationLimitError(f"no convergence in {maxiter} iterations")
-        sign_mid = np.sign(f(mid))
+        sign_mid = np.sign(call(mid))
         # a zero or NaN at the midpoint closes the bracket there
         lo = np.where(inside & (sign_mid != sign_hi), mid, lo)
         hi = np.where(inside & (sign_mid != sign_lo), mid, hi)
-    residual = np.abs(f(mid))
+    residual = np.abs(call(mid))
     bad = np.flatnonzero(~(residual <= _ROOT_RESIDUAL * scale))
     if bad.size:
-        raise _residual_error(residual.flat[bad[0]], scale.flat[bad[0]])
-    return mid
-
-
-def _bisect_floats(f, lo, hi, maxiter):
-    """find_root_bracketed on a float bracket: the array path's steps, with
-    the same midpoints, errors and calls of f, on Python floats."""
-    if not lo < hi:
-        raise ValueError(f"invalid bracket [{lo}, {hi}]")
-    flo, fhi = f(lo), f(hi)
-    sign_lo, sign_hi = _sign(flo), _sign(fhi)
-    if not sign_lo * sign_hi <= 0:
-        raise BracketError(f"no sign change over [{lo}, {hi}]")
-    scale = max(abs(flo), abs(fhi))
-    # an endpoint root closes the bracket, on lo when both ends are roots
-    if sign_hi == 0 and sign_lo != 0:
-        lo = hi
-    if sign_lo == 0:
-        hi = lo
-    for step in range(maxiter + 1):
-        mid = 0.5 * lo + 0.5 * hi
-        if not lo < mid < hi:
-            break
-        if step == maxiter:
-            raise IterationLimitError(f"no convergence in {maxiter} iterations")
-        sign_mid = _sign(f(mid))
-        # a zero or NaN at the midpoint closes the bracket there
-        if sign_mid != sign_hi:
-            lo = mid
-        if sign_mid != sign_lo:
-            hi = mid
-    residual = abs(f(mid))
-    if not residual <= _ROOT_RESIDUAL * scale:
-        raise _residual_error(residual, scale)
-    return mid
-
-
-def _sign(x):
-    """np.sign of a float: -1.0, 0.0 or 1.0, and NaN for NaN."""
-    return 1.0 if x > 0 else -1.0 if x < 0 else x
-
-
-def _residual_error(residual, scale):
-    return IterationLimitError(
-        f"residual {residual:.3e} above {_ROOT_RESIDUAL:.1e} "
-        f"* bracket scale {scale:.3e}")
+        raise IterationLimitError(
+            f"residual {residual.flat[bad[0]]:.3e} above {_ROOT_RESIDUAL:.1e} "
+            f"* bracket scale {scale.flat[bad[0]]:.3e}")
+    return float(mid) if scalar else mid
 
 
 def _check_l(l):
@@ -753,10 +707,17 @@ def riccati_bessel(l, z):
         These satisfy the Wronskian identity rj * rhp - rjp * rh = i. The
         derivatives come from the downward identity
         d/dz [z f_l] = z f_(l-1) - l f_l.
+
+    For a scalar z, a NaN part, as where y_l leaves the float range at
+    small |z| and z times an infinite h_l is formed, raises ValueError.
     """
     _check_l(l)
     _require_nonzero(z, "Riccati-Bessel functions need z != 0")
     rj, rjp, rh, rhp, _ = _riccati_scaled(l, z)
     rj, rh = _unscaled(z, rj, rh)
     rjp, rhp = _unscaled(z, rjp, rhp)
-    return rj, rjp, rh, rhp
+    pair = rj, rjp, rh, rhp
+    if not isinstance(z, np.ndarray) and any(map(cmath.isnan, pair)):
+        raise ValueError(
+            f"Riccati-Bessel functions leave the float range at l = {l}, z = {z}")
+    return pair

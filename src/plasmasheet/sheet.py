@@ -519,25 +519,15 @@ def _plasmon_momenta(kpar, sheet):
 
     The plasmon quantities are homogeneous in (Omega, kpar), and the closed
     form has a cube, which can leave the float range where no square does.
-    So every row is divided; the division is exact and keeps the bits. A
-    scalar kpar gives Python floats, with the same operations.
+    So every row is divided; the division is exact and keeps the bits.
     """
-    scalar = np.ndim(kpar) == 0
-    if scalar:
-        kpar = float(kpar)
-        finite, positive = math.isfinite(kpar), kpar > 0.0
-    else:
-        kpar = np.asarray(kpar, dtype=float)
-        finite, positive = np.isfinite(kpar).all(), (kpar > 0.0).all()
-    if not finite:
+    kpar = np.asarray(kpar, dtype=float)
+    if not np.isfinite(kpar).all():
         raise ValueError("kpar must be finite")
-    if not positive:
+    if not (kpar > 0.0).all():
         raise DegenerateMomentumError("plasmon branch needs kpar > 0")
     if sheet.omega <= 0.0:
         raise ValueError("plasmon branch needs omega > 0")
-    if scalar:
-        e = math.frexp(max(kpar, sheet.omega))[1]
-        return math.ldexp(sheet.omega, -e), math.ldexp(kpar, -e), e
     e = np.frexp(np.maximum(kpar, sheet.omega))[1]
     return np.ldexp(float(sheet.omega), -e), np.ldexp(kpar, -e), e
 
@@ -550,10 +540,9 @@ def tm_plasmon_closed(kpar, sheet):
     (k0 < kpar) and approaches sqrt(Omega kpar/2) for kpar >> Omega.
     """
     om, kpar, e = _plasmon_momenta(kpar, sheet)
-    lib = np if isinstance(kpar, np.ndarray) else math
-    k0 = lib.sqrt(2.0 * om * kpar * kpar
-                  / (lib.sqrt(om * om + 16.0 * kpar * kpar) + om))
-    return lib.ldexp(k0, e)
+    k0 = np.sqrt(2.0 * om * kpar * kpar / (np.sqrt(om * om + 16.0 * kpar * kpar) + om))
+    k0 = np.ldexp(k0, e)
+    return float(k0) if k0.ndim == 0 else k0
 
 
 def tm_plasmon_root(kpar, sheet):
@@ -568,18 +557,17 @@ def tm_plasmon_root(kpar, sheet):
     equation of motion is |g(s)| <= 1e-10 * Omega * (1 + s^2)^2.
     """
     om, kpar, e = _plasmon_momenta(kpar, sheet)
-    lib = np if isinstance(kpar, np.ndarray) else math
 
     def g(s):
         s2 = s * s
         return 4.0 * kpar * s2 - 0.5 * om * (1.0 - s2 * s2)
 
-    s = find_root_bracketed(g, 0.0, np.ones_like(kpar) if lib is np else 1.0)
+    s = find_root_bracketed(g, 0.0, np.ones_like(kpar))
     s2 = s * s
-    small = abs(g(s)) <= 1e-10 * om * (1.0 + s2) ** 2
-    if not (small.all() if lib is np else small):
+    if not (np.abs(g(s)) <= 1e-10 * om * (1.0 + s2) ** 2).all():
         raise IterationLimitError("dispersion residual above 1e-10 * Omega * kpar")
-    return lib.ldexp(2.0 * kpar * s / (1.0 + s2), e)
+    k0 = np.ldexp(2.0 * kpar * s / (1.0 + s2), e)
+    return float(k0) if k0.ndim == 0 else k0
 
 
 # Midpoints of the k0 grid on (0, kpar) in te_plasmon_exists.

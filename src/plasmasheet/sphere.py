@@ -253,7 +253,10 @@ def scan_real_zeros(l, shell, k0r_max=30.0, points_per_period=20,
     found = []
     for polarization, jost in (("te", jost_te), ("tm", jost_tm)):
         def abs_g_squared(z, _jost=jost):
-            return abs(_jost(l, z / radius, shell)) ** 2
+            try:
+                return abs(_jost(l, z / radius, shell)) ** 2
+            except OverflowError:  # a float |g| beyond 1e154
+                return math.inf
 
         # floats: the comparisons below cost less on them than on numpy
         # scalars

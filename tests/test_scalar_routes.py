@@ -1,12 +1,14 @@
-"""Scalar calls run on Python floats and keep the bits of the array forms.
+"""Scalar calls keep the bits of the array forms.
 
-A real scalar reaches the spherical Bessel functions, the Jost functions,
-bisection and the plasmon routes without building numpy arrays. Each test
-here holds the scalar result against the same formula evaluated on arrays:
-a one-element array where the public function takes one, and otherwise the
-array-of-orders form of ``numerics._sph_jh`` kept below as the reference.
-Values are compared by ``repr`` of Python floats and complex numbers, so
-every bit counts, signed zeros and infinities included.
+A real scalar reaches the spherical Bessel functions and the Jost
+functions on Python floats, without building numpy arrays; bisection and
+the plasmon routes run a scalar as a 0-d array through their array path.
+Each test here holds the scalar result against the same formula evaluated
+on arrays: a one-element array where the public function takes one, and
+otherwise the array-of-orders form of ``numerics._sph_jh`` kept below as
+the reference. Values are compared by ``repr`` of Python floats and
+complex numbers, so every bit counts, signed zeros and infinities
+included.
 """
 
 import functools
@@ -107,6 +109,15 @@ class TestSphericalBessel:
                 for z in (x, -x):
                     assert _outcome(f, l, z) == on_arrays(f, l, z), (l, z)
 
+    def test_riccati_nan_raises_for_a_scalar(self):
+        # y_42(1e-6) is beyond the float range, and 1e-6 * h_42 would have
+        # a NaN real part
+        for z in (1e-6, -1e-6):
+            with pytest.raises(ValueError, match="l = 42, z = -?1e-06"):
+                numerics.riccati_bessel(42, z)
+        assert numerics.spherical_hankel1(42, 1e-6) == complex(0.0, -math.inf)
+        assert numerics.spherical_bessel_j(42, 1e-6) == 0.0
+
     def test_one_jv_and_one_yv_call_per_order(self, monkeypatch):
         calls = {}
 
@@ -170,6 +181,14 @@ class TestJostRoutes:
                 assert got != "[]"
                 assert got == on_arrays(minima, l, shell), (l, omega_r)
                 assert scan_real_zeros(l, shell) == []
+
+
+def test_scan_beyond_the_float_range_of_g_squared():
+    # |g| ~ Omega R passes 1e154, where a float square overflows; such a
+    # minimum is infinite, not a zero
+    shell = SphericalShell(radius=1.0, omega=1e160)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert scan_real_zeros(1, shell) == []
 
 
 def _elementwise(g):
