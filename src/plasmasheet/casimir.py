@@ -70,8 +70,9 @@ def _tm_euclidean(g, eps, x):
     return 1.0 / (1.0 + 2.0 * g * eps * eps / x)
 
 
-def _log_terms(k, c, r):
-    """e^k ln(1 - w) and e^k x d/dx ln(1 - w), w = r^2 e^-k, r = 1/(1 + c).
+def _log_terms(k, c, r, out):
+    """e^k ln(1 - w) and e^k x d/dx ln(1 - w) into out[0] and out[1], with
+    w = r^2 e^-k and r = 1/(1 + c).
 
     c is the exactly known part of 1/r - 1 (k/x for TE, sinh^2 t for TM),
     so 1 - r = c r and ln r = log1p(-c r) keep their relative precision
@@ -79,17 +80,30 @@ def _log_terms(k, c, r):
     log(-expm1(-q)) while w > 1/2 and log1p(-w) below. The factor e^k of
     the log-k rule's weight is folded in as r^2 ln(1 - w)/w, whose limit
     where w underflows is -r^2; the slope uses x dr/dx = r (1 - r).
+
+    The kernel works in place, in out and in arrays it allocates itself;
+    -q is formed once as 2 log1p(-c r) - k, which has the bits of -(k -
+    2 ln r) since negation and doubling are exact.
     """
+    energy, slope = out
     one_minus_r = c * r
-    q = k - 2.0 * np.log1p(-one_minus_r)
-    w = np.exp(-q)
-    one_minus_w = -np.expm1(-q)
-    log_one_minus_w = np.log(one_minus_w)
-    np.log1p(-w, out=log_one_minus_w, where=q >= _LN2)
-    ratio = np.divide(log_one_minus_w, w, out=np.full_like(w, -1.0),
-                      where=w > 0.0)
-    r2 = r * r
-    return r2 * ratio, -2.0 * r2 * one_minus_r / one_minus_w
+    neg_q = np.negative(one_minus_r)
+    np.log1p(neg_q, out=neg_q)
+    neg_q *= 2.0
+    neg_q -= k
+    w = np.exp(neg_q)
+    one_minus_w = np.expm1(neg_q)
+    np.negative(one_minus_w, out=one_minus_w)
+    small = neg_q <= -_LN2  # q >= ln 2, w <= 1/2
+    log_one_minus_w = np.log(one_minus_w, out=neg_q)
+    np.log1p(np.negative(w, out=energy), out=log_one_minus_w, where=small)
+    energy.fill(-1.0)
+    np.divide(log_one_minus_w, w, out=energy, where=w > 0.0)
+    r2 = np.multiply(r, r, out=w)
+    energy *= r2
+    np.multiply(r2, -2.0, out=slope)
+    slope *= one_minus_r
+    slope /= one_minus_w
 
 
 def _column(value, shape):
@@ -118,7 +132,10 @@ def _energy_and_slope(x, rtol, te_coeff=_te_euclidean, tm_coeff=_tm_euclidean):
     Gauss-Legendre in s with eps = sinh(t) sqrt(x/k) and t = s^2. The square
     clusters the nodes near t = 0, where ln(1 - w) ~ ln(k + 2 t^2) has
     branch points at t = +-i sqrt(k/2); without it x = 1e-6 cannot reach
-    rtol = 1e-10 below Gauss-Legendre order 512.
+    rtol = 1e-10 below Gauss-Legendre order 512. The TE terms and the TM
+    angular integrand come from the in-place kernel _log_terms, which
+    writes energy and slope into one result array per call; the inner
+    rule calls the angular integrand on blocks of at most 8192 nodes.
 
     te_coeff and tm_coeff are the Euclidean reflection coefficients as
     functions of (g[, eps], x) on arrays; polarization_convention_equivalence
@@ -138,20 +155,27 @@ def _energy_and_slope(x, rtol, te_coeff=_te_euclidean, tm_coeff=_tm_euclidean):
         t = s * s
         sinh = np.sinh(t)
         r = tm_coeff(0.5 * k, sinh / rb, x)
-        out = np.stack(_log_terms(k, sinh * sinh, r))
+        out = np.empty((2,) + s.shape)
+        _log_terms(k, sinh * sinh, r, out)
         out *= 2.0 * s * np.cosh(t)
         return out
 
     def parts(k, x):
         # x is a float or a column of couplings; each (x, k) is one element
-        # of the inner rule
-        te, te_slope = _log_terms(k, k / x, te_coeff(0.5 * k, x))
-        rb = np.sqrt(k / x)
+        # of the inner rule. out holds TE, TM and the slope; the TE line
+        # writes its energy into out[0] and its slope into out[2].
+        c = k / x
+        rb = np.sqrt(c)
+        out = np.empty((3,) + rb.shape)
+        _log_terms(k, c, te_coeff(0.5 * k, x), out[::2])
         tm, tm_slope = integrate_legendre(
             angular, np.sqrt(np.arcsinh(rb)).reshape(-1), inner_spec,
             *(_column(v, rb.shape) for v in (k, rb, x))
         ).reshape((2,) + rb.shape) / rb
-        return k * k * np.stack((te, tm, te_slope + tm_slope))
+        out[1] = tm
+        out[2] += tm_slope
+        out *= k * k
+        return out
 
     if np.ndim(x) == 0:
         te, tm, slope = _NORM * integrate_exponential_weight(

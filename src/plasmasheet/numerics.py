@@ -20,13 +20,17 @@ rtol/100 of the total. Each level is one call of f on the new midpoints
 from the first support start to the last support end of the elements
 still refining, and each element sums over its own nodes alone.
 
-The Gauss-Legendre elements are the upper limits. The first call takes
-the first pair of orders, n and 2n, on their joined nodes, so t has shape
-(m, 3n) there; every later order is one call. Orders stop at 512, so a
-starting order n above 256 is refused before f is called. The QUADPACK
-wrappers ``integrate_adaptive`` and ``integrate_semi_infinite`` keep the
-same contract, but no package code calls them: they stay only because the
-benchmark tracer in ``perfbench/tracing.py`` wraps them by name.
+The Gauss-Legendre elements are the upper limits. The first pair of
+orders, n and 2n, is evaluated on their joined nodes, so a row of t is 3n
+nodes wide there and one order wide later. Each order, the first pair
+included, takes one call per block of at most 8192 nodes (_BLOCK_NODES):
+the rows go to f in consecutive blocks, and each block's weighted sums are
+formed right after its call, so the temporaries of an integrand stay in
+cache and no array of more than one block's values is held. Orders stop
+at 512, so a starting order n above 256 is refused before f is called.
+The QUADPACK wrappers ``integrate_adaptive`` and ``integrate_semi_infinite``
+keep the same contract, but no package code calls them: they stay only
+because the benchmark tracer in ``perfbench/tracing.py`` wraps them by name.
 
 The spherical Bessel functions come from one primitive, ``_sph_jh``, with
 one route per kind of argument:
@@ -127,6 +131,9 @@ _MAX_HALVINGS = 10
 _TAIL_FRACTION = 1e-3
 # leggauss builds a rule by an eigenvalue solve that grows as order^3.
 _LEGENDRE_MAX_ORDER = 512
+# Most nodes one call of a Gauss-Legendre integrand sees. An integrand
+# makes tens of whole-array temporaries; at this size they stay in cache.
+_BLOCK_NODES = 8192
 # Residual bound of find_root_bracketed, relative to |f| at the ends.
 _ROOT_RESIDUAL = 1e-12
 
@@ -334,21 +341,24 @@ def integrate_legendre(f, hi, spec=None, *params):
     orders agree to ``spec.rtol``. An element is final at its first pair of
     agreeing orders and keeps the higher order's value; only the elements
     that have not converged are evaluated at the next order. The first
-    pair, orders n = ``spec.order`` and 2n, takes one call of f on their
-    joined nodes; each later order takes one call. Orders stop at 512, so n
-    must be at most 256.
+    pair, orders n = ``spec.order`` and 2n, is evaluated on their joined
+    nodes. Each order, the first pair included, takes one call of f per
+    block of at most _BLOCK_NODES = 8192 nodes: the elements go to f in
+    consecutive blocks of rows, so a call that fits in one block is one call
+    of f on all of them. Orders stop at 512, so n must be at most 256.
 
     Parameters
     ----------
     f : callable
-        Called as ``f(t, *rows)``. t has shape (m, order): the nodes of the
-        m elements still refining; on the first call, shape (m, 3 n): the n
-        nodes of order n, then the 2n of order 2n. rows are the rows of the
-        ``params`` arrays for those elements. Returns an array of shape
-        (..., m, t.shape[1]); the leading axes hold several integrands on
-        the same nodes, and an element is final when all of them agree. When
-        f acts on each node alone, as elementwise numpy does, its values do
-        not depend on how the nodes are grouped into calls.
+        Called as ``f(t, *rows)``. t has shape (m, order): the nodes of a
+        block of m elements still refining; at the first pair, shape
+        (m, 3 n): the n nodes of order n, then the 2n of order 2n. rows are
+        the rows of the ``params`` arrays for those elements. Returns an
+        array of shape (..., m, t.shape[1]); the leading axes hold several
+        integrands on the same nodes, and an element is final when all of
+        them agree. When f acts on each node alone, as elementwise numpy
+        does, its values do not depend on how the nodes are grouped into
+        calls or blocks.
     hi : float or 1-d array
         Upper limits, one per element.
     spec : QuadratureSpec, optional
@@ -378,11 +388,10 @@ def integrate_legendre(f, hi, spec=None, *params):
                          f"{_LEGENDRE_MAX_ORDER // 2}")
     shape = np.shape(hi)
     hi = np.asarray(hi, dtype=float).reshape(-1)
-    # one call for the first pair of orders, on their joined nodes
+    # one call per block for the first pair of orders, on their joined nodes
     nodes, weights, weights2 = _legendre_pair(order)
-    values = f(hi[:, None] * nodes, *params)
-    prev = np.sum(weights * values[..., :order], axis=-1) * hi
-    cur = np.sum(weights2 * values[..., order:], axis=-1) * hi
+    prev, cur = _legendre_sums(f, hi, params, nodes,
+                               ((weights, 0), (weights2, order)))
     order *= 2
     # index: the element of each row of lim, rows and cur still refining;
     # result holds the final values once some elements have left
@@ -405,8 +414,8 @@ def integrate_legendre(f, hi, spec=None, *params):
         if order > _LEGENDRE_MAX_ORDER:
             break
         nodes, weights = _legendre_rule(order)
-        prev, cur = cur, np.sum(weights * f(lim[:, None] * nodes, *rows),
-                                axis=-1) * lim
+        prev, (cur,) = cur, _legendre_sums(f, lim, rows, nodes,
+                                           ((weights, 0),))
     if result is not None:
         result[..., index] = cur
         cur = result
@@ -416,6 +425,29 @@ def integrate_legendre(f, hi, spec=None, *params):
     raise ToleranceNotMet(
         f"Gauss-Legendre order doubling did not reach rtol {spec.rtol:g}",
         estimate=cur, error_bound=float(np.max(diff)))
+
+
+def _legendre_sums(f, lim, rows, nodes, parts):
+    """Weighted sums of f on the nodes scaled to each upper limit in lim.
+
+    parts holds (weights, start) pairs; each gives the sum over
+    nodes[start:start + len(weights)] of the weights times f, times lim. f
+    is called on consecutive blocks of rows of at most _BLOCK_NODES nodes,
+    and each block's sums are formed right after its call.
+    """
+    per_block = _BLOCK_NODES // nodes.size
+
+    def sums(lim, rows):
+        values = f(lim[:, None] * nodes, *rows)
+        # the sum method: np.sum adds about 2 us of dispatch per call
+        return [(w * values[..., a:a + w.size]).sum(axis=-1) * lim
+                for w, a in parts]
+
+    if lim.size <= per_block:
+        return sums(lim, rows)
+    blocks = [sums(lim[a:a + per_block], [row[a:a + per_block] for row in rows])
+              for a in range(0, lim.size, per_block)]
+    return [np.concatenate(column, axis=-1) for column in zip(*blocks)]
 
 
 def integrate_adaptive(f, lo, hi, spec=None, full_result=False):

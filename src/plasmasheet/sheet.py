@@ -118,6 +118,8 @@ class EuclideanMomentum:
 
 # Momenta whose largest modulus lies in this range have normal squares.
 _SQUARE_MIN, _SQUARE_MAX = 2.0 ** -511, 2.0 ** 511
+# Smallest normal float.
+_NORMAL_MIN = 2.0 ** -1022
 
 
 def _power_scale(top):
@@ -520,6 +522,8 @@ def _plasmon_momenta(kpar, sheet):
     The plasmon quantities are homogeneous in (Omega, kpar), and the closed
     form has a cube, which can leave the float range where no square does.
     So every row is divided; the division is exact and keeps the bits.
+    Where the smaller of the two then lies below the smallest normal float,
+    their ratio is beyond the float range and a ValueError names them.
     """
     kpar = np.asarray(kpar, dtype=float)
     if not np.isfinite(kpar).all():
@@ -529,7 +533,13 @@ def _plasmon_momenta(kpar, sheet):
     if sheet.omega <= 0.0:
         raise ValueError("plasmon branch needs omega > 0")
     e = np.frexp(np.maximum(kpar, sheet.omega))[1]
-    return np.ldexp(float(sheet.omega), -e), np.ldexp(kpar, -e), e
+    om, scaled = np.ldexp(float(sheet.omega), -e), np.ldexp(kpar, -e)
+    apart = np.minimum(om, scaled) < _NORMAL_MIN
+    if apart.any():
+        raise ValueError(f"kpar = {float(kpar[apart].flat[0])} and Omega = "
+                         f"{sheet.omega} are too far apart: their ratio is "
+                         "beyond the float range")
+    return om, scaled, e
 
 
 def tm_plasmon_closed(kpar, sheet):

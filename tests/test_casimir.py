@@ -445,6 +445,32 @@ class TestCasimirResult:
                           pressure=-0.1, te_share=0.4, tm_share=0.7)
 
 
+class TestPinnedBits:
+    """repr of the outputs at rtol 1e-8, as they were before the inner rule
+    went to blocks and the kernel to in-place arithmetic: same bits."""
+
+    @pytest.mark.parametrize("x, want", [
+        (1e-3, "(-3.129858068780507e-09, -0.00011206233244981518, "
+               "-0.0002801605560774197)"),
+        (0.1, "(-2.1699049640518638e-05, -0.0011124620387074934, "
+              "-0.002819124219866137)"),
+        (1.0, "(-0.0007014483623611077, -0.0031706036073140295, "
+              "-0.009545207689746184)"),
+        (10.0, "(-0.00423830346117283, -0.005821746058635544, "
+               "-0.02770889038104687)"),
+        (1e3, "(-0.0068130103016865815, -0.0068402325929825415, "
+              "-0.04090547603230186)"),
+        (1e6, "(-0.006853850822082819, -0.006853878237455969, "
+              "-0.041123132348064695)"),
+    ])
+    def test_energy_and_pressure(self, x, want):
+        assert repr(reduced_energy_and_pressure(x)) == want
+
+    def test_convention_equivalence(self):
+        got = polarization_convention_equivalence(1.0, SheetParameters(1.0))
+        assert repr(got) == "1.1200285336836204e-16"
+
+
 class TestConventionEquivalence:
     def test_rewritten_coefficients_change_nothing(self):
         for a, omega in ((1.0, 1.0), (0.5, 20.0), (2.0, 0.3)):

@@ -357,6 +357,87 @@ class TestLegendre:
         assert len(calls) > 2
 
 
+class TestLegendreBlocks:
+    """The rows go to f in blocks of at most _BLOCK_NODES nodes."""
+
+    @staticmethod
+    def many(count):
+        # upper limits and oscillation rates that retire the elements at
+        # different orders; every 7th has a kink and never converges
+        rng = np.random.default_rng(25)
+        hi = rng.uniform(0.2, 3.0, count)
+        scale = rng.uniform(0.1, 30.0, (count, 1))
+        kink = (np.arange(count) % 7 == 3)[:, None]
+        return hi, scale, kink
+
+    @staticmethod
+    def f(t, scale, kink):
+        return np.stack((2.0 + np.cos(scale * t),
+                         np.where(kink, np.abs(t - 0.5), np.exp(-t))))
+
+    def test_no_call_sees_more_than_a_block(self):
+        hi, scale, kink = self.many(1200)
+        widths = []
+
+        def f(t, scale, kink):
+            widths.append(t.shape)
+            return self.f(t, scale, kink)
+
+        spec = numerics.QuadratureSpec(order=16, rtol=1e-12)
+        with pytest.raises(ToleranceNotMet):
+            numerics.integrate_legendre(f, hi, spec, scale, kink)
+        assert max(rows * width for rows, width in widths) <= (
+            numerics._BLOCK_NODES)
+        # the first pair is 48 nodes wide and takes 8 blocks of 170 rows;
+        # the later orders take blocks too
+        first = [rows for rows, width in widths if width == 48]
+        assert first == [170] * 7 + [10]
+        assert sum(1 for _, width in widths if width == 64) >= 3
+        assert {width for _, width in widths} == {48, 64, 128, 256, 512}
+
+    def test_blocks_give_the_bits_of_solo_calls(self):
+        # 600 elements span 4 blocks at the first pair, 3 at order 64 and 5
+        # at order 512
+        hi, scale, kink = self.many(600)
+        spec = numerics.QuadratureSpec(order=16, rtol=1e-12)
+        want, bound = legendre_reference(self.f, hi, spec, scale, kink)
+        with pytest.raises(ToleranceNotMet) as info:
+            numerics.integrate_legendre(self.f, hi, spec, scale, kink)
+        got = info.value.estimate
+        assert got.shape == want.shape == (2, 600)
+        assert got.tobytes() == want.tobytes()
+        assert info.value.error_bound == bound
+        # the converging elements alone, and each of them on its own
+        smooth = np.flatnonzero(~kink[:, 0])
+        values = numerics.integrate_legendre(self.f, hi[smooth], spec,
+                                             scale[smooth], kink[smooth])
+        assert values.tobytes() == got[:, smooth].tobytes()
+        for i in smooth[::5].tolist():
+            solo = numerics.integrate_legendre(self.f, hi[i:i + 1], spec,
+                                               scale[i:i + 1], kink[i:i + 1])
+            assert solo.tobytes() == got[:, i:i + 1].tobytes()
+
+    def test_one_block_makes_one_call_per_order(self):
+        calls = []
+
+        def f(t):
+            calls.append(t.shape)
+            return np.cos(30.0 * t)
+
+        spec = numerics.QuadratureSpec(order=16, rtol=1e-12)
+        numerics.integrate_legendre(f, np.full(128, 1.0), spec)
+        assert calls == [(128, 48), (128, 64)]
+
+    @pytest.mark.parametrize("params", [[], [np.empty((0, 1))]])
+    def test_empty_hi_gives_an_empty_array(self, params):
+        def f(t, *rows):
+            return np.stack((np.cos(t), np.sin(t)))
+
+        got = numerics.integrate_legendre(f, np.array([]), None, *params)
+        assert got.shape == (2, 0)
+        assert numerics.integrate_legendre(np.cos, np.array([])).shape == (0,)
+
+
 class TestAdaptive:
     def test_polynomial(self):
         assert abs(numerics.integrate_adaptive(lambda x: x * x, 0.0, 1.0) - 1 / 3) < 1e-12

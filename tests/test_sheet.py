@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from plasmasheet import sheet
+from plasmasheet.cli import main
 from plasmasheet.errors import (DegenerateMomentumError, OnLightConeError)
 
 SQ3 = math.sqrt(3.0)
@@ -522,6 +523,50 @@ class TestPlasmon:
             assert sheet.tm_plasmon_root(float(kpar[i]), sp) == root[i]
         assert not sheet.te_plasmon_exists(float(kpar[0]), sp)
         assert not sheet.te_plasmon_exists(float(kpar[-1]), sp)
+
+    @pytest.mark.parametrize("plasmon, kpar, omega", [
+        (sheet.tm_plasmon_closed, 1e200, 1e-200),
+        (sheet.tm_plasmon_root, 1e-200, 1e200),
+        (sheet.tm_plasmon_closed, np.array([1.0, 1e-310]), 1.0)])
+    def test_ratio_beyond_the_float_range_raises(self, plasmon, kpar, omega):
+        # once the larger momentum is scaled to [1/2, 1), the smaller one
+        # lies below the smallest normal float
+        with pytest.raises(ValueError, match=r"kpar = 1e[-+]\d+ and Omega = "
+                           r".* too far apart"):
+            plasmon(kpar, sheet.SheetParameters(omega))
+
+    def test_ratio_of_1e300_is_inside_the_range(self):
+        # the smaller scaled momentum is still normal: the closed form for
+        # kpar/Omega = 1e300, and the root for Omega/kpar = 1e300, match
+        # the closed form evaluated in mpmath
+        cases = [(sheet.tm_plasmon_closed, 1e150, 1e-150),
+                 (sheet.tm_plasmon_root, 1e-150, 1e150)]
+        with mpmath.workdps(50):
+            for plasmon, kpar, omega in cases:
+                k0 = plasmon(kpar, sheet.SheetParameters(omega))
+                om, kp = mpmath.mpf(omega), mpmath.mpf(kpar)
+                root_term = mpmath.sqrt(om * om + 16 * kp * kp)
+                exact = mpmath.sqrt(2 * om * kp * kp / (root_term + om))
+                assert abs(k0 - exact) <= 1e-15 * exact
+
+    def test_sweep_across_the_float_range_gives_error_cells(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = main(["dispersion", "--omega", "1e-200", "--kpar-min",
+                           "1e-200", "--kpar-max", "1e200", "--count", "41",
+                           "--scale", "log"])
+        captured = capsys.readouterr()
+        assert status == 1 and captured.err == ""
+        rows = [line.rstrip("\r").split(",", 4)
+                for line in captured.out.splitlines()
+                if line and line[0].isdigit()]
+        assert len(rows) == 41
+        # kpar/Omega = 1e310 and above: the last 10 rows
+        for row in rows[-10:]:
+            assert row[1:4] == ["nan"] * 3
+            assert row[4].startswith("ValueError: kpar = ")
+        assert all("too far apart" not in row[4] for row in rows[:-10])
+        assert rows[0][4] == ""
 
     def test_below_light_cone(self):
         sp = sheet.SheetParameters(2.7)
