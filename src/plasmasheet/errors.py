@@ -29,7 +29,7 @@ class ToleranceNotMet(SheetModelError):
 
 
 class IterationLimitError(SheetModelError):
-    """Root refinement hit its iteration budget before meeting the residual bound."""
+    """A bracketed root breaks its residual bound."""
 
 
 class BracketError(SheetModelError):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from plasmasheet import numerics
-from plasmasheet.errors import BracketError, IterationLimitError, ToleranceNotMet
+from plasmasheet.errors import BracketError, ToleranceNotMet
 
 # Enough headroom that h = j + i y survives the e^(2|Im z|) cancellation for
 # every argument probed below.
@@ -529,11 +529,6 @@ class TestRootFinding:
         with pytest.raises(BracketError, match=r"\[0\.0, 2\.0\]"):
             numerics.find_root_bracketed(lambda x: x * x - targets,
                                          np.zeros(2), 2.0)
-
-    def test_iteration_limit(self):
-        with pytest.raises(IterationLimitError, match="3 iterations"):
-            numerics.find_root_bracketed(lambda x: x * x - 3.0, 0.0, 2.0,
-                                         maxiter=3)
 
     def test_residual_contract(self):
         # dispersion-style equation with disparate scales

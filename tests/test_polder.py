@@ -333,15 +333,10 @@ class TestDualRoutes:
 
     @pytest.mark.parametrize("x", [1e-6, 1.0, 1e12])
     def test_inner_nodes_per_x_are_pinned(self, monkeypatch, x):
-        # nodes of the check routes' inner Gauss-Legendre rule, gTM and g3
-        # together, pinned exactly; deterministic, and 98,496 when every
-        # element ran to order 64 (25,592 at most when every level of the
-        # outer rule spanned all of k in [1e-20, 800]). The integrand calls
-        # are pinned exactly too: 10 of the log-k rule (closed and check
-        # routes) at every x, and those of the inner rule per x below, whose
-        # first call takes its first two orders together.
-        total = {1e-6: 15008, 1.0: 4920, 1e12: 3672}[x]
-        inner_calls = {1e-6: 15, 1.0: 10, 1e12: 5}[x]
+        # nodes of the check routes' Gauss-Legendre rule in the angle, gTM
+        # and g3 together, pinned exactly: one call on the joined nodes of
+        # orders 32 and 64, which agree at every x. The log-k rule runs
+        # only for the closed routes, 5 integrand calls at every x.
         nodes, outer_calls = [], []
         original = polder.integrate_legendre
         original_outer = polder.integrate_exponential_weight
@@ -364,12 +359,23 @@ class TestDualRoutes:
         monkeypatch.setattr(polder, "integrate_exponential_weight",
                             outer_counted)
         polder._g_family(x, 1e-8)
-        assert sum(nodes) == total
-        assert (len(outer_calls), len(nodes)) == (10, inner_calls)
-        first = sum(nodes)
-        nodes.clear()
-        polder._g_family(x, 1e-8)
-        assert sum(nodes) == first
+        assert nodes == [96]
+        assert len(outer_calls) == 5
+
+    def test_check_route_calls_no_closed_route_code(self, monkeypatch):
+        # neither the arctan forms nor the log-k rule of the closed routes
+        def broken(*args, **kwargs):
+            raise AssertionError("closed-route code called")
+
+        for name in ("_g_angular", "_atan_ratio",
+                     "integrate_exponential_weight"):
+            monkeypatch.setattr(polder, name, broken)
+        x = np.array([1e-6, 1.0, 1e12])
+        tm, g3 = polder._g_check_routes(x)
+        assert np.all((0.0 < tm) & (tm < 1.0 + 1e-15))
+        assert np.all((0.0 < g3) & (g3 < 1.0 + 1e-15))
+        assert polder._g_check_routes(1.0) == pytest.approx(
+            (G_TM_1, G_3_1), rel=1e-13)
 
     def test_agreement_guard_fires(self):
         with pytest.raises(PathDisagreementError):
@@ -378,6 +384,57 @@ class TestDualRoutes:
     def test_agreement_guard_tolerates_noise(self):
         _require_agreement("demo", 1.0, 1.0 + 5e-9)
         _require_agreement("demo", 0.0, 0.0)
+
+
+class TestKMoment:
+    """G(c) = Int k^3 e^-k/(1 + k/c) dk = 6 c e^c E_4(c) of the check route,
+    taken at v = 1/c."""
+
+    @staticmethod
+    def _reference(v):
+        with mpmath.workdps(40):
+            c = 1 / mpmath.mpf(v)
+            return float(6 * c * mpmath.exp(c) * mpmath.expint(4, c))
+
+    def test_matches_mpmath(self):
+        # the whole range, and both sides of the switch from the E_1 series
+        # to the continued fraction at c = 2
+        c = np.concatenate((np.geomspace(1e-8, 1e16, 97),
+                            np.linspace(1.5, 2.5, 21),
+                            [np.nextafter(2.0, 0.0)]))
+        got = polder._k_moment(1.0 / c)
+        for value, want in zip(got.tolist(), map(self._reference, 1.0 / c)):
+            assert abs(value - want) <= 1e-13 * want, value
+
+    def test_limits(self):
+        # G ~ 2c as c -> 0, G -> 3! as c -> inf, and G = 6 at v = 1/c = 0
+        small, large, limit = polder._k_moment(np.array([1e12, 1e-18, 0.0]))
+        assert small == pytest.approx(2e-12, rel=1e-11)
+        assert large == pytest.approx(6.0, rel=1e-16)
+        assert limit == 6.0
+
+
+class TestPinnedBits:
+    """repr of (gTE, gTM, g3) at rtol 1e-8. The check routes of gTM and g3
+    only guard the closed routes' values, so a change to them moves no
+    bit."""
+
+    @pytest.mark.parametrize("x, want", [
+        (1e-6, "(3.3333316666682534e-07, 0.001185373864305721, "
+               "0.0013040773961215146)"),
+        (1e-3, "(0.0003331668322768269, 0.03648691714639333, "
+               "0.04028649587100974)"),
+        (1.0, "(0.2339421062792956, 0.6214365646343695, "
+              "0.6803307645424655)"),
+        (1e3, "(0.9960198808331674, 0.9988089010782844, "
+              "0.9992017085965708)"),
+        (1e6, "(0.9999960000198276, 0.9999988051983557, "
+              "0.9999992000015421)"),
+        (1e12, "(0.9999999999958277, 0.9999999999986331, "
+               "0.9999999999990278)"),
+    ])
+    def test_g_family(self, x, want):
+        assert repr((g_te(x), g_tm(x), g_3(x))) == want
 
 
 class TestDelta1:

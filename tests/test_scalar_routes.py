@@ -199,23 +199,22 @@ def _elementwise(g):
 
 class TestBisection:
     CASES = {
-        "sqrt3": (lambda x: x * x - 3.0, 0.0, 2.0, 200),
-        "root at lo": (lambda x: x, 0.0, 1.0, 200),
-        "root at hi": (lambda x: x - 1.0, 0.0, 1.0, 200),
-        "roots at both ends": (lambda x: x * (x - 1.0), 0.0, 1.0, 200),
+        "sqrt3": (lambda x: x * x - 3.0, 0.0, 2.0),
+        "root at lo": (lambda x: x, 0.0, 1.0),
+        "root at hi": (lambda x: x - 1.0, 0.0, 1.0),
+        "roots at both ends": (lambda x: x * (x - 1.0), 0.0, 1.0),
         "nan midpoint": (lambda x: math.nan if x == 0.5 else x - 0.7,
-                         0.0, 1.0, 200),
-        "maxiter": (lambda x: x * x - 3.0, 0.0, 2.0, 3),
-        "residual": (lambda x: 1.0 if x > 0.3 else -1.0, 0.0, 1.0, 200),
-        "no sign change": (lambda x: x * x + 1.0, -1.0, 1.0, 200),
-        "nan end": (lambda x: math.nan if x == 1.0 else x, -1.0, 1.0, 200),
-        "invalid bracket": (lambda x: x, 1.0, -1.0, 200),
-        "nan bracket": (lambda x: x, math.nan, 1.0, 200),
-        "subnormal root": (lambda x: x - 1e-310, 0.0, 1.0, 2000),
+                         0.0, 1.0),
+        "residual": (lambda x: 1.0 if x > 0.3 else -1.0, 0.0, 1.0),
+        "no sign change": (lambda x: x * x + 1.0, -1.0, 1.0),
+        "nan end": (lambda x: math.nan if x == 1.0 else x, -1.0, 1.0),
+        "invalid bracket": (lambda x: x, 1.0, -1.0),
+        "nan bracket": (lambda x: x, math.nan, 1.0),
+        "subnormal root": (lambda x: x - 1e-310, 0.0, 1.0),
     }
 
     @staticmethod
-    def _run(f, lo, hi, maxiter):
+    def _run(f, lo, hi):
         calls = 0
 
         def counted(x):
@@ -225,17 +224,17 @@ class TestBisection:
 
         try:
             result = _bits(np.ravel(numerics.find_root_bracketed(
-                counted, lo, hi, maxiter)))
+                counted, lo, hi)))
         except (BracketError, IterationLimitError, ValueError) as exc:
             result = type(exc).__name__, str(exc)
         return result, calls
 
     @pytest.mark.parametrize("case", CASES)
     def test_float_bracket_takes_the_array_steps(self, case):
-        g, lo, hi, maxiter = self.CASES[case]
+        g, lo, hi = self.CASES[case]
         f = _elementwise(g)
-        scalar = self._run(f, lo, hi, maxiter)
-        array = self._run(f, np.array([lo]), np.array([hi]), maxiter)
+        scalar = self._run(f, lo, hi)
+        array = self._run(f, np.array([lo]), np.array([hi]))
         assert scalar == array
 
     def test_float_bracket_returns_a_float(self):

@@ -524,6 +524,17 @@ class TestPlasmon:
         assert not sheet.te_plasmon_exists(float(kpar[0]), sp)
         assert not sheet.te_plasmon_exists(float(kpar[-1]), sp)
 
+    def test_root_far_above_omega_matches_closed_form(self):
+        # kpar/Omega in [1e80, 1e300]: s ~ sqrt(Omega/(8 kpar)) is as small
+        # as 3.5e-151 in the bracket (0, 1), and bisection runs on until the
+        # bracket closes
+        sp = sheet.SheetParameters(1.0)
+        kpar = np.geomspace(1e80, 1e300, 221)
+        root = sheet.tm_plasmon_root(kpar, sp)
+        closed = sheet.tm_plasmon_closed(kpar, sp)
+        assert np.all(np.abs(root - closed) <= 1e-15 * closed)
+        assert sheet.tm_plasmon_root(1e300, sp) == root[-1]
+
     @pytest.mark.parametrize("plasmon, kpar, omega", [
         (sheet.tm_plasmon_closed, 1e200, 1e-200),
         (sheet.tm_plasmon_root, 1e-200, 1e200),
