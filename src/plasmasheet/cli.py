@@ -5,10 +5,10 @@ with a '#'-comment metadata preamble, or JSON with a metadata object).
 Each runner takes the whole axis as an array and returns one array per
 output column. The quadrature runners (casimir, casimir-polder and
 functions) pass a fixed chunk of points at a time, and refine each point
-alone inside it, so a cell does not depend on the other points; charge
-refines its points together. Output is fully
-deterministic: identical configuration produces identical bytes, so no
-wall-clock timestamps are recorded. When a runner call raises a physics
+alone inside it; charge is in closed form and takes the whole axis. So no
+cell depends on the other points. Output is fully deterministic: identical
+configuration produces identical bytes, so no wall-clock timestamps are
+recorded. When a runner call raises a physics
 error, the array is split in halves until the point that raises stands
 alone. Rows that raise stay in the table with blank output cells and the
 message in the final 'error' column, and any such row turns the exit status
@@ -269,7 +269,7 @@ def _build_charge(fixed, tolerance):
                           p23=fixed["p23"])
 
     def runner(x):
-        return charge_sheet_energies(a, x, atom, rtol=tolerance)
+        return charge_sheet_energies(a, x, atom)
 
     return [("electrostatic", "float"), ("kinetic", "float")], runner
 

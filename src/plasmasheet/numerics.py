@@ -75,8 +75,6 @@ MAX_RTOL = 1e-3
 # Gauss-Legendre rule never meets 1e-15. QuadratureSpec does not apply it,
 # since those inner specs sit below it.
 MIN_RTOL = 1e-13
-# Absolute tolerance floor protecting near-zero results.
-_ABS_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -254,7 +252,7 @@ def integrate_exponential_weight(f, spec=None, *params):
         cur = 0.5 * prev + _support_sums(w[new] * f(k[new], *rows)[squeeze],
                                          offsets, per_step, 0)
         diff = np.abs(cur - prev)
-        agree = diff <= spec.rtol * np.abs(cur) + _ABS_FLOOR
+        agree = diff <= spec.rtol * np.abs(cur)
         if agree.all():
             break
         # elements whose integrands all agree leave; one never leaves alone
@@ -386,7 +384,7 @@ def integrate_legendre(f, hi, spec=None, *params):
     index, lim, rows, result = np.arange(hi.size), hi, params, None
     while True:
         diff = np.abs(cur - prev)
-        agree = diff <= spec.rtol * np.abs(cur) + _ABS_FLOOR
+        agree = diff <= spec.rtol * np.abs(cur)
         if agree.all():
             break
         done = agree.reshape(-1, index.size).all(axis=0)
@@ -464,7 +462,7 @@ def integrate_adaptive(f, lo, hi, spec=None, full_result=False):
     from scipy import integrate
 
     limit = max(50, 4 * spec.order)
-    out = integrate.quad(f, lo, hi, epsabs=_ABS_FLOOR, epsrel=spec.rtol,
+    out = integrate.quad(f, lo, hi, epsabs=1e-300, epsrel=spec.rtol,
                          limit=limit, full_output=1)
     value, abserr, info = out[0], out[1], out[2]
     if len(out) > 3:

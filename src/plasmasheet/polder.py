@@ -7,7 +7,9 @@ single-vertex shift, the h-family the no-recoil charge interaction, and the
 g-family the Casimir-Polder energy. All shape functions tend to 1 as
 x -> infinity and die off (h excepted, it diverges) as x -> 0. Each takes a
 float x, giving a float, or a 1-d array, giving an array; every x is one
-element of the log-k passes, so its value does not depend on the other x.
+element of its rules, so its value does not depend on the other x. The f
+and h families and the g check routes rest on one special function, the k
+moment of _k_moment.
 
 Units: hbar = c = 1, Heaviside-Lorentz (Coulomb potential e^2/(4 pi r)).
 """
@@ -197,8 +199,6 @@ def _series(coeff):
     return np.array([(-1) ** m * coeff(m) for m in range(_SERIES_TERMS)])
 
 
-_ONE_MINUS_ATAN_SERIES = np.concatenate(
-    ([0.0], _series(lambda m: 1.0 / (2 * m + 3))))
 _TM_ANGULAR_SERIES = _series(
     lambda m: 2.0 / (2 * m + 5) - 2.0 / (2 * m + 3) + 1.0 / (2 * m + 1))
 _TRANSVERSE_ANGULAR_SERIES = _series(
@@ -231,12 +231,6 @@ def _atan_ratio(b):
     return np.arctan(rb) / rb
 
 
-def _one_minus_atan_ratio(b):
-    """1 - arctan(sqrt(b))/sqrt(b), stable down to b = 0."""
-    return _closed_or_series(b, lambda b: 1.0 - _atan_ratio(b),
-                             _ONE_MINUS_ATAN_SERIES)[0]
-
-
 def _g_angular(b):
     """Closed angular factors (A_TM, A_3) of g_tm and g_3, stacked in rows.
 
@@ -255,55 +249,102 @@ def _g_angular(b):
                              _TRANSVERSE_ANGULAR_SERIES)
 
 
-# Couplings per stacked h_par integral in charge_sheet_energies.
-_CHARGE_CHUNK = 1024
 # Couplings per log-k pass of a shape-function or Casimir-Polder sweep. The
 # passes refine each x alone, so the chunk sets only the cost and memory of
 # a sweep, not its values; 16 was the fastest in timings of the g family.
 _SWEEP_CHUNK = 16
 
-
-def _log_k(f, x, spec):
-    """The log-k rule on f(k, x) with each coupling of x one element.
-
-    A 1-d array x gives arrays over x, handing f a column of the couplings
-    still refining; a float x is the one-element case, handed to f as the
-    float, and gives floats.
-    """
-    if np.ndim(x) == 0:
-        return integrate_exponential_weight(lambda k: f(k, x), spec)
-    return integrate_exponential_weight(f, spec, x[:, None])
+# The coefficients (-1)^m/(m m!), m = 1..25, of the E_1 series of _k_moment.
+_E1_SERIES = [(-1.0) ** m / (m * math.factorial(m)) for m in range(1, 26)]
 
 
-def f_te(x, rtol=1e-8):
-    """TE reduction of the single-vertex shift; -> 1 as x -> inf, ~ x at 0."""
+def _k_moment(n, v):
+    """G_n(c) = Int k^n e^-k/(1 + k/c) dk = n! c e^c E_(n+1)(c), n in
+    {0, 1, 3}, at c = 1/v of an array v, by numpy alone; v = 0 gives n!.
+    From c = 2 up, the continued fraction of Gamma(-n, c) (DLMF 8.9.2),
+    n!/(1 + a_1 v - b_1 v^2/(1 + a_2 v - ...)), a_m = n + 2m - 1 and
+    b_m = m(n + m), summed backward from m = 41; below, 25 terms of the E_1
+    series (DLMF 6.6.2) by Horner's rule give G_0 = c e^c E_1(c), and
+    G_n = c((n - 1)! - G_(n-1)) the rest. Within 4e-14 of G_n on c in
+    [1e-8, 1e16], each element alone."""
+    out = np.empty_like(v)
+    far = v <= 0.5  # c >= 2
+    if far.any():
+        u, m = v[far], np.arange(41.0, 0.0, -1.0)[:, None]
+        rows, cross = 1.0 + (n - 1.0 + 2.0 * m) * u, m * (n + m) * (u * u)
+        t = rows[0]
+        for row, cross_m in zip(rows[1:], cross[1:]):
+            t = row - cross_m / t
+        out[far] = math.factorial(n) / t
+    if not far.all():
+        c = 1.0 / v[~far]
+        tail = _E1_SERIES[-1]
+        for coeff in _E1_SERIES[-2::-1]:
+            tail = coeff + c * tail
+        g = c * np.exp(c) * (-np.euler_gamma - np.log(c) - c * tail)
+        for j in range(n):
+            g = c * (math.factorial(j) - g)
+        out[~far] = g
+    return out
+
+
+def _eps_rule(x, n, weights, rtol):
+    """Int_0^1 P(eps) G_n(x/eps^2) deps at a float or 1-d array x, for each
+    row P of weights(eps^2). With eps = sqrt(x) sinh(w), so that
+    eps^2/x = sinh(w)^2, one Gauss-Legendre rule over w in
+    [0, asinh(1/sqrt x)] takes every row, each x one element, to rtol."""
+    def integrand(w, rx):
+        s = np.sinh(w)
+        return weights((rx * s) ** 2) * (_k_moment(n, s * s) * np.cosh(w))
+
+    rx = np.sqrt(x)
+    return rx * integrate_legendre(integrand, np.arcsinh(1.0 / rx),
+                                   QuadratureSpec(rtol=rtol),
+                                   np.reshape(rx, (-1, 1)))
+
+
+def _over_x(x, shape, slope=0.0):
+    """shape(x, 1/x) over the 1-d array of a float or 1-d array x, as a float
+    for a float x. Where 1/x is beyond the float range the value is the
+    limit slope * x, exact there to the last bit; slope 0 (h, which
+    diverges there) gives a ValueError, as divide_by_power raises."""
     _require_x(x)
-    return _log_k(lambda k, x: k / (1.0 + k / x), x, QuadratureSpec(rtol=rtol))
+    flat = np.reshape(x, -1)
+    with np.errstate(over="ignore"):
+        v = 1.0 / flat
+    tiny = v == math.inf
+    if tiny.any() and not slope:
+        raise ValueError(f"1 / {flat[tiny][0]:.17g} is beyond the float range")
+    out = np.empty(flat.shape)
+    out[tiny] = slope * flat[tiny]
+    out[~tiny] = shape(flat[~tiny], v[~tiny])
+    return float(out[0]) if np.ndim(x) == 0 else out
+
+
+def f_te(x):
+    """TE reduction of the single-vertex shift, Int k e^-k/(1 + k/x) dk =
+    G_1(x) in closed form; -> 1 as x -> inf, ~ x at 0 (see _over_x)."""
+    return _over_x(x, lambda x, v: _k_moment(1, v), 1.0)
 
 
 def f_tm(x, rtol=1e-8):
-    """TM reduction of the single-vertex shift; -> 1 as x -> inf, ~ 3x at 0."""
-    _require_x(x)
-    return 3.0 * x * _log_k(lambda k, x: _one_minus_atan_ratio(k / x), x,
-                            QuadratureSpec(rtol=rtol))
+    """TM reduction of the single-vertex shift, 3 Int_0^1 eps^2 G_1(x/eps^2)
+    deps by _eps_rule to rtol; -> 1 as x -> inf, ~ 3x at 0 (see _over_x)."""
+    return _over_x(x, lambda x, v: 3.0 * _eps_rule(x, 1, lambda e2: e2, rtol),
+                   3.0)
 
 
-def _h_parallel_terms(k, x):
-    """Factor of e^-k in h_par(x), for a float x or a column of them."""
-    b = k / x
-    return -1.0 / (1.0 + b) + 0.5 * k + 1.5 + b
-
-
-def h_parallel(x, rtol=1e-8):
-    """In-plane kinetic shape of the charge interaction; decreases to 1."""
-    _require_x(x)
-    return _log_k(_h_parallel_terms, x, QuadratureSpec(rtol=rtol))
+def h_parallel(x):
+    """In-plane kinetic shape of the charge interaction, in closed form:
+    Int e^-k (k/2 + 3/2 + k/x - 1/(1 + k/x)) dk = 2 + 1/x - G_0(x).
+    Decreases to 1; ValueError where 1/x is beyond the float range."""
+    return _over_x(x, lambda x, v: 2.0 + v - _k_moment(0, v))
 
 
 def h_3(x):
-    """Normal kinetic shape of the charge interaction, exactly 1 + 1/x."""
-    _require_x(x)
-    return 1.0 + 1.0 / x
+    """Normal kinetic shape of the charge interaction, exactly 1 + 1/x;
+    ValueError where 1/x is beyond the float range."""
+    return _over_x(x, lambda x, v: 1.0 + v)
 
 
 def _require_agreement(label, first, second, tol=PATH_AGREEMENT_TOL):
@@ -325,60 +366,29 @@ def _g_closed(k, x):
     return np.stack((k3 / (1.0 + b), k3 * a_tm, k3 * a_3))
 
 
-def _k_moment(v):
-    """G(c) = Int_0^inf k^3 e^-k/(1 + k/c) dk = 6 c e^c E_4(c) at c = 1/v,
-    by numpy alone; v = 0 gives the limit 6. Below c = 2,
-    c (2 - c + c^2 - c^3 e^c E_1(c)) (DLMF 8.19.12) with 25 terms of the E_1
-    series (DLMF 6.6.2); from 2 up, the continued fraction of Gamma(-3, c)
-    (DLMF 8.9.2) from depth 40, 6/(1 + 4v - 4v^2/(1 + 6v - 10v^2/(...))).
-    Each is within 4e-14 of G on c in [1e-8, 1e16]."""
-    out = np.empty_like(v)
-    far = v <= 0.5  # c >= 2
-    u = v[far]
-    u2, t = u * u, 1.0 + 84.0 * u
-    for n in range(40, 0, -1):
-        t = 1.0 + (2 * n + 2) * u - n * (n + 3) * u2 / t
-    out[far] = 6.0 / t
-    c = 1.0 / v[~far]
-    term, tail = np.ones_like(c), np.zeros_like(c)
-    for n in range(1, 26):
-        term = term * (-c / n)
-        tail = tail + term / n
-    e1 = -np.euler_gamma - np.log(c) - tail
-    out[~far] = c * (2.0 - c + c * c - c**3 * np.exp(c) * e1)
-    return out
-
-
 def _g_check_routes(x):
     """(gTM, g3) by their check routes, at a float or 1-d array x.
 
-    The k integral in closed form first: Int k^3 e^-k A(k/x) dk =
-    Int_0^1 P(eps) G(x/eps^2) deps, P = eps^4 + (1 - eps^2)^2 for gTM and
-    1 - eps^2 for g3, G = _k_moment. With eps = sqrt(x) sinh(w), so that
-    eps^2/x = sinh(w)^2, the angle takes one Gauss-Legendre rule over
-    w in [0, asinh(1/sqrt x)], each x one element, to PATH_AGREEMENT_TOL/10.
+    The k integral in closed form first, Int k^3 e^-k A(k/x) dk =
+    Int_0^1 P(eps) G_3(x/eps^2) deps with P = eps^4 + (1 - eps^2)^2 for gTM
+    and 1 - eps^2 for g3, then the angle by _eps_rule to PATH_AGREEMENT_TOL/10.
     """
-    def integrand(w, rx):
-        s = np.sinh(w)
-        eps2 = (rx * s) ** 2
-        weight = _k_moment(s * s) * np.cosh(w)
-        return np.stack(((eps2 * eps2 + (1.0 - eps2) ** 2) * weight,
-                         (1.0 - eps2) * weight))
-
-    rx = np.sqrt(x)
-    tm, g3 = rx * integrate_legendre(
-        integrand, np.arcsinh(1.0 / rx),
-        QuadratureSpec(rtol=0.1 * PATH_AGREEMENT_TOL), np.reshape(rx, (-1, 1)))
+    tm, g3 = _eps_rule(
+        x, 3, lambda eps2: np.stack((eps2 * eps2 + (1.0 - eps2) ** 2,
+                                     1.0 - eps2)),
+        0.1 * PATH_AGREEMENT_TOL)
     return 5.0 / 22.0 * tm, 0.25 * g3
 
 
 def _g_closed_routes(x, rtol):
     """(gTE, gTM, g3) by their closed forms, at a float or 1-d array x.
 
-    One stacked log-k integrand, each x one element, refined until each of
-    its three reaches rtol.
+    One stacked log-k integrand, each x one element (a float x the
+    one-element case), refined until each of its three reaches rtol.
     """
-    te, tm, g3 = _log_k(_g_closed, x, QuadratureSpec(rtol=rtol))
+    te, tm, g3 = np.reshape(integrate_exponential_weight(
+        _g_closed, QuadratureSpec(rtol=rtol), np.reshape(x, (-1, 1))),
+        (3,) + np.shape(x))
     return te / 6.0, 5.0 / 22.0 * tm, 0.25 * g3
 
 
@@ -444,16 +454,12 @@ def _shape_functions(x, rtol, names):
 
     Any of gTE, gTM and g3 come from one g-family pass.
     """
-    compute = {
-        "fTE": lambda: f_te(x, rtol),
-        "fTM": lambda: f_tm(x, rtol),
-        "hPar": lambda: h_parallel(x, rtol),
-        "h3": lambda: h_3(x),
-    }
+    compute = {"fTE": f_te, "fTM": lambda x: f_tm(x, rtol),
+               "hPar": h_parallel, "h3": h_3}
     values = {}
     if any(name in _G_NAMES for name in names):
         values.update(zip(_G_NAMES, _g_family(x, rtol)[0]))
-    return tuple(values[name] if name in values else compute[name]()
+    return tuple(values[name] if name in values else compute[name](x)
                  for name in names)
 
 
@@ -495,7 +501,7 @@ def delta1(a, sheet, atom, rtol=1e-8):
     if sheet.omega == 0.0:
         return 0.0
     x = _coupling(a, sheet)
-    braces = f_te(x, rtol) + f_tm(x, rtol) / 3.0
+    braces = f_te(x) + f_tm(x, rtol) / 3.0
     return divide_by_power(-atom.e**2 / (32.0 * math.pi**2 * atom.m) * braces,
                            a, 2)
 
@@ -531,18 +537,18 @@ def delta1_integral_form(a, sheet, atom, rtol=1e-8):
         -atom.e**2 / (32.0 * math.pi**2 * atom.m) * radial_integral, a, 2)
 
 
-def charge_sheet_energy(a, sheet, atom, rtol=1e-8):
+def charge_sheet_energy(a, sheet, atom):
     """No-recoil energy of a single charge, as (electrostatic, kinetic).
 
     The electrostatic part -e^2/(8 pi a) is exact and sheet-independent. The
     kinetic part, the explicit surface-mode pole contribution, is
     -(e^2/(16 pi m^2 a)) [h_par(x) <p_par^2>/2 + (1 + 1/(2x)) <p_3^2>]: its
-    in-plane term integrates h_par, the normal term is closed. Both parts
-    follow divide_by_power: below the float range they come back as 0 or
-    subnormal, above it they raise ValueError.
+    in-plane term takes the closed h_par, the normal term is closed too. Both
+    parts follow divide_by_power: below the float range they come back as 0
+    or subnormal, above it they raise ValueError.
     """
     electrostatic, kinetic = charge_sheet_energies(
-        a, np.array([sheet.omega * a]), atom, rtol)
+        a, np.array([sheet.omega * a]), atom)
     return float(electrostatic[0]), float(kinetic[0])
 
 
@@ -558,23 +564,20 @@ def _sweep_couplings(a, x):
     return x
 
 
-def charge_sheet_energies(a, x, atom, rtol=1e-8):
+def charge_sheet_energies(a, x, atom):
     """charge_sheet_energy for an array of couplings x = Omega a at distance a.
 
-    Returns (electrostatic, kinetic) arrays shaped like x. The h_par
-    integrals of up to _CHARGE_CHUNK couplings at a time are one stacked
-    integrand of integrate_exponential_weight, refined until every one
-    reaches rtol; the chunks bound the memory of a long sweep.
+    Returns (electrostatic, kinetic) arrays shaped like x. h_par is closed,
+    so there is no quadrature, and each x is evaluated alone: its energies
+    equal those of charge_sheet_energy at that x.
     """
     x = _sweep_couplings(a, x)
     if not np.all(x > 0.0):
         raise ValueError("kinetic part diverges for a transparent sheet")
 
     flat = x.reshape(-1)
-    spec = QuadratureSpec(rtol=rtol)
-    h_par = by_chunks(lambda x: integrate_exponential_weight(
-        lambda k: _h_parallel_terms(k, x[:, None]), spec), flat, _CHARGE_CHUNK)
-    braces = 0.5 * atom.p2par * h_par + atom.p23 * (1.0 + 0.5 / flat)
+    braces = (0.5 * atom.p2par * h_parallel(flat)
+              + atom.p23 * (1.0 + 0.5 / flat))
     # 0 - v, not -v: a charge with no momenta has kinetic energy +0.0
     kinetic = divide_by_power(
         0.0 - atom.e**2 / (16.0 * math.pi * atom.m**2) * braces, a, 1)

@@ -580,20 +580,18 @@ def tm_plasmon_root(kpar, sheet):
     return float(k0) if k0.ndim == 0 else k0
 
 
-# Midpoints of the k0 grid on (0, kpar) in te_plasmon_exists.
-_TE_SCAN_SAMPLES = 201
+# Midpoints t = k0/kpar of 201 equal steps of (0, 1) in te_plasmon_exists.
+_TE_SCAN_RATIOS = (np.arange(201) + 0.5) / 201
 
 
 def te_plasmon_exists(kpar, sheet):
     """Whether the TE mode supports a surface plasmon. It never does.
 
     Below the light cone the TE mode equation reduces to
-    1 + Omega/(2 sqrt(kpar^2 - k0^2)) = 0, whose left side a scan of
-    _TE_SCAN_SAMPLES midpoints certifies to stay >= 1 + Omega/(2 kpar) > 1
-    on the whole interval.
+    1 + (Omega/kpar)/(2 sqrt(1 - t^2)) = 0, t = k0/kpar, whose second term
+    a scan of the _TE_SCAN_RATIOS certifies to stay >= Omega/(2 kpar) > 0
+    on the whole interval (1 + it rounds to 1 where kpar >> Omega).
     """
     om, kpar, _ = _plasmon_momenta(kpar, sheet)
-    samples = _TE_SCAN_SAMPLES
-    grid = np.linspace(0.0, kpar, samples + 1)[:-1] + kpar / (2.0 * samples)
-    residual = 1.0 + om / (2.0 * np.sqrt(kpar * kpar - grid * grid))
-    return bool(residual.min() <= 1.0)
+    t = _TE_SCAN_RATIOS
+    return bool(((om / kpar) / (2.0 * np.sqrt(1.0 - t * t))).min() <= 0.0)

@@ -653,9 +653,6 @@ SWEEPS = {
     "sphere": ({"l": 3, "omega_r": 0.5}, (0.05, 20.0, 9, "log")),
     "functions": ({"family": "all"}, (0.01, 100.0, 3, "log")),
 }
-# Columns that come from a quadrature stacked over the sweep; every other
-# column must not depend on which points share the runner call.
-STACKED_QUADRATURE = {("charge", "kinetic")}
 
 
 def _sweep_config(command, fixed, bounds):
@@ -676,17 +673,13 @@ class TestArrayRunners:
         fixed, bounds = SWEEPS[command]
         batched, status = run(_sweep_config(command, fixed, bounds))
         assert status == 0
-        tolerance = batched.metadata["tolerance"]
         for row in batched.rows:
             alone, status = run(_assemble(
                 command, dict(fixed, **{_axis(command): row[0]})))
             assert status == 0
             (single,) = alone.rows
             for name, cell, expected in zip(batched.columns, row, single):
-                if (command, name) in STACKED_QUADRATURE:
-                    assert cell == pytest.approx(expected, rel=tolerance)
-                else:
-                    assert cell == expected, (name, row[0])
+                assert cell == expected, (name, row[0])
 
     @pytest.mark.parametrize("command, kernel", [
         ("reflection", "reflection_coefficients"),
@@ -738,16 +731,12 @@ class TestArrayRunners:
         assert failed[0][-1] == message
         assert all(cell is None for cell in failed[0][1:-1])
         # the other points as one clean sweep of the same runner
-        columns, runner = COMMANDS[command].build(config.fixed,
-                                                  config.tolerance)
+        _, runner = COMMANDS[command].build(config.fixed, config.tolerance)
         clean = zip(*(np.asarray(column).tolist() for column in
                       runner(np.array([row[0] for row in kept]))))
         for row, expected in zip(kept, clean):
-            for (name, _), cell, want in zip(columns, row[1:], expected):
-                if (command, name) in STACKED_QUADRATURE:
-                    assert cell == pytest.approx(want, rel=config.tolerance)
-                else:
-                    assert cell == want
+            for cell, want in zip(row[1:], expected):
+                assert cell == want
 
     def test_raising_point_is_isolated_by_halving(self, monkeypatch):
         # the README reflection sweep with 40 points hits kpar = k0 = 2

@@ -225,7 +225,7 @@ def legendre_reference(f, hi, spec, *params):
                          axis=-1) * lim
             if prev is not None:
                 diff = np.abs(cur - prev)
-                if np.all(diff <= spec.rtol * np.abs(cur) + numerics._ABS_FLOOR):
+                if np.all(diff <= spec.rtol * np.abs(cur)):
                     values.append(cur)
                     break
                 gap = float(np.max(diff))

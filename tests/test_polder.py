@@ -387,31 +387,125 @@ class TestDualRoutes:
 
 
 class TestKMoment:
-    """G(c) = Int k^3 e^-k/(1 + k/c) dk = 6 c e^c E_4(c) of the check route,
-    taken at v = 1/c."""
+    """G_n(c) = Int k^n e^-k/(1 + k/c) dk = n! c e^c E_(n+1)(c), taken at
+    v = 1/c: G_0 and G_1 for the f and h families, G_3 for the g check
+    route."""
 
     @staticmethod
-    def _reference(v):
+    def _reference(n, v):
         with mpmath.workdps(40):
             c = 1 / mpmath.mpf(v)
-            return float(6 * c * mpmath.exp(c) * mpmath.expint(4, c))
+            return float(math.factorial(n) * c * mpmath.exp(c)
+                         * mpmath.expint(n + 1, c))
 
-    def test_matches_mpmath(self):
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_matches_mpmath(self, n):
         # the whole range, and both sides of the switch from the E_1 series
         # to the continued fraction at c = 2
         c = np.concatenate((np.geomspace(1e-8, 1e16, 97),
                             np.linspace(1.5, 2.5, 21),
                             [np.nextafter(2.0, 0.0)]))
-        got = polder._k_moment(1.0 / c)
-        for value, want in zip(got.tolist(), map(self._reference, 1.0 / c)):
-            assert abs(value - want) <= 1e-13 * want, value
+        got = polder._k_moment(n, 1.0 / c)
+        for value, v in zip(got.tolist(), (1.0 / c).tolist()):
+            want = self._reference(n, v)
+            assert abs(value - want) <= 1e-13 * want, (n, 1.0 / v)
 
     def test_limits(self):
-        # G ~ 2c as c -> 0, G -> 3! as c -> inf, and G = 6 at v = 1/c = 0
-        small, large, limit = polder._k_moment(np.array([1e12, 1e-18, 0.0]))
-        assert small == pytest.approx(2e-12, rel=1e-11)
-        assert large == pytest.approx(6.0, rel=1e-16)
-        assert limit == 6.0
+        # G_n ~ (n - 1)! c (G_0 ~ c ln(1/c)) as c -> 0, G_n -> n! as
+        # c -> inf, and G_n = n! at v = 1/c = 0
+        v = np.array([1e12, 1e-18, 0.0])
+        small, large, limit = polder._k_moment(0, v)
+        assert small == pytest.approx(1e-12 * (math.log(1e12) - np.euler_gamma),
+                                      rel=1e-11)
+        assert large == pytest.approx(1.0, rel=1e-16) and limit == 1.0
+        for n, slope in ((1, 1.0), (3, 2.0)):
+            small, large, limit = polder._k_moment(n, v)
+            assert small == pytest.approx(slope * 1e-12, rel=1e-11)
+            assert large == pytest.approx(math.factorial(n), rel=1e-16)
+            assert limit == math.factorial(n)
+
+
+class TestClosedShapeFunctions:
+    """f_TE, h_par and f_TM against mpmath (ROADMAP item 9)."""
+
+    # x = 10^(k/4) over [1e-6, 1e12], the whole coupling range
+    LATTICE = 10.0 ** (np.arange(-24, 49) / 4)
+
+    def test_f_te_and_h_parallel_match_the_e_n_forms(self):
+        te, h_par = f_te(self.LATTICE), h_parallel(self.LATTICE)
+        with mpmath.workdps(40):
+            for x, got_te, got_h in zip(self.LATTICE.tolist(), te.tolist(),
+                                        h_par.tolist()):
+                xm = mpmath.mpf(x)
+                scaled = xm * mpmath.exp(xm)
+                want_te = float(scaled * mpmath.expint(2, xm))
+                want_h = float(2 + 1 / xm - scaled * mpmath.e1(xm))
+                assert abs(got_te - want_te) <= 1e-13 * want_te, x
+                assert abs(got_h - want_h) <= 1e-13 * want_h, x
+
+    def test_f_tm_matches_the_k_integral(self):
+        # 3x Int e^-k (1 - arctan(sqrt b)/sqrt b) dk, b = k/x, by mpmath
+        # quadrature: the angle in closed form, the k integral numerically
+        xs = 10.0 ** (1.5 * np.arange(-4, 9))
+        got = f_tm(xs)
+        with mpmath.workdps(30):
+            for x, value in zip(xs.tolist(), got.tolist()):
+                xm = mpmath.mpf(x)
+
+                def integrand(k):
+                    rb = mpmath.sqrt(k / xm)
+                    return mpmath.exp(-k) * (1 - mpmath.atan(rb) / rb)
+
+                points = [mpmath.mpf(p) for p in sorted({0, x, 1, 10, 40})
+                          if p < 60] + [mpmath.inf]
+                want = float(3 * xm * mpmath.quad(integrand, points))
+                assert abs(value - want) <= 1e-13 * want, x
+
+    def test_f_and_h_take_no_log_k_rule(self, monkeypatch):
+        # f_te, h_parallel and the charge energies make no quadrature call;
+        # f_tm makes one Gauss-Legendre call and no log-k call
+        def broken(*args, **kwargs):
+            raise AssertionError("quadrature called")
+
+        legendre = polder.integrate_legendre
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return legendre(*args)
+
+        monkeypatch.setattr(polder, "integrate_exponential_weight", broken)
+        monkeypatch.setattr(polder, "integrate_legendre", broken)
+        x = np.array([1e-6, 1.0, 1e12])
+        assert np.all(f_te(x) > 0.0) and np.all(h_parallel(x) > 1.0)
+        assert f_te(1.0) > 0.0 and h_parallel(1.0) > 1.0
+        atom = AtomProperties(p2par=1.0, p23=1.0)
+        _, kinetic = charge_sheet_energies(1.0, x, atom)
+        assert np.all(kinetic < 0.0)
+        monkeypatch.setattr(polder, "integrate_legendre", counted)
+        f_tm(x)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("x", [5e-324, 1e-310, 5.5e-309])
+    def test_below_the_reciprocal_range(self, x):
+        # 1/x is beyond the float range: f takes its limit, h raises
+        assert f_te(x) == x and f_tm(x) == 3.0 * x
+        assert f_te(np.array([x, 1.0]))[0] == x
+        assert f_tm(np.array([x, 1.0]))[0] == 3.0 * x
+        for fn in (h_parallel, h_3):
+            with pytest.raises(ValueError, match="beyond the float range"):
+                fn(x)
+            with pytest.raises(ValueError, match="beyond the float range"):
+                fn(np.array([1.0, x]))
+
+    @pytest.mark.parametrize("x", [1e-300, 6e-309, 1e300, 1.7e308])
+    def test_extreme_coupling_gives_a_value(self, x):
+        assert f_te(x) == pytest.approx(x if x < 1.0 else 1.0, rel=1e-13)
+        assert f_tm(x) == pytest.approx(3.0 * x if x < 1.0 else 1.0,
+                                        rel=1e-8)
+        assert h_parallel(x) == pytest.approx(1.0 / x if x < 1.0 else 1.0,
+                                              rel=1e-13)
+        assert h_3(x) == 1.0 + 1.0 / x
 
 
 class TestPinnedBits:
@@ -545,37 +639,17 @@ class TestChargeSheetEnergy:
                                 AtomProperties(p23=1.0))
 
     def test_stacked_sweep_matches_single_points(self):
-        # one stacked integral over every x: each value still within rtol
+        # each x is evaluated alone: every cell has the bits of its point
         atom = AtomProperties(e=1.5, m=0.7, p2par=0.4, p23=0.9)
         a = 2.0
         x = np.geomspace(1e-3, 1e6, 37)
-        for rtol in (1e-8, 1e-5):
-            es, kin = charge_sheet_energies(a, x, atom, rtol)
-            assert es.shape == kin.shape == x.shape
-            for i, value in enumerate(x):
-                one = charge_sheet_energy(
-                    a, SheetParameters(omega=value / a), atom, rtol)
-                assert es[i] == one[0]
-                assert kin[i] == pytest.approx(one[1], rel=rtol)
-
-    def test_stacked_sweep_runs_in_chunks(self, monkeypatch):
-        calls = []
-        original = polder.integrate_exponential_weight
-
-        def counted(f, spec):
-            calls.append(f)
-            return original(f, spec)
-
-        monkeypatch.setattr(polder, "integrate_exponential_weight", counted)
-        monkeypatch.setattr(polder, "_CHARGE_CHUNK", 4)
-        atom = AtomProperties(p2par=0.4, p23=0.9)
-        x = np.geomspace(1e-2, 1e3, 10)
-        _, kin = charge_sheet_energies(1.5, x, atom, 1e-8)
-        assert len(calls) == 3
-        for value, got in zip(x, kin):
-            one = charge_sheet_energy(
-                1.5, SheetParameters(omega=value / 1.5), atom, 1e-8)
-            assert got == pytest.approx(one[1], rel=1e-8)
+        es, kin = charge_sheet_energies(a, x, atom)
+        assert es.shape == kin.shape == x.shape
+        for i, value in enumerate(x):
+            one = charge_sheet_energy(a, SheetParameters(omega=value / a),
+                                      atom)
+            assert es[i] == one[0]
+            assert kin[i] == one[1]
 
     def test_stacked_sweep_rejects_negative_coupling(self):
         with pytest.raises(ValueError,

@@ -597,6 +597,16 @@ class TestPlasmon:
         for kpar in np.logspace(-3, 3, 25):
             assert sheet.te_plasmon_exists(kpar, sp) is False
 
+    @pytest.mark.parametrize("kpar, omega", [(1e-150, 1e150), (1e20, 1.0),
+                                             (1e150, 1e-150)])
+    def test_te_has_no_plasmon_at_extreme_ratios(self, kpar, omega):
+        # kpar^2 - k0^2 would round to 0 at the first ratio, and
+        # 1 + Omega/(2 kpar) rounds to 1 at the other two
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sheet.te_plasmon_exists(
+                kpar, sheet.SheetParameters(omega)) is False
+
     @pytest.mark.parametrize("kpar", [math.inf, math.nan,
                                       np.array([1.0, math.inf])])
     def test_rejects_non_finite_kpar(self, kpar):
