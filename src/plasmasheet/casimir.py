@@ -12,16 +12,17 @@ the single combination x = Omega a, so a^3 E/A = F(x) exactly. The ideal
 conductor limit F(inf) = -pi^2/720 fixes the normalization.
 
 The same scaling gives the pressure as a^4 P = 3 F(x) - x F'(x). Both
-reflection coefficients have the form r = 1/(1 + c) with c proportional to
-1/x, so x dr/dx = r (1 - r), and x F'(x) is an integral over the same
-nodes as F: the pressure comes with the energy, not from a finite
-difference. The nodes are a tensor-product rule: the log-k trapezoid rule
-in k = 2g, times Gauss-Legendre for the TM angular integral in s, with
-eps = sinh(t) sqrt(x/k) and t = s^2. The outer rule's first level, 41
-nodes, alone spans all of k in [1e-20, 800]; each later level refines only
-the support where the three integrands are not negligible. At the default
-rtol that support runs from k = 3e-5 to 57 at x = 1, 11 of the 40 starting
-steps, and from 6e-7 to 57 at x = 1e-3, 14 steps.
+reflection coefficients are r = 1/(1 + c), with c = 2g/x for TE and
+2g eps^2/x for TM (sinh^2 t on the inner nodes, where r = sech^2 t), so
+x dr/dx = r (1 - r), and x F'(x) is an integral over the same nodes as F:
+the pressure comes with the energy, not from a finite difference. The
+nodes are a tensor-product rule: the log-k trapezoid rule in k = 2g, times
+Gauss-Legendre for the TM angular integral in s, with eps = sinh(t)
+sqrt(x/k), t = s^2 and k its one parameter. The outer rule's first level,
+41 nodes, alone spans all of k in [1e-20, 800]; each later level refines
+only the support where the three integrands are not negligible. At the
+default rtol that support runs from k = 3e-5 to 57 at x = 1, 11 of the 40
+starting steps, and from 6e-7 to 57 at x = 1e-3, 14 steps.
 """
 
 import math
@@ -62,21 +63,14 @@ _NORM = 1.0 / (32.0 * math.pi**2)
 _LN2 = math.log(2.0)
 
 
-def _te_euclidean(g, x):
-    return 1.0 / (1.0 + 2.0 * g / x)
-
-
-def _tm_euclidean(g, eps, x):
-    return 1.0 / (1.0 + 2.0 * g * eps * eps / x)
-
-
 def _log_terms(k, c, r, out):
     """e^k ln(1 - w) and e^k x d/dx ln(1 - w) into out[0] and out[1], with
     w = r^2 e^-k and r = 1/(1 + c).
 
-    c is the exactly known part of 1/r - 1 (k/x for TE, sinh^2 t for TM),
-    so 1 - r = c r and ln r = log1p(-c r) keep their relative precision
-    where r rounds to 1. With q = k - 2 ln r, w = e^-q, ln(1 - w) is
+    c is k/x for TE, sinh^2 t for TM, so 1 - r = c r and ln r =
+    log1p(-c r) keep their relative precision where r rounds to 1. Where
+    c r rounds to 1 (c near 2^53 and above, x below about 1e-13), ln r is
+    -log1p(c). With q = k - 2 ln r, w = e^-q, ln(1 - w) is
     log(-expm1(-q)) while w > 1/2 and log1p(-w) below. The factor e^k of
     the log-k rule's weight is folded in as r^2 ln(1 - w)/w, whose limit
     where w underflows is -r^2; the slope uses x dr/dx = r (1 - r).
@@ -88,7 +82,10 @@ def _log_terms(k, c, r, out):
     energy, slope = out
     one_minus_r = c * r
     neg_q = np.negative(one_minus_r)
-    np.log1p(neg_q, out=neg_q)
+    below_one = one_minus_r < 1.0
+    np.log1p(neg_q, out=neg_q, where=below_one)
+    if not below_one.all():
+        neg_q[~below_one] = -np.log1p(c[~below_one])
     neg_q *= 2.0
     neg_q -= k
     w = np.exp(neg_q)
@@ -106,13 +103,6 @@ def _log_terms(k, c, r, out):
     slope /= one_minus_w
 
 
-def _column(value, shape):
-    """value broadcast to shape, as a column of its elements."""
-    out = np.empty(shape)
-    out[...] = value
-    return out.reshape(-1, 1)
-
-
 # Couplings per pass of _energy_and_slope over an array of x. The pass
 # refines each x alone, so the chunk sets only the cost and memory of a
 # sweep, not its values; 8 was the fastest in timings of 2- to 400-point
@@ -120,15 +110,16 @@ def _column(value, shape):
 _SWEEP_CHUNK = 8
 
 
-def _energy_and_slope(x, rtol, te_coeff=_te_euclidean, tm_coeff=_tm_euclidean):
+def _energy_and_slope(x, rtol, reflection=lambda c: 1.0 / (1.0 + c)):
     """(TE part, TM part, x F'(x)) of a^3 E/A = F(x) from one quadrature pass.
 
     x is a float, giving floats, or a 1-d array, giving arrays; the array
-    takes one pass per _SWEEP_CHUNK couplings, and each x is one element
-    of it, so its values do not depend on the other x. Outer rule: the
-    log-k trapezoid rule in k = 2g, refined on the support of the three
-    integrands until all three reach rtol. Inner rule: the TM angular
-    integral over eps in [0, 1], refined to rtol/10 at every (x, k), as
+    takes one pass per _SWEEP_CHUNK couplings, a float is a one-element
+    array, and each x is one element of its pass, so its values do not
+    depend on the other x. Outer rule: the log-k trapezoid rule in k = 2g,
+    refined on the support of the three integrands until all three reach
+    rtol. Inner rule: the TM angular integral over eps in [0, 1], refined
+    to rtol/10 at every (x, k), with k its one parameter, as
     Gauss-Legendre in s with eps = sinh(t) sqrt(x/k) and t = s^2. The square
     clusters the nodes near t = 0, where ln(1 - w) ~ ln(k + 2 t^2) has
     branch points at t = +-i sqrt(k/2); without it x = 1e-6 cannot reach
@@ -137,9 +128,9 @@ def _energy_and_slope(x, rtol, te_coeff=_te_euclidean, tm_coeff=_tm_euclidean):
     writes energy and slope into one result array per call; the inner
     rule calls the angular integrand on blocks of at most 8192 nodes.
 
-    te_coeff and tm_coeff are the Euclidean reflection coefficients as
-    functions of (g[, eps], x) on arrays; polarization_convention_equivalence
-    passes an algebraically equivalent pair.
+    Both coefficients are r = reflection(c), with c = k/x for TE and
+    c = 2 g eps^2/x = sinh^2 t for TM, so r_TM = sech^2 t on the inner
+    nodes; polarization_convention_equivalence passes an equivalent form.
     """
     xs = np.asarray(x, dtype=float).reshape(-1)
     if not np.all(xs > 0.0):
@@ -151,39 +142,37 @@ def _energy_and_slope(x, rtol, te_coeff=_te_euclidean, tm_coeff=_tm_euclidean):
     outer_spec = QuadratureSpec(order=40, rtol=rtol)
     inner_spec = QuadratureSpec(order=16, rtol=0.1 * rtol)
 
-    def angular(s, k, rb, x):
+    def angular(s, k):
         t = s * s
         sinh = np.sinh(t)
-        r = tm_coeff(0.5 * k, sinh / rb, x)
+        c = sinh * sinh
         out = np.empty((2,) + s.shape)
-        _log_terms(k, sinh * sinh, r, out)
+        _log_terms(k, c, reflection(c), out)
         out *= 2.0 * s * np.cosh(t)
         return out
 
     def parts(k, x):
-        # x is a float or a column of couplings; each (x, k) is one element
-        # of the inner rule. out holds TE, TM and the slope; the TE line
-        # writes its energy into out[0] and its slope into out[2].
+        # x is a column of couplings; each (x, k) is one element of the
+        # inner rule. out holds TE, TM and the slope; the TE line writes
+        # its energy into out[0] and its slope into out[2].
         c = k / x
         rb = np.sqrt(c)
-        out = np.empty((3,) + rb.shape)
-        _log_terms(k, c, te_coeff(0.5 * k, x), out[::2])
+        out = np.empty((3,) + c.shape)
+        _log_terms(k, c, reflection(c), out[::2])
         tm, tm_slope = integrate_legendre(
             angular, np.sqrt(np.arcsinh(rb)).reshape(-1), inner_spec,
-            *(_column(v, rb.shape) for v in (k, rb, x))
-        ).reshape((2,) + rb.shape) / rb
+            np.broadcast_to(k, c.shape).reshape(-1, 1)
+        ).reshape((2,) + c.shape) / rb
         out[1] = tm
         out[2] += tm_slope
         out *= k * k
         return out
 
-    if np.ndim(x) == 0:
-        te, tm, slope = _NORM * integrate_exponential_weight(
-            lambda k: parts(k, x), outer_spec)
-        return float(te), float(tm), float(slope)
     te, tm, slope = _NORM * by_chunks(
         lambda x: integrate_exponential_weight(parts, outer_spec, x[:, None]),
         xs, _SWEEP_CHUNK)
+    if np.ndim(x) == 0:
+        return float(te[0]), float(tm[0]), float(slope[0])
     return te, tm, slope
 
 
@@ -292,23 +281,17 @@ def polarization_convention_equivalence(a, sheet, rtol=1e-8):
 
     The sheet current-current form 1/(1 + 2 k4^2/(Omega gamma)) and the
     derivative-of-delta form Omega gamma/(Omega gamma + 2 k4^2) are the same
-    rational function written differently; the energies they produce must
-    agree to rounding. Returns |E_alt - E|/|E|.
+    rational function written differently: with c = 2 k4^2/(Omega gamma),
+    1/(1 + c) and 1 - c/(1 + c), which the kernel takes for both
+    polarizations. The energies they produce must agree to rounding.
+    Returns |E_alt - E|/|E|.
     """
     if not a > 0.0:
         raise ValueError("distance must be positive")
     if sheet.omega == 0.0:
         return 0.0
     x = sheet.omega * a
-
-    def te_alt(g, x_):
-        return x_ / (x_ + 2.0 * g)
-
-    def tm_alt(g, eps, x_):
-        og = x_ * g
-        return og / (og + 2.0 * g * g * eps * eps)
-
     te, tm, _ = _energy_and_slope(x, rtol)
-    te2, tm2, _ = _energy_and_slope(x, rtol, te_alt, tm_alt)
+    te2, tm2, _ = _energy_and_slope(x, rtol, lambda c: 1.0 - c / (1.0 + c))
     base = te + tm
     return abs((te2 + tm2) - base) / abs(base)

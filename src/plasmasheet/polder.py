@@ -236,9 +236,20 @@ def _g_angular(b):
 
     A_TM = Int_0^1 deps (eps^4 + (1-eps^2)^2)/(1 + eps^2 b), 11/15 at b = 0;
     A_3 = Int_0^1 deps (1 - eps^2)/(1 + eps^2 b), 2/3 at b = 0. The rows
-    share arctan(sqrt b)/sqrt b and the powers of b.
+    share arctan(sqrt b)/sqrt b and the powers of b. Where b * b would
+    overflow, b > 2^511 (x below about 6e-152), the closed forms are
+    written in v = 1/b instead.
     """
     def closed(b):
+        far = b > 2.0**511
+        if far.any():
+            out = np.empty((2,) + b.shape)
+            out[:, ~far] = closed(b[~far])
+            v = 1.0 / b[far]
+            ratio = _atan_ratio(b[far])
+            out[:, far] = ((1.0 + 2.0 * v * (1.0 + v)) * ratio
+                           - v * (4.0 / 3.0 + 2.0 * v), (1.0 + v) * ratio - v)
+            return out
         b2 = b * b
         ratio = _atan_ratio(b)
         return (2.0 / (3.0 * b) - 2.0 * (1.0 + b) / b2
@@ -576,8 +587,10 @@ def charge_sheet_energies(a, x, atom):
         raise ValueError("kinetic part diverges for a transparent sheet")
 
     flat = x.reshape(-1)
-    braces = (0.5 * atom.p2par * h_parallel(flat)
-              + atom.p23 * (1.0 + 0.5 / flat))
+    h_par = h_parallel(flat)
+    # a sum beyond the float range is inf, which divide_by_power names
+    with np.errstate(over="ignore"):
+        braces = 0.5 * atom.p2par * h_par + atom.p23 * (1.0 + 0.5 / flat)
     # 0 - v, not -v: a charge with no momenta has kinetic energy +0.0
     kinetic = divide_by_power(
         0.0 - atom.e**2 / (16.0 * math.pi * atom.m**2) * braces, a, 1)
@@ -591,22 +604,20 @@ def casimir_polder_energy(a, sheet, atom, rtol=1e-8):
 
     -(1/(32 pi^2 a^4)) { (g_TE + (11/5) g_TM) (alpha1+alpha2)/4 + g_3 alpha3 },
 
-    from one g-family pass. An energy below the float range comes back as
-    0; one above it raises ValueError.
+    casimir_polder_energies at the one coupling x = Omega a. An energy
+    below the float range comes back as 0; one above it raises ValueError.
     """
-    _require_positive(a, "a")
-    if sheet.omega == 0.0 or _unpolarizable(atom):
-        return 0.0
-    return _polder_energy(a, _g_family(_coupling(a, sheet), rtol)[0], atom)
+    return float(casimir_polder_energies(
+        a, np.array([sheet.omega * a]), atom, rtol)[0])
 
 
 def casimir_polder_energies(a, x, atom, rtol=1e-8):
     """casimir_polder_energy for an array of couplings x = Omega a at a.
 
-    Returns an array shaped like x. A coupling of 0, a transparent sheet,
-    gives 0. Each x is one element of the g-family passes, so its energy
-    equals that of casimir_polder_energy; _SWEEP_CHUNK couplings share a
-    pass.
+    Returns an array shaped like x, from one g-family pass per
+    _SWEEP_CHUNK couplings. A coupling of 0, a transparent sheet, gives 0.
+    Each x is one element of the passes, so its energy does not depend on
+    the other x.
     """
     x = _sweep_couplings(a, x)
     energy = np.zeros(x.shape)

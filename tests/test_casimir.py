@@ -180,6 +180,51 @@ class TestReducedEnergy:
         with pytest.raises(ValueError):
             reduced_energy_parts(-1.0)
 
+    def test_both_coefficients_come_from_c(self, monkeypatch):
+        # TE (k a row of nodes) and TM (k a column, one per inner element)
+        # both get r = 1/(1 + c) of the c they are handed, to the bit
+        seen = {"te": 0, "tm": 0}
+        log_terms = casimir._log_terms
+
+        def checked(k, c, r, out):
+            assert np.array_equal(r, 1.0 / (1.0 + c))
+            seen["tm" if k.shape[-1] == 1 else "te"] += 1
+            return log_terms(k, c, r, out)
+
+        monkeypatch.setattr(casimir, "_log_terms", checked)
+        reduced_energy_and_pressure(np.array([1e-3, 1.0, 1e6]))
+        assert seen["te"] > 0 and seen["tm"] > 0
+
+    def test_log_terms_where_c_r_rounds_to_one(self):
+        # c r rounds to 1 at c = 1e17 and 1e300: ln r is -log1p(c) there,
+        # not log1p(-1) = -inf
+        k = np.array([1.0, 1.0, 1.0])
+        c = np.array([1e10, 1e17, 1e300])
+        r = 1.0 / (1.0 + c)
+        out = np.empty((2, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            casimir._log_terms(k, c, r, out)
+        energy, slope = out
+        # w = r^2 e^-k is tiny, so e^k ln(1 - w) = -r^2 (1 + w/2) and the
+        # slope is -2 r^2 (1 - r)/(1 - w)
+        assert energy.tolist() == pytest.approx((-r * r).tolist(), rel=1e-15)
+        assert slope.tolist() == pytest.approx((-2.0 * r * r).tolist(),
+                                               rel=1e-9)
+
+    @pytest.mark.parametrize("x", ["1e-14", "1e-20", "1e-300"])
+    def test_tiny_coupling_fails_its_row_without_a_warning(self, capsys, x):
+        # below about 1e-13 the inner rule cannot reach its tolerance: the
+        # row carries the error, and no numpy warning is raised on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = main(["casimir", "--omega-a", x])
+        out, err = capsys.readouterr()
+        assert status == 1 and err == ""
+        assert out.splitlines()[-1].endswith(
+            ",nan,nan,nan,ToleranceNotMet: Gauss-Legendre order doubling "
+            "did not reach rtol 1e-09")
+
 
 class TestSweeps:
     def test_array_has_the_bits_of_float_calls(self):
@@ -447,11 +492,14 @@ class TestCasimirResult:
 
 class TestPinnedBits:
     """repr of the outputs at rtol 1e-8, as they were before the inner rule
-    went to blocks and the kernel to in-place arithmetic: same bits."""
+    went to blocks and the kernel to in-place arithmetic: same bits. At
+    x = 1e-3 TM and the pressure moved by one ulp each when r_TM went to
+    1/(1 + sinh^2 t) on the inner nodes (from -0.00011206233244981518 and
+    -0.0002801605560774197; mpmath gives the pressure as P_FROZEN)."""
 
     @pytest.mark.parametrize("x, want", [
-        (1e-3, "(-3.129858068780507e-09, -0.00011206233244981518, "
-               "-0.0002801605560774197)"),
+        (1e-3, "(-3.129858068780507e-09, -0.0001120623324498152, "
+               "-0.00028016055607741973)"),
         (0.1, "(-2.1699049640518638e-05, -0.0011124620387074934, "
               "-0.002819124219866137)"),
         (1.0, "(-0.0007014483623611077, -0.0031706036073140295, "

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import scipy.integrate
 
 from plasmasheet import polder
+from plasmasheet.cli import main
 from plasmasheet.errors import PathDisagreementError
 from plasmasheet.polder import (
     BULK_CONDUCTOR_CP_COEFFICIENT,
@@ -507,6 +509,25 @@ class TestClosedShapeFunctions:
                                               rel=1e-13)
         assert h_3(x) == 1.0 + 1.0 / x
 
+    @pytest.mark.parametrize("x", [1e-300, 1e-200, 1e-160])
+    def test_g_below_the_square_range(self, x):
+        # b = k/x reaches 800/x, whose square overflows below x = 6e-152;
+        # there the closed angular factors are formed in v = 1/b. gTE ~ x/3,
+        # and gTM and g3 ~ sqrt(x) times their values at x = 1e-150
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            te, tm, g3 = g_te(x), g_tm(x), g_3(x)
+        scale = math.sqrt(x / 1e-150)
+        assert te == pytest.approx(x / 3.0, rel=1e-12)
+        assert tm == pytest.approx(g_tm(1e-150) * scale, rel=1e-13)
+        assert g3 == pytest.approx(g_3(1e-150) * scale, rel=1e-13)
+
+    def test_g_angular_forms_meet_at_the_switch(self):
+        # the form in b at b = 2^511, the form in 1/b one float above it
+        b = np.array([2.0**511, np.nextafter(2.0**511, np.inf)])
+        in_b, in_v = polder._g_angular(b).T
+        assert in_v.tolist() == pytest.approx(in_b.tolist(), rel=1e-14)
+
 
 class TestPinnedBits:
     """repr of (gTE, gTM, g3) at rtol 1e-8. The check routes of gTM and g3
@@ -661,6 +682,20 @@ class TestChargeSheetEnergy:
         with pytest.raises(ValueError, match="diverges"):
             charge_sheet_energies(1.0, np.array([1.0, 0.0]),
                                   AtomProperties(p23=1.0))
+
+    def test_kinetic_beyond_the_float_range_raises(self, capsys):
+        # p2par h_par overflows at x = 1e-300: divide_by_power names the
+        # infinite sum, and no numpy warning is raised on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="-inf / 1\\*\\*1 is beyond"):
+                charge_sheet_energies(1.0, np.array([1.0, 1e-300]),
+                                      AtomProperties(p2par=1e10))
+            status = main(["charge", "--omega-a", "1e-300", "--p2par", "1e10"])
+        out, err = capsys.readouterr()
+        assert status == 1 and err == ""
+        assert out.splitlines()[-1] == (
+            "1e-300,nan,nan,ValueError: -inf / 1**1 is beyond the float range")
 
 
 class TestCasimirPolder:
