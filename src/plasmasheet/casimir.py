@@ -40,6 +40,7 @@ from .numerics import (  # noqa: F401
     integrate_exponential_weight,
     integrate_legendre,
     integrate_semi_infinite,
+    require_log_k_scale,
 )
 
 __all__ = [
@@ -131,12 +132,15 @@ def _energy_and_slope(x, rtol, reflection=lambda c: 1.0 / (1.0 + c)):
     Both coefficients are r = reflection(c), with c = k/x for TE and
     c = 2 g eps^2/x = sinh^2 t for TM, so r_TM = sech^2 t on the inner
     nodes; polarization_convention_equivalence passes an equivalent form.
+    An x below 800/DBL_MAX, about 4.5e-306, where c = k/x overflows,
+    raises ValueError before any quadrature.
     """
     xs = np.asarray(x, dtype=float).reshape(-1)
     if not np.all(xs > 0.0):
         raise ValueError("x = Omega * a must be positive")
     if np.any(xs == math.inf):
         raise ValueError("x = Omega * a must be finite")
+    require_log_k_scale(xs)
     # 40 starting steps meet the default rtol = 1e-8 one halving earlier
     # than 32 do, for x anywhere in [1e-6, 1e12].
     outer_spec = QuadratureSpec(order=40, rtol=rtol)

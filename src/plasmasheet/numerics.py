@@ -11,10 +11,12 @@ arrays. An element's value therefore does not depend on the elements that
 share its calls.
 
 The log-k rule's elements are the rows of its parameter arrays (without
-them, one element whose integrands refine together), and it refines each
-only on the support its level 0 finds. The Gauss-Legendre elements are the
-upper limits, handed to f in blocks of at most 8192 nodes. The docstrings
-of ``integrate_exponential_weight`` and ``integrate_legendre`` give each
+them, one element whose integrands refine together, on the same path),
+and it refines each only on the support its level 0 finds. Its nodes
+reach k = 800, and ``require_log_k_scale`` refuses a scale x below
+800/DBL_MAX. The Gauss-Legendre elements are the upper limits, handed to
+f in blocks of at most 8192 nodes. The docstrings of
+``integrate_exponential_weight`` and ``integrate_legendre`` give each
 rule in full. The QUADPACK wrappers ``integrate_adaptive`` and
 ``integrate_semi_infinite`` keep the same contract, but no package code
 calls them: they stay only because the benchmark tracer in
@@ -62,6 +64,7 @@ __all__ = [
     "integrate_semi_infinite",
     "by_chunks",
     "divide_by_power",
+    "require_log_k_scale",
     "find_root_bracketed",
     "spherical_bessel_j",
     "spherical_hankel1",
@@ -232,14 +235,15 @@ def integrate_exponential_weight(f, spec=None, *params):
     if spec is None:
         spec = QuadratureSpec()
 
-    # a single element refines without the element axis, on floats where
-    # it has one integrand
-    single = len(params[0]) == 1 if params else True
-    squeeze = (..., 0, slice(None)) if params and single else ...
+    # without params, one element: its axis is added to f's values here and
+    # taken off the result at the end
+    def call(k, rows):
+        values = f(k, *rows)
+        return values if params else values[..., None, :]
 
     k, w = _log_k_level(spec.order, 0)
-    terms = w * f(k, *params)[squeeze]
-    supports = _supports(terms[..., None, :] if single else terms, spec.rtol)
+    terms = w * call(k, params)
+    supports = _supports(terms, spec.rtol)
     lo, hi, offsets = _span(supports)
     prev = _support_sums(terms[..., lo:hi + 1], offsets, 1, 1)
     # index: the element of each refining row; result: every element's
@@ -249,15 +253,15 @@ def integrate_exponential_weight(f, spec=None, *params):
         k, w = _log_k_level(spec.order, level)
         per_step = 2 ** (level - 1)  # new midpoints per level-0 step
         new = slice(lo * per_step, hi * per_step)
-        cur = 0.5 * prev + _support_sums(w[new] * f(k[new], *rows)[squeeze],
+        cur = 0.5 * prev + _support_sums(w[new] * call(k[new], rows),
                                          offsets, per_step, 0)
         diff = np.abs(cur - prev)
         agree = diff <= spec.rtol * np.abs(cur)
         if agree.all():
             break
-        # elements whose integrands all agree leave; one never leaves alone
-        done = () if single else agree.reshape(-1, index.size).all(axis=0)
-        if any(done):
+        # elements whose integrands all agree leave
+        done = agree.reshape(-1, index.size).all(axis=0)
+        if done.any():
             if result is None:
                 result = np.empty(cur.shape[:-1] + (len(params[0]),))
             result[..., index[done]] = cur[..., done]
@@ -270,13 +274,24 @@ def integrate_exponential_weight(f, spec=None, *params):
     if result is not None:
         result[..., index] = cur
         cur = result
-    if squeeze is not ...:
-        cur = cur[..., None]
+    if not params:
+        cur = cur[..., 0]
     if agree.all():
         return float(cur) if cur.ndim == 0 else cur
     raise ToleranceNotMet(
         f"log-k trapezoid refinement did not reach rtol {spec.rtol:g}",
         estimate=cur, error_bound=float(np.max(diff)))
+
+
+def require_log_k_scale(x):
+    """Refuse x, a float or an array, below 800/DBL_MAX = 4.5e-306: there
+    k/x overflows on the log-k nodes. One ValueError names the first."""
+    x = np.reshape(x, -1)
+    with np.errstate(over="ignore"):
+        beyond = x[_K_MAX / x == math.inf]
+    if beyond.size:
+        raise ValueError(f"x = {beyond[0]:.17g} is below 800/DBL_MAX = "
+                         "4.5e-306: k/x leaves the float range")
 
 
 def _supports(terms, rtol):

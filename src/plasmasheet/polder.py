@@ -9,7 +9,8 @@ x -> infinity and die off (h excepted, it diverges) as x -> 0. Each takes a
 float x, giving a float, or a 1-d array, giving an array; every x is one
 element of its rules, so its value does not depend on the other x. The f
 and h families and the g check routes rest on one special function, the k
-moment of _k_moment.
+moment of _k_moment. The g closed routes take the angle as one arctan
+form in 1/b, b = k/x, and refuse x below 800/DBL_MAX = 4.5e-306.
 
 Units: hbar = c = 1, Heaviside-Lorentz (Coulomb potential e^2/(4 pi r)).
 """
@@ -30,6 +31,7 @@ from .numerics import (  # noqa: F401
     integrate_exponential_weight,
     integrate_legendre,
     integrate_semi_infinite,
+    require_log_k_scale,
 )
 
 __all__ = [
@@ -193,36 +195,11 @@ def electrostatic_shift(a, atom):
 
 _SERIES_TERMS = 60
 
-
-def _series(coeff):
-    """Coefficients of sum_m (-1)^m coeff(m) b^m, lowest power first."""
-    return np.array([(-1) ** m * coeff(m) for m in range(_SERIES_TERMS)])
-
-
-_TM_ANGULAR_SERIES = _series(
-    lambda m: 2.0 / (2 * m + 5) - 2.0 / (2 * m + 3) + 1.0 / (2 * m + 1))
-_TRANSVERSE_ANGULAR_SERIES = _series(
-    lambda m: 1.0 / (2 * m + 1) - 1.0 / (2 * m + 3))
-
-
-def _closed_or_series(b, closed, *series):
-    """closed(b) where b >= 0.5, the power series below: one row per series.
-
-    closed returns one row per series; all rows share the powers of b. Each
-    series is summed elementwise over its terms, not by a matrix product,
-    whose rounding depends on how many values share the call.
-    """
-    b = np.asarray(b, dtype=float)
-    coeffs = np.array(series)
-    out = np.empty((len(series),) + b.shape)
-    large = b >= 0.5
-    out[:, large] = closed(b[large])
-    small = b[~large, None]
-    powers = np.cumprod(
-        np.broadcast_to(small, (small.size, coeffs.shape[1] - 1)), axis=1)
-    out[:, ~large] = (coeffs[:, :1]
-                      + (powers * coeffs[:, None, 1:]).sum(axis=-1))
-    return out
+# The power series of (A_TM, A_3), one row each, lowest power first.
+_G_ANGULAR_SERIES = np.array([
+    [(-1) ** m * c(m) for m in range(_SERIES_TERMS)] for c in (
+        lambda m: 2.0 / (2 * m + 5) - 2.0 / (2 * m + 3) + 1.0 / (2 * m + 1),
+        lambda m: 1.0 / (2 * m + 1) - 1.0 / (2 * m + 3))])
 
 
 def _atan_ratio(b):
@@ -232,32 +209,29 @@ def _atan_ratio(b):
 
 
 def _g_angular(b):
-    """Closed angular factors (A_TM, A_3) of g_tm and g_3, stacked in rows.
+    """Closed angular factors (A_TM, A_3) of g_tm and g_3 at a 1-d array b,
+    stacked in rows.
 
     A_TM = Int_0^1 deps (eps^4 + (1-eps^2)^2)/(1 + eps^2 b), 11/15 at b = 0;
-    A_3 = Int_0^1 deps (1 - eps^2)/(1 + eps^2 b), 2/3 at b = 0. The rows
-    share arctan(sqrt b)/sqrt b and the powers of b. Where b * b would
-    overflow, b > 2^511 (x below about 6e-152), the closed forms are
-    written in v = 1/b instead.
+    A_3 = Int_0^1 deps (1 - eps^2)/(1 + eps^2 b), 2/3 at b = 0. From
+    b = 0.5 up, with v = 1/b and R = arctan(sqrt b)/sqrt b,
+    A_TM = (1 + 2v(1 + v)) R - v(4/3 + 2v) and A_3 = (1 + v) R - v, which
+    no float b overflows. Below, each power series is summed elementwise
+    over its terms, not by a matrix product, whose rounding depends on how
+    many values share the call.
     """
-    def closed(b):
-        far = b > 2.0**511
-        if far.any():
-            out = np.empty((2,) + b.shape)
-            out[:, ~far] = closed(b[~far])
-            v = 1.0 / b[far]
-            ratio = _atan_ratio(b[far])
-            out[:, far] = ((1.0 + 2.0 * v * (1.0 + v)) * ratio
-                           - v * (4.0 / 3.0 + 2.0 * v), (1.0 + v) * ratio - v)
-            return out
-        b2 = b * b
-        ratio = _atan_ratio(b)
-        return (2.0 / (3.0 * b) - 2.0 * (1.0 + b) / b2
-                + ((b2 + 2.0 * b + 2.0) / b2) * ratio,
-                -1.0 / b + ((1.0 + b) / b) * ratio)
-
-    return _closed_or_series(b, closed, _TM_ANGULAR_SERIES,
-                             _TRANSVERSE_ANGULAR_SERIES)
+    out = np.empty((2,) + b.shape)
+    large = b >= 0.5
+    v = 1.0 / b[large]
+    ratio = _atan_ratio(b[large])
+    out[:, large] = ((1.0 + 2.0 * v * (1.0 + v)) * ratio
+                     - v * (4.0 / 3.0 + 2.0 * v), (1.0 + v) * ratio - v)
+    small = b[~large, None]
+    powers = np.cumprod(
+        np.broadcast_to(small, (small.size, _SERIES_TERMS - 1)), axis=1)
+    out[:, ~large] = (_G_ANGULAR_SERIES[:, :1]
+                      + (powers * _G_ANGULAR_SERIES[:, None, 1:]).sum(axis=-1))
+    return out
 
 
 # Couplings per log-k pass of a shape-function or Casimir-Polder sweep. The
@@ -395,8 +369,10 @@ def _g_closed_routes(x, rtol):
     """(gTE, gTM, g3) by their closed forms, at a float or 1-d array x.
 
     One stacked log-k integrand, each x one element (a float x the
-    one-element case), refined until each of its three reaches rtol.
+    one-element case), refined until each of its three reaches rtol. An x
+    below 800/DBL_MAX, where b = k/x overflows, raises ValueError first.
     """
+    require_log_k_scale(x)
     te, tm, g3 = np.reshape(integrate_exponential_weight(
         _g_closed, QuadratureSpec(rtol=rtol), np.reshape(x, (-1, 1))),
         (3,) + np.shape(x))
@@ -555,8 +531,9 @@ def charge_sheet_energy(a, sheet, atom):
     kinetic part, the explicit surface-mode pole contribution, is
     -(e^2/(16 pi m^2 a)) [h_par(x) <p_par^2>/2 + (1 + 1/(2x)) <p_3^2>]: its
     in-plane term takes the closed h_par, the normal term is closed too. Both
-    parts follow divide_by_power: below the float range they come back as 0
-    or subnormal, above it they raise ValueError.
+    parts follow divide_by_power, the kinetic part through a and then m^2:
+    below the float range they come back as 0 or subnormal, above it they
+    raise ValueError. A charge with e = 0 has kinetic energy +0.0.
     """
     electrostatic, kinetic = charge_sheet_energies(
         a, np.array([sheet.omega * a]), atom)
@@ -591,9 +568,11 @@ def charge_sheet_energies(a, x, atom):
     # a sum beyond the float range is inf, which divide_by_power names
     with np.errstate(over="ignore"):
         braces = 0.5 * atom.p2par * h_par + atom.p23 * (1.0 + 0.5 / flat)
-    # 0 - v, not -v: a charge with no momenta has kinetic energy +0.0
-    kinetic = divide_by_power(
-        0.0 - atom.e**2 / (16.0 * math.pi * atom.m**2) * braces, a, 1)
+    # 0 - v, not -v: a charge with no momenta has kinetic energy +0.0, and
+    # so has one with e = 0, even where its sum of momenta overflows
+    kinetic = (0.0 - atom.e**2 / (16.0 * math.pi) * braces if atom.e
+               else np.zeros(flat.shape))
+    kinetic = divide_by_power(divide_by_power(kinetic, a, 1), atom.m, 2)
     electrostatic = np.full(
         x.shape, divide_by_power(-atom.e**2 / (8.0 * math.pi), a, 1))
     return electrostatic, kinetic.reshape(x.shape)

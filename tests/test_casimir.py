@@ -226,6 +226,23 @@ class TestReducedEnergy:
             "did not reach rtol 1e-09")
 
 
+    @pytest.mark.parametrize("x", [1e-307, 1e-310, 5e-324])
+    def test_below_the_log_k_range_raises(self, monkeypatch, x):
+        # c = k/x overflows at k = 800: one ValueError before any
+        # quadrature, for a float x and for an array that holds it
+        def broken(*args, **kwargs):
+            raise AssertionError("quadrature called")
+
+        monkeypatch.setattr(casimir, "integrate_exponential_weight", broken)
+        monkeypatch.setattr(casimir, "integrate_legendre", broken)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for arg in (x, np.array([1.0, x])):
+                with pytest.raises(ValueError, match="is below 800/DBL_MAX"):
+                    reduced_energy_and_pressure(arg)
+            with pytest.raises(ValueError, match="is below 800/DBL_MAX"):
+                casimir_result(1.0, SheetParameters(omega=x))
+
 class TestSweeps:
     def test_array_has_the_bits_of_float_calls(self):
         # x = 10^(k/4) over [1e-3, 1e6]; each x is one element of its pass

@@ -636,6 +636,90 @@ class TestMain:
         assert "# omega: 3" in out
 
 
+# Commands at the edges of the float range: argv, exit status, and the
+# text of an error cell that some row must end with, or None. Every case
+# runs with numpy warnings as errors and must leave stderr empty: a numpy
+# warning or a traceback would end the run there.
+EXTREME_RUNS = [
+    # momenta whose squares leave the float range
+    ("reflection --k0 2e-170 --kpar-min 0 --kpar-max 1e-170 --count 3", 0,
+     None),
+    ("dispersion --omega 1e200 --kpar 1e200", 0, None),
+    # the array runners: an x = 0 row, and a sweep over several chunks
+    ("casimir-polder --isotropic-alpha 1 --omega-a-min 0 --omega-a-max 1e6 "
+     "--count 7", 0, None),
+    ("functions --family all --x-min 1e-6 --x-max 1e12 --count 73 "
+     "--scale log", 0, None),
+    # the f, h and g families and charge over nearly the whole float range
+    ("functions --family f --x-min 1e-300 --x-max 1e300 --count 25 "
+     "--scale log", 0, None),
+    ("functions --family h --x-min 1e-300 --x-max 1e300 --count 25 "
+     "--scale log", 0, None),
+    ("functions --family g --x-min 1e-300 --x-max 1e300 --count 25 "
+     "--scale log", 0, None),
+    ("charge --omega-a-min 1e-300 --omega-a-max 1e300 --count 25 --scale log "
+     "--p2par 1 --p23 1", 0, None),
+    # a kinetic energy beyond the float range, a mass whose square
+    # underflows, and an uncharged particle whose momenta overflow
+    ("charge --omega-a 1e-300 --p2par 1e10", 1,
+     "ValueError: -inf / 1**1 is beyond the float range"),
+    ("charge --omega-a 1 --p2par 1 --m 1e-200", 1,
+     "ValueError: -0.023909574922633511 / 9.9999999999999998e-201**2 is "
+     "beyond the float range"),
+    ("charge --omega-a 1e-300 --p2par 1e10 --e 0", 0, None),
+    # below x = 1e-13 the Casimir inner rule misses its tolerance
+    ("casimir --omega-a 1e-14", 1,
+     "ToleranceNotMet: Gauss-Legendre order doubling did not reach rtol "
+     "1e-09"),
+    # below 800/DBL_MAX, k/x leaves the float range on the log-k nodes
+    ("casimir --omega-a 1e-307", 1,
+     "ValueError: x = 9.9999999999999991e-308 is below 800/DBL_MAX = "
+     "4.5e-306: k/x leaves the float range"),
+    ("casimir --omega-a 1e-310", 1,
+     "ValueError: x = 9.9999999999999694e-311 is below 800/DBL_MAX = "
+     "4.5e-306: k/x leaves the float range"),
+    ("casimir --omega-a 5e-324", 1,
+     "ValueError: x = 4.9406564584124654e-324 is below 800/DBL_MAX = "
+     "4.5e-306: k/x leaves the float range"),
+    ("functions --family g --x 1e-307", 1,
+     "ValueError: x = 9.9999999999999991e-308 is below 800/DBL_MAX = "
+     "4.5e-306: k/x leaves the float range"),
+    ("functions --family g --x 1e-310", 1,
+     "ValueError: x = 9.9999999999999694e-311 is below 800/DBL_MAX = "
+     "4.5e-306: k/x leaves the float range"),
+    ("functions --family g --x 5e-324", 1,
+     "ValueError: x = 4.9406564584124654e-324 is below 800/DBL_MAX = "
+     "4.5e-306: k/x leaves the float range"),
+    # 1/x beyond the float range: hPar fails its row
+    ("functions --family h --x 5e-324", 1,
+     "ValueError: 1 / 4.9406564584124654e-324 is beyond the float range"),
+    # the inner Casimir rule of this sweep goes to f in several blocks
+    ("casimir --omega-a-min 1e-3 --omega-a-max 1e6 --count 37 --scale log "
+     "--raw-units", 0, None),
+    # kpar/Omega beyond the float range, and up to 1e300 inside it
+    ("dispersion --omega 1e-200 --kpar-min 1e-200 --kpar-max 1e200 "
+     "--count 41 --scale log", 1,
+     "ValueError: kpar = 1e+200 and Omega = 1e-200 are too far apart: "
+     "their ratio is beyond the float range"),
+    ("dispersion --omega 1 --kpar-min 1e80 --kpar-max 1e300 --count 23 "
+     "--scale log", 0, None),
+]
+
+
+@pytest.mark.parametrize("command, status, error", EXTREME_RUNS,
+                         ids=[run[0] for run in EXTREME_RUNS])
+def test_extreme_run_gives_rows_and_an_empty_stderr(command, status, error,
+                                                    capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(command.split()) == status
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = data_section(out).splitlines()[1:]
+    assert rows
+    if error is not None:
+        assert any(row.endswith("," + error) for row in rows)
+
 class TestSweepTable:
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError):

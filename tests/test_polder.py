@@ -512,8 +512,8 @@ class TestClosedShapeFunctions:
     @pytest.mark.parametrize("x", [1e-300, 1e-200, 1e-160])
     def test_g_below_the_square_range(self, x):
         # b = k/x reaches 800/x, whose square overflows below x = 6e-152;
-        # there the closed angular factors are formed in v = 1/b. gTE ~ x/3,
-        # and gTM and g3 ~ sqrt(x) times their values at x = 1e-150
+        # the closed angular factors, formed in v = 1/b, stay finite. gTE ~
+        # x/3, and gTM and g3 ~ sqrt(x) times their values at x = 1e-150
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             te, tm, g3 = g_te(x), g_tm(x), g_3(x)
@@ -522,11 +522,78 @@ class TestClosedShapeFunctions:
         assert tm == pytest.approx(g_tm(1e-150) * scale, rel=1e-13)
         assert g3 == pytest.approx(g_3(1e-150) * scale, rel=1e-13)
 
-    def test_g_angular_forms_meet_at_the_switch(self):
-        # the form in b at b = 2^511, the form in 1/b one float above it
-        b = np.array([2.0**511, np.nextafter(2.0**511, np.inf)])
-        in_b, in_v = polder._g_angular(b).T
-        assert in_v.tolist() == pytest.approx(in_b.tolist(), rel=1e-14)
+    def test_g_angular_matches_the_eps_integrals(self):
+        # A_TM = 2 F_2 - 2 F_1 + F_0 and A_3 = F_0 - F_1, with
+        # F_n = Int_0^1 eps^2n/(1 + eps^2 b) deps = 2F1(1, n + 1/2;
+        # n + 3/2; -b)/(2n + 1) (DLMF 15.6.1), on both sides of the switch
+        # to the power series at b = 0.5 and up to b = 1e300
+        b = np.concatenate((np.geomspace(1e-6, 1e300, 61),
+                            [0.4, 0.49, np.nextafter(0.5, 0.0), 0.5,
+                             np.nextafter(0.5, 1.0), 0.51, 0.6]))
+        got = polder._g_angular(b)
+        with mpmath.workdps(40):
+            for i, value in enumerate(b.tolist()):
+                f0, f1, f2 = (mpmath.hyp2f1(1, n + 0.5, n + 1.5, -value)
+                              / (2 * n + 1) for n in range(3))
+                for row, want in enumerate((float(2 * f2 - 2 * f1 + f0),
+                                            float(f0 - f1))):
+                    assert abs(got[row, i] - want) <= 4e-15 * want, (value, row)
+
+    def test_g_te_matches_the_e_4_form(self):
+        # g_TE = G_3(x)/6 = x e^x E_4(x)
+        got = g_te(self.LATTICE)
+        with mpmath.workdps(40):
+            for x, value in zip(self.LATTICE.tolist(), got.tolist()):
+                xm = mpmath.mpf(x)
+                want = float(xm * mpmath.exp(xm) * mpmath.expint(4, xm))
+                assert abs(value - want) <= 2e-12 * want, x
+
+    def test_g_tm_and_g_3_match_the_k_integral(self):
+        # (5/22) Int k^3 e^-k A_TM(b) dk and (1/4) Int k^3 e^-k A_3(b) dk,
+        # b = k/x, by mpmath quadrature of the arctan forms in v = 1/b; the
+        # working precision covers their cancellation at small b
+        xs = 10.0 ** (1.5 * np.arange(-4, 9))
+        _, tm, g3 = polder._g_family(xs, 1e-8)[0]
+        with mpmath.workdps(50):
+            for x, got_tm, got_3 in zip(xs.tolist(), tm.tolist(), g3.tolist()):
+                xm = mpmath.mpf(x)
+
+                def factors(k):
+                    v = xm / k
+                    ratio = mpmath.atan(mpmath.sqrt(k / xm)) * mpmath.sqrt(v)
+                    return ((1 + 2 * v * (1 + v)) * ratio
+                            - v * (mpmath.mpf(4) / 3 + 2 * v),
+                            (1 + v) * ratio - v)
+
+                points = [mpmath.mpf(p) for p in sorted({0, x, 1, 10, 40})
+                          if p < 60] + [mpmath.inf]
+                for row, scale, value in ((0, mpmath.mpf(5) / 22, got_tm),
+                                          (1, mpmath.mpf(1) / 4, got_3)):
+                    want = float(scale * mpmath.quad(
+                        lambda k: k**3 * mpmath.exp(-k) * factors(k)[row],
+                        points))
+                    assert abs(value - want) <= 2e-12 * want, (x, row)
+
+    @pytest.mark.parametrize("x", [1e-307, 1e-310, 5e-324])
+    def test_g_below_the_log_k_range_raises(self, monkeypatch, x):
+        # k/x overflows at k = 800: one ValueError before any quadrature,
+        # for a float x and for an array that holds it
+        def broken(*args, **kwargs):
+            raise AssertionError("quadrature called")
+
+        monkeypatch.setattr(polder, "integrate_exponential_weight", broken)
+        monkeypatch.setattr(polder, "integrate_legendre", broken)
+        pair = np.array([1.0, x])
+        calls = [lambda: g_te(x), lambda: g_tm(x), lambda: g_3(x),
+                 lambda: reduction_functions(x), lambda: g_te(pair),
+                 lambda: g_tm(pair), lambda: reduction_function_columns(pair),
+                 lambda: casimir_polder_energies(
+                     1.0, pair, AtomProperties.isotropic(1.0))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ValueError, match="is below 800/DBL_MAX"):
+                    call()
 
 
 class TestPinnedBits:
@@ -682,6 +749,32 @@ class TestChargeSheetEnergy:
         with pytest.raises(ValueError, match="diverges"):
             charge_sheet_energies(1.0, np.array([1.0, 0.0]),
                                   AtomProperties(p23=1.0))
+
+    def test_kinetic_of_a_tiny_mass_raises(self):
+        # m^2 underflows at m = 1e-200: divide_by_power names the kinetic
+        # energy before its division by m^2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="e-201\\*\\*2 is beyond the float range"):
+                charge_sheet_energies(1.0, np.array([1.0]),
+                                      AtomProperties(p2par=1.0, m=1e-200))
+        # where m^2 underflows but the energy is a float, it is exact for
+        # powers of two: 1/(a m^2) = 2^800 at a = 2^400, m = 2^-600
+        _, unit = charge_sheet_energies(1.0, np.array([1.0]),
+                                        AtomProperties(p2par=1.0))
+        _, light = charge_sheet_energies(2.0**400, np.array([1.0]),
+                                         AtomProperties(p2par=1.0, m=2**-600))
+        assert light[0] == unit[0] * 2.0**800
+
+    def test_uncharged_kinetic_is_zero_where_the_momenta_overflow(self):
+        # e = 0 with p2par h_par beyond the float range: +0.0, not 0 * inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, kinetic = charge_sheet_energies(
+                1.0, np.array([1e-300, 1.0]), AtomProperties(e=0.0, p2par=1e10))
+        assert kinetic.tolist() == [0.0, 0.0]
+        assert np.all(np.copysign(1.0, kinetic) == 1.0)
 
     def test_kinetic_beyond_the_float_range_raises(self, capsys):
         # p2par h_par overflows at x = 1e-300: divide_by_power names the
