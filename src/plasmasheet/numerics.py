@@ -530,13 +530,18 @@ def divide_by_power(value, base, n):
     base**n alone over- or underflows where the quotient may still be a
     float. With base = m 2^e (m in [0.5, 1)), the quotient is
     (value / m**n) 2^(-n e); the last step is exact for a normal quotient.
-    value is a float, giving a float, or an array, giving an array. A
-    quotient below the float range comes back as 0 or subnormal; one above
-    it raises ValueError naming the first such value.
+    For base >= 1 it is (value / (2^n m**n)) 2^(-n (e - 1)) instead, whose
+    first step does not grow value, so it does not overflow either. value
+    is a float, giving a float, or an array, giving an array. A quotient
+    below the float range comes back as 0 or subnormal; one above it raises
+    ValueError naming the first such value.
     """
     mantissa, exponent = math.frexp(base)
+    divisor = mantissa**n
+    if exponent > 0:
+        divisor, exponent = math.ldexp(divisor, n), exponent - 1
     with np.errstate(over="ignore"):
-        quotient = np.ldexp(np.divide(value, mantissa**n), -n * exponent)
+        quotient = np.ldexp(np.divide(value, divisor), -n * exponent)
     beyond = np.isinf(quotient)
     if beyond.any():
         first = np.ravel(value)[np.ravel(beyond)][0]

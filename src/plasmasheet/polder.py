@@ -182,7 +182,7 @@ def electrostatic_shift(a, atom):
     back as 0, and one above it raises ValueError.
     """
     _require_positive(a, "a")
-    coupling = atom.e**2 / (4.0 * math.pi)
+    coupling = atom.e * atom.e / (4.0 * math.pi)
     return (divide_by_power(0.5 * coupling, a, 1)
             + divide_by_power(coupling * atom.quadrupole / 16.0, a, 3))
 
@@ -489,8 +489,8 @@ def delta1(a, sheet, atom, rtol=1e-8):
         return 0.0
     x = _coupling(a, sheet)
     braces = f_te(x) + f_tm(x, rtol) / 3.0
-    return divide_by_power(-atom.e**2 / (32.0 * math.pi**2 * atom.m) * braces,
-                           a, 2)
+    return divide_by_power(
+        -atom.e * atom.e / (32.0 * math.pi**2 * atom.m) * braces, a, 2)
 
 
 def delta1_integral_form(a, sheet, atom, rtol=1e-8):
@@ -503,25 +503,29 @@ def delta1_integral_form(a, sheet, atom, rtol=1e-8):
     log-k rule in k = 2 gamma a times Gauss-Legendre in t. r~_1 does not
     depend on eps = k4/gamma, and eps = sinh(t) sqrt(Omega/(2 gamma)) turns
     Int_0^1 eps^2 r~_2 deps into c^(-3/2) Int_0^asinh(sqrt c)
-    sinh(t)^2/cosh(t) dt, c = 2 gamma/Omega = k/(Omega a).
+    sinh(t)^2/cosh(t) dt, c = 2 gamma/Omega = k/(Omega a). An x = Omega a
+    below 800/DBL_MAX raises ValueError, as in require_log_k_scale.
     """
     _require_positive(a, "a")
     if sheet.omega == 0.0:
         return 0.0
     x = _coupling(a, sheet)
+    require_log_k_scale(x)
     inner_spec = QuadratureSpec(rtol=0.1 * rtol)
 
     def radial(k):
         c = k / x
         rc = np.sqrt(c)
+        # c^(-3/2) as 1/c, then 1/sqrt(c): c sqrt(c) overflows from about
+        # c = 1e205 on
         tm = integrate_legendre(lambda t: np.sinh(t) ** 2 / np.cosh(t),
-                                np.arcsinh(rc), inner_spec) / (c * rc)
+                                np.arcsinh(rc), inner_spec) / c / rc
         return k * (1.0 / (1.0 + c) + tm)
 
     radial_integral = integrate_exponential_weight(
         radial, QuadratureSpec(rtol=rtol))
     return divide_by_power(
-        -atom.e**2 / (32.0 * math.pi**2 * atom.m) * radial_integral, a, 2)
+        -atom.e * atom.e / (32.0 * math.pi**2 * atom.m) * radial_integral, a, 2)
 
 
 def charge_sheet_energy(a, sheet, atom):
@@ -569,12 +573,13 @@ def charge_sheet_energies(a, x, atom):
     with np.errstate(over="ignore"):
         braces = 0.5 * atom.p2par * h_par + atom.p23 * (1.0 + 0.5 / flat)
     # 0 - v, not -v: a charge with no momenta has kinetic energy +0.0, and
-    # so has one with e = 0, even where its sum of momenta overflows
-    kinetic = (0.0 - atom.e**2 / (16.0 * math.pi) * braces if atom.e
-               else np.zeros(flat.shape))
+    # so has one with e = 0, even where its sum of momenta overflows or e^2
+    # does
+    kinetic = (0.0 - atom.e * atom.e / (16.0 * math.pi) * braces
+               if atom.e and braces.any() else np.zeros(flat.shape))
     kinetic = divide_by_power(divide_by_power(kinetic, a, 1), atom.m, 2)
     electrostatic = np.full(
-        x.shape, divide_by_power(-atom.e**2 / (8.0 * math.pi), a, 1))
+        x.shape, divide_by_power(-atom.e * atom.e / (8.0 * math.pi), a, 1))
     return electrostatic, kinetic.reshape(x.shape)
 
 

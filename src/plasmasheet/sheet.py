@@ -13,17 +13,18 @@ Omega -> infinity is the ideal conductor, Omega = 0 is free space. Units
 hbar = c = 1.
 
 Scaling rule. Every function here depends on the momenta through ratios
-or a power of one common scale. Where the largest modulus of Re k0, Im k0
-and kpar is nonzero and outside [2^-511, 2^511], so that a square would
-leave the normal float range, the momenta are divided by the power of two
-s that brings it into [1, 2) (ldexp, exact), and the result is formed from
+or a power of one common scale, and each has one formula in the scaled
+momenta. Where the largest modulus of Re k0, Im k0 and kpar is nonzero and
+outside [2^-511, 2^511], so that a square would leave the normal float
+range, the momenta are divided by the power of two s that brings it into
+[1, 2) (ldexp, exact); inside that range s = 1. Each result is formed from
 the scaled momenta and s: the scaled-norm technique of J. L. Blue, ACM TOMS
-4, 15 (1978), as in numerics.divide_by_power. _power_scale holds this
-decision and _scaled applies it to (k0, kpar). Inside the range s = 1 and
-each formula is the unscaled one, bit for bit; a formula that divides by
-the square of the smaller momentum forms a ratio first where that square
-is not normal (_square_is_normal). The plasmon routes divide (Omega, kpar)
-by a power of two in every row (_plasmon_momenta).
+4, 15 (1978), as in numerics.divide_by_power. _scaled alone decides s.
+r_TE is (Omega/2)/(Omega/2 - i Gamma) and r_TM is
+(Omega/2)/(Omega/2 - i k0 (k0/Gamma) s), so no term beside 1 need be a
+float; a formula that would divide by the square of the smaller momentum
+forms a ratio instead. The plasmon routes divide (Omega, kpar) by a power
+of two in every row (_plasmon_momenta).
 """
 
 import cmath
@@ -122,40 +123,20 @@ _SQUARE_MIN, _SQUARE_MAX = 2.0 ** -511, 2.0 ** 511
 _NORMAL_MIN = 2.0 ** -1022
 
 
-def _power_scale(top):
-    """Exponent e of the power of two that momenta of largest modulus top
-    are divided by: 0 where top is 0 or in [_SQUARE_MIN, _SQUARE_MAX], else
-    the e that brings top into [1, 2). A float gives an int, an array an
-    int array.
-    """
-    if isinstance(top, np.ndarray):
-        wide = (top != 0.0) & ((top < _SQUARE_MIN) | (top > _SQUARE_MAX))
-        return np.where(wide, np.frexp(top)[1] - 1, 0)
-    if top == 0.0 or _SQUARE_MIN <= top <= _SQUARE_MAX:
-        return 0
-    return math.frexp(top)[1] - 1
-
-
-def _square_is_normal(scale, divisor):
-    """Whether a formula that divides by divisor^2 may run unscaled: the
-    momenta are at scale 1 and divisor^2 is a normal float (or divisor is 0,
-    which the callers refuse before).
-    """
-    return scale == 1.0 and not _power_scale(divisor)
-
-
 def _scaled(k0, kpar):
     """The scaling rule: (k0/s, kpar/s, Gamma/s, s) with s = 2^e.
 
-    e is _power_scale of the largest modulus of Re k0, Im k0 and kpar, and
+    e is 0 where the largest modulus top of Re k0, Im k0 and kpar is 0 or
+    in [_SQUARE_MIN, _SQUARE_MAX], else the e that brings top into [1, 2);
     Gamma/s = sqrt((k0/s)^2 - (kpar/s)^2) on the branch of gamma_minkowski.
     k0 is a number and kpar a float, giving numbers, or an array of floats,
     giving arrays.
     """
     k0 = complex(k0)
     if isinstance(kpar, np.ndarray):
-        e = _power_scale(np.asarray(np.maximum(kpar, max(abs(k0.real),
-                                                         abs(k0.imag)))))
+        top = np.maximum(kpar, max(abs(k0.real), abs(k0.imag)))
+        wide = (top != 0.0) & ((top < _SQUARE_MIN) | (top > _SQUARE_MAX))
+        e = np.where(wide, np.frexp(top)[1] - 1, 0)
         k0, kpar = (np.ldexp(k0.real, -e) + 1j * np.ldexp(k0.imag, -e),
                     np.ldexp(kpar, -e))
         # k0^2 from the real products of the scalar complex multiply, which
@@ -166,15 +147,15 @@ def _scaled(k0, kpar):
                          | ((gamma.imag == 0.0) & (gamma.real < 0.0)),
                          -gamma, gamma)
         return k0, kpar, gamma, np.ldexp(1.0, e)
-    e = _power_scale(max(abs(k0.real), abs(k0.imag), kpar))
-    scale = 1.0
-    if e:
-        k0 = complex(math.ldexp(k0.real, -e), math.ldexp(k0.imag, -e))
-        kpar, scale = math.ldexp(kpar, -e), math.ldexp(1.0, e)
+    top = max(abs(k0.real), abs(k0.imag), kpar)
+    e = (math.frexp(top)[1] - 1
+         if top and not _SQUARE_MIN <= top <= _SQUARE_MAX else 0)
+    k0 = complex(math.ldexp(k0.real, -e), math.ldexp(k0.imag, -e))
+    kpar = math.ldexp(kpar, -e)
     gamma = cmath.sqrt(k0 ** 2 - kpar * kpar)
     if gamma.imag < 0.0 or (gamma.imag == 0.0 and gamma.real < 0.0):
         gamma = -gamma
-    return k0, kpar, gamma, scale
+    return k0, kpar, gamma, math.ldexp(1.0, e)
 
 
 def _beyond_float_range(k0, kpar):
@@ -192,14 +173,6 @@ def gamma_minkowski(k):
     the float range raises ValueError.
     """
     _, _, gamma, scale = _scaled(k.k0, k.kpar)
-    return _unscaled_gamma(k, gamma, scale)
-
-
-def _unscaled_gamma(k, gamma, scale):
-    """Gamma from the scaled Gamma/s and s, or ValueError beyond the float
-    range."""
-    if scale == 1.0:
-        return gamma
     gamma = scale * gamma
     if not cmath.isfinite(gamma):
         raise _beyond_float_range(k.k0, k.kpar)
@@ -207,19 +180,12 @@ def _unscaled_gamma(k, gamma, scale):
 
 
 def reflection_te(k, sheet):
-    """TE (transverse electric) reflection coefficient of a single sheet.
-
-    Beyond scale 1 (module docstring) the value is
-    (Omega/2)/(Omega/2 - i Gamma), so that 2 Gamma/Omega need not be a
-    float.
-    """
+    """TE (transverse electric) reflection coefficient of a single sheet,
+    formed as (Omega/2)/(Omega/2 - i Gamma) (module docstring)."""
     if sheet.omega == 0.0:
         return 0.0 + 0.0j
-    _, _, gamma, scale = _scaled(k.k0, k.kpar)
-    if scale == 1.0:
-        return 1.0 / (1.0 - 2j * gamma / sheet.omega)
     half = 0.5 * sheet.omega
-    return half / (half - 1j * _unscaled_gamma(k, gamma, scale))
+    return half / (half - 1j * gamma_minkowski(k))
 
 
 def reflection_tm(k, sheet):
@@ -227,8 +193,9 @@ def reflection_tm(k, sheet):
 
     The static mode reflects perfectly: r_TM(k0=0) = 1 exactly for any
     omega > 0. On the light cone (Gamma = 0 with k0 != 0) the 1/Gamma pole
-    makes the value undefined. Beyond scale 1 (module docstring) the value
-    is (Omega/2)/(Omega/2 - i k0 (k0/Gamma) s) in the scaled momenta.
+    makes the value undefined. The value is
+    (Omega/2)/(Omega/2 - i k0 (k0/Gamma) s) in the scaled momenta (module
+    docstring).
     """
     if sheet.omega == 0.0:
         return 0.0 + 0.0j
@@ -237,8 +204,6 @@ def reflection_tm(k, sheet):
         if k.k0 == 0.0:
             return 1.0 + 0.0j  # static limit along kpar = 0
         raise OnLightConeError(f"Gamma = 0 at k0 = {k.k0}")
-    if scale == 1.0:
-        return 1.0 / (1.0 - 2j * k0 ** 2 / (sheet.omega * gamma))
     half = 0.5 * sheet.omega
     return half / (half - 1j * (k0 * (k0 / gamma)) * scale)
 
@@ -247,11 +212,11 @@ def reflection_coefficients(k0, kpar, sheet):
     """(r_TE, r_TM) at one frequency k0 over an array of parallel momenta.
 
     Array form of reflection_te and reflection_tm, with the same branch of
-    Gamma, the same scaling rule (module docstring) and the same rules: a
-    transparent sheet gives zeros, a kpar on the light cone (Gamma = 0)
-    raises OnLightConeError unless k0 = 0, where r_TM = 1, and a Gamma
-    beyond the float range raises ValueError. Each row depends on its own
-    kpar alone.
+    Gamma, the same formulas in the scaled momenta (module docstring) and
+    the same rules: a transparent sheet gives zeros, a kpar on the light
+    cone (Gamma = 0) raises OnLightConeError unless k0 = 0, where r_TM = 1,
+    and a Gamma beyond the float range raises ValueError. Each row depends
+    on its own kpar alone.
     """
     if not cmath.isfinite(complex(k0)):
         raise ValueError("k0 must be finite")
@@ -264,7 +229,6 @@ def reflection_coefficients(k0, kpar, sheet):
         return (np.zeros(kpar.shape, dtype=complex),
                 np.zeros(kpar.shape, dtype=complex))
     k0s, _, gamma, scale = _scaled(k0, kpar)
-    unit = scale == 1.0
     with np.errstate(over="ignore"):
         full = gamma * scale
     if not np.isfinite(full).all():
@@ -274,21 +238,12 @@ def reflection_coefficients(k0, kpar, sheet):
         if k0 != 0.0:
             raise OnLightConeError(f"Gamma = 0 at k0 = {k0}")
         gamma = np.where(on_cone, 1.0, gamma)  # static limit: r_TM = 1
-    r_te = np.empty(kpar.shape, dtype=complex)
-    r_tm = np.empty(kpar.shape, dtype=complex)
-    wide = ~unit
-    k0s, half = k0s[wide], 0.5 * sheet.omega
+    half = 0.5 * sheet.omega
     # a term beside 1 beyond the float range gives r = 0, as in the scalar
     # functions
     with np.errstate(over="ignore"):
-        if unit.any():
-            r_te[unit] = 1.0 / (1.0 - 2j * full[unit] / sheet.omega)
-            r_tm[unit] = 1.0 / (1.0 - 2j * complex(k0) ** 2
-                                / (sheet.omega * gamma[unit]))
-        r_te[wide] = half / (half - 1j * full[wide])
-        r_tm[wide] = half / (half - 1j * (k0s * (k0s / gamma[wide]))
-                             * scale[wide])
-    return r_te, r_tm
+        return (half / (half - 1j * full),
+                half / (half - 1j * (k0s * (k0s / gamma)) * scale))
 
 
 def reflection_te_euclidean(k, sheet):
@@ -314,20 +269,15 @@ def scalar_reflection(k, sheet):
 
     The sheet enters the scalar wave equation through a delta potential of
     strength Omega kpar^2/k0^2, giving r = 1/(1 - (2 i Gamma/Omega)(k0^2/kpar^2)).
-    The static value is exactly 1. Beyond scale 1 or a normal kpar^2
-    (module docstring), or where the unscaled product overflows,
-    k0^2/kpar^2 is formed as the square of k0/kpar; where the term beside 1
-    still leaves the float range, r is 0.
+    The static value is exactly 1. k0^2/kpar^2 is formed as the square of
+    k0/kpar, next to the scaled Gamma (module docstring); where the term
+    beside 1 leaves the float range, r is 0.
     """
     if k.kpar == 0.0:
         raise DegenerateMomentumError("scalar reflection needs kpar != 0")
     if sheet.omega == 0.0:
         return 0.0 + 0.0j
-    k0, kpar, gamma, scale = _scaled(k.k0, k.kpar)
-    if _square_is_normal(scale, kpar):
-        term = 2j * gamma * k0 ** 2 / (sheet.omega * kpar * kpar)
-        if cmath.isfinite(term):
-            return 1.0 / (1.0 - term)
+    _, _, gamma, scale = _scaled(k.k0, k.kpar)
     ratio = complex(k.k0) / k.kpar
     term = 2j * (gamma * ratio) * (ratio * scale) / sheet.omega
     return 1.0 / (1.0 - term) if cmath.isfinite(term) else 0.0 + 0.0j
@@ -415,7 +365,7 @@ def matching_residual(k, sheet, polarization="scalar", probe_offset=1e-3, y3=Non
     h = float(probe_offset)
     if not 0.0 < h < math.inf:
         raise ValueError("probe_offset must be positive and finite")
-    k0, kpar, gamma, scale = _scaled(k.k0, k.kpar)
+    _, _, gamma, scale = _scaled(k.k0, k.kpar)
     if gamma == 0.0:
         raise OnLightConeError("free propagator pole at Gamma = 0")
     if y3 is None:
@@ -433,8 +383,6 @@ def matching_residual(k, sheet, polarization="scalar", probe_offset=1e-3, y3=Non
     elif k.k0 == 0.0:
         raise DegenerateMomentumError(
             f"{polarization.lower()} jump coefficient is singular at k0 = 0")
-    elif _square_is_normal(scale, abs(k0)):
-        coeff = numerator(sheet.omega, kpar, gamma) / k0 ** 2
     else:  # N is homogeneous of degree 2: N / k0^2 = N(kpar/k0, Gamma/k0)
         coeff = numerator(sheet.omega, k.kpar / complex(k.k0),
                           gamma * (scale / complex(k.k0)))
@@ -502,15 +450,11 @@ def polarization_basis(k):
     k0, kp, gamma, scale = _scaled(k.k0, k.kpar)
     if gamma == 0.0:
         raise DegenerateMomentumError("basis undefined on the light cone")
-    k1, k2 = k.k1 / scale, k.k2 / scale
-    e0 = np.array([k0, k1, k2, 0.0]) / gamma
+    e0 = np.array([k0, k.k1 / scale, k.k2 / scale, 0.0]) / gamma
     e1 = np.array([0.0, k.k2, -k.k1, 0.0]) / k.kpar
-    if _square_is_normal(scale, kp):
-        e2 = np.array([kp * kp, k0 * k1, k0 * k2, 0.0]) / (gamma * kp)
-    else:  # the same vector from ratios
-        ratio = k0 / gamma
-        e2 = np.array([kp / gamma, ratio * (k.k1 / k.kpar),
-                       ratio * (k.k2 / k.kpar), 0.0])
+    ratio = k0 / gamma
+    e2 = np.array([kp / gamma, ratio * (k.k1 / k.kpar),
+                   ratio * (k.k2 / k.kpar), 0.0])
     e3 = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
     return PolarizationBasis(vectors=np.array([e0, e1, e2, e3]))
 
@@ -519,11 +463,10 @@ def _plasmon_momenta(kpar, sheet):
     """(Omega, kpar) / 2^e and e, with kpar (a float or an array) checked
     for every plasmon route and 2^e the power of two of max(Omega, kpar).
 
-    The plasmon quantities are homogeneous in (Omega, kpar), and the closed
-    form has a cube, which can leave the float range where no square does.
-    So every row is divided; the division is exact and keeps the bits.
-    Where the smaller of the two then lies below the smallest normal float,
-    their ratio is beyond the float range and a ValueError names them.
+    The plasmon quantities are homogeneous in (Omega, kpar), so every row
+    is divided; the division is exact and keeps the bits. Where the smaller
+    of the two then lies below the smallest normal float, their ratio is
+    beyond the float range and a ValueError names them.
     """
     kpar = np.asarray(kpar, dtype=float)
     if not np.isfinite(kpar).all():
@@ -545,12 +488,15 @@ def _plasmon_momenta(kpar, sheet):
 def tm_plasmon_closed(kpar, sheet):
     """Surface plasmon frequency on the TM branch, closed form.
 
-    k0^2 = 2 Omega kpar^2 / (sqrt(Omega^2 + 16 kpar^2) + Omega), written in
-    the subtraction-free way. The root always lies below the light cone
-    (k0 < kpar) and approaches sqrt(Omega kpar/2) for kpar >> Omega.
+    k0 = kpar sqrt(2 Omega / (sqrt(Omega^2 + 16 kpar^2) + Omega)), the
+    subtraction-free root of k0^2 = (Omega/2) sqrt(kpar^2 - k0^2), in the
+    scaled momenta of _plasmon_momenta. Unlike 2 Omega kpar^2, no factor
+    here underflows where kpar << Omega. The root always lies below the light
+    cone (k0 < kpar) and approaches sqrt(Omega kpar/2) for kpar >> Omega.
     """
     om, kpar, e = _plasmon_momenta(kpar, sheet)
-    k0 = np.sqrt(2.0 * om * kpar * kpar / (np.sqrt(om * om + 16.0 * kpar * kpar) + om))
+    k0 = kpar * np.sqrt(2.0 * om / (np.sqrt(om * om + 16.0 * kpar * kpar)
+                                    + om))
     k0 = np.ldexp(k0, e)
     return float(k0) if k0.ndim == 0 else k0
 

@@ -37,7 +37,7 @@ from .numerics import (  # noqa: F401
     spherical_bessel_j,
     spherical_hankel1,
 )
-from .sheet import MinkowskiMomentum, _scaled, _square_is_normal
+from .sheet import MinkowskiMomentum, _scaled
 
 __all__ = [
     "SphericalShell",
@@ -193,10 +193,8 @@ def tm_flat_limit(k0, kpar, omega):
         raise ValueError("omega must be finite and non-negative")
     k = MinkowskiMomentum.from_parallel(k0, kpar)
     _, _, gamma, scale = _scaled(k.k0, k.kpar)
-    if _square_is_normal(scale, abs(k0)):
-        value = 1.0 + 1j * omega * gamma / (2.0 * k0 * k0)
-    else:  # Gamma/k0^2 as (Gamma/s)/k0 times s/k0, without k0^2
-        value = 1.0 + 1j * omega * (gamma / k0 * (scale / (2.0 * k0)))
+    # Gamma/k0^2 as (Gamma/s)/k0 times s/k0, without k0^2
+    value = 1.0 + 1j * omega * (gamma / k0 * (scale / (2.0 * k0)))
     if not cmath.isfinite(value):
         raise ValueError(f"tm_flat_limit at k0 = {k0}, kpar = {kpar} is "
                          "beyond the float range")

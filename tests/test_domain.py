@@ -103,6 +103,14 @@ def _dispersion(kpar):
     return [k0, k0, 0]
 
 
+def _plasmon(omega, kpar):
+    """Closed plasmon frequency at any Omega: both columns, residual 0."""
+    omega, kpar = mpmath.mpf(omega), mpmath.mpf(kpar)
+    k0 = mpmath.sqrt(2 * omega * kpar**2
+                     / (mpmath.sqrt(omega**2 + 16 * kpar**2) + omega))
+    return [k0, k0, 0]
+
+
 def _jost(l, z):
     """g_TE and g_TM at R = 1, Omega R = 1 from mpmath spherical Bessels."""
     z = mpmath.mpf(z)
@@ -149,6 +157,12 @@ CASES = [
      lambda: _dispersion(1e200)),
     (["dispersion", "--omega", "1e-200", "--kpar", "1e-200"],
      lambda: _dispersion(1e-200)),
+    # kpar/Omega = 2^-1021 and 2^1021, the ends of the ratios whose smaller
+    # member stays a normal float once the larger is scaled into [1/2, 1)
+    (["dispersion", "--omega", "1", "--kpar", "4.450147717014403e-308"],
+     lambda: _plasmon(1, 4.450147717014403e-308)),
+    (["dispersion", "--omega", "1", "--kpar", "2.247116418577895e+307"],
+     lambda: _plasmon(1, 2.247116418577895e+307)),
     (["sphere", "--l", "1", "--k0r", "1e-6"], lambda: _jost(1, 1e-6)),
     (["sphere", "--l", "40", "--k0r", "1e-6"], lambda: _jost(40, 1e-6)),
     (["sphere", "--l", "1", "--k0r", "1e6"], lambda: _jost(1, 1e6)),

@@ -1,0 +1,38 @@
+"""Every cell of the README's command lines against the value ledger.
+
+The ledger (readme_ledger.json, rewritten by ledger.py) records the cells
+each README line printed when it was last written. A cell may move by
+rounding, up to a relative 1e-13; the closed-vs-root `residual` of
+`dispersion` is rounding noise around 0, so it gets an absolute 1e-15.
+"""
+
+import pytest
+
+import ledger
+
+RTOL = 1e-13
+ATOL = {"residual": 1e-15}
+
+
+def _close(x, y, atol):
+    """Whether two JSON cells agree: text exactly, numbers to RTOL."""
+    if isinstance(x, str) or x is None:
+        return x == y
+    x, y = (complex(*v) if isinstance(v, list) else v for v in (x, y))
+    return abs(x - y) <= RTOL * abs(x) + atol
+
+
+def test_ledger_holds_each_readme_line():
+    assert list(ledger.load()) == ledger.readme_commands()
+
+
+@pytest.mark.parametrize("command", ledger.readme_commands())
+def test_readme_line_matches_the_ledger(command):
+    want = ledger.load()[command]
+    got = ledger.run(command)
+    assert got["columns"] == want["columns"]
+    assert len(got["rows"]) == len(want["rows"])
+    moved = [(i, column, x, y)
+             for i, column, x, y in ledger.changed_cells(want, got)
+             if not _close(x, y, ATOL.get(column, 0.0))]
+    assert not moved, moved[:5]

@@ -499,6 +499,13 @@ class TestDivideByPower:
         with pytest.raises(ValueError, match=r"^-2\.5 / 1e-300\*\*2 is beyond"):
             numerics.divide_by_power(np.array([0.0, -2.5, 3.0]), 1e-300, 2)
 
+    def test_quotient_near_the_top_of_the_float_range(self):
+        # value / m**n would overflow before the shift for base >= 1
+        assert numerics.divide_by_power(1.5e308, 1.0, 1) == 1.5e308
+        assert numerics.divide_by_power(-1.5e308, 2.0, 3) == -1.5e308 / 8.0
+        got = numerics.divide_by_power(np.array([1.7e308, 1.0]), 1.5, 2)
+        assert got.tolist() == [1.7e308 / 2.25, 1.0 / 2.25]
+
 
 class TestRootFinding:
     def test_sqrt3(self):

@@ -665,6 +665,21 @@ class TestDelta1:
             with pytest.raises(ValueError, match="beyond the float range"):
                 route(1e-170, sheet, atom)
 
+    @pytest.mark.parametrize("x", [1e-200, 1e-250, 1e-300, 1e-305])
+    def test_routes_agree_down_to_the_log_k_floor(self, x):
+        # c = k/x passes 1e205 on the nodes, where c sqrt(c) overflows
+        sheet, atom = SheetParameters(omega=x), AtomProperties()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            closed = delta1(1.0, sheet, atom)
+            integral = delta1_integral_form(1.0, sheet, atom)
+        assert abs(closed - integral) <= 1e-10 * abs(closed)
+
+    def test_integral_form_refuses_x_below_the_log_k_floor(self):
+        with pytest.raises(ValueError, match="below 800/DBL_MAX"):
+            delta1_integral_form(1.0, SheetParameters(omega=1e-306),
+                                 AtomProperties())
+
 
 class TestChargeSheetEnergy:
     def test_electrostatic_part_pinned(self):
@@ -789,6 +804,35 @@ class TestChargeSheetEnergy:
         assert status == 1 and err == ""
         assert out.splitlines()[-1] == (
             "1e-300,nan,nan,ValueError: -inf / 1**1 is beyond the float range")
+
+
+    def test_charge_whose_square_overflows_raises(self, capsys):
+        # e^2 = inf at e = 1e200: a ValueError names it, not an
+        # OverflowError, and no 0 * inf is formed where the momenta are 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for atom in (AtomProperties(e=1e200),
+                         AtomProperties(e=1e200, p23=1.0)):
+                with pytest.raises(ValueError, match="-inf / 1\\*\\*1"):
+                    charge_sheet_energies(1.0, np.array([1.0]), atom)
+            for route in (delta1, delta1_integral_form):
+                with pytest.raises(ValueError, match="beyond the float range"):
+                    route(1.0, SheetParameters(1.0), AtomProperties(e=1e200))
+            with pytest.raises(ValueError, match="beyond the float range"):
+                electrostatic_shift(1.0, AtomProperties(e=1e200))
+            status = main(["charge", "--omega-a", "1", "--e", "1e200"])
+        out, err = capsys.readouterr()
+        assert status == 1 and err == ""
+        assert out.splitlines()[-1] == (
+            "1,nan,nan,ValueError: -inf / 1**1 is beyond the float range")
+
+    def test_kinetic_energy_near_the_top_of_the_float_range(self, capsys):
+        status = main(["charge", "--omega-a", "1", "--e", "10", "--p23",
+                       "3.3e307"])
+        out, _ = capsys.readouterr()
+        assert status == 0
+        assert out.splitlines()[-1] == (
+            "1,-3.9788735772973833,-9.8477121038110245e+307,")
 
 
 class TestCasimirPolder:

@@ -1,6 +1,7 @@
 """Reflection coefficients, matching conditions, basis and plasmon branch."""
 
 import cmath
+import functools
 import math
 import warnings
 
@@ -8,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from plasmasheet import sheet
+from plasmasheet import sheet, sphere
 from plasmasheet.cli import main
 from plasmasheet.errors import (DegenerateMomentumError, OnLightConeError)
 
@@ -327,6 +328,86 @@ class TestMomentaWhoseSquaresLeaveTheRange:
         assert np.isfinite(basis.vectors).all()
         assert basis.orthonormality_residual() <= 1e-15
         assert basis.completeness_residual() <= 1e-15
+
+
+class TestNormalRangeAccuracy:
+    """Every reflection route against mpmath where no momentum is scaled.
+
+    Each value is 1/(1 - t) or, for tm_flat_limit, 1 - t, with t the term
+    beside 1. Its relative error stays within 64 eps (1 + |t/(1 - t)|): the
+    rounding of t, amplified by the condition number of 1 - t, with room
+    for the few roundings of each formula.
+    """
+
+    OMEGAS = (1e-3, 0.1, 1.0, 10.0, 1e3)
+    K0S = (0.01, 1.0, 50.0, 0.3 + 0.2j, 2.0 + 1.5j, 20.0 - 5.0j,
+           0.02j, 1.0j, 30.0j)
+    # off the light cone of every real k0 above
+    KPAR = np.geomspace(1e-3, 1e3, 201) * 1.001
+
+    # route: (term t of mpmath k0, kpar, Gamma and Omega, values on KPAR)
+    ROUTES = {
+        "reflection_te": (
+            lambda k0, kpar, gamma, omega: 2j * gamma / omega,
+            lambda k0, kpar, sp: [sheet.reflection_te(momentum(k0, kp), sp)
+                                  for kp in kpar]),
+        "reflection_tm": (
+            lambda k0, kpar, gamma, omega: 2j * k0**2 / (omega * gamma),
+            lambda k0, kpar, sp: [sheet.reflection_tm(momentum(k0, kp), sp)
+                                  for kp in kpar]),
+        "reflection_coefficients_te": (
+            lambda k0, kpar, gamma, omega: 2j * gamma / omega,
+            lambda k0, kpar, sp: sheet.reflection_coefficients(
+                k0, kpar, sp)[0]),
+        "reflection_coefficients_tm": (
+            lambda k0, kpar, gamma, omega: 2j * k0**2 / (omega * gamma),
+            lambda k0, kpar, sp: sheet.reflection_coefficients(
+                k0, kpar, sp)[1]),
+        "scalar_reflection": (
+            lambda k0, kpar, gamma, omega: (2j * gamma / omega
+                                            * k0**2 / kpar**2),
+            lambda k0, kpar, sp: [
+                sheet.scalar_reflection(momentum(k0, kp), sp)
+                for kp in kpar]),
+        "tm_flat_limit": (
+            lambda k0, kpar, gamma, omega: -1j * omega * gamma / (2 * k0**2),
+            lambda k0, kpar, sp: [sphere.tm_flat_limit(k0, kp, sp.omega)
+                                  for kp in kpar]),
+    }
+
+    @staticmethod
+    @functools.cache
+    def _gammas(k0):
+        """(k0, [(kpar, Gamma)]) in mpmath over KPAR, on the Im >= 0 branch."""
+        k0 = mpmath.mpc(k0)
+        rows = []
+        for kpar in TestNormalRangeAccuracy.KPAR:
+            kpar = mpmath.mpf(kpar)
+            gamma = mpmath.sqrt(k0**2 - kpar**2)
+            if gamma.imag < 0 or (gamma.imag == 0 and gamma.real < 0):
+                gamma = -gamma
+            rows.append((kpar, gamma))
+        return k0, rows
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_matches_mpmath(self, route):
+        term, values = self.ROUTES[route]
+        worst = 0.0
+        with mpmath.workdps(40):
+            for omega in self.OMEGAS:
+                sp = sheet.SheetParameters(omega)
+                for k0 in self.K0S:
+                    mk0, rows = self._gammas(k0)
+                    for got, (kpar, gamma) in zip(
+                            values(k0, self.KPAR, sp), rows):
+                        t = term(mk0, kpar, gamma, mpmath.mpf(omega))
+                        want = (1 - t if route == "tm_flat_limit"
+                                else 1 / (1 - t))
+                        unit = np.finfo(float).eps * float(
+                            1 + abs(t / (1 - t)))
+                        error = float(abs(got - want) / abs(want)) / unit
+                        worst = max(worst, error)
+        assert worst <= 64.0, worst
 
 
 class TestEuclideanReflection:
