@@ -11,18 +11,31 @@ with r~_s the Euclidean reflection coefficients. In polar coordinates
 the single combination x = Omega a, so a^3 E/A = F(x) exactly. The ideal
 conductor limit F(inf) = -pi^2/720 fixes the normalization.
 
-The same scaling gives the pressure as a^4 P = 3 F(x) - x F'(x). Both
-reflection coefficients are r = 1/(1 + c), with c = 2g/x for TE and
-2g eps^2/x for TM (sinh^2 t on the inner nodes, where r = sech^2 t), so
-x dr/dx = r (1 - r), and x F'(x) is an integral over the same nodes as F:
-the pressure comes with the energy, not from a finite difference. The
-nodes are a tensor-product rule: the log-k trapezoid rule in k = 2g, times
-Gauss-Legendre for the TM angular integral in s, with eps = sinh(t)
-sqrt(x/k), t = s^2 and k its one parameter. The outer rule's first level,
-41 nodes, alone spans all of k in [1e-20, 800]; each later level refines
-only the support where the three integrands are not negligible. At the
-default rtol that support runs from k = 3e-5 to 57 at x = 1, 11 of the 40
-starting steps, and from 6e-7 to 57 at x = 1e-3, 14 steps.
+Both reflection coefficients are r = 1/(1 + c), with c = 2g/x for TE and
+2g eps^2/x for TM. With k = 2g, a = e^-k and S^2 = k/x, the TE part is a
+single integral over k, and the TM part's angular integral has a closed
+form: with b+- = sqrt(1 +- e^(-k/2)), from
+ln((1 + s^2)^2 - a) = ln(s^2 + b+^2) + ln(s^2 + b-^2),
+
+    Int_0^1 ln(1 - a/(1 + S^2 eps^2)^2) d eps
+      = ln(1 - a/(1 + S^2)^2)
+        + (2/S) [b+ atan(S/b+) + b- atan(S/b-) - 2 atan S].
+
+Its bracket cancels like e^-k, so above k = 2 the angle is the series
+-sum_n a^n I_2n(S)/(n S), I_m(S) = Int_0^S (1 + s^2)^-m ds, in 20 terms.
+So F is one log-k quadrature in k, of about 110 to 140 nodes per x.
+
+The same scaling gives the pressure as a^4 P = 3 F(x) - x F'(x). For TE,
+x dr/dx = r (1 - r), and x TE' is integrated on the nodes of F. r_TM at
+(k, eps; x) is r_TE at (k; x/eps^2), so TM(x) = Int_0^1 TE(x/eps^2) d eps
+= (sqrt(x)/2) Int_x^inf TE(y) y^(-3/2) dy, and differentiating gives
+x TM'(x) = (TM - TE)/2 exactly. The pressure comes with the energy, from
+one pass, not from a finite difference.
+
+The check route, reduced_energy_and_pressure_nested, integrates the TM
+angle and its slope by Gauss-Legendre at every node of the same log-k rule
+instead: a tensor-product rule of thousands of nodes per x, which no
+command calls.
 """
 
 import math
@@ -47,6 +60,7 @@ __all__ = [
     "CasimirResult",
     "reduced_energy_parts",
     "reduced_energy_and_pressure",
+    "reduced_energy_and_pressure_nested",
     "lifshitz_energy_per_area",
     "lifshitz_pressure",
     "casimir_result",
@@ -64,9 +78,9 @@ _NORM = 1.0 / (32.0 * math.pi**2)
 _LN2 = math.log(2.0)
 
 
-def _log_terms(k, c, r, out):
-    """e^k ln(1 - w) and e^k x d/dx ln(1 - w) into out[0] and out[1], with
-    w = r^2 e^-k and r = 1/(1 + c).
+def _log_terms(k, c, r, out, exponent=0):
+    """e^k ln(1 - w) and e^k x d/dx ln(1 - w), times 2^(2 exponent), into
+    out[0] and out[1], with w = r^2 e^-k and r = 1/(1 + c).
 
     c is k/x for TE, sinh^2 t for TM, so 1 - r = c r and ln r =
     log1p(-c r) keep their relative precision where r rounds to 1. Where
@@ -74,7 +88,10 @@ def _log_terms(k, c, r, out):
     -log1p(c). With q = k - 2 ln r, w = e^-q, ln(1 - w) is
     log(-expm1(-q)) while w > 1/2 and log1p(-w) below. The factor e^k of
     the log-k rule's weight is folded in as r^2 ln(1 - w)/w, whose limit
-    where w underflows is -r^2; the slope uses x dr/dx = r (1 - r).
+    where w underflows is -r^2; the slope uses x dr/dx = r (1 - r). Both
+    carry the factor r^2, formed as (r 2^exponent)^2: a power of two
+    changes no bit where r^2 is a normal float, and keeps the TE rows of a
+    tiny x, where r^2 is not, in the normal range.
 
     The kernel works in place, in out and in arrays it allocates itself;
     -q is formed once as 2 log1p(-c r) - k, which has the bits of -(k -
@@ -97,53 +114,189 @@ def _log_terms(k, c, r, out):
     np.log1p(np.negative(w, out=energy), out=log_one_minus_w, where=small)
     energy.fill(-1.0)
     np.divide(log_one_minus_w, w, out=energy, where=w > 0.0)
-    r2 = np.multiply(r, r, out=w)
+    r2 = np.ldexp(r, exponent, out=w)
+    r2 *= r2
     energy *= r2
     np.multiply(r2, -2.0, out=slope)
     slope *= one_minus_r
     slope /= one_minus_w
 
 
-# Couplings per pass of _energy_and_slope over an array of x. The pass
-# refines each x alone, so the chunk sets only the cost and memory of a
-# sweep, not its values; 8 was the fastest in timings of 2- to 400-point
-# sweeps.
-_SWEEP_CHUNK = 8
+# Couplings per pass of either route over an array of x. A pass refines
+# each x alone, so the chunk sets only the cost and memory of a sweep, not
+# its values. In timings of 6- to 2000-point sweeps of the 1-d pass, 64 was
+# 1.5 to 2 times as fast as 8, and as fast as 256; whole 400- and 2000-point
+# sweeps were slower.
+_SWEEP_CHUNK = 64
+# Above k = _SERIES_K the closed TM angle cancels like e^-k; there it is
+# the series in a = e^-k <= e^-2, whose _SERIES_TERMS terms reach 1e-18.
+_SERIES_K = 2.0
+_SERIES_TERMS = 20
 
 
-def _energy_and_slope(x, rtol, reflection=lambda c: 1.0 / (1.0 + c)):
-    """(TE part, TM part, x F'(x)) of a^3 E/A = F(x) from one quadrature pass.
+def _series_table(terms):
+    """T[j, n - 1] with I_2n(S)/(n S) = T[0, n - 1] atan(S)/S
+    + sum_j T[j, n - 1] (1 + S^2)^-j, for n = 1..terms.
 
-    x is a float, giving floats, or a 1-d array, giving arrays; the array
-    takes one pass per _SWEEP_CHUNK couplings, a float is a one-element
-    array, and each x is one element of its pass, so its values do not
-    depend on the other x. Outer rule: the log-k trapezoid rule in k = 2g,
-    refined on the support of the three integrands until all three reach
-    rtol. Inner rule: the TM angular integral over eps in [0, 1], refined
-    to rtol/10 at every (x, k), with k its one parameter, as
-    Gauss-Legendre in s with eps = sinh(t) sqrt(x/k) and t = s^2. The square
-    clusters the nodes near t = 0, where ln(1 - w) ~ ln(k + 2 t^2) has
-    branch points at t = +-i sqrt(k/2); without it x = 1e-6 cannot reach
-    rtol = 1e-10 below Gauss-Legendre order 512. The TE terms and the TM
-    angular integrand come from the in-place kernel _log_terms, which
-    writes energy and slope into one result array per call; the inner
-    rule calls the angular integrand on blocks of at most 8192 nodes.
-
-    Both coefficients are r = reflection(c), with c = k/x for TE and
-    c = 2 g eps^2/x = sinh^2 t for TM, so r_TM = sech^2 t on the inner
-    nodes; polarization_convention_equivalence passes an equivalent form.
-    An x below 800/DBL_MAX, about 4.5e-306, where c = k/x overflows,
-    raises ValueError before any quadrature.
+    I_m(S) = Int_0^S (1 + s^2)^-m ds starts at I_1 = atan S and climbs by
+    I_(m+1) = S/(2m (1 + S^2)^m) + (2m - 1)/(2m) I_m, so
+    I_m = A_m atan S + S sum_(j<m) B_(m,j) (1 + S^2)^-j; every A and B is
+    positive, and no term of the series cancels another.
     """
+    rows = np.zeros((2 * terms + 1, 2 * terms))
+    rows[1, 0] = 1.0
+    for m in range(1, 2 * terms):
+        rows[m + 1] = rows[m] * ((2 * m - 1) / (2 * m))
+        rows[m + 1, m] = 1.0 / (2 * m)
+    n = np.arange(1, terms + 1)
+    return np.ascontiguousarray((rows[2 * n] / n[:, None]).T)
+
+
+_SERIES_TABLE = _series_table(_SERIES_TERMS)
+
+
+def _tm_angle(k, c, r, te):
+    """e^k Int_0^1 ln(1 - a/(1 + S^2 eps^2)^2) d eps, a = e^-k, S^2 = c = k/x.
+
+    k is a row of nodes, c and r = 1/(1 + c) hold one row per x, and te is
+    e^k ln(1 - a r^2), the TE energy of _log_terms on the same nodes. Up to
+    k = _SERIES_K the closed form, with h = e^(-k/2) and b+- = sqrt(1 +- h):
+
+        te + e^k (2/S) [b+ atan(S/b+) + b- atan(S/b-) - 2 atan S].
+
+    The bracket is O(a) from terms O(1). It is summed as
+    b+- (atan(S/b+-) - atan S) + (b+ + b- - 2) atan S, with
+    atan(S/b) - atan S = atan(S (1 - b)/(b + S^2)), 1 - b+- = -+h/(1 + b+-)
+    and b+ + b- - 2 = -2 h^2/((b+ + b-)(1 + b+)(1 + b-)), so only the two
+    O(h) terms cancel, by at most e^(k/2) = 2.7 times eps here; the
+    bracket is 0 where S underflows. Above k = _SERIES_K the series
+    -sum_n a^(n-1) I_2n(S)/(n S) of _series_table: a table in a per node
+    times the powers of r per x, summed by elementwise products along the
+    last axis alone, so each x keeps the bits it has alone.
+    """
+    tm = np.empty_like(te)
+    series = k > _SERIES_K
+    closed = ~series
+    k_closed, c_closed = k[closed], c[:, closed]
+    s = np.sqrt(c_closed)
+    h = np.exp(-0.5 * k_closed)
+    b_plus, b_minus = np.sqrt(1.0 + h), np.sqrt(-np.expm1(-0.5 * k_closed))
+    hs = h * s
+    bracket = (
+        b_plus * np.arctan(-hs / ((1.0 + b_plus) * (b_plus + c_closed)))
+        + b_minus * np.arctan(hs / ((1.0 + b_minus) * (b_minus + c_closed)))
+        - 2.0 * h * h / ((b_plus + b_minus) * (1.0 + b_plus) * (1.0 + b_minus))
+        * np.arctan(s))
+    np.divide(bracket, s, out=bracket, where=s > 0.0)
+    bracket *= 2.0 * np.exp(k_closed)
+    tm[:, closed] = te[:, closed] + bracket
+    k_series, s = k[series], np.sqrt(c[:, series])
+    powers = np.exp(np.multiply.outer(k_series, -np.arange(_SERIES_TERMS)))
+    coefficients = (_SERIES_TABLE * powers[:, None, :]).sum(axis=-1)
+    basis = np.empty(s.shape + (2 * _SERIES_TERMS,))
+    basis[..., 0] = np.arctan(s) / s
+    basis[..., 1:] = r[:, series, None]
+    np.cumprod(basis[..., 1:], axis=-1, out=basis[..., 1:])
+    basis *= coefficients
+    tm[:, series] = -basis.sum(axis=-1)
+    return tm
+
+
+def _couplings(x):
+    """x as a 1-d float array, refused unless every element is positive,
+    finite and at least 800/DBL_MAX."""
     xs = np.asarray(x, dtype=float).reshape(-1)
     if not np.all(xs > 0.0):
         raise ValueError("x = Omega * a must be positive")
     if np.any(xs == math.inf):
         raise ValueError("x = Omega * a must be finite")
     require_log_k_scale(xs)
+    return xs
+
+
+def _pass(parts, xs, rtol):
+    """The rows of parts(k, x) integrated by the log-k rule, times _NORM, for
+    each x of the array xs: one pass per _SWEEP_CHUNK couplings."""
     # 40 starting steps meet the default rtol = 1e-8 one halving earlier
     # than 32 do, for x anywhere in [1e-6, 1e12].
-    outer_spec = QuadratureSpec(order=40, rtol=rtol)
+    spec = QuadratureSpec(order=40, rtol=rtol)
+    return _NORM * by_chunks(
+        lambda x: integrate_exponential_weight(parts, spec, x[:, None]),
+        xs, _SWEEP_CHUNK)
+
+
+def _as_given(x, rows):
+    """The rows as floats for a float x, as arrays for an array."""
+    if np.ndim(x) == 0:
+        return tuple(float(row[0]) for row in rows)
+    return tuple(rows)
+
+
+def _te_exponent(x):
+    """The n with x 2^n in [1/2, 1) where x < 1/2, and 0 from there up: the
+    TE rows, which go like x^2, are integrated times 2^(2n), so they stay
+    normal floats down to x = 800/DBL_MAX."""
+    return np.maximum(-np.frexp(x)[1], 0)
+
+
+def _energy_and_slope(x, rtol):
+    """(TE part, TM part, x F'(x)) of a^3 E/A = F(x) from one 1-d pass.
+
+    x is a float, giving floats, or a 1-d array, giving arrays; each x is
+    one element of its pass, so its values do not depend on the other x.
+    One log-k trapezoid rule in k = 2g, refined on the support of its three
+    rows until all three reach rtol: the TE energy and the TE slope of
+    _log_terms, with r = 1/(1 + c) and c = k/x, and the TM part, whose
+    angular integral _tm_angle does in closed form, or by its series above
+    k = 2. The TM coefficient at (k, eps; x) is the TE one at (k; x/eps^2),
+    so TM(x) = Int_0^1 TE(x/eps^2) d eps, and differentiating under the
+    integral gives x TM'(x) = (TM - TE)/2 exactly: the TM slope is no
+    integral of its own, and x F' = x TE' + (TM - TE)/2.
+
+    The TE rows are integrated times 2^(2n) of _te_exponent and scaled back
+    at the end, which changes no bit where they are normal floats; below
+    x of about 2.6e-153 the TE part is subnormal, and below about 2.8e-161
+    it is 0. An x below 800/DBL_MAX, about 4.5e-306, where c = k/x
+    overflows, raises ValueError before any quadrature.
+    """
+    def parts(k, x):
+        # out holds TE, TM and the TE slope; the TE line writes its energy
+        # into out[0] and its slope into out[2], times 2^(2n)
+        c = k / x
+        r = 1.0 / (1.0 + c)
+        n = _te_exponent(x)
+        out = np.empty((3,) + c.shape)
+        _log_terms(k, c, r, out[::2], n)
+        out[1] = _tm_angle(k, c, r, np.ldexp(out[0], -2 * n))
+        out *= k * k
+        return out
+
+    xs = _couplings(x)
+    te, tm, te_slope = _pass(parts, xs, rtol)
+    down = -2 * _te_exponent(xs)
+    te, te_slope = np.ldexp(te, down), np.ldexp(te_slope, down)
+    return _as_given(x, (te, tm, te_slope + 0.5 * (tm - te)))
+
+
+def _nested_energy_and_slope(x, rtol, reflection=lambda c: 1.0 / (1.0 + c)):
+    """(TE part, TM part, x F'(x)) of a^3 E/A = F(x) from a tensor-product
+    pass, the check route of _energy_and_slope.
+
+    The outer rule is that of _energy_and_slope, but the TM angular integral
+    and its slope are integrated at every (x, k), to rtol/10, with k its
+    one parameter, as Gauss-Legendre in s with eps = sinh(t) sqrt(x/k) and
+    t = s^2. The square clusters the nodes near t = 0, where
+    ln(1 - w) ~ ln(k + 2 t^2) has branch points at t = +-i sqrt(k/2);
+    without it x = 1e-6 cannot reach rtol = 1e-10 below Gauss-Legendre
+    order 512. The TE terms and the TM angular integrand come from the
+    in-place kernel _log_terms; the inner rule calls the angular integrand
+    on blocks of at most 8192 nodes. Below x of about 1e-13 the inner rule
+    cannot reach rtol/10.
+
+    Both coefficients are r = reflection(c), with c = k/x for TE and
+    c = 2 g eps^2/x = sinh^2 t for TM, so r_TM = sech^2 t on the inner
+    nodes; polarization_convention_equivalence passes an equivalent form.
+    """
     inner_spec = QuadratureSpec(order=16, rtol=0.1 * rtol)
 
     def angular(s, k):
@@ -172,12 +325,7 @@ def _energy_and_slope(x, rtol, reflection=lambda c: 1.0 / (1.0 + c)):
         out *= k * k
         return out
 
-    te, tm, slope = _NORM * by_chunks(
-        lambda x: integrate_exponential_weight(parts, outer_spec, x[:, None]),
-        xs, _SWEEP_CHUNK)
-    if np.ndim(x) == 0:
-        return float(te[0]), float(tm[0]), float(slope[0])
-    return te, tm, slope
+    return _as_given(x, _pass(parts, _couplings(x), rtol))
 
 
 def reduced_energy_parts(x, rtol=1e-8):
@@ -212,6 +360,18 @@ def reduced_energy_and_pressure(x, rtol=1e-8):
         All negative; te + tm is a^3 E/A and pressure is a^4 P.
     """
     te, tm, slope = _energy_and_slope(x, rtol)
+    return te, tm, 3.0 * (te + tm) - slope
+
+
+def reduced_energy_and_pressure_nested(x, rtol=1e-8):
+    """reduced_energy_and_pressure by its check route: the TM angle and its
+    slope integrated by Gauss-Legendre at every node of the log-k rule.
+
+    A library route, as delta1_integral_form is for delta1; no command
+    calls it. Below x of about 1e-13 its inner rule cannot reach its
+    tolerance, and it raises ToleranceNotMet.
+    """
+    te, tm, slope = _nested_energy_and_slope(x, rtol)
     return te, tm, 3.0 * (te + tm) - slope
 
 
@@ -295,7 +455,8 @@ def polarization_convention_equivalence(a, sheet, rtol=1e-8):
     if sheet.omega == 0.0:
         return 0.0
     x = sheet.omega * a
-    te, tm, _ = _energy_and_slope(x, rtol)
-    te2, tm2, _ = _energy_and_slope(x, rtol, lambda c: 1.0 - c / (1.0 + c))
+    te, tm, _ = _nested_energy_and_slope(x, rtol)
+    te2, tm2, _ = _nested_energy_and_slope(
+        x, rtol, lambda c: 1.0 - c / (1.0 + c))
     base = te + tm
     return abs((te2 + tm2) - base) / abs(base)

@@ -73,11 +73,13 @@ __all__ = [
 
 # Largest relative tolerance a quadrature accepts.
 MAX_RTOL = 1e-3
-# Smallest relative tolerance a run may ask for. The nested rules refine
-# their inner integral to a tenth of it, and at 1e-14 the Casimir inner
-# Gauss-Legendre rule never meets 1e-15. QuadratureSpec does not apply it,
-# since those inner specs sit below it.
-MIN_RTOL = 1e-13
+# Smallest relative tolerance a run may ask for. f_tm sets it: its
+# Gauss-Legendre rule in the angle meets 1e-14 at each of the 73 couplings
+# x = 10^(k/4), k in [-24, 48], and misses 1e-15 at 48 of them, where the
+# Casimir pass and the g family still converge. QuadratureSpec does not
+# apply it, since the inner specs of the nested check routes, at a tenth
+# of the run's tolerance, sit below it.
+MIN_RTOL = 1e-14
 
 
 @dataclass(frozen=True)

@@ -569,14 +569,26 @@ def charge_sheet_energies(a, x, atom):
 
     flat = x.reshape(-1)
     h_par = h_parallel(flat)
-    # a sum beyond the float range is inf, which divide_by_power names
+    # e^2/(16 pi) = q 2^shift with q in [1, 2), from the frexp parts of e.
+    # Each momentum term p h is scaled by 2^shift before the sum, as p taken
+    # into [1/2, 1) times h scaled by the rest, and the sum is multiplied
+    # by q: so e^2 cannot underflow while the sum overflows (0 times inf),
+    # and a power of two changes no bit where every factor is a normal
+    # float. A sum beyond the float range is inf, which divide_by_power
+    # names.
+    m, n = math.frexp(atom.e)
+    q, n_q = math.frexp(m * m / (16.0 * math.pi))
+    shift = 2 * n + n_q - 1
+    braces = np.zeros(flat.shape)
     with np.errstate(over="ignore"):
-        braces = 0.5 * atom.p2par * h_par + atom.p23 * (1.0 + 0.5 / flat)
-    # 0 - v, not -v: a charge with no momenta has kinetic energy +0.0, and
-    # so has one with e = 0, even where its sum of momenta overflows or e^2
-    # does
-    kinetic = (0.0 - atom.e * atom.e / (16.0 * math.pi) * braces
-               if atom.e and braces.any() else np.zeros(flat.shape))
+        for p, h in ((0.5 * atom.p2par, h_par), (atom.p23, 1.0 + 0.5 / flat)):
+            if p:
+                p, n_p = math.frexp(p)
+                braces += p * np.ldexp(h, shift + n_p)
+        # 0 - v, not -v: a charge with no momenta has kinetic energy +0.0,
+        # and so has one with e = 0, even where its sum of momenta overflows
+        kinetic = (0.0 - (2.0 * q) * braces
+                   if atom.e and braces.any() else np.zeros(flat.shape))
     kinetic = divide_by_power(divide_by_power(kinetic, a, 1), atom.m, 2)
     electrostatic = np.full(
         x.shape, divide_by_power(-atom.e * atom.e / (8.0 * math.pi), a, 1))

@@ -1,8 +1,11 @@
-"""The value ledger: every cell of the README's plasmasheet command lines.
+"""The value ledger: every cell of the README's plasmasheet command lines,
+and the Casimir routes on the x-lattice.
 
 readme_ledger.json, next to this file, holds the columns and rows of the
-JSON output of each `plasmasheet ...` line of the README, in README order.
-test_ledger.py reruns each line and compares its cells with the ledger.
+JSON output of each `plasmasheet ...` line of the README, in README order,
+and then, for each Casimir route, (x, te, tm, pressure) at the 73 couplings
+x = 10^(k/4), k in [-24, 48], written %.17g. test_ledger.py reruns each
+line and route and compares its cells with the ledger.
 After a change that moves cells on purpose, rewrite the ledger with
 
     PYTHONPATH=src python tests/ledger.py
@@ -16,12 +19,23 @@ import json
 import pathlib
 import shlex
 
+import numpy as np
+
+from plasmasheet import casimir
 from plasmasheet.cli import main as cli_main
 
 HERE = pathlib.Path(__file__).resolve().parent
 LEDGER = HERE / "readme_ledger.json"
 README = HERE.parent / "README.md"
 PREFIX = "plasmasheet "
+LATTICE = np.array([10.0 ** (k / 4) for k in range(-24, 49)])
+# ledger name -> route; each returns (te, tm, pressure) arrays for an array x
+LATTICE_ROUTES = {
+    "casimir lattice: reduced_energy_and_pressure":
+        casimir.reduced_energy_and_pressure,
+    "casimir lattice: reduced_energy_and_pressure_nested":
+        casimir.reduced_energy_and_pressure_nested,
+}
 
 
 def readme_commands():
@@ -42,17 +56,40 @@ def run(command):
     return {"columns": document["columns"], "rows": document["rows"]}
 
 
+def names():
+    """The ledger's entries, in order: the README lines, then the routes."""
+    return readme_commands() + list(LATTICE_ROUTES)
+
+
+def compute(name):
+    """The table of one ledger entry, computed now."""
+    route = LATTICE_ROUTES.get(name)
+    if route is None:
+        return run(name)
+    columns = zip(LATTICE, *route(LATTICE))
+    return {"columns": ["x", "te", "tm", "pressure"],
+            "rows": [[float(cell) for cell in row] for row in columns]}
+
+
+def _row_text(name, row):
+    if name in LATTICE_ROUTES:
+        return "[" + ", ".join(f"{cell:.17g}" for cell in row) + "]"
+    return json.dumps(row)
+
+
 def load():
     """The ledger, keyed by command."""
     return json.loads(LEDGER.read_text(encoding="utf-8"))
 
 
 def dump(ledger):
-    """The ledger as JSON text with one row per line; every float is the
-    shortest text that reads back to the same double."""
+    """The ledger as JSON text with one row per line; every float reads
+    back to the same double: the shortest such text in a README line, %.17g
+    on the lattice."""
     blocks = []
     for command, table in ledger.items():
-        rows = ",\n".join("   " + json.dumps(row) for row in table["rows"])
+        rows = ",\n".join("   " + _row_text(command, row)
+                           for row in table["rows"])
         blocks.append(f" {json.dumps(command)}: {{\n"
                       f"  \"columns\": {json.dumps(table['columns'])},\n"
                       f"  \"rows\": [\n{rows}\n  ]\n }}")
@@ -69,7 +106,7 @@ def changed_cells(old, new):
 
 def main():
     old = load() if LEDGER.exists() else {}
-    new = {command: run(command) for command in readme_commands()}
+    new = {name: compute(name) for name in names()}
     for command, table in new.items():
         before = old.get(command)
         if before is None:

@@ -16,9 +16,11 @@ from plasmasheet.casimir import (
     lifshitz_pressure,
     polarization_convention_equivalence,
     reduced_energy_and_pressure,
+    reduced_energy_and_pressure_nested,
     reduced_energy_parts,
 )
 from plasmasheet.cli import main
+from plasmasheet.errors import ToleranceNotMet
 from plasmasheet.sheet import SheetParameters
 
 # mpmath (dps=30) reference values for the reduced energy a^3 E/A at
@@ -29,6 +31,10 @@ F1 = -0.00387205196967554
 F10_TE = -0.00423830346117
 F10_TM = -0.00582174605864
 F10 = -0.0100600495198088
+# C of the x -> 0 limit a^3 E_TM/A -> -C sqrt(x) (weak_coupling_constant)
+WEAK_C = 0.00354375523383440856
+# x = 10^(k/4), k in [-24, 48]: the x-lattice of the value ledger
+LATTICE = np.array([10.0 ** (k / 4) for k in range(-24, 49)])
 
 # mpmath (dps=30) reference values for the reduced pressure a^4 P at
 # x = 1e-3, 1 and 1e6 (perfbench/refs.json, casimir k = -12, 0, 24).
@@ -131,13 +137,36 @@ class TestReducedEnergy:
         assert np.all(np.diff(energies) < 0.0) and np.all(np.diff(pressures) < 0.0)
 
     @pytest.mark.parametrize("x", [1e-3, 1.0, 1e3, 1e6])
+    def test_log_k_nodes_per_x_are_pinned(self, monkeypatch, x):
+        # the 1-d pass: nodes and integrand calls of its one log-k rule,
+        # pinned exactly, and no Gauss-Legendre rule at all
+        total = {1e-3: 139, 1.0: 118, 1e3: 111, 1e6: 111}[x]
+        calls = []
+        original = casimir.integrate_exponential_weight
+
+        def counted(f, spec, *params):
+            def f_counted(k, *rows):
+                calls.append(k.size)
+                return f(k, *rows)
+
+            return original(f_counted, spec, *params)
+
+        def no_inner_rule(*args, **kwargs):
+            raise AssertionError("Gauss-Legendre rule called")
+
+        monkeypatch.setattr(casimir, "integrate_exponential_weight", counted)
+        monkeypatch.setattr(casimir, "integrate_legendre", no_inner_rule)
+        casimir._energy_and_slope(x, 1e-8)
+        assert (sum(calls), len(calls)) == (total, 4)
+
+    @pytest.mark.parametrize("x", [1e-3, 1.0, 1e3, 1e6])
     def test_inner_nodes_per_x_are_pinned(self, monkeypatch, x):
-        # nodes of the inner TM Gauss-Legendre rule over all outer nodes,
-        # pinned exactly; deterministic, and 35,952, 16,368 and 15,408 when
-        # every level of the outer rule spanned all of k in [1e-20, 800].
-        # The integrand calls are pinned exactly too: 4 of the log-k rule at
-        # every x, and those of the inner rule per x below, whose first call
-        # takes its first two orders together.
+        # the check route: nodes of the inner TM Gauss-Legendre rule over
+        # all outer nodes, pinned exactly; deterministic, and 35,952, 16,368
+        # and 15,408 when every level of the outer rule spanned all of k in
+        # [1e-20, 800]. The integrand calls are pinned exactly too: 4 of the
+        # log-k rule at every x, and those of the inner rule per x below,
+        # whose first call takes its first two orders together.
         total = {1e-3: 15568, 1.0: 5792, 1e3: 5328, 1e6: 5328}[x]
         inner_calls = {1e-3: 8, 1.0: 5, 1e3: 4, 1e6: 4}[x]
         nodes, outer_calls = [], []
@@ -161,12 +190,12 @@ class TestReducedEnergy:
         monkeypatch.setattr(casimir, "integrate_legendre", counted)
         monkeypatch.setattr(casimir, "integrate_exponential_weight",
                             outer_counted)
-        casimir._energy_and_slope(x, 1e-8)
+        casimir._nested_energy_and_slope(x, 1e-8)
         assert sum(nodes) == total
         assert (len(outer_calls), len(nodes)) == (4, inner_calls)
         first = sum(nodes)
         nodes.clear()
-        casimir._energy_and_slope(x, 1e-8)
+        casimir._nested_energy_and_slope(x, 1e-8)
         assert sum(nodes) == first
 
     @pytest.mark.parametrize("x", [math.inf, math.nan])
@@ -181,8 +210,9 @@ class TestReducedEnergy:
             reduced_energy_parts(-1.0)
 
     def test_both_coefficients_come_from_c(self, monkeypatch):
-        # TE (k a row of nodes) and TM (k a column, one per inner element)
-        # both get r = 1/(1 + c) of the c they are handed, to the bit
+        # on the check route, TE (k a row of nodes) and TM (k a column, one
+        # per inner element) both get r = 1/(1 + c) of the c they are
+        # handed, to the bit
         seen = {"te": 0, "tm": 0}
         log_terms = casimir._log_terms
 
@@ -192,7 +222,7 @@ class TestReducedEnergy:
             return log_terms(k, c, r, out)
 
         monkeypatch.setattr(casimir, "_log_terms", checked)
-        reduced_energy_and_pressure(np.array([1e-3, 1.0, 1e6]))
+        reduced_energy_and_pressure_nested(np.array([1e-3, 1.0, 1e6]))
         assert seen["te"] > 0 and seen["tm"] > 0
 
     def test_log_terms_where_c_r_rounds_to_one(self):
@@ -213,18 +243,27 @@ class TestReducedEnergy:
                                                rel=1e-9)
 
     @pytest.mark.parametrize("x", ["1e-14", "1e-20", "1e-300"])
-    def test_tiny_coupling_fails_its_row_without_a_warning(self, capsys, x):
-        # below about 1e-13 the inner rule cannot reach its tolerance: the
-        # row carries the error, and no numpy warning is raised on the way
+    def test_tiny_coupling_gives_its_row_without_a_warning(self, capsys, x):
+        # below about 1e-13, where the check route's inner rule cannot
+        # reach its tolerance, the row is the weak-coupling limit: F is
+        # -C sqrt(x), and the TE share is at most x^(3/2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             status = main(["casimir", "--omega-a", x])
         out, err = capsys.readouterr()
-        assert status == 1 and err == ""
-        assert out.splitlines()[-1].endswith(
-            ",nan,nan,nan,ToleranceNotMet: Gauss-Legendre order doubling "
-            "did not reach rtol 1e-09")
+        assert status == 0 and err == ""
+        cells = out.splitlines()[-1].split(",")
+        energy, te_share, tm_share = (float(cell) for cell in cells[1:4])
+        assert cells[4] == ""
+        assert energy == pytest.approx(-WEAK_C * math.sqrt(float(x)),
+                                       rel=1e-11)
+        assert 0.0 <= te_share <= float(x) ** 1.5 and tm_share == 1.0
 
+    def test_check_route_misses_its_tolerance_at_tiny_coupling(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ToleranceNotMet, match="Gauss-Legendre"):
+                reduced_energy_and_pressure_nested(1e-14)
 
     @pytest.mark.parametrize("x", [1e-307, 1e-310, 5e-324])
     def test_below_the_log_k_range_raises(self, monkeypatch, x):
@@ -262,6 +301,29 @@ class TestSweeps:
     def test_array_rejects_bad_couplings(self, x, message):
         with pytest.raises(ValueError, match=message):
             reduced_energy_and_pressure(np.array(x))
+
+
+class TestCheckRoute:
+    """The 1-d pass against the nested pass, on the lattice at rtol 1e-13."""
+
+    def test_routes_agree(self):
+        one = np.array(reduced_energy_and_pressure(LATTICE, 1e-13))
+        nested = np.array(reduced_energy_and_pressure_nested(LATTICE, 1e-13))
+        assert np.all(np.abs(one - nested) <= 1e-11 * np.abs(nested))
+
+    def test_tm_slope_is_half_of_tm_minus_te(self):
+        # x TM' = (TM - TE)/2 against the check route's integrated slope
+        # x F', less the TE slope integrated on its own. x TM' itself falls
+        # like 1/x while TM - TE cancels, so the gap is bounded by |TM|.
+        def te_slope(k, x):
+            c = k / x
+            out = np.empty((2,) + c.shape)
+            casimir._log_terms(k, c, 1.0 / (1.0 + c), out)
+            return out[1] * (k * k)
+
+        te, tm, slope = casimir._nested_energy_and_slope(LATTICE, 1e-13)
+        tm_slope = slope - casimir._pass(te_slope, LATTICE, 1e-13)
+        assert np.all(np.abs(tm_slope - 0.5 * (tm - te)) <= 1e-13 * np.abs(tm))
 
 
 class TestEnergyPerArea:
@@ -508,24 +570,26 @@ class TestCasimirResult:
 
 
 class TestPinnedBits:
-    """repr of the outputs at rtol 1e-8, as they were before the inner rule
-    went to blocks and the kernel to in-place arithmetic: same bits. At
-    x = 1e-3 TM and the pressure moved by one ulp each when r_TM went to
-    1/(1 + sinh^2 t) on the inner nodes (from -0.00011206233244981518 and
-    -0.0002801605560774197; mpmath gives the pressure as P_FROZEN)."""
+    """repr of the outputs at rtol 1e-8. The TE parts have kept their bits
+    since the inner rule went to blocks and the kernel to in-place
+    arithmetic. TM and the pressure moved by at most 1.7e-15 when the TM
+    angle went to its closed form and the TM slope to x TM' = (TM - TE)/2;
+    the check route, reduced_energy_and_pressure_nested, keeps the bits
+    they had (the value ledger holds both routes on the x-lattice). mpmath
+    gives the pressures as P_FROZEN."""
 
     @pytest.mark.parametrize("x, want", [
-        (1e-3, "(-3.129858068780507e-09, -0.0001120623324498152, "
-               "-0.00028016055607741973)"),
-        (0.1, "(-2.1699049640518638e-05, -0.0011124620387074934, "
-              "-0.002819124219866137)"),
-        (1.0, "(-0.0007014483623611077, -0.0031706036073140295, "
-              "-0.009545207689746184)"),
-        (10.0, "(-0.00423830346117283, -0.005821746058635544, "
-               "-0.02770889038104687)"),
+        (1e-3, "(-3.129858068780507e-09, -0.00011206233244981502, "
+               "-0.0002801605560774193)"),
+        (0.1, "(-2.1699049640518638e-05, -0.0011124620387074945, "
+              "-0.0028191242198661393)"),
+        (1.0, "(-0.0007014483623611077, -0.0031706036073140317, "
+              "-0.00954520768974619)"),
+        (10.0, "(-0.00423830346117283, -0.005821746058635547, "
+               "-0.027708890381046875)"),
         (1e3, "(-0.0068130103016865815, -0.0068402325929825415, "
               "-0.04090547603230186)"),
-        (1e6, "(-0.006853850822082819, -0.006853878237455969, "
+        (1e6, "(-0.006853850822082819, -0.0068538782374559706, "
               "-0.041123132348064695)"),
     ])
     def test_energy_and_pressure(self, x, want):

@@ -136,7 +136,7 @@ class TestTolerancePrecedence:
         with pytest.raises(SystemExit):
             main(["casimir", "--help"])
         text = " ".join(capsys.readouterr().out.split())
-        assert "[1e-13, 0.001] (default 1e-08)" in text
+        assert "[1e-14, 0.001] (default 1e-08)" in text
 
 
 class TestLoadConfig:
@@ -469,7 +469,7 @@ class TestMain:
         (["functions", "--x-min", "1", "--x-max", "2", "--count", "1"],
          "count"),
         (["functions", "--x", "1", "--scale", "log"], "scale"),
-        (["casimir", "--omega-a", "1", "--tolerance", "1e-14"], "tolerance"),
+        (["casimir", "--omega-a", "1", "--tolerance", "1e-15"], "tolerance"),
     ], ids=["tolerance-flag", "count-one-range", "scale-single-value",
             "tolerance-floor-flag"])
     def test_dropped_or_unusable_option_exits_two(self, argv, named,
@@ -637,7 +637,8 @@ class TestMain:
 
 
 # Commands at the edges of the float range: argv, exit status, and the
-# text of an error cell that some row must end with, or None. Every case
+# text that some row must end with (an error cell, or the last cells of a
+# row and its empty error cell), or None. Every case
 # runs with numpy warnings as errors and must leave stderr empty: a numpy
 # warning or a traceback would end the run there.
 EXTREME_RUNS = [
@@ -659,18 +660,31 @@ EXTREME_RUNS = [
      "--scale log", 0, None),
     ("charge --omega-a-min 1e-300 --omega-a-max 1e300 --count 25 --scale log "
      "--p2par 1 --p23 1", 0, None),
-    # a kinetic energy beyond the float range, a mass whose square
-    # underflows, and an uncharged particle whose momenta overflow
-    ("charge --omega-a 1e-300 --p2par 1e10", 1,
+    # a kinetic energy near the top of the float range whose sum of
+    # momenta alone overflows (the float of its mpmath value), one beyond
+    # the float range, a mass whose square underflows, and an uncharged
+    # particle whose momenta overflow
+    ("charge --omega-a 1e-300 --p2par 1e10", 0,
+     "-0.039788735772973836,-9.9471839432434579e+307,"),
+    ("charge --omega-a 1e-300 --p2par 1e11", 1,
      "ValueError: -inf / 1**1 is beyond the float range"),
     ("charge --omega-a 1 --p2par 1 --m 1e-200", 1,
      "ValueError: -0.023909574922633511 / 9.9999999999999998e-201**2 is "
      "beyond the float range"),
     ("charge --omega-a 1e-300 --p2par 1e10 --e 0", 0, None),
-    # below x = 1e-13 the Casimir inner rule misses its tolerance
-    ("casimir --omega-a 1e-14", 1,
-     "ToleranceNotMet: Gauss-Legendre order doubling did not reach rtol "
-     "1e-09"),
+    # e^2 underflows while the sum of momenta overflows (the kinetic
+    # energy is the float of its mpmath value) or while a momentum
+    # underflows; e^2 overflows with a zero momentum term
+    ("charge --omega-a 1e-300 --e 1e-200 --p2par 1e10", 0,
+     "-0,-9.9471839432434572e-93,"),
+    ("charge --omega-a 1e-300 --e 1e-150 --p2par 1e-200", 0, None),
+    ("charge --omega-a 1e-300 --e 1e200 --p2par 1", 1,
+     "ValueError: -inf / 1**1 is beyond the float range"),
+    # the Casimir pass gives a row from 800/DBL_MAX up
+    ("casimir --omega-a 1e-14", 0, None),
+    ("casimir --omega-a-min 4.5e-306 --omega-a-max 1e-13 --count 25 "
+     "--scale log --raw-units", 0, None),
+    ("casimir --omega-a 1e-300 --tolerance 1e-14", 0, None),
     # below 800/DBL_MAX, k/x leaves the float range on the log-k nodes
     ("casimir --omega-a 1e-307", 1,
      "ValueError: x = 9.9999999999999991e-308 is below 800/DBL_MAX = "
@@ -693,7 +707,7 @@ EXTREME_RUNS = [
     # 1/x beyond the float range: hPar fails its row
     ("functions --family h --x 5e-324", 1,
      "ValueError: 1 / 4.9406564584124654e-324 is beyond the float range"),
-    # the inner Casimir rule of this sweep goes to f in several blocks
+    # a 37-point Casimir sweep, one pass of the 1-d rule
     ("casimir --omega-a-min 1e-3 --omega-a-max 1e6 --count 37 --scale log "
      "--raw-units", 0, None),
     # kpar/Omega beyond the float range, and up to 1e300 inside it

@@ -20,6 +20,8 @@ from plasmasheet.cli import DEFAULT_TOLERANCE, main
 
 TOLERANCE = 10.0 * DEFAULT_TOLERANCE
 PI = mpmath.pi
+# C of the weak-coupling limit a^3 E_TM/A -> -C sqrt(x); _casimir sums it
+WEAK_C = 0.00354375523383440856
 
 
 def _weighted(f, x):
@@ -64,7 +66,7 @@ def _casimir(x):
 
     The TE part is an mpmath integral; the total is the closed limit of
     TestAsymptotes: -C sqrt(x) at x = 1e-6 (next term 3e-10 relative) and
-    -pi^2/720 + pi^2/(180 x) at x = 1e12.
+    -pi^2/720 + pi^2/(180 x) at x = 1e12 and 1e300.
     """
     x = mpmath.mpf(x)
     points = sorted([0, x / 2, x, mpmath.mpf("0.5"), 2, 8, 30]) + [mpmath.inf]
@@ -134,6 +136,7 @@ CASES = [
      lambda: _casimir_polder(1e12)),
     (["casimir", "--omega-a", "1e-6"], lambda: _casimir(1e-6)),
     (["casimir", "--omega-a", "1e12"], lambda: _casimir(1e12)),
+    (["casimir", "--omega-a", "1e300"], lambda: _casimir(1e300)),
     (["charge", "--p2par", "1", "--p23", "1", "--omega-a", "1e-6"],
      lambda: _charge(1e-6)),
     (["charge", "--p2par", "1", "--p23", "1", "--omega-a", "1e12"],
@@ -186,6 +189,27 @@ def test_command_at_an_end_of_its_domain(argv, reference):
     for got, ref in zip(cells, want):
         # a reference of 0 is a relative residual column, bounded as one
         assert abs(got - ref) <= TOLERANCE * (abs(ref) or 1.0), (got, ref)
+
+
+@pytest.mark.parametrize("x", ["4.5e-306", "1e-300", "1e-200", "1e-160",
+                               "1e-154", "1e-100", "1e-50", "1e-13"])
+def test_casimir_below_the_lattice_is_its_weak_coupling_limit(x):
+    # from 800/DBL_MAX to 1e-13: TM = -C sqrt(x) up to a relative x^(3/2),
+    # and a^4 P = 3F - x F' = 5/2 F, since x TM' = (TM - TE)/2 and TE is
+    # about x^(3/2) of F. Below about 2.6e-153 TE is subnormal, and below
+    # about 2.8e-161 it is 0, and so is te_share.
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        status = main(["casimir", "--omega-a", x, "--raw-units",
+                       "--format", "json"])
+    assert status == 0
+    (row,) = json.loads(buffer.getvalue())["rows"]
+    _, energy, te_share, tm_share, _, pressure, error = row
+    assert error == ""
+    x = float(x)
+    assert abs(tm_share * energy / (-WEAK_C * x**0.5) - 1.0) <= 1e-11
+    assert abs(pressure / energy - 2.5) <= 1e-14
+    assert 0.0 <= te_share <= x**1.5
 
 
 def test_reflection_sweep_whose_squares_underflow():

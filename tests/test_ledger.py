@@ -1,9 +1,11 @@
-"""Every cell of the README's command lines against the value ledger.
+"""Every cell of the README's command lines and of the Casimir lattice
+against the value ledger.
 
 The ledger (readme_ledger.json, rewritten by ledger.py) records the cells
-each README line printed when it was last written. A cell may move by
-rounding, up to a relative 1e-13; the closed-vs-root `residual` of
-`dispersion` is rounding noise around 0, so it gets an absolute 1e-15.
+each README line printed, and each Casimir route gave on the x-lattice,
+when it was last written. A cell may move by rounding, up to a relative
+1e-13; the closed-vs-root `residual` of `dispersion` is rounding noise
+around 0, so it gets an absolute 1e-15.
 """
 
 import pytest
@@ -23,16 +25,25 @@ def _close(x, y, atol):
 
 
 def test_ledger_holds_each_readme_line():
-    assert list(ledger.load()) == ledger.readme_commands()
+    assert list(ledger.load()) == ledger.names()
 
 
-@pytest.mark.parametrize("command", ledger.readme_commands())
-def test_readme_line_matches_the_ledger(command):
-    want = ledger.load()[command]
-    got = ledger.run(command)
+def _check(name):
+    want = ledger.load()[name]
+    got = ledger.compute(name)
     assert got["columns"] == want["columns"]
     assert len(got["rows"]) == len(want["rows"])
     moved = [(i, column, x, y)
              for i, column, x, y in ledger.changed_cells(want, got)
              if not _close(x, y, ATOL.get(column, 0.0))]
     assert not moved, moved[:5]
+
+
+@pytest.mark.parametrize("command", ledger.readme_commands())
+def test_readme_line_matches_the_ledger(command):
+    _check(command)
+
+
+@pytest.mark.parametrize("route", list(ledger.LATTICE_ROUTES))
+def test_casimir_lattice_matches_the_ledger(route):
+    _check(route)

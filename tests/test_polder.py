@@ -791,15 +791,31 @@ class TestChargeSheetEnergy:
         assert kinetic.tolist() == [0.0, 0.0]
         assert np.all(np.copysign(1.0, kinetic) == 1.0)
 
+    @pytest.mark.parametrize("e, p2par", [(1e-200, 1e10), (1e-150, 1e-200)])
+    def test_kinetic_where_e_squared_underflows(self, e, p2par):
+        # e^2 underflows while p2par h_par overflows, or while p2par does:
+        # the kinetic energy is still the float it is, not 0 * inf or 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, (kinetic,) = charge_sheet_energies(
+                1.0, np.array([1e-300]), AtomProperties(e=e, p2par=p2par))
+        with mpmath.workdps(40):
+            x = mpmath.mpf(1e-300)
+            h_par = 2 + 1 / x - x * mpmath.exp(x) * mpmath.e1(x)
+            want = float(-mpmath.mpf(e)**2 * mpmath.mpf(p2par) / 2 * h_par
+                         / (16 * mpmath.pi))
+        assert kinetic == pytest.approx(want, rel=1e-14)
+
     def test_kinetic_beyond_the_float_range_raises(self, capsys):
-        # p2par h_par overflows at x = 1e-300: divide_by_power names the
-        # infinite sum, and no numpy warning is raised on the way
+        # p2par h_par/(16 pi), about 1e309, overflows at x = 1e-300:
+        # divide_by_power names the infinite sum, and no numpy warning is
+        # raised on the way
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="-inf / 1\\*\\*1 is beyond"):
                 charge_sheet_energies(1.0, np.array([1.0, 1e-300]),
-                                      AtomProperties(p2par=1e10))
-            status = main(["charge", "--omega-a", "1e-300", "--p2par", "1e10"])
+                                      AtomProperties(p2par=1e11))
+            status = main(["charge", "--omega-a", "1e-300", "--p2par", "1e11"])
         out, err = capsys.readouterr()
         assert status == 1 and err == ""
         assert out.splitlines()[-1] == (
