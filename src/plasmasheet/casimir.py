@@ -23,7 +23,12 @@ ln((1 + s^2)^2 - a) = ln(s^2 + b+^2) + ln(s^2 + b-^2),
 
 Its bracket cancels like e^-k, so above k = 2 the angle is the series
 -sum_n a^n I_2n(S)/(n S), I_m(S) = Int_0^S (1 + s^2)^-m ds, in 20 terms.
-So F is one log-k quadrature in k, of about 110 to 140 nodes per x.
+So F is one log-k quadrature in k, of about 110 to 140 nodes per x. The
+factors that depend on the node alone (k^2; h = e^(-k/2), b+-, 1 + b+-,
+the cross term and 2 e^k of the closed form; the series coefficients in a)
+come from a table built once per level of the rule (_node_factors, passed
+as integrate_exponential_weight's nodes); the integrand forms only what
+depends on x.
 
 The same scaling gives the pressure as a^4 P = 3 F(x) - x F'(x). For TE,
 x dr/dx = r (1 - r), and x TE' is integrated on the nodes of F. r_TM at
@@ -155,12 +160,44 @@ def _series_table(terms):
 _SERIES_TABLE = _series_table(_SERIES_TERMS)
 
 
-def _tm_angle(k, c, r, te):
+# Rows of _node_factors: k^2, the factors of the closed TM angle on the
+# nodes up to _SERIES_K, and the series coefficients on the nodes above.
+_K2, _CLOSED, _SERIES = 0, slice(1, 8), slice(8, 8 + 2 * _SERIES_TERMS)
+
+
+def _node_factors(k):
+    """The factors of _energy_and_slope's integrand that depend on the node
+    alone, one column per node of the ascending array k: k^2 in row _K2; up
+    to k = _SERIES_K, in rows _CLOSED, h = e^(-k/2), b+, b-, 1 + b+, 1 + b-,
+    the cross term 2 h^2/((b+ + b-)(1 + b+)(1 + b-)) and 2 e^k of
+    _tm_angle; above it, in rows _SERIES, the coefficient of each power of
+    r, the sum over n of _series_table times a^(n-1). A row is 0 on the
+    nodes it does not serve. Each column depends on its node alone, so the
+    table of a level gives the bits of the factors formed on any slice.
+    """
+    table = np.zeros((_SERIES.stop, k.size))
+    split = np.searchsorted(k, _SERIES_K, side="right")
+    table[_K2] = k * k
+    k_closed, k_series = k[:split], k[split:]
+    h = np.exp(-0.5 * k_closed)
+    b_plus, b_minus = np.sqrt(1.0 + h), np.sqrt(-np.expm1(-0.5 * k_closed))
+    one_plus, one_minus = 1.0 + b_plus, 1.0 + b_minus
+    table[_CLOSED, :split] = (
+        h, b_plus, b_minus, one_plus, one_minus,
+        2.0 * h * h / ((b_plus + b_minus) * one_plus * one_minus),
+        2.0 * np.exp(k_closed))
+    powers = np.exp(np.multiply.outer(k_series, -np.arange(_SERIES_TERMS)))
+    table[_SERIES, split:] = (_SERIES_TABLE * powers[:, None, :]).sum(axis=-1).T
+    return table
+
+
+def _tm_angle(k, c, r, te, table):
     """e^k Int_0^1 ln(1 - a/(1 + S^2 eps^2)^2) d eps, a = e^-k, S^2 = c = k/x.
 
-    k is a row of nodes, c and r = 1/(1 + c) hold one row per x, and te is
-    e^k ln(1 - a r^2), the TE energy of _log_terms on the same nodes. Up to
-    k = _SERIES_K the closed form, with h = e^(-k/2) and b+- = sqrt(1 +- h):
+    k is an ascending row of nodes, table their columns of _node_factors, c
+    and r = 1/(1 + c) hold one row per x, and te is e^k ln(1 - a r^2), the
+    TE energy of _log_terms on the same nodes. Up to k = _SERIES_K the
+    closed form, with h = e^(-k/2) and b+- = sqrt(1 +- h):
 
         te + e^k (2/S) [b+ atan(S/b+) + b- atan(S/b-) - 2 atan S].
 
@@ -170,35 +207,33 @@ def _tm_angle(k, c, r, te):
     and b+ + b- - 2 = -2 h^2/((b+ + b-)(1 + b+)(1 + b-)), so only the two
     O(h) terms cancel, by at most e^(k/2) = 2.7 times eps here; the
     bracket is 0 where S underflows. Above k = _SERIES_K the series
-    -sum_n a^(n-1) I_2n(S)/(n S) of _series_table: a table in a per node
-    times the powers of r per x, summed by elementwise products along the
-    last axis alone, so each x keeps the bits it has alone.
+    -sum_n a^(n-1) I_2n(S)/(n S) of _series_table: the coefficients per
+    node times the powers of r per x, summed by elementwise products along
+    the last axis alone, so each x keeps the bits it has alone. h, b+-,
+    1 + b+-, the cross term, 2 e^k and the coefficients come from the
+    table; only S, the arctangents and the powers of r are formed here.
     """
     tm = np.empty_like(te)
-    series = k > _SERIES_K
-    closed = ~series
-    k_closed, c_closed = k[closed], c[:, closed]
+    split = np.searchsorted(k, _SERIES_K, side="right")
+    h, b_plus, b_minus, one_plus, one_minus, cross, twice_exp = (
+        table[_CLOSED, :split])
+    c_closed = c[:, :split]
     s = np.sqrt(c_closed)
-    h = np.exp(-0.5 * k_closed)
-    b_plus, b_minus = np.sqrt(1.0 + h), np.sqrt(-np.expm1(-0.5 * k_closed))
     hs = h * s
     bracket = (
-        b_plus * np.arctan(-hs / ((1.0 + b_plus) * (b_plus + c_closed)))
-        + b_minus * np.arctan(hs / ((1.0 + b_minus) * (b_minus + c_closed)))
-        - 2.0 * h * h / ((b_plus + b_minus) * (1.0 + b_plus) * (1.0 + b_minus))
-        * np.arctan(s))
+        b_plus * np.arctan(-hs / (one_plus * (b_plus + c_closed)))
+        + b_minus * np.arctan(hs / (one_minus * (b_minus + c_closed)))
+        - cross * np.arctan(s))
     np.divide(bracket, s, out=bracket, where=s > 0.0)
-    bracket *= 2.0 * np.exp(k_closed)
-    tm[:, closed] = te[:, closed] + bracket
-    k_series, s = k[series], np.sqrt(c[:, series])
-    powers = np.exp(np.multiply.outer(k_series, -np.arange(_SERIES_TERMS)))
-    coefficients = (_SERIES_TABLE * powers[:, None, :]).sum(axis=-1)
+    bracket *= twice_exp
+    np.add(te[:, :split], bracket, out=tm[:, :split])
+    s = np.sqrt(c[:, split:])
     basis = np.empty(s.shape + (2 * _SERIES_TERMS,))
     basis[..., 0] = np.arctan(s) / s
-    basis[..., 1:] = r[:, series, None]
+    basis[..., 1:] = r[:, split:, None]
     np.cumprod(basis[..., 1:], axis=-1, out=basis[..., 1:])
-    basis *= coefficients
-    tm[:, series] = -basis.sum(axis=-1)
+    basis *= table[_SERIES, split:].T
+    tm[:, split:] = -basis.sum(axis=-1)
     return tm
 
 
@@ -214,14 +249,18 @@ def _couplings(x):
     return xs
 
 
-def _pass(parts, xs, rtol):
-    """The rows of parts(k, x) integrated by the log-k rule, times _NORM, for
-    each x of the array xs: one pass per _SWEEP_CHUNK couplings."""
+def _pass(parts, xs, rtol, params=lambda x: (x,), nodes=None):
+    """The rows of parts integrated by the log-k rule, times _NORM, for each
+    x of the array xs: one pass per _SWEEP_CHUNK couplings. parts is called
+    as parts(k, *rows), or parts(k, table, *rows) with the node table of
+    nodes, and rows are the columns of params(x) for the x still refining.
+    """
     # 40 starting steps meet the default rtol = 1e-8 one halving earlier
     # than 32 do, for x anywhere in [1e-6, 1e12].
     spec = QuadratureSpec(order=40, rtol=rtol)
     return _NORM * by_chunks(
-        lambda x: integrate_exponential_weight(parts, spec, x[:, None]),
+        lambda x: integrate_exponential_weight(
+            parts, spec, *(row[:, None] for row in params(x)), nodes=nodes),
         xs, _SWEEP_CHUNK)
 
 
@@ -259,20 +298,20 @@ def _energy_and_slope(x, rtol):
     it is 0. An x below 800/DBL_MAX, about 4.5e-306, where c = k/x
     overflows, raises ValueError before any quadrature.
     """
-    def parts(k, x):
+    def parts(k, table, x, n):
         # out holds TE, TM and the TE slope; the TE line writes its energy
         # into out[0] and its slope into out[2], times 2^(2n)
         c = k / x
         r = 1.0 / (1.0 + c)
-        n = _te_exponent(x)
         out = np.empty((3,) + c.shape)
         _log_terms(k, c, r, out[::2], n)
-        out[1] = _tm_angle(k, c, r, np.ldexp(out[0], -2 * n))
-        out *= k * k
+        out[1] = _tm_angle(k, c, r, np.ldexp(out[0], -2 * n), table)
+        out *= table[_K2]
         return out
 
     xs = _couplings(x)
-    te, tm, te_slope = _pass(parts, xs, rtol)
+    te, tm, te_slope = _pass(parts, xs, rtol,
+                             lambda x: (x, _te_exponent(x)), _node_factors)
     down = -2 * _te_exponent(xs)
     te, te_slope = np.ldexp(te, down), np.ldexp(te_slope, down)
     return _as_given(x, (te, tm, te_slope + 0.5 * (tm - te)))
@@ -311,16 +350,21 @@ def _nested_energy_and_slope(x, rtol, reflection=lambda c: 1.0 / (1.0 + c)):
     def parts(k, x):
         # x is a column of couplings; each (x, k) is one element of the
         # inner rule. out holds TE, TM and the slope; the TE line writes
-        # its energy into out[0] and its slope into out[2].
+        # its energy into out[0] and its slope into out[2]. Where c
+        # underflows to 0 (x near DBL_MAX), S = rb = 0: the inner rule
+        # integrates over [0, 0] to 0, and the TM node is the TE node, as
+        # in the 1-d route.
         c = k / x
         rb = np.sqrt(c)
         out = np.empty((3,) + c.shape)
         _log_terms(k, c, reflection(c), out[::2])
-        tm, tm_slope = integrate_legendre(
+        inner = integrate_legendre(
             angular, np.sqrt(np.arcsinh(rb)).reshape(-1), inner_spec,
             np.broadcast_to(k, c.shape).reshape(-1, 1)
-        ).reshape((2,) + c.shape) / rb
-        out[1] = tm
+        ).reshape((2,) + c.shape)
+        lit = rb > 0.0
+        tm, tm_slope = np.divide(inner, rb, out=inner, where=lit)
+        out[1] = np.where(lit, tm, out[0])
         out[2] += tm_slope
         out *= k * k
         return out

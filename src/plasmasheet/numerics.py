@@ -76,9 +76,12 @@ MAX_RTOL = 1e-3
 # Smallest relative tolerance a run may ask for. f_tm sets it: its
 # Gauss-Legendre rule in the angle meets 1e-14 at each of the 73 couplings
 # x = 10^(k/4), k in [-24, 48], and misses 1e-15 at 48 of them, where the
-# Casimir pass and the g family still converge. QuadratureSpec does not
-# apply it, since the inner specs of the nested check routes, at a tenth
-# of the run's tolerance, sit below it.
+# Casimir pass and the g family still converge. Below that lattice f_tm
+# misses tolerances the floor admits: 1e-14 at 288 of the 289 decades from
+# x = 1e-300 to 1e-12, and 1e-13 at every decade from 1e-300 to 1e-105,
+# while it meets 1e-12 at all of them; there it raises ToleranceNotMet.
+# QuadratureSpec does not apply the floor, since the inner specs of the
+# nested check routes, at a tenth of the run's tolerance, sit below it.
 MIN_RTOL = 1e-14
 
 
@@ -158,6 +161,12 @@ def _log_k_level(panels, level):
 
 
 @functools.lru_cache(maxsize=None)
+def _node_table(nodes, panels, level):
+    """nodes(k) on every node k of one level of the log-k rule, read-only."""
+    return _frozen(nodes(_log_k_level(panels, level)[0]))[0]
+
+
+@functools.lru_cache(maxsize=None)
 def _legendre_rule(order):
     """Gauss-Legendre nodes mapped to [0, 1] and their weights."""
     nodes, weights = leggauss(order)
@@ -172,7 +181,7 @@ def _legendre_pair(order):
     return _frozen(np.concatenate((nodes, nodes2)))[0], weights, weights2
 
 
-def integrate_exponential_weight(f, spec=None, *params):
+def integrate_exponential_weight(f, spec=None, *params, nodes=None):
     """Integrals of e^(-k) f(k) over k in [0, inf), one per element.
 
     Trapezoidal rule in u = ln k, starting with ``spec.order`` steps of
@@ -205,13 +214,23 @@ def integrate_exponential_weight(f, spec=None, *params):
     ends beyond k = max(2, 2n). Both are below rtol/100 for any order up
     to 500.
 
+    With ``nodes``, the factors of f that depend on the node alone are
+    computed once per level: ``nodes(k)`` is called on all of a level's
+    nodes and returns a table of shape (rows, len(k)), kept read-only in a
+    cache keyed on (nodes, spec.order, level), so never on float values,
+    and each call of f gets the table's columns of its own nodes. Only
+    levels that some pass reaches get a table. As long as ``nodes`` acts on
+    each node alone, a value does not depend on whether its tables were
+    built by its own pass or by an earlier one.
+
     Parameters
     ----------
     f : callable
-        Called as ``f(k, *rows)`` with a 1-d array of nodes k. Without
-        params it returns an array shaped like k, or (..., len(k)) for
-        several integrands on the same nodes, which the one element refines
-        together. With params, rows are the rows of the ``params`` arrays
+        Called as ``f(k, *rows)`` with a 1-d array of nodes k, or as
+        ``f(k, table, *rows)`` with ``nodes``, where column i of the table
+        belongs to k[i]. Without params it returns an array shaped like k,
+        or (..., len(k)) for several integrands on the same nodes, which the
+        one element refines together. With params, rows are the rows of the ``params`` arrays
         for the m elements still refining, and f returns (..., m, len(k)).
         When f acts on each node and row alone, as elementwise numpy does,
         an element's value does not depend on which elements share its
@@ -220,6 +239,9 @@ def integrate_exponential_weight(f, spec=None, *params):
         Tolerances and starting step count.
     *params : arrays
         Per-element parameters, one row per element along axis 0.
+    nodes : callable, optional
+        A module-level function of a level's 1-d node array that returns
+        the 2-d table of f's node factors; it is part of the cache key.
 
     Returns
     -------
@@ -237,14 +259,17 @@ def integrate_exponential_weight(f, spec=None, *params):
     if spec is None:
         spec = QuadratureSpec()
 
-    # without params, one element: its axis is added to f's values here and
-    # taken off the result at the end
-    def call(k, rows):
-        values = f(k, *rows)
-        return values if params else values[..., None, :]
+    # the weighted terms of f on the nodes new of a level. Without params,
+    # one element: its axis is added to f's values here and taken off the
+    # result at the end
+    def weighted(level, new, rows):
+        k, w = _log_k_level(spec.order, level)
+        if nodes is not None:
+            rows = (_node_table(nodes, spec.order, level)[:, new], *rows)
+        values = f(k[new], *rows)
+        return w[new] * (values if params else values[..., None, :])
 
-    k, w = _log_k_level(spec.order, 0)
-    terms = w * call(k, params)
+    terms = weighted(0, slice(None), params)
     supports = _supports(terms, spec.rtol)
     lo, hi, offsets = _span(supports)
     prev = _support_sums(terms[..., lo:hi + 1], offsets, 1, 1)
@@ -252,10 +277,9 @@ def integrate_exponential_weight(f, spec=None, *params):
     # latest value once some elements have left
     index, rows, result = np.arange(len(supports)), params, None
     for level in range(1, _MAX_HALVINGS + 1):
-        k, w = _log_k_level(spec.order, level)
         per_step = 2 ** (level - 1)  # new midpoints per level-0 step
         new = slice(lo * per_step, hi * per_step)
-        cur = 0.5 * prev + _support_sums(w[new] * call(k[new], rows),
+        cur = 0.5 * prev + _support_sums(weighted(level, new, rows),
                                          offsets, per_step, 0)
         diff = np.abs(cur - prev)
         agree = diff <= spec.rtol * np.abs(cur)

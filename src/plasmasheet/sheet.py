@@ -29,6 +29,7 @@ of two in every row (_plasmon_momenta).
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +64,9 @@ class SheetParameters:
     """Sheet coupling Omega of a single sheet in the plane x3 = 0.
 
     omega = 0 is accepted as the transparent (free-space) limit even though
-    the physical sheet has omega > 0; several limit checks rely on it.
+    the physical sheet has omega > 0; several limit checks rely on it. A
+    subnormal omega, 0 < omega < sys.float_info.min, is refused: it carries
+    fewer than 53 bits, and Omega/2 or the scaled momenta lose them.
     """
 
     omega: float
@@ -71,6 +74,9 @@ class SheetParameters:
     def __post_init__(self):
         if not math.isfinite(self.omega) or self.omega < 0.0:
             raise ValueError("omega must be finite and nonnegative")
+        if 0.0 < self.omega < sys.float_info.min:
+            raise ValueError(f"omega = {self.omega:.17g} is subnormal: below "
+                             f"DBL_MIN = {sys.float_info.min:.17g}")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from plasmasheet import casimir
+from plasmasheet import casimir, numerics
 from plasmasheet.casimir import (
     IDEAL_REDUCED_ENERGY,
     IDEAL_REDUCED_PRESSURE,
@@ -144,12 +144,12 @@ class TestReducedEnergy:
         calls = []
         original = casimir.integrate_exponential_weight
 
-        def counted(f, spec, *params):
+        def counted(f, spec, *params, nodes=None):
             def f_counted(k, *rows):
                 calls.append(k.size)
                 return f(k, *rows)
 
-            return original(f_counted, spec, *params)
+            return original(f_counted, spec, *params, nodes=nodes)
 
         def no_inner_rule(*args, **kwargs):
             raise AssertionError("Gauss-Legendre rule called")
@@ -180,12 +180,12 @@ class TestReducedEnergy:
 
             return original(f_counted, hi, spec, *params)
 
-        def outer_counted(f, spec, *params):
+        def outer_counted(f, spec, *params, nodes=None):
             def f_counted(k, *rows):
                 outer_calls.append(k.size)
                 return f(k, *rows)
 
-            return original_outer(f_counted, spec, *params)
+            return original_outer(f_counted, spec, *params, nodes=nodes)
 
         monkeypatch.setattr(casimir, "integrate_legendre", counted)
         monkeypatch.setattr(casimir, "integrate_exponential_weight",
@@ -279,8 +279,10 @@ class TestReducedEnergy:
             for arg in (x, np.array([1.0, x])):
                 with pytest.raises(ValueError, match="is below 800/DBL_MAX"):
                     reduced_energy_and_pressure(arg)
+            # a subnormal Omega is refused, so x = Omega a is reached by
+            # a normal Omega and a distance scaled by the same power of 2
             with pytest.raises(ValueError, match="is below 800/DBL_MAX"):
-                casimir_result(1.0, SheetParameters(omega=x))
+                casimir_result(x * 2.0**60, SheetParameters(omega=2.0**-60))
 
 class TestSweeps:
     def test_array_has_the_bits_of_float_calls(self):
@@ -324,6 +326,51 @@ class TestCheckRoute:
         te, tm, slope = casimir._nested_energy_and_slope(LATTICE, 1e-13)
         tm_slope = slope - casimir._pass(te_slope, LATTICE, 1e-13)
         assert np.all(np.abs(tm_slope - 0.5 * (tm - te)) <= 1e-13 * np.abs(tm))
+
+    @pytest.mark.parametrize("x", [1e304, 1e305, 1.7e308])
+    def test_routes_agree_near_the_top_of_the_float_range(self, x):
+        # c = k/x underflows to 0 at the smallest nodes, where the check
+        # route's TM node is its TE node
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nested = reduced_energy_and_pressure_nested(x)
+            gap = polarization_convention_equivalence(
+                1.0, SheetParameters(x))
+        one = reduced_energy_and_pressure(x)
+        assert all(abs(a - b) <= 1e-11 * abs(b) for a, b in zip(nested, one))
+        assert gap <= 1e-13
+
+
+class TestNodeTables:
+    """The k-only factors of the 1-d pass, built once per log-k level."""
+
+    def test_cold_and_warm_tables_give_the_same_bits(self):
+        numerics._node_table.cache_clear()
+        cold = repr(casimir._energy_and_slope(LATTICE, 1e-8))
+        assert repr(casimir._energy_and_slope(LATTICE, 1e-8)) == cold
+        for x in LATTICE.tolist():
+            numerics._node_table.cache_clear()
+            cold = repr(casimir._energy_and_slope(x, 1e-8))
+            assert repr(casimir._energy_and_slope(x, 1e-8)) == cold, x
+
+    def test_factors_of_a_slice_are_the_slice_of_the_table(self):
+        # each column depends on its node alone, so no value depends on
+        # which pass built a table
+        for level in range(4):
+            k = numerics._log_k_level(40, level)[0]
+            table = numerics._node_table(casimir._node_factors, 40, level)
+            for a, b in ((0, k.size), (3, k.size - 5), (k.size - 9, k.size)):
+                assert np.array_equal(casimir._node_factors(k[a:b]),
+                                      table[:, a:b])
+
+    def test_one_table_per_level_reached_and_no_miss_on_a_second_pass(self):
+        # x = 1 takes 4 integrand calls, levels 0 to 3
+        numerics._node_table.cache_clear()
+        casimir._energy_and_slope(1.0, 1e-8)
+        first = numerics._node_table.cache_info()
+        assert first.misses == first.currsize == 4
+        casimir._energy_and_slope(1.0, 1e-8)
+        assert numerics._node_table.cache_info().misses == first.misses
 
 
 class TestEnergyPerArea:
@@ -489,9 +536,9 @@ class TestCasimirResult:
         chunks = []
         original = casimir.integrate_exponential_weight
 
-        def counted(f, spec, *params):
+        def counted(f, spec, *params, nodes=None):
             chunks.append(len(params[0]))
-            return original(f, spec, *params)
+            return original(f, spec, *params, nodes=nodes)
 
         monkeypatch.setattr(casimir, "integrate_exponential_weight", counted)
         if chunk is not None:

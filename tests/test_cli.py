@@ -685,6 +685,11 @@ EXTREME_RUNS = [
     ("casimir --omega-a-min 4.5e-306 --omega-a-max 1e-13 --count 25 "
      "--scale log --raw-units", 0, None),
     ("casimir --omega-a 1e-300 --tolerance 1e-14", 0, None),
+    # below the lattice, fTM misses 1e-13 and meets 1e-12
+    ("functions --family f --x 1e-300 --tolerance 1e-13", 1,
+     "ToleranceNotMet: Gauss-Legendre order doubling did not reach rtol "
+     "1e-13"),
+    ("functions --family f --x 1e-300 --tolerance 1e-12", 0, None),
     # below 800/DBL_MAX, k/x leaves the float range on the log-k nodes
     ("casimir --omega-a 1e-307", 1,
      "ValueError: x = 9.9999999999999991e-308 is below 800/DBL_MAX = "

@@ -157,6 +157,41 @@ def solo_log_k(x, c):
     return numerics.integrate_exponential_weight(f, TIGHT), seen
 
 
+def node_powers(k):
+    """The node table of oscillating_pair's k-only factors: k and k^2."""
+    return np.stack((k, k * k))
+
+
+class TestExponentialWeightNodeTables:
+    def test_table_factors_give_the_bits_of_f_alone(self):
+        # f reads k and k^2 from the table instead of forming them
+        seen = []
+
+        def f(k, table, x, c):
+            seen.append(table.shape == (2, k.size)
+                        and np.array_equal(table, node_powers(k)))
+            return oscillating_pair(table[0], x, c)
+
+        numerics._node_table.cache_clear()
+        want = numerics.integrate_exponential_weight(oscillating_pair, TIGHT,
+                                                     *ELEMENT_PARAMS)
+        for _ in range(2):  # cold tables, then warm
+            got = numerics.integrate_exponential_weight(
+                f, TIGHT, *ELEMENT_PARAMS, nodes=node_powers)
+            assert got.tobytes() == want.tobytes()
+        assert seen and all(seen)
+        # one table per level reached, each built once
+        info = numerics._node_table.cache_info()
+        assert info.misses == info.currsize == len(seen) // 2
+
+    def test_tables_are_read_only(self):
+        numerics.integrate_exponential_weight(
+            lambda k, table: table[1], TIGHT, nodes=node_powers)
+        table = numerics._node_table(node_powers, TIGHT.order, 0)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+
+
 class TestExponentialWeightElements:
     def test_each_element_equals_its_solo_call(self):
         got = numerics.integrate_exponential_weight(oscillating_pair, TIGHT,

@@ -3,6 +3,7 @@
 import cmath
 import functools
 import math
+import sys
 import warnings
 
 import mpmath
@@ -31,6 +32,46 @@ class TestTypes:
 
     def test_transparent_sheet_allowed(self):
         assert sheet.SheetParameters(omega=0.0).omega == 0.0
+
+    @pytest.mark.parametrize("omega", [5e-324, 1.5e-323, 1e-310,
+                                       math.nextafter(2.0**-1022, 0.0)])
+    def test_subnormal_omega_is_refused(self, omega):
+        with pytest.raises(ValueError, match=f"omega = {omega:.17g} is "
+                           "subnormal"):
+            sheet.SheetParameters(omega=omega)
+
+    def test_subnormal_omega_refused_where_its_bits_were_lost(self):
+        # r_TE came back 0.5+0.5j here, for 0.36+0.48j, and a scalar call
+        # on the light cone divided by Omega/2 = 0
+        with pytest.raises(ValueError, match="subnormal"):
+            sheet.reflection_te(momentum(1e-323, 0.0),
+                                sheet.SheetParameters(1.5e-323))
+        with pytest.raises(ValueError, match="subnormal"):
+            sheet.reflection_te(momentum(1.0, 1.0),
+                                sheet.SheetParameters(5e-324))
+
+    def test_smallest_normal_omega_keeps_its_bits(self):
+        # the same ratio k0/Omega = 2/3 at the bottom of the normal range
+        tiny = sys.float_info.min
+        sp = sheet.SheetParameters(3.0 * tiny)
+        want = 0.36 + 0.48j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sheet.reflection_te(momentum(2.0 * tiny, 0.0), sp)
+            r_te, _ = sheet.reflection_coefficients(2.0 * tiny,
+                                                    np.array([0.0]), sp)
+            on_cone = sheet.reflection_te(momentum(1.0, 1.0),
+                                          sheet.SheetParameters(tiny))
+        for value in (got, r_te[0]):
+            assert abs(value - want) <= 1e-15, value
+        assert on_cone == 1.0
+
+    def test_cli_refuses_a_subnormal_omega(self, capsys):
+        status = main(["reflection", "--omega", "1.5e-323", "--k0", "1e-323",
+                       "--kpar", "0"])
+        out, err = capsys.readouterr()
+        assert status == 2 and out == ""
+        assert "omega = 1.4821969375237396e-323 is subnormal" in err
 
     def test_euclidean_gamma(self):
         k = sheet.EuclideanMomentum(k4=3.0, kpar=4.0)
