@@ -21,13 +21,14 @@ ln((1 + s^2)^2 - a) = ln(s^2 + b+^2) + ln(s^2 + b-^2),
       = ln(1 - a/(1 + S^2)^2)
         + (2/S) [b+ atan(S/b+) + b- atan(S/b-) - 2 atan S].
 
-Its bracket cancels like e^-k, so above k = 2 the angle is the series
--sum_n a^n I_2n(S)/(n S), I_m(S) = Int_0^S (1 + s^2)^-m ds, in 20 terms.
-So F is one log-k quadrature in k, of about 110 to 140 nodes per x. The
-factors that depend on the node alone (k^2; h = e^(-k/2), b+-, 1 + b+-,
-the cross term and 2 e^k of the closed form; the series coefficients in a)
-come from a table built once per level of the rule (_node_factors, passed
-as integrate_exponential_weight's nodes); the integrand forms only what
+Its bracket cancels like e^-k, so relative to its node its rounding error
+grows like e^(k/2) eps; but the log-k rule weighs each node by k e^-k, so
+the loss adds at most about eps Int k^2 e^(-k/2)/(1 + k/x) dk to F, and one
+closed form serves every node. F is one log-k quadrature in k, of about
+110 to 140 nodes per x. The factors that depend on the node alone (k^2,
+and b+-, h/(1 + b+-), the cross term and e^(k/2), h = e^(-k/2)) come from
+a table built once per level of the rule (_node_factors, passed as
+integrate_exponential_weight's nodes); the integrand forms only what
 depends on x.
 
 The same scaling gives the pressure as a^4 P = 3 F(x) - x F'(x). For TE,
@@ -133,108 +134,57 @@ def _log_terms(k, c, r, out, exponent=0):
 # 1.5 to 2 times as fast as 8, and as fast as 256; whole 400- and 2000-point
 # sweeps were slower.
 _SWEEP_CHUNK = 64
-# Above k = _SERIES_K the closed TM angle cancels like e^-k; there it is
-# the series in a = e^-k <= e^-2, whose _SERIES_TERMS terms reach 1e-18.
-_SERIES_K = 2.0
-_SERIES_TERMS = 20
-
-
-def _series_table(terms):
-    """T[j, n - 1] with I_2n(S)/(n S) = T[0, n - 1] atan(S)/S
-    + sum_j T[j, n - 1] (1 + S^2)^-j, for n = 1..terms.
-
-    I_m(S) = Int_0^S (1 + s^2)^-m ds starts at I_1 = atan S and climbs by
-    I_(m+1) = S/(2m (1 + S^2)^m) + (2m - 1)/(2m) I_m, so
-    I_m = A_m atan S + S sum_(j<m) B_(m,j) (1 + S^2)^-j; every A and B is
-    positive, and no term of the series cancels another.
-    """
-    rows = np.zeros((2 * terms + 1, 2 * terms))
-    rows[1, 0] = 1.0
-    for m in range(1, 2 * terms):
-        rows[m + 1] = rows[m] * ((2 * m - 1) / (2 * m))
-        rows[m + 1, m] = 1.0 / (2 * m)
-    n = np.arange(1, terms + 1)
-    return np.ascontiguousarray((rows[2 * n] / n[:, None]).T)
-
-
-_SERIES_TABLE = _series_table(_SERIES_TERMS)
-
-
-# Rows of _node_factors: k^2, the factors of the closed TM angle on the
-# nodes up to _SERIES_K, and the series coefficients on the nodes above.
-_K2, _CLOSED, _SERIES = 0, slice(1, 8), slice(8, 8 + 2 * _SERIES_TERMS)
 
 
 def _node_factors(k):
     """The factors of _energy_and_slope's integrand that depend on the node
-    alone, one column per node of the ascending array k: k^2 in row _K2; up
-    to k = _SERIES_K, in rows _CLOSED, h = e^(-k/2), b+, b-, 1 + b+, 1 + b-,
-    the cross term 2 h^2/((b+ + b-)(1 + b+)(1 + b-)) and 2 e^k of
-    _tm_angle; above it, in rows _SERIES, the coefficient of each power of
-    r, the sum over n of _series_table times a^(n-1). A row is 0 on the
-    nodes it does not serve. Each column depends on its node alone, so the
-    table of a level gives the bits of the factors formed on any slice.
+    alone, one column per node of the array k: k^2, then, with h = e^(-k/2)
+    and b+- = sqrt(1 +- h), b+, b-, h/(1 + b+), h/(1 + b-), the cross term
+    2 h^2/((b+ + b-)(1 + b+)(1 + b-)) and e^(k/2) of _tm_angle, which
+    serves every node: the weight k e^-k of the log-k rule keeps its loss
+    above k of about 2 small beside F. e^k is inf above k of about 709.8,
+    and the nodes reach 800, so it is applied as two factors e^(k/2). Each
+    column depends on its node alone, so the table of a level gives the bits
+    of the factors formed on any slice.
     """
-    table = np.zeros((_SERIES.stop, k.size))
-    split = np.searchsorted(k, _SERIES_K, side="right")
-    table[_K2] = k * k
-    k_closed, k_series = k[:split], k[split:]
-    h = np.exp(-0.5 * k_closed)
-    b_plus, b_minus = np.sqrt(1.0 + h), np.sqrt(-np.expm1(-0.5 * k_closed))
-    one_plus, one_minus = 1.0 + b_plus, 1.0 + b_minus
-    table[_CLOSED, :split] = (
-        h, b_plus, b_minus, one_plus, one_minus,
-        2.0 * h * h / ((b_plus + b_minus) * one_plus * one_minus),
-        2.0 * np.exp(k_closed))
-    powers = np.exp(np.multiply.outer(k_series, -np.arange(_SERIES_TERMS)))
-    table[_SERIES, split:] = (_SERIES_TABLE * powers[:, None, :]).sum(axis=-1).T
-    return table
+    h = np.exp(-0.5 * k)
+    b_plus, b_minus = np.sqrt(1.0 + h), np.sqrt(-np.expm1(-0.5 * k))
+    h_plus, h_minus = h / (1.0 + b_plus), h / (1.0 + b_minus)
+    return np.stack((k * k, b_plus, b_minus, h_plus, h_minus,
+                     2.0 * h_plus * h_minus / (b_plus + b_minus),
+                     np.exp(0.5 * k)))
 
 
-def _tm_angle(k, c, r, te, table):
+def _tm_angle(c, te, factors):
     """e^k Int_0^1 ln(1 - a/(1 + S^2 eps^2)^2) d eps, a = e^-k, S^2 = c = k/x.
 
-    k is an ascending row of nodes, table their columns of _node_factors, c
-    and r = 1/(1 + c) hold one row per x, and te is e^k ln(1 - a r^2), the
-    TE energy of _log_terms on the same nodes. Up to k = _SERIES_K the
-    closed form, with h = e^(-k/2) and b+- = sqrt(1 +- h):
+    c has one row per x on a row of nodes, factors are the rows of
+    _node_factors after k^2, and te = e^k ln(1 - a r^2), r = 1/(1 + c), is
+    the TE energy of _log_terms. On every node the closed form, with
+    h = e^(-k/2) and b+- = sqrt(1 +- h):
 
         te + e^k (2/S) [b+ atan(S/b+) + b- atan(S/b-) - 2 atan S].
 
-    The bracket is O(a) from terms O(1). It is summed as
+    The bracket, O(a) from terms O(1), is summed as
     b+- (atan(S/b+-) - atan S) + (b+ + b- - 2) atan S, with
     atan(S/b) - atan S = atan(S (1 - b)/(b + S^2)), 1 - b+- = -+h/(1 + b+-)
-    and b+ + b- - 2 = -2 h^2/((b+ + b-)(1 + b+)(1 + b-)), so only the two
-    O(h) terms cancel, by at most e^(k/2) = 2.7 times eps here; the
-    bracket is 0 where S underflows. Above k = _SERIES_K the series
-    -sum_n a^(n-1) I_2n(S)/(n S) of _series_table: the coefficients per
-    node times the powers of r per x, summed by elementwise products along
-    the last axis alone, so each x keeps the bits it has alone. h, b+-,
-    1 + b+-, the cross term, 2 e^k and the coefficients come from the
-    table; only S, the arctangents and the powers of r are formed here.
+    and b+ + b- - 2 = -2 h^2/((b+ + b-)(1 + b+)(1 + b-)): only the two O(h)
+    terms cancel. The arctangent's argument is formed as
+    (h/(1 + b+-)) (S/(b+- + c)), finite where c nears DBL_MAX; the bracket
+    is 0 where S underflows. The bracket's rounding error grows like
+    e^(k/2) eps relative to its node, but after the weight k e^-k of the
+    log-k rule it adds at most about eps Int k^2 e^(-k/2)/(1 + k/x) dk to F.
     """
-    tm = np.empty_like(te)
-    split = np.searchsorted(k, _SERIES_K, side="right")
-    h, b_plus, b_minus, one_plus, one_minus, cross, twice_exp = (
-        table[_CLOSED, :split])
-    c_closed = c[:, :split]
-    s = np.sqrt(c_closed)
-    hs = h * s
+    b_plus, b_minus, h_plus, h_minus, cross, half_exp = factors
+    s = np.sqrt(c)
     bracket = (
-        b_plus * np.arctan(-hs / (one_plus * (b_plus + c_closed)))
-        + b_minus * np.arctan(hs / (one_minus * (b_minus + c_closed)))
+        b_plus * np.arctan(-h_plus * (s / (b_plus + c)))
+        + b_minus * np.arctan(h_minus * (s / (b_minus + c)))
         - cross * np.arctan(s))
     np.divide(bracket, s, out=bracket, where=s > 0.0)
-    bracket *= twice_exp
-    np.add(te[:, :split], bracket, out=tm[:, :split])
-    s = np.sqrt(c[:, split:])
-    basis = np.empty(s.shape + (2 * _SERIES_TERMS,))
-    basis[..., 0] = np.arctan(s) / s
-    basis[..., 1:] = r[:, split:, None]
-    np.cumprod(basis[..., 1:], axis=-1, out=basis[..., 1:])
-    basis *= table[_SERIES, split:].T
-    tm[:, split:] = -basis.sum(axis=-1)
-    return tm
+    bracket *= half_exp
+    bracket *= 2.0 * half_exp
+    return np.add(te, bracket, out=bracket)
 
 
 def _couplings(x):
@@ -286,11 +236,10 @@ def _energy_and_slope(x, rtol):
     One log-k trapezoid rule in k = 2g, refined on the support of its three
     rows until all three reach rtol: the TE energy and the TE slope of
     _log_terms, with r = 1/(1 + c) and c = k/x, and the TM part, whose
-    angular integral _tm_angle does in closed form, or by its series above
-    k = 2. The TM coefficient at (k, eps; x) is the TE one at (k; x/eps^2),
-    so TM(x) = Int_0^1 TE(x/eps^2) d eps, and differentiating under the
-    integral gives x TM'(x) = (TM - TE)/2 exactly: the TM slope is no
-    integral of its own, and x F' = x TE' + (TM - TE)/2.
+    angular integral _tm_angle does in closed form. The TM coefficient at
+    (k, eps; x) is the TE one at (k; x/eps^2), so TM(x) = Int_0^1
+    TE(x/eps^2) d eps, whose derivative is x TM'(x) = (TM - TE)/2 exactly:
+    the TM slope is no integral of its own, and x F' = x TE' + (TM - TE)/2.
 
     The TE rows are integrated times 2^(2n) of _te_exponent and scaled back
     at the end, which changes no bit where they are normal floats; below
@@ -305,8 +254,8 @@ def _energy_and_slope(x, rtol):
         r = 1.0 / (1.0 + c)
         out = np.empty((3,) + c.shape)
         _log_terms(k, c, r, out[::2], n)
-        out[1] = _tm_angle(k, c, r, np.ldexp(out[0], -2 * n), table)
-        out *= table[_K2]
+        out[1] = _tm_angle(c, np.ldexp(out[0], -2 * n), table[1:])
+        out *= table[0]
         return out
 
     xs = _couplings(x)

@@ -550,29 +550,33 @@ def by_chunks(f, x, size):
                           axis=-1)
 
 
-def divide_by_power(value, base, n):
-    """value / base**n for a positive float base, without forming base**n.
+def divide_by_power(value, base, n, scale=0):
+    """value 2^scale / base**n for a positive float base, without forming
+    base**n.
 
     base**n alone over- or underflows where the quotient may still be a
     float. With base = m 2^e (m in [0.5, 1)), the quotient is
-    (value / m**n) 2^(-n e); the last step is exact for a normal quotient.
-    For base >= 1 it is (value / (2^n m**n)) 2^(-n (e - 1)) instead, whose
-    first step does not grow value, so it does not overflow either. value
-    is a float, giving a float, or an array, giving an array. A quotient
-    below the float range comes back as 0 or subnormal; one above it raises
-    ValueError naming the first such value.
+    (value / m**n) 2^(scale - n e); the last step is exact for a normal
+    quotient. For base >= 1 it is (value / (2^n m**n)) 2^(scale - n (e - 1))
+    instead, whose first step does not grow value, so it does not overflow
+    either. scale, an int or an int array shaped like value, holds a power
+    of two that value could not take on without leaving the float range.
+    value is a float, giving a float, or an array, giving an array. A
+    quotient below the float range comes back as 0 or subnormal; one above
+    it raises ValueError naming value 2^scale of the first such quotient,
+    which may itself be inf.
     """
     mantissa, exponent = math.frexp(base)
     divisor = mantissa**n
     if exponent > 0:
         divisor, exponent = math.ldexp(divisor, n), exponent - 1
     with np.errstate(over="ignore"):
-        quotient = np.ldexp(np.divide(value, divisor), -n * exponent)
-    beyond = np.isinf(quotient)
-    if beyond.any():
-        first = np.ravel(value)[np.ravel(beyond)][0]
-        raise ValueError(f"{first:.17g} / {base:.17g}**{n} is beyond the "
-                         "float range")
+        quotient = np.ldexp(np.divide(value, divisor), scale - n * exponent)
+        beyond = np.isinf(quotient)
+        if beyond.any():
+            first = np.ravel(np.ldexp(value, scale))[np.ravel(beyond)][0]
+            raise ValueError(f"{first:.17g} / {base:.17g}**{n} is beyond the "
+                             "float range")
     return quotient if np.ndim(value) else float(quotient)
 
 

@@ -156,6 +156,15 @@ def _coupling(a, sheet):
     return x
 
 
+def _square(e):
+    """e^2 as (m^2, 2n), with e = m 2^n and m in [0.5, 1) from frexp: m^2
+    is a normal float for every e, and 2^(2n) goes to the exact last step
+    of divide_by_power, so e^2 cannot under- or overflow before the energy
+    it scales does. A power of two changes no bit where e^2 is normal."""
+    m, n = math.frexp(e)
+    return m * m, 2 * n
+
+
 def image_potential(x1, x2, x3, a, e):
     """Mirror-charge Coulomb potential e^2/(4 pi |r - r_mirror|).
 
@@ -172,7 +181,8 @@ def image_potential(x1, x2, x3, a, e):
     distance = math.hypot(x1, x2, x3 - 2.0 * a)
     if distance == 0.0:
         raise ValueError("observation point coincides with the mirror charge")
-    return divide_by_power(e * e / (4.0 * math.pi), distance, 1)
+    square, twice = _square(e)
+    return divide_by_power(square / (4.0 * math.pi), distance, 1, twice)
 
 
 def electrostatic_shift(a, atom):
@@ -182,9 +192,10 @@ def electrostatic_shift(a, atom):
     back as 0, and one above it raises ValueError.
     """
     _require_positive(a, "a")
-    coupling = atom.e * atom.e / (4.0 * math.pi)
-    return (divide_by_power(0.5 * coupling, a, 1)
-            + divide_by_power(coupling * atom.quadrupole / 16.0, a, 3))
+    square, twice = _square(atom.e)
+    coupling = square / (4.0 * math.pi)
+    return (divide_by_power(0.5 * coupling, a, 1, twice)
+            + divide_by_power(coupling * atom.quadrupole / 16.0, a, 3, twice))
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +499,7 @@ def delta1(a, sheet, atom, rtol=1e-8):
     if sheet.omega == 0.0:
         return 0.0
     x = _coupling(a, sheet)
-    braces = f_te(x) + f_tm(x, rtol) / 3.0
-    return divide_by_power(
-        -atom.e * atom.e / (32.0 * math.pi**2 * atom.m) * braces, a, 2)
+    return _vertex_energy(a, atom, f_te(x) + f_tm(x, rtol) / 3.0)
 
 
 def delta1_integral_form(a, sheet, atom, rtol=1e-8):
@@ -524,8 +533,16 @@ def delta1_integral_form(a, sheet, atom, rtol=1e-8):
 
     radial_integral = integrate_exponential_weight(
         radial, QuadratureSpec(rtol=rtol))
-    return divide_by_power(
-        -atom.e * atom.e / (32.0 * math.pi**2 * atom.m) * radial_integral, a, 2)
+    return _vertex_energy(a, atom, radial_integral)
+
+
+def _vertex_energy(a, atom, braces):
+    """-e^2 braces/(32 pi^2 m a^2), the shift of delta1 and its integral
+    form, with the powers of two of e^2 and m in the last exact step."""
+    square, twice = _square(atom.e)
+    mass, exponent = math.frexp(atom.m)
+    return divide_by_power(-square / (32.0 * math.pi**2 * mass) * braces,
+                           a, 2, twice - exponent)
 
 
 def charge_sheet_energy(a, sheet, atom):
@@ -535,9 +552,11 @@ def charge_sheet_energy(a, sheet, atom):
     kinetic part, the explicit surface-mode pole contribution, is
     -(e^2/(16 pi m^2 a)) [h_par(x) <p_par^2>/2 + (1 + 1/(2x)) <p_3^2>]: its
     in-plane term takes the closed h_par, the normal term is closed too. Both
-    parts follow divide_by_power, the kinetic part through a and then m^2:
-    below the float range they come back as 0 or subnormal, above it they
-    raise ValueError. A charge with e = 0 has kinetic energy +0.0.
+    parts follow divide_by_power, the kinetic part in one division by m^2
+    that takes the powers of two of e^2 and a: below the float range they
+    come back as 0 or subnormal, above it they raise ValueError, which
+    names the kinetic energy times m^2. A charge with e = 0 has kinetic
+    energy +0.0.
     """
     electrostatic, kinetic = charge_sheet_energies(
         a, np.array([sheet.omega * a]), atom)
@@ -569,29 +588,32 @@ def charge_sheet_energies(a, x, atom):
 
     flat = x.reshape(-1)
     h_par = h_parallel(flat)
-    # e^2/(16 pi) = q 2^shift with q in [1, 2), from the frexp parts of e.
-    # Each momentum term p h is scaled by 2^shift before the sum, as p taken
-    # into [1/2, 1) times h scaled by the rest, and the sum is multiplied
-    # by q: so e^2 cannot underflow while the sum overflows (0 times inf),
-    # and a power of two changes no bit where every factor is a normal
-    # float. A sum beyond the float range is inf, which divide_by_power
-    # names.
-    m, n = math.frexp(atom.e)
-    q, n_q = math.frexp(m * m / (16.0 * math.pi))
-    shift = 2 * n + n_q - 1
-    braces = np.zeros(flat.shape)
-    with np.errstate(over="ignore"):
-        for p, h in ((0.5 * atom.p2par, h_par), (atom.p23, 1.0 + 0.5 / flat)):
-            if p:
-                p, n_p = math.frexp(p)
-                braces += p * np.ldexp(h, shift + n_p)
-        # 0 - v, not -v: a charge with no momenta has kinetic energy +0.0,
-        # and so has one with e = 0, even where its sum of momenta overflows
-        kinetic = (0.0 - (2.0 * q) * braces
-                   if atom.e and braces.any() else np.zeros(flat.shape))
-    kinetic = divide_by_power(divide_by_power(kinetic, a, 1), atom.m, 2)
+    # Each momentum term p h is the product of the frexp mantissas of p and
+    # h, times 2^-top, with top the larger of the two terms' exponents at
+    # each x, so the sum stays in [1/4, 2). The sum is divided by the frexp
+    # mantissa of a, and then by m^2 through divide_by_power, whose last
+    # exact step takes 2^top and the powers of two of e^2 and a. So no
+    # factor can under- or overflow before the energy does, and a power of
+    # two changes no bit where every factor is a normal float.
+    square, twice = _square(atom.e)
+    terms = []
+    for p, h in ((0.5 * atom.p2par, h_par), (atom.p23, 1.0 + 0.5 / flat)):
+        if p:
+            p, n_p = math.frexp(p)
+            h, n_h = np.frexp(h)
+            terms.append((p * h, n_p + n_h))
+    top = np.max([n for _, n in terms], axis=0) if terms else 0
+    braces = sum((np.ldexp(t, n - top) for t, n in terms),
+                 np.zeros(flat.shape))
+    # 0 - v, not -v: a charge with no momenta has kinetic energy +0.0, and
+    # so has one with e = 0
+    kinetic = (0.0 - square / (16.0 * math.pi) * braces
+               if atom.e and braces.any() else np.zeros(flat.shape))
+    mantissa, exponent = math.frexp(a)
+    kinetic = divide_by_power(kinetic / mantissa, atom.m, 2,
+                              twice + top - exponent)
     electrostatic = np.full(
-        x.shape, divide_by_power(-atom.e * atom.e / (8.0 * math.pi), a, 1))
+        x.shape, divide_by_power(-square / (8.0 * math.pi), a, 1, twice))
     return electrostatic, kinetic.reshape(x.shape)
 
 

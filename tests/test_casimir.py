@@ -620,24 +620,25 @@ class TestPinnedBits:
     """repr of the outputs at rtol 1e-8. The TE parts have kept their bits
     since the inner rule went to blocks and the kernel to in-place
     arithmetic. TM and the pressure moved by at most 1.7e-15 when the TM
-    angle went to its closed form and the TM slope to x TM' = (TM - TE)/2;
-    the check route, reduced_energy_and_pressure_nested, keeps the bits
-    they had (the value ledger holds both routes on the x-lattice). mpmath
-    gives the pressures as P_FROZEN."""
+    angle went to its closed form and the TM slope to x TM' = (TM - TE)/2,
+    and by at most 1e-15 when that closed form replaced the series in e^-k
+    above k = 2; the check route, reduced_energy_and_pressure_nested, keeps
+    the bits they had before either (the value ledger holds both routes on
+    the x-lattice). mpmath gives the pressures as P_FROZEN."""
 
     @pytest.mark.parametrize("x, want", [
-        (1e-3, "(-3.129858068780507e-09, -0.00011206233244981502, "
-               "-0.0002801605560774193)"),
-        (0.1, "(-2.1699049640518638e-05, -0.0011124620387074945, "
+        (1e-3, "(-3.129858068780507e-09, -0.000112062332449815, "
+               "-0.00028016055607741925)"),
+        (0.1, "(-2.1699049640518638e-05, -0.0011124620387074943, "
               "-0.0028191242198661393)"),
         (1.0, "(-0.0007014483623611077, -0.0031706036073140317, "
               "-0.00954520768974619)"),
-        (10.0, "(-0.00423830346117283, -0.005821746058635547, "
-               "-0.027708890381046875)"),
-        (1e3, "(-0.0068130103016865815, -0.0068402325929825415, "
+        (10.0, "(-0.00423830346117283, -0.005821746058635548, "
+               "-0.02770889038104688)"),
+        (1e3, "(-0.0068130103016865815, -0.00684023259298254, "
               "-0.04090547603230186)"),
-        (1e6, "(-0.006853850822082819, -0.0068538782374559706, "
-              "-0.041123132348064695)"),
+        (1e6, "(-0.006853850822082819, -0.006853878237455971, "
+              "-0.0411231323480647)"),
     ])
     def test_energy_and_pressure(self, x, want):
         assert repr(reduced_energy_and_pressure(x)) == want
@@ -645,6 +646,44 @@ class TestPinnedBits:
     def test_convention_equivalence(self):
         got = polarization_convention_equivalence(1.0, SheetParameters(1.0))
         assert repr(got) == "1.1200285336836204e-16"
+
+
+# 60-digit mpmath values of TM and a^4 P at x = Omega a, the TM part as the
+# 1-d k-integral of the closed angle. With N = 1/(32 pi^2), c = k/x,
+# r = 1/(1 + c), w = e^-k r^2, L = ln(1 - w), S = sqrt(c) and
+# b+- = sqrt(1 +- e^(-k/2)):
+#   TE = N Int k^2 L dk,  x TE' = N Int k^2 (-2 w (1 - r)/(1 - w)) dk,
+#   TM = N Int k^2 (L + (2/S) (b+ atan(S/b+) + b- atan(S/b-) - 2 atan S)) dk,
+#   P = 3 (TE + TM) - x TE' - (TM - TE)/2,
+# with L = log1p(-w) for w < 1/2 and ln((-expm1(-k) + c (2 + c))/(1 + c)^2)
+# above, each by mpmath.quad over k in [0, 300] (the rest is below e^-290),
+# split at x/100, x/10, x, 10x, 100x (those below 400) and 0.5, 1, 2, 4, ...,
+# 128, 200, 300. At dps 80 and at dps 100 (maxdegree 10 and 12) the values
+# agree to 62 digits.
+TM_AND_P_60 = {
+    1e-3: ("-1.12062332449815049818437065546842614505732417584722557669740e-4",
+          "-2.80160556077419395493071853703928003323520944177396903733229e-4"),
+    0.1: ("-1.11246203870749856810838710458141102154851476279086412516279e-3",
+          "-2.81912421986616104792301183058118789658170603279585268100294e-3"),
+    1.0: ("-3.17060360731423644273027539436053157596614110809511194917617e-3",
+          "-9.54520768974735844248939099591046845881030721175109362103715e-3"),
+    10.0: ("-5.82174605863576006511988875063671884903737968440678823782559e-3",
+          "-2.77088903810481389244417073624054845928155696969803234786907e-2"),
+    1e3: ("-6.84023259299228129974140439969088093226108231755163367061912e-3",
+          "-4.09054760323602961418364264659251732206271788296889310668314e-2"),
+    1e6: ("-6.85387823746571094916730122005472697186567210731866429327555e-3",
+          "-4.11231323481231463554469431689498225394857491939090518161598e-2"),
+}
+
+
+@pytest.mark.parametrize("x", sorted(TM_AND_P_60))
+def test_tm_and_pressure_at_the_tolerance_floor(x):
+    # at rtol 1e-14 the 1-d pass is within 2e-15 of mpmath, a few eps: on
+    # a numpy whose SIMD arctan or exp is less accurate this may fail, and
+    # CI prints numpy.show_runtime() to name it
+    _, tm, p = reduced_energy_and_pressure(x, 1e-14)
+    for got, want in zip((tm, p), TM_AND_P_60[x]):
+        assert abs(got - float(want)) <= 2e-15 * abs(float(want))
 
 
 class TestConventionEquivalence:

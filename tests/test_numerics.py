@@ -541,6 +541,18 @@ class TestDivideByPower:
         got = numerics.divide_by_power(np.array([1.7e308, 1.0]), 1.5, 2)
         assert got.tolist() == [1.7e308 / 2.25, 1.0 / 2.25]
 
+    def test_scale_is_applied_in_the_last_exact_step(self):
+        # 2^-1500 / 2^-1000 = 2^-500, though 2^-1500 is not a float; a
+        # scale array goes with each element, and the message names
+        # value 2^scale, here 1.5 2^1100 = inf
+        assert numerics.divide_by_power(1.0, 2.0**-1000, 1, -1500) == 2.0**-500
+        got = numerics.divide_by_power(np.array([1.0, 1.0]), 4.0, 1,
+                                       np.array([-1000, 1020]))
+        assert got.tolist() == [2.0**-1002, 2.0**1018]
+        with pytest.raises(ValueError, match=r"^inf / 0\.25\*\*1 is beyond"):
+            numerics.divide_by_power(np.array([1.0, 1.5]), 0.25, 1,
+                                     np.array([0, 1100]))
+
 
 class TestRootFinding:
     def test_sqrt3(self):

@@ -808,28 +808,31 @@ class TestChargeSheetEnergy:
 
     def test_kinetic_beyond_the_float_range_raises(self, capsys):
         # p2par h_par/(16 pi), about 1e309, overflows at x = 1e-300:
-        # divide_by_power names the infinite sum, and no numpy warning is
-        # raised on the way
+        # divide_by_power names the kinetic energy times m^2, -inf, and no
+        # numpy warning is raised on the way
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="-inf / 1\\*\\*1 is beyond"):
+            with pytest.raises(ValueError, match="-inf / 1\\*\\*2 is beyond"):
                 charge_sheet_energies(1.0, np.array([1.0, 1e-300]),
                                       AtomProperties(p2par=1e11))
             status = main(["charge", "--omega-a", "1e-300", "--p2par", "1e11"])
         out, err = capsys.readouterr()
         assert status == 1 and err == ""
         assert out.splitlines()[-1] == (
-            "1e-300,nan,nan,ValueError: -inf / 1**1 is beyond the float range")
+            "1e-300,nan,nan,ValueError: -inf / 1**2 is beyond the float range")
 
 
     def test_charge_whose_square_overflows_raises(self, capsys):
-        # e^2 = inf at e = 1e200: a ValueError names it, not an
-        # OverflowError, and no 0 * inf is formed where the momenta are 0
+        # at e = 1e200 and a = 1 the energies, about 1e398, are beyond the
+        # float range: a ValueError names the electrostatic energy where
+        # the momenta are 0 (no 0 * inf is formed), and the kinetic energy
+        # times m^2 where they are not, not an OverflowError
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for atom in (AtomProperties(e=1e200),
-                         AtomProperties(e=1e200, p23=1.0)):
-                with pytest.raises(ValueError, match="-inf / 1\\*\\*1"):
+            for atom, message in ((AtomProperties(e=1e200), "-inf / 1\\*\\*1"),
+                                  (AtomProperties(e=1e200, p23=1.0),
+                                   "-inf / 1\\*\\*2")):
+                with pytest.raises(ValueError, match=message):
                     charge_sheet_energies(1.0, np.array([1.0]), atom)
             for route in (delta1, delta1_integral_form):
                 with pytest.raises(ValueError, match="beyond the float range"):
@@ -849,6 +852,81 @@ class TestChargeSheetEnergy:
         assert status == 0
         assert out.splitlines()[-1] == (
             "1,-3.9788735772973833,-9.8477121038110245e+307,")
+
+
+class TestChargeSquaredOutsideTheFloatRange:
+    """Energies that go like e^2, at e = 1e-200 and 1e200, where e^2 leaves
+    the float range and the energy does not: each is the float of its
+    mpmath value, with e's power of two in divide_by_power's last step."""
+
+    @staticmethod
+    def close(got, want, rel):
+        with mpmath.workdps(30):
+            assert abs(mpmath.mpf(got) / want - 1) <= rel, (got, want)
+
+    @pytest.mark.parametrize("e", [1e-200, 1e200])
+    def test_electrostatic_shift_and_image_potential(self, e):
+        # at a = e the shift is e/(8 pi); the mirror charge of a sheet at
+        # a = e/2 is e away from the origin, so the potential is e/(4 pi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            shift = electrostatic_shift(e, AtomProperties(e=e))
+            image = image_potential(0.0, 0.0, 0.0, 0.5 * e, e)
+        with mpmath.workdps(30):
+            self.close(shift, mpmath.mpf(e) / (8 * mpmath.pi), 1e-15)
+            self.close(image, mpmath.mpf(e) / (4 * mpmath.pi), 1e-15)
+
+    @pytest.mark.parametrize("e", [1e-200, 1e200])
+    @pytest.mark.parametrize("route", [delta1, delta1_integral_form])
+    def test_delta1_routes(self, route, e):
+        # m = e and Omega = a = 1: -(e^2/m)(f_TE(1) + f_TM(1)/3)/(32 pi^2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = route(1.0, SheetParameters(1.0), AtomProperties(e=e, m=e),
+                        1e-12)
+        with mpmath.workdps(30):
+            braces = mpmath.mpf(F_TE_1) + mpmath.mpf(F_TM_1) / 3
+            want = -mpmath.mpf(e) * braces / (32 * mpmath.pi**2)
+            self.close(got, want, 1e-11)
+
+    @pytest.mark.parametrize("e", [1e-200, 1e200])
+    def test_charge_energies_and_command(self, e, capsys):
+        # a = e, Omega a = 1, p2par = 1: the electrostatic part is
+        # -e/(8 pi) and the kinetic part -e h_par(1)/(32 pi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            energies = charge_sheet_energy(e, SheetParameters(1.0 / e),
+                                           AtomProperties(e=e, p2par=1.0))
+            status = main(["charge", "--omega-a", "1", "--e", repr(e),
+                           "--a", repr(e), "--p2par", "1"])
+        out, err = capsys.readouterr()
+        assert status == 0 and err == ""
+        row = out.splitlines()[-1].split(",")
+        assert row[-1] == ""
+        with mpmath.workdps(30):
+            wants = (-mpmath.mpf(e) / (8 * mpmath.pi),
+                     -mpmath.mpf(e) * mpmath.mpf(H_PAR_1) / (32 * mpmath.pi))
+            for got, cell, want in zip(energies, row[1:3], wants):
+                self.close(got, want, 1e-15)
+                self.close(float(cell), want, 1e-15)
+
+    @pytest.mark.parametrize("x, atom", [
+        (1.0, AtomProperties(e=1e-200, m=1e-200, p2par=1.0)),
+        (1e-300, AtomProperties(m=1e10, p2par=1e11)),
+    ])
+    def test_kinetic_energy_whose_division_by_m_squared_brings_it_back(
+            self, x, atom):
+        # at a = 1, e^2 p2par h_par/(16 pi) under- or overflows, and the
+        # kinetic energy, that over m^2, is a float all the same
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, (kinetic,) = charge_sheet_energies(1.0, np.array([x]), atom)
+        with mpmath.workdps(30):
+            xm = mpmath.mpf(x)
+            h_par = 2 + 1 / xm - xm * mpmath.exp(xm) * mpmath.e1(xm)
+            want = (-(mpmath.mpf(atom.e) / mpmath.mpf(atom.m))**2
+                    * mpmath.mpf(atom.p2par) / 2 * h_par / (16 * mpmath.pi))
+            self.close(kinetic, want, 1e-14)
 
 
 class TestCasimirPolder:
