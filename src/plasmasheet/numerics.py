@@ -1,14 +1,16 @@
-"""Quadrature, root finding and spherical Bessel machinery.
+"""Quadrature, root finding, minimization and spherical Bessel machinery.
 
 Plain numerics, no sheet physics. Two fixed rules that take array-valued
 integrands (a trapezoidal rule in ln k for e^-k weighted integrals, and
 Gauss-Legendre) and bisection sit behind small contracts that fail loudly
-instead of returning silently inaccurate numbers. Both rules refine each
-element on its own, in one loop: an element is final at its first pair of
-agreeing levels or orders and leaves, and the integrand sees only the
-elements still refining, with their rows of any per-element parameter
-arrays. An element's value therefore does not depend on the elements that
-share its calls.
+instead of returning silently inaccurate numbers. ``minimize_bounded`` is
+Brent's bounded minimizer, scipy's fminbound on Python floats.
+
+Both rules refine each element on its own, in one loop: an element is
+final at its first pair of agreeing levels or orders and leaves, and the
+integrand sees only the elements still refining, with their rows of any
+per-element parameter arrays. An element's value therefore does not depend
+on the elements that share its calls.
 
 The log-k rule's elements are the rows of its parameter arrays (without
 them, one element whose integrands refine together, on the same path),
@@ -27,11 +29,12 @@ one route per kind of argument:
 
 - a real ndarray goes to ``spherical_jn``/``spherical_yn``, one call each
   over all requested orders: the fastest over a whole array;
-- a real scalar, a Python float or an ``np.float64`` alike (``minimize_scalar``
-  passes the latter), goes to the ``jv``/``yv`` ufuncs at n + 1/2, one call
-  of each per order, and the rest runs on Python floats: no arrays of
-  orders, and no wrapper's per-call cost. The Jost functions keep such a
-  call on floats from end to end;
+- a real scalar (a Python float, an ``np.float64`` or an int) is made a
+  float and goes to ``cython_special.jv``/``yv`` at n + 1/2, one call of
+  each per order, and the rest runs on Python floats: no arrays of orders,
+  and none of a ufunc's per-call overhead; the two give the same bits. The
+  Jost functions, and ``scan_real_zeros`` through ``minimize_bounded``,
+  keep such a call on floats from end to end;
 - a complex argument, scalar or ndarray, goes to the exponentially scaled
   ``jve``/``hankel1e``: on the imaginary axis z = i kappa, j and y grow like
   e^kappa while h = j + i y falls like e^-kappa, so the scaled pair keeps
@@ -41,7 +44,9 @@ On both real routes Re h = j exactly, since h is assembled from j and y
 part by part.
 
 scipy is imported on first use: importing it takes longer than the rest of
-the package together.
+the package together. ``scipy.special`` and its ``cython_special`` are
+bound once, by ``_scipy_special``; no package module imports
+``scipy.optimize``.
 """
 
 import cmath
@@ -66,6 +71,7 @@ __all__ = [
     "divide_by_power",
     "require_log_k_scale",
     "find_root_bracketed",
+    "minimize_bounded",
     "spherical_bessel_j",
     "spherical_hankel1",
     "riccati_bessel",
@@ -130,6 +136,12 @@ _LEGENDRE_MAX_ORDER = 512
 _BLOCK_NODES = 8192
 # Residual bound of find_root_bracketed, relative to |f| at the ends.
 _ROOT_RESIDUAL = 1e-12
+# Constants of minimize_bounded, as scipy's fminbound forms them: the
+# golden-section fraction, the relative floor of a step, and the most calls
+# of f.
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+_MAX_CALLS = 500
 
 
 def _frozen(*arrays):
@@ -641,11 +653,96 @@ def find_root_bracketed(f, lo, hi):
     return float(mid) if scalar else mid
 
 
+def minimize_bounded(f, lo, hi, xatol):
+    """Minimum of f on [lo, hi] by Brent's bounded method: (x, f(x)).
+
+    A step-for-step port of scipy's fminbound (``minimize_scalar`` with
+    ``method="bounded"``; R. P. Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 5) onto Python floats. Each step is parabolic
+    where the parabola through the three best points so far falls inside
+    the bracket and shrinks the step before last by half or more, and
+    golden-section otherwise; no step is shorter than
+    tol1 = sqrt(2.2e-16) |x| + xatol/3. The search stops once the best x
+    lies within 2 tol1 - (hi - lo)/2 of the bracket's midpoint, or after 500
+    calls of f. IEEE arithmetic rounds the same on floats as on the numpy
+    scalars scipy uses, so every iterate, the result and the number of calls
+    are scipy's, bit for bit.
+
+    lo and hi must be finite with lo <= hi (ValueError otherwise). f takes a
+    float; it may return inf. Returns the best x and f(x) as f gave it.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"invalid bounds [{lo}, {hi}]")
+    a, b = lo, hi
+    # xf is the best point, nfc the second best, fulc the third
+    xf = nfc = fulc = a + _GOLDEN * (b - a)
+    fx = fnfc = ffulc = f(xf)
+    calls = 1
+    rat = e = 0.0
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    while abs(xf - xm) > 2.0 * tol1 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < 2.0 * tol1 or b - x < 2.0 * tol1:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN * e
+        step = max(abs(rat), tol1)
+        x = xf - step if rat < 0.0 else xf + step
+        fu = f(x)
+        calls += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        if calls >= _MAX_CALLS:
+            break
+    return xf, fx
+
+
 def _check_l(l):
     if not isinstance(l, (int, np.integer)):
         raise ValueError("l must be an integer")
     if l < 0:
         raise ValueError("l must be nonnegative")
+
+
+@functools.lru_cache(maxsize=None)
+def _scipy_special():
+    """scipy.special and scipy.special.cython_special, imported once."""
+    from scipy import special
+    from scipy.special import cython_special
+    return special, cython_special
 
 
 def _sph_jh(orders, z):
@@ -660,15 +757,14 @@ def _sph_jh(orders, z):
     uses j_n(-x) = (-1)^n j_n(x), y_n(-x) = (-1)^(n+1) y_n(x)). For a
     complex z, j = j_n e^-|Im z| and h = h_n e^-iz (``jve``, ``hankel1e``).
     """
-    from scipy import special
-
+    special, cython_special = _scipy_special()
     if not isinstance(z, (np.ndarray, complex)):
-        x = abs(z)
+        x = float(abs(z))
         front = math.sqrt(math.pi / (2 * x))
         j, h = [], []
         for n in orders:
-            jn = front * float(special.jv(n + 0.5, x))
-            yn = front * float(special.yv(n + 0.5, x))
+            jn = front * cython_special.jv(n + 0.5, x)
+            yn = front * cython_special.yv(n + 0.5, x)
             if z < 0:
                 jn, yn = (-1.0) ** n * jn, (-1.0) ** (n + 1) * yn
             j.append(jn)

@@ -652,8 +652,18 @@ def _unpolarizable(atom):
 
 def _polder_energy(a, g, atom):
     """Casimir-Polder energy at distance a from (gTE, gTM, g3), floats or
-    arrays."""
+    arrays.
+
+    Each polarizability enters as m 2^(n - N), from its frexp m 2^n and the
+    largest n of the nonzero ones, N, which goes to the exact last step of
+    divide_by_power, as _square does for e^2. So neither alpha1 + alpha2
+    nor the braces overflow before the energy does, and the powers of two
+    change no bit where the parts are normal."""
     te, tm, normal = g
-    braces = ((te + 2.2 * tm) * (atom.alpha1 + atom.alpha2) / 4.0
-              + normal * atom.alpha3)
-    return divide_by_power(-braces / (32.0 * math.pi**2), a, 4)
+    parts = [math.frexp(alpha)
+             for alpha in (atom.alpha1, atom.alpha2, atom.alpha3)]
+    top = max(exponent for mantissa, exponent in parts if mantissa)
+    alpha1, alpha2, alpha3 = (math.ldexp(mantissa, exponent - top)
+                              for mantissa, exponent in parts)
+    braces = ((te + 2.2 * tm) * (alpha1 + alpha2) / 4.0 + normal * alpha3)
+    return divide_by_power(-braces / (32.0 * math.pi**2), a, 4, top)

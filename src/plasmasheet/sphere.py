@@ -29,7 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMomentumError, SheetModelError
-from .numerics import _check_l, _jh_phase, _riccati_scaled, _sph_jh
+from .numerics import (
+    _check_l,
+    _jh_phase,
+    _riccati_scaled,
+    _sph_jh,
+    minimize_bounded,
+)
 
 # Unused here but stay bound: perfbench/tracing.py wraps them by name.
 from .numerics import (  # noqa: F401
@@ -222,7 +228,9 @@ def scan_real_zeros(l, shell, k0r_max=30.0, points_per_period=20,
 
     Samples k0 R on (0, k0r_max] finely enough to resolve every oscillation,
     in one array evaluation per polarization, sharpens each local minimum
-    of |g|^2 by bounded minimization, and keeps those below threshold. At
+    of |g|^2 between its grid neighbours by Brent's bounded minimization
+    (``numerics.minimize_bounded``, to 1e-12 in k0 R, with scalar Jost calls
+    on Python floats), and keeps those below threshold. At
     small Omega R and growing l the TM function develops resonance dips
     whose depth shrinks like a high power of k0 R. Im g at the minimum is a
     squared factor that carries relative error only (module docstring), so
@@ -232,8 +240,6 @@ def scan_real_zeros(l, shell, k0r_max=30.0, points_per_period=20,
     Jost functions, k0r_max positive and finite, and points_per_period at
     least 1 (ValueError otherwise).
     """
-    from scipy.optimize import minimize_scalar
-
     if not 0.0 < k0r_max < math.inf:
         raise ValueError("k0r_max must be positive and finite")
     if not points_per_period >= 1:
@@ -246,6 +252,7 @@ def scan_real_zeros(l, shell, k0r_max=30.0, points_per_period=20,
     step = _OSCILLATION_PERIOD / points_per_period
     count = max(int(math.ceil(k0r_max / step)), 2)
     grid = np.linspace(step, k0r_max, count)
+    points = grid.tolist()
     radius = shell.radius
 
     found = []
@@ -267,21 +274,21 @@ def scan_real_zeros(l, shell, k0r_max=30.0, points_per_period=20,
             candidates.append(len(grid) - 1)
 
         for i in candidates:
-            lo = grid[max(i - 1, 0)]
-            hi = grid[min(i + 1, len(grid) - 1)]
-            result = minimize_scalar(abs_g_squared, bounds=(lo, hi),
-                                     method="bounded",
-                                     options={"xatol": 1e-12})
-            certified = min(float(result.fun), values[i])
+            lo = points[max(i - 1, 0)]
+            hi = points[min(i + 1, len(grid) - 1)]
+            location, fun = minimize_bounded(abs_g_squared, lo, hi, 1e-12)
+            certified = min(float(fun), values[i])
             if certified >= threshold:
                 continue
-            location = float(result.x)
+            # a float already, but a numpy scalar where the objective
+            # returns one
+            location = float(location)
             floor = jost(l, location / radius, shell).imag
             if certify_nonzero and floor > 0.0:
                 continue
             found.append(ZeroCandidate(
                 l=l, polarization=polarization,
-                k0r_interval=(float(lo), float(hi)),
+                k0r_interval=(lo, hi),
                 k0r_location=location,
                 min_abs_g_squared=certified,
                 imag_part_floor=floor))

@@ -680,6 +680,13 @@ EXTREME_RUNS = [
     ("charge --omega-a 1e-300 --e 1e-150 --p2par 1e-200", 0, None),
     ("charge --omega-a 1e-300 --e 1e200 --p2par 1", 1,
      "ValueError: -inf / 1**2 is beyond the float range"),
+    # alpha1 + alpha2 beyond the float range, the energy inside it; the
+    # same energy over a^4 beyond it
+    ("casimir-polder --omega-a 1 --isotropic-alpha 1e308", 0, None),
+    ("casimir-polder --omega-a 1 --isotropic-alpha 1e308 --a 1e-3 "
+     "--raw-units", 1,
+     "ValueError: -4.68889753137062e+305 / 0.001**4 is beyond the float "
+     "range"),
     # the Casimir pass gives a row from 800/DBL_MAX up
     ("casimir --omega-a 1e-14", 0, None),
     ("casimir --omega-a-min 4.5e-306 --omega-a-max 1e-13 --count 25 "

@@ -979,6 +979,34 @@ class TestCasimirPolder:
         with pytest.raises(ValueError, match="beyond the float range"):
             casimir_polder_energy(1e-100, SheetParameters(omega=1e100), atom)
 
+    @pytest.mark.parametrize("alphas, a", [
+        ((1e308, 1e308, 1e308), 1.0),       # alpha1 + alpha2 overflows
+        ((1.7e308, 1.7e308, 0.0), 3.0),
+        ((0.0, 0.0, 1.7e308), 0.7),
+        ((1e300, 1e300, 1e-300), 1.0),      # parts 2^1993 apart
+        ((3e-320, 3e-320, 3e-320), 1e-78),  # subnormal parts
+        ((0.0, 5e-324, 0.0), 1e-80),
+    ])
+    def test_polarizabilities_on_the_float_range_match_mpmath(self, alphas, a):
+        # the braces in mpmath from the package's own g values, so the test
+        # reads the assembly of the energy alone
+        atom = AtomProperties(alpha1=alphas[0],
+                              alpha2=alphas[1], alpha3=alphas[2])
+        sheet = SheetParameters(omega=1.0 / a)
+        got = casimir_polder_energy(a, sheet, atom)
+        x = sheet.omega * a
+        with mpmath.workdps(40):
+            te, tm, normal = (mpmath.mpf(g(x)) for g in (g_te, g_tm, g_3))
+            a1, a2, a3 = (mpmath.mpf(alpha) for alpha in alphas)
+            braces = (te + mpmath.mpf(11) / 5 * tm) * (a1 + a2) / 4 + normal * a3
+            want = -braces / (32 * mpmath.pi**2 * mpmath.mpf(a)**4)
+            assert abs(got - want) <= 1e-15 * abs(want)
+
+    def test_polarizability_energy_beyond_the_float_range(self):
+        atom = AtomProperties.isotropic(1e308)
+        with pytest.raises(ValueError, match="beyond the float range"):
+            casimir_polder_energy(1e-3, SheetParameters(omega=1e3), atom)
+
     def test_scale_collapse(self):
         atom = AtomProperties.isotropic(1.0)
         near = casimir_polder_energy(2.0, SheetParameters(omega=1.0), atom)
