@@ -38,6 +38,26 @@ x dr/dx = r (1 - r), and x TE' is integrated on the nodes of F. r_TM at
 x TM'(x) = (TM - TE)/2 exactly. The pressure comes with the energy, from
 one pass, not from a finite difference.
 
+At small x, TE = -(1/32 pi^2) sum_n (1/n) Int k^2 e^(-nk) (x/(x + k))^(2n)
+dk, from ln(1 - w) = -sum w^n/n. The n = 1 term is x^2 Int e^-k
+(k/(k + x))^2 dk = x^2 [1 - 2x (ln(1/x) - gamma) + x + O(x^2 ln x)], from
+e^x E1(x) = ln(1/x) - gamma + O(x ln x). Each n >= 2 lives on k ~ x, where
+e^(-nk) ~ 1, and adds x^3 2/(n (2n-1)(2n-2)(2n-3)); these sum to
+x^3 (8 ln 2 - 5)/3, so
+
+    TE = -(x^2/32 pi^2) [1 - 2x (ln(1/x) - gamma) + (8 ln 2 - 2) x/3
+                         + O(x^2 ln^2 x)].
+
+The TM identity splits as TM = -C sqrt(x) - (sqrt(x)/2) Int_0^x TE(y)
+y^(-3/2) dy, with C = -(1/2) Int_0^inf TE(y) y^(-3/2) dy = 0.0035437552...
+The TE series in the second piece gives
+
+    TM = -C sqrt(x) + (x^2/96 pi^2) [1 + (3x/5) (2 gamma + (8 ln 2 - 2)/3
+                                     - 4/5 - 2 ln(1/x)) + O(x^2 ln^2 x)],
+
+the y^(3/2) ln(1/y) term by Int_0^x y^(3/2) ln(1/y) dy
+= (2/5) x^(5/2) (ln(1/x) + 2/5).
+
 The check route, reduced_energy_and_pressure_nested, integrates the TM
 angle and its slope by Gauss-Legendre at every node of the same log-k rule
 instead: a tensor-product rule of thousands of nodes per x, which no

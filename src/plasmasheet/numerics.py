@@ -6,20 +6,25 @@ Gauss-Legendre) and bisection sit behind small contracts that fail loudly
 instead of returning silently inaccurate numbers. ``minimize_bounded`` is
 Brent's bounded minimizer, scipy's fminbound on Python floats.
 
-Both rules refine each element on its own, in one loop: an element is
-final at its first pair of agreeing levels or orders and leaves, and the
-integrand sees only the elements still refining, with their rows of any
-per-element parameter arrays. An element's value therefore does not depend
-on the elements that share its calls.
+Both rules refine each element on its own in one loop, ``_refine``; each
+rule gives it only its next level. An element is final at its first pair
+of levels that agree to rtol in every integrand, and leaves: f sees only
+the elements still refining, with their rows of any per-element parameter
+arrays, so where f acts on each node and row alone, as elementwise numpy
+does, an element's value does not depend on the elements that share its
+calls. The result is each element's final value in the caller's
+shape, a float where no axis is left. Where an element still disagrees
+at the rule's last level (10 halvings, or order 512), the rule raises
+ToleranceNotMet("<rule> did not reach rtol <rtol>") with ``estimate``
+every element's latest value, shaped as the result, and ``error_bound``
+the largest gap of the elements that never agreed.
 
 The log-k rule's elements are the rows of its parameter arrays (without
-them, one element whose integrands refine together, on the same path),
-and it refines each only on the support its level 0 finds. Its nodes
-reach k = 800, and ``require_log_k_scale`` refuses a scale x below
-800/DBL_MAX. The Gauss-Legendre elements are the upper limits, handed to
-f in blocks of at most 8192 nodes. The docstrings of
-``integrate_exponential_weight`` and ``integrate_legendre`` give each
-rule in full. The QUADPACK wrappers ``integrate_adaptive`` and
+them, one element whose integrands refine together), and it refines each
+only on the support its level 0 finds. Its nodes reach k = 800, and
+``require_log_k_scale`` refuses a scale x below 800/DBL_MAX. The
+Gauss-Legendre elements are the upper limits, handed to f in blocks of at
+most 8192 nodes. The QUADPACK wrappers ``integrate_adaptive`` and
 ``integrate_semi_infinite`` keep the same contract, but no package code
 calls them: they stay only because the benchmark tracer in
 ``perfbench/tracing.py`` wraps them by name.
@@ -193,6 +198,42 @@ def _legendre_pair(order):
     return _frozen(np.concatenate((nodes, nodes2)))[0], weights, weights2
 
 
+def _refine(prev, cur, step, rtol, rule, shape):
+    """The loop of both rules (module docstring), from the first two levels
+    prev and cur, elements on the last axis, which shape replaces in the
+    result. ``step(cur, keep)`` gives the next level of the elements still
+    refining from their values cur, keep (unless None) marking which of
+    step's last elements stay; past the rule's last level it gives None."""
+    # index: the element of each refining row; result: every element's
+    # latest value once some elements have left
+    index, result = np.arange(cur.shape[-1]), None
+    while True:
+        diff = np.abs(cur - prev)
+        agree = diff <= rtol * np.abs(cur)
+        if agree.all():
+            break
+        keep = None
+        # elements whose integrands all agree leave
+        done = agree.reshape(-1, index.size).all(axis=0)
+        if done.any():
+            if result is None:
+                result = np.empty_like(cur)
+            result[..., index[done]] = cur[..., done]
+            keep = ~done
+            index, cur, diff = index[keep], cur[..., keep], diff[..., keep]
+        if (following := step(cur, keep)) is None:
+            break
+        prev, cur = cur, following
+    if result is not None:
+        result[..., index] = cur
+        cur = result
+    cur = cur.reshape(cur.shape[:-1] + shape)
+    if agree.all():
+        return float(cur) if cur.ndim == 0 else cur
+    raise ToleranceNotMet(f"{rule} did not reach rtol {rtol:g}",
+                          estimate=cur, error_bound=float(np.max(diff)))
+
+
 def integrate_exponential_weight(f, spec=None, *params, nodes=None):
     """Integrals of e^(-k) f(k) over k in [0, inf), one per element.
 
@@ -200,21 +241,19 @@ def integrate_exponential_weight(f, spec=None, *params, nodes=None):
     h0 = ln(800/1e-20)/order; each node's term is w f(k) with
     w = h e^(-k) k. With ``params``, each row of the params arrays is one
     element with integrands of its own; without, there is one element.
-    Each element refines alone. Level 0 samples the whole range
-    k in [1e-20, 800] and fixes the element's support: a level-0 node is
-    negligible when each of the element's integrands has a term there of
-    at most _TAIL_FRACTION * rtol * |its level-0 total|, and the support
-    runs from the last node of the leading run of negligible nodes to the
-    first node of the trailing run. Negligible nodes inside it stay. Each
-    refinement halves the step and adds the midpoints inside the support.
-    Every level, level 0 included, sums over the support alone, so all
-    levels refine one node set; the element is final at the first level
-    that agrees with the one before to ``spec.rtol``, and leaves. Each
-    level calls f once, on the new midpoints from the first support start
-    to the last support end of the elements still refining, and each
-    element sums over its own nodes alone, in the order it would alone: its
-    value, support and level do not depend on the other elements. When all
-    supports coincide, one sum serves every element.
+    Level 0 samples the whole range k in [1e-20, 800] and fixes each
+    element's support: a level-0 node is negligible when each of the
+    element's integrands has a term there of at most
+    _TAIL_FRACTION * rtol * |its level-0 total|, and the support runs from
+    the last node of the leading run of negligible nodes to the first node
+    of the trailing run. Negligible nodes inside it stay. Every level,
+    level 0 included, sums over the support alone, and each of up to 10
+    halvings of the step adds the midpoints inside it. Each level calls f
+    once, on the new midpoints from the first support start to the last
+    support end of the elements still refining; each element sums its own
+    nodes alone, in the order it would alone, so its value, support and
+    level do not depend on the other elements. When all supports coincide,
+    one sum serves every element.
 
     The rule converges geometrically for integrands e^-k k^n R(k/x),
     n >= 0, with R analytic off (-inf, -1], whatever the scale x: in u they
@@ -242,11 +281,9 @@ def integrate_exponential_weight(f, spec=None, *params, nodes=None):
         ``f(k, table, *rows)`` with ``nodes``, where column i of the table
         belongs to k[i]. Without params it returns an array shaped like k,
         or (..., len(k)) for several integrands on the same nodes, which the
-        one element refines together. With params, rows are the rows of the ``params`` arrays
-        for the m elements still refining, and f returns (..., m, len(k)).
-        When f acts on each node and row alone, as elementwise numpy does,
-        an element's value does not depend on which elements share its
-        calls.
+        one element refines together. With params, rows are the rows of the
+        ``params`` arrays for the m elements still refining, and f returns
+        (..., m, len(k)).
     spec : QuadratureSpec, optional
         Tolerances and starting step count.
     *params : arrays
@@ -263,17 +300,13 @@ def integrate_exponential_weight(f, spec=None, *params, nodes=None):
     Raises
     ------
     ToleranceNotMet
-        When some element's levels still disagree after the last halving.
-        Its ``estimate`` holds every element's latest value, and
-        ``error_bound`` the largest gap of the elements that did not
-        converge.
+        After the last halving, as the module docstring says.
     """
     if spec is None:
         spec = QuadratureSpec()
 
     # the weighted terms of f on the nodes new of a level. Without params,
-    # one element: its axis is added to f's values here and taken off the
-    # result at the end
+    # one element, whose axis is added here and dropped by _refine
     def weighted(level, new, rows):
         k, w = _log_k_level(spec.order, level)
         if nodes is not None:
@@ -284,41 +317,27 @@ def integrate_exponential_weight(f, spec=None, *params, nodes=None):
     terms = weighted(0, slice(None), params)
     supports = _supports(terms, spec.rtol)
     lo, hi, offsets = _span(supports)
-    prev = _support_sums(terms[..., lo:hi + 1], offsets, 1, 1)
-    # index: the element of each refining row; result: every element's
-    # latest value once some elements have left
-    index, rows, result = np.arange(len(supports)), params, None
-    for level in range(1, _MAX_HALVINGS + 1):
-        per_step = 2 ** (level - 1)  # new midpoints per level-0 step
-        new = slice(lo * per_step, hi * per_step)
-        cur = 0.5 * prev + _support_sums(weighted(level, new, rows),
-                                         offsets, per_step, 0)
-        diff = np.abs(cur - prev)
-        agree = diff <= spec.rtol * np.abs(cur)
-        if agree.all():
-            break
-        # elements whose integrands all agree leave
-        done = agree.reshape(-1, index.size).all(axis=0)
-        if done.any():
-            if result is None:
-                result = np.empty(cur.shape[:-1] + (len(params[0]),))
-            result[..., index[done]] = cur[..., done]
-            keep = ~done
-            index, cur, diff = index[keep], cur[..., keep], diff[..., keep]
+    level, rows = 0, params
+
+    # the next level of the elements still refining, from their last one
+    def halve(last, keep):
+        nonlocal level, rows, supports, lo, hi, offsets
+        if keep is not None:
             rows = [row[keep] for row in rows]
             supports = [s for s, kept in zip(supports, keep) if kept]
             lo, hi, offsets = _span(supports)
-        prev = cur
-    if result is not None:
-        result[..., index] = cur
-        cur = result
-    if not params:
-        cur = cur[..., 0]
-    if agree.all():
-        return float(cur) if cur.ndim == 0 else cur
-    raise ToleranceNotMet(
-        f"log-k trapezoid refinement did not reach rtol {spec.rtol:g}",
-        estimate=cur, error_bound=float(np.max(diff)))
+        level += 1
+        if level > _MAX_HALVINGS:
+            return None
+        per_step = 2 ** (level - 1)  # new midpoints per level-0 step
+        new = slice(lo * per_step, hi * per_step)
+        return 0.5 * last + _support_sums(weighted(level, new, rows),
+                                          offsets, per_step, 0)
+
+    prev = _support_sums(terms[..., lo:hi + 1], offsets, 1, 1)
+    return _refine(prev, halve(prev, None), halve, spec.rtol,
+                   "log-k trapezoid refinement",
+                   prev.shape[-1:] if params else ())
 
 
 def require_log_k_scale(x):
@@ -375,16 +394,14 @@ def _support_sums(values, offsets, per_step, end):
 def integrate_legendre(f, hi, spec=None, *params):
     """Integrals of f(t) over t in [0, hi] for a float or 1-d array of hi.
 
-    Each element, one upper limit, refines on its own: Gauss-Legendre rules
-    start at ``spec.order`` nodes and double the order until two successive
-    orders agree to ``spec.rtol``. An element is final at its first pair of
-    agreeing orders and keeps the higher order's value; only the elements
-    that have not converged are evaluated at the next order. The first
-    pair, orders n = ``spec.order`` and 2n, is evaluated on their joined
-    nodes. Each order, the first pair included, takes one call of f per
-    block of at most _BLOCK_NODES = 8192 nodes: the elements go to f in
-    consecutive blocks of rows, so a call that fits in one block is one call
-    of f on all of them. Orders stop at 512, so n must be at most 256.
+    Each element is one upper limit. Gauss-Legendre rules start at
+    ``spec.order`` nodes and double the order; an element keeps the higher
+    order of its agreeing pair. The first pair, orders n = ``spec.order``
+    and 2n, is evaluated on their joined nodes. Each order, the first pair
+    included, takes one call of f per block of at most _BLOCK_NODES = 8192
+    nodes: the elements go to f in consecutive blocks of rows, so a call
+    that fits in one block is one call of f on all of them. Orders stop at
+    512, so n must be at most 256.
 
     Parameters
     ----------
@@ -394,10 +411,9 @@ def integrate_legendre(f, hi, spec=None, *params):
         (m, 3 n): the n nodes of order n, then the 2n of order 2n. rows are
         the rows of the ``params`` arrays for those elements. Returns an
         array of shape (..., m, t.shape[1]); the leading axes hold several
-        integrands on the same nodes, and an element is final when all of
-        them agree. When f acts on each node alone, as elementwise numpy
-        does, its values do not depend on how the nodes are grouped into
-        calls or blocks.
+        integrands on the same nodes. When f acts on each node alone, as
+        elementwise numpy does, its values do not depend on how the nodes
+        are grouped into calls or blocks.
     hi : float or 1-d array
         Upper limits, one per element.
     spec : QuadratureSpec, optional
@@ -415,9 +431,7 @@ def integrate_legendre(f, hi, spec=None, *params):
     ValueError
         When ``spec.order`` is above 256, before f is called.
     ToleranceNotMet
-        When some element's orders up to 512 never agree. Its ``estimate``
-        holds every element's latest value, and ``error_bound`` the largest
-        gap of the elements that did not converge.
+        At order 512, as the module docstring says.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -426,44 +440,26 @@ def integrate_legendre(f, hi, spec=None, *params):
         raise ValueError(f"starting order {order} is above "
                          f"{_LEGENDRE_MAX_ORDER // 2}")
     shape = np.shape(hi)
-    hi = np.asarray(hi, dtype=float).reshape(-1)
+    lim, rows = np.asarray(hi, dtype=float).reshape(-1), params
     # one call per block for the first pair of orders, on their joined nodes
     nodes, weights, weights2 = _legendre_pair(order)
-    prev, cur = _legendre_sums(f, hi, params, nodes,
+    prev, cur = _legendre_sums(f, lim, rows, nodes,
                                ((weights, 0), (weights2, order)))
     order *= 2
-    # index: the element of each row of lim, rows and cur still refining;
-    # result holds the final values once some elements have left
-    index, lim, rows, result = np.arange(hi.size), hi, params, None
-    while True:
-        diff = np.abs(cur - prev)
-        agree = diff <= spec.rtol * np.abs(cur)
-        if agree.all():
-            break
-        done = agree.reshape(-1, index.size).all(axis=0)
-        if done.any():
-            if result is None:
-                result = np.empty(cur.shape[:-1] + hi.shape)
-            result[..., index[done]] = cur[..., done]
-            keep = ~done
-            index, lim, cur, diff = (index[keep], lim[keep], cur[..., keep],
-                                     diff[..., keep])
-            rows = [row[keep] for row in rows]
+
+    # the next order of the elements still refining
+    def double(last, keep):
+        nonlocal order, lim, rows
+        if keep is not None:
+            lim, rows = lim[keep], [row[keep] for row in rows]
         order *= 2
         if order > _LEGENDRE_MAX_ORDER:
-            break
+            return None
         nodes, weights = _legendre_rule(order)
-        prev, (cur,) = cur, _legendre_sums(f, lim, rows, nodes,
-                                           ((weights, 0),))
-    if result is not None:
-        result[..., index] = cur
-        cur = result
-    cur = cur.reshape(cur.shape[:-1] + shape)
-    if agree.all():
-        return float(cur) if cur.ndim == 0 else cur
-    raise ToleranceNotMet(
-        f"Gauss-Legendre order doubling did not reach rtol {spec.rtol:g}",
-        estimate=cur, error_bound=float(np.max(diff)))
+        return _legendre_sums(f, lim, rows, nodes, ((weights, 0),))[0]
+
+    return _refine(prev, cur, double, spec.rtol,
+                   "Gauss-Legendre order doubling", shape)
 
 
 def _legendre_sums(f, lim, rows, nodes, parts):
@@ -763,8 +759,11 @@ def _sph_jh(orders, z):
         front = math.sqrt(math.pi / (2 * x))
         j, h = [], []
         for n in orders:
-            jn = front * cython_special.jv(n + 0.5, x)
-            yn = front * cython_special.yv(n + 0.5, x)
+            if x == math.inf:  # the limits of spherical_jn/yn, j_-1 = -y_0
+                jn, yn = math.copysign(0.0, n), 0.0
+            else:
+                jn = front * cython_special.jv(n + 0.5, x)
+                yn = front * cython_special.yv(n + 0.5, x)
             if z < 0:
                 jn, yn = (-1.0) ** n * jn, (-1.0) ** (n + 1) * yn
             j.append(jn)

@@ -33,6 +33,9 @@ F10_TM = -0.00582174605864
 F10 = -0.0100600495198088
 # C of the x -> 0 limit a^3 E_TM/A -> -C sqrt(x) (weak_coupling_constant)
 WEAK_C = 0.00354375523383440856
+# the linear coefficient of the small-x TE factor, and Euler's gamma
+TE_LINEAR = (8.0 * math.log(2.0) - 2.0) / 3.0
+EULER_GAMMA = 0.57721566490153286
 # x = 10^(k/4), k in [-24, 48]: the x-lattice of the value ledger
 LATTICE = np.array([10.0 ** (k / 4) for k in range(-24, 49)])
 
@@ -464,7 +467,8 @@ def weak_coupling_constant():
 
 
 class TestAsymptotes:
-    """Both ends of x against closed leading terms, at rtol 1e-10.
+    """Both ends of x against closed leading terms, at rtol 1e-10, and the
+    next small-x terms of the casimir module docstring at rtol 1e-13.
 
     Each bound states the size of the next term.
     """
@@ -487,6 +491,30 @@ class TestAsymptotes:
         te, _, _ = reduced_energy_and_pressure(x, 1e-10)
         gap = te / (-x * x / (32.0 * math.pi**2)) - 1.0
         assert abs(gap) <= 3.0 * x * math.log(1.0 / x)
+
+    @pytest.mark.parametrize("x", [1e-5, 1e-6])
+    def test_tm_second_term(self, weak_coupling_constant, x):
+        # TM + C sqrt(x) = x^2/(96 pi^2) (1 + t) with
+        # t = (3x/5)(2 gamma + (8 ln 2 - 2)/3 - 4/5 - 2 ln(1/x)) + O(x^2 ln^2 x):
+        # 1 + t is 0.99987 at 1e-5 and 0.999985 at 1e-6, where one ulp of
+        # TM is 4e-7 of x^2/(96 pi^2)
+        _, tm, _ = reduced_energy_and_pressure(x, 1e-13)
+        t = (tm + weak_coupling_constant * math.sqrt(x)) \
+            / (x * x / (96.0 * math.pi**2)) - 1.0
+        want = 0.6 * x * (2.0 * EULER_GAMMA + TE_LINEAR - 0.8
+                          - 2.0 * math.log(1.0 / x))
+        assert abs(t) <= 2.0 * x * math.log(1.0 / x)
+        assert abs(t - want) <= 0.1 * abs(want)
+
+    @pytest.mark.parametrize("x", [1e-5, 1e-6])
+    def test_te_linear_term(self, x):
+        # TE = -(x^2/32 pi^2)(1 - 2x (ln(1/x) - gamma) + (8 ln 2 - 2) x/3
+        # + O(x^2 ln^2 x)): the linear coefficient comes out 1.18128 at
+        # 1e-5 and 1.18167 at 1e-6, against 1.181726
+        te, _, _ = reduced_energy_and_pressure(x, 1e-13)
+        factor = te / (-x * x / (32.0 * math.pi**2))
+        linear = (factor - 1.0 + 2.0 * x * (math.log(1.0 / x) - EULER_GAMMA)) / x
+        assert abs(linear - TE_LINEAR) <= x * math.log(1.0 / x) ** 2
 
     def test_pressure_to_energy_ratio_tends_to_five_halves(self):
         # a^4 P = 3F - xF' is 5/2 of the TM part and 1 of the TE part, whose

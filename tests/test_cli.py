@@ -1012,3 +1012,30 @@ class TestArrayRunners:
                                 capture_output=True, text=True, check=True,
                                 timeout=120)
         assert result.stdout.split("\n")[0] == "0 []"
+
+    def test_no_package_call_imports_scipy_integrate(self):
+        # the README lines, the library check routes and a zero scan all run
+        # on the package's own rules: none reaches the QUADPACK wrappers
+        commands = [shlex.split(line)[1:]
+                    for line in README.read_text().splitlines()
+                    if line.startswith("plasmasheet ")]
+        assert len(commands) >= 7
+        code = ("import contextlib, io, sys\n"
+                "import plasmasheet, plasmasheet.cli\n"
+                "from plasmasheet import (AtomProperties, SheetParameters,\n"
+                "                         SphericalShell)\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    for argv in {commands!r}:\n"
+                "        assert plasmasheet.cli.main(argv) == 0, argv\n"
+                "plasmasheet.delta1_integral_form(1.0, SheetParameters(1.0),\n"
+                "                                 AtomProperties())\n"
+                "plasmasheet.reduced_energy_and_pressure_nested(1.0)\n"
+                "assert plasmasheet.scan_real_zeros(\n"
+                "    3, SphericalShell(1.0, 10.0)) == []\n"
+                "print('scipy.integrate' in sys.modules)\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="error")
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True,
+                                timeout=120)
+        assert result.stdout == "False\n"

@@ -124,6 +124,12 @@ class TestExponentialWeight:
                 lambda k: np.where(k > 1.0, 1.0, 0.0), TIGHT)
         assert abs(info.value.estimate - math.exp(-1.0)) < 1e-2
         assert info.value.error_bound > 1e-10 * math.exp(-1.0)
+        # without params the estimate has the result's shape
+        assert np.shape(info.value.estimate) == ()
+        with pytest.raises(ToleranceNotMet) as stacked:
+            numerics.integrate_exponential_weight(
+                lambda k: np.stack((k, np.where(k > 1.0, 1.0, 0.0))), TIGHT)
+        assert np.shape(stacked.value.estimate) == (2,)
 
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -241,6 +247,37 @@ class TestExponentialWeightElements:
         assert estimate.shape == (3,)
         assert estimate.tolist() == [smooth, alone.value.estimate, smooth]
         assert info.value.error_bound == alone.value.error_bound
+
+    def test_element_final_at_the_last_level_leaves_the_bound_to_the_rest(self):
+        # at rtol 1e-3, element A (scale 1e3) doubles f at level 0 only, so
+        # its relative gap is about 2^-L and it agrees first at level 10, the
+        # last; element B swings f by 10% each level and never agrees. A's
+        # last gap, about 1, is well above B's: the bound must be B's alone
+        spec = numerics.QuadratureSpec(rtol=1e-3)
+        calls = []
+
+        def f(k, scale, swing):
+            level = len(calls)
+            calls.append(len(scale))
+            d = np.where(swing, 0.1 * (-1.0) ** level, float(level == 0))
+            return scale * (1.0 + d) * k
+
+        def run(*rows):
+            calls.clear()
+            return numerics.integrate_exponential_weight(
+                f, spec, *(np.array(row)[:, None] for row in rows))
+
+        a = run([1e3], [False])
+        assert calls == [1] * 11 and np.shape(a) == (1,)
+        with pytest.raises(ToleranceNotMet) as b:
+            run([1.0], [True])
+        with pytest.raises(ToleranceNotMet) as both:
+            run([1e3, 1.0], [False, True])
+        assert calls == [2] * 11
+        assert both.value.estimate.tolist() == [a[0], b.value.estimate[0]]
+        assert both.value.error_bound == b.value.error_bound < 0.5
+        assert str(both.value) == \
+            "log-k trapezoid refinement did not reach rtol 0.001"
 
 
 def legendre_reference(f, hi, spec, *params):
@@ -390,6 +427,43 @@ class TestLegendre:
         assert both[0, 0] == pytest.approx(1.0, rel=1e-15)
         assert abs(both[1, 0] - math.sin(40.0) / 40.0) < 1e-13
         assert len(calls) > 2
+
+    def test_element_final_at_order_512_leaves_the_bound_to_the_rest(self):
+        # at rtol 1e-3, element A (scale 1e3) is 1 + 1/2n at order n, so it
+        # agrees first at the pair (256, 512), the last; element B swings by
+        # 10% each order and never agrees. A's last gap, about 1, is well
+        # above B's: the bound must be B's alone
+        spec = numerics.QuadratureSpec(order=2, rtol=1e-3)
+        calls = []
+
+        def f(t, scale, swing):
+            # the first call holds orders 2 and 4 on their joined 6 nodes
+            n = np.array([2, 2, 4, 4, 4, 4]) if not calls else t.shape[1]
+            calls.append(len(scale))
+            d = np.where(swing, 0.1 * (-1.0) ** np.log2(n), 0.5 / n)
+            return scale * (1.0 + d) * np.ones_like(t)
+
+        def run(hi, *rows):
+            calls.clear()
+            return numerics.integrate_legendre(
+                f, hi, spec, *(np.array(row)[:, None] for row in rows))
+
+        a = run(np.ones(1), [1e3], [False])
+        assert calls == [1] * 8 and np.shape(a) == (1,)
+        with pytest.raises(ToleranceNotMet) as b:
+            run(np.ones(1), [1.0], [True])
+        with pytest.raises(ToleranceNotMet) as both:
+            run(np.ones(2), [1e3, 1.0], [False, True])
+        assert calls == [2] * 8
+        assert both.value.estimate.tolist() == [a[0], b.value.estimate[0]]
+        assert both.value.error_bound == b.value.error_bound < 0.5
+        assert str(both.value) == \
+            "Gauss-Legendre order doubling did not reach rtol 0.001"
+        # a float upper limit gives a scalar estimate
+        with pytest.raises(ToleranceNotMet) as alone:
+            run(1.0, [1.0], [True])
+        assert np.shape(alone.value.estimate) == ()
+        assert alone.value.error_bound == b.value.error_bound
 
 
 class TestLegendreBlocks:

@@ -38,15 +38,19 @@ EDGE_ARGUMENTS = [math.inf, math.nan, 5e-324, 1e-310, 2.2250738585072014e-308]
 
 def _sph_jh_on_arrays(orders, z, _sph_jh=numerics._sph_jh):
     """The real-scalar formula of _sph_jh on an array of the orders: one jv
-    and one yv call over all of them, the parity as array products. Other z
-    go to _sph_jh itself."""
+    and one yv call over all of them, the parity as array products. At
+    x = inf, where jv and yv give NaN, j and y are the zeros spherical_jn and
+    spherical_yn give, with j_-1 = -y_0 = -0. Other z go to _sph_jh itself."""
     if isinstance(z, (np.ndarray, complex)):
         return _sph_jh(orders, z)
     n = np.array(orders)
     x = abs(z)
     front = math.sqrt(math.pi / (2 * x))
-    j = front * special.jv(n + 0.5, x)
-    y = front * special.yv(n + 0.5, x)
+    if x == math.inf:
+        j, y = np.copysign(0.0, n), np.zeros(n.shape)
+    else:
+        j = front * special.jv(n + 0.5, x)
+        y = front * special.yv(n + 0.5, x)
     if z < 0:
         j, y = (-1.0) ** n * j, (-1.0) ** (n + 1) * y
     h = np.empty(j.shape, dtype=complex)
@@ -99,6 +103,20 @@ class TestSphericalBessel:
                     with np.errstate(all="ignore"):
                         want = _sph_jh_on_arrays(orders, z)
                     assert _bits(got) == _bits(want), (l, z)
+
+    def test_infinite_scalar_matches_a_one_element_array(self):
+        # spherical_jn/yn give signed zeros at +-inf, where jv/yv give NaN
+        for l in range(0, 11):
+            for z in (math.inf, -math.inf):
+                for f in (numerics.spherical_bessel_j, numerics.spherical_hankel1):
+                    assert _bits(f(l, z)) == _bits(f(l, np.array([z]))[0]), (f, l, z)
+                # z j_l has no limit there
+                with pytest.raises(ValueError, match="leave the float range"):
+                    numerics.riccati_bessel(l, z)
+                with np.errstate(invalid="ignore"):
+                    pair = numerics.riccati_bessel(l, np.array([z]))
+                assert all(np.isnan(part).all() for part in pair)
+        assert repr(numerics.spherical_bessel_j(1, -math.inf)) == "-0.0"
 
     def test_numpy_float_takes_the_float_route(self):
         for z, x in ((np.float64(1.7), 1.7), (2, 2.0), (np.int64(-2), -2.0)):
