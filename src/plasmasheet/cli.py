@@ -199,6 +199,9 @@ def _build_reflection(fixed, tolerance):
 
 
 def _build_dispersion(fixed, tolerance):
+    if not fixed["omega"] > 0.0:
+        # every row would fail: the plasmon branch needs omega > 0
+        raise ValueError("omega must be positive")
     sheet = SheetParameters(omega=fixed["omega"])
 
     def runner(kpar):
@@ -278,8 +281,17 @@ def _build_sphere(fixed, tolerance):
     l = fixed["l"]
     if l < 1:
         raise ValueError("l must be >= 1")
-    radius = fixed["radius"]
-    shell = SphericalShell(radius=radius, omega=fixed["omega_r"] / radius)
+    radius, omega_r = fixed["radius"], fixed["omega_r"]
+    # checked here, not by SphericalShell, to name the options given
+    if not radius > 0.0:
+        raise ValueError("radius must be positive")
+    if not omega_r >= 0.0:
+        raise ValueError("omega_r must be nonnegative")
+    omega = omega_r / radius
+    if omega == math.inf:
+        raise ValueError(f"omega_r / radius = {omega_r!r} / {radius!r} "
+                         "is beyond the float range")
+    shell = SphericalShell(radius=radius, omega=omega)
 
     def runner(k0r):
         k0 = k0r / radius

@@ -35,11 +35,12 @@ one route per kind of argument:
 - a real ndarray goes to ``spherical_jn``/``spherical_yn``, one call each
   over all requested orders: the fastest over a whole array;
 - a real scalar (a Python float, an ``np.float64`` or an int) is made a
-  float and goes to ``cython_special.jv``/``yv`` at n + 1/2, one call of
-  each per order, and the rest runs on Python floats: no arrays of orders,
-  and none of a ufunc's per-call overhead; the two give the same bits. The
-  Jost functions, and ``scan_real_zeros`` through ``minimize_bounded``,
-  keep such a call on floats from end to end;
+  float and goes to the same functions through ``cython_special``, one
+  call of each per order, and the rest runs on Python floats: no arrays of
+  orders, and none of a ufunc's per-call overhead. It gives the bits of the
+  same value in an array, on the whole float range. The Jost functions,
+  and ``scan_real_zeros`` through ``minimize_bounded``, keep such a call on
+  floats from end to end;
 - a complex argument, scalar or ndarray, goes to the exponentially scaled
   ``jve``/``hankel1e``: on the imaginary axis z = i kappa, j and y grow like
   e^kappa while h = j + i y falls like e^-kappa, so the scaled pair keeps
@@ -756,15 +757,13 @@ def _sph_jh(orders, z):
     special, cython_special = _scipy_special()
     if not isinstance(z, (np.ndarray, complex)):
         x = float(abs(z))
-        front = math.sqrt(math.pi / (2 * x))
         j, h = [], []
         for n in orders:
-            if x == math.inf:  # the limits of spherical_jn/yn, j_-1 = -y_0
-                jn, yn = math.copysign(0.0, n), 0.0
-            else:
-                jn = front * cython_special.jv(n + 0.5, x)
-                yn = front * cython_special.yv(n + 0.5, x)
-            if z < 0:
+            jn = cython_special.spherical_jn(max(n, 0), x)
+            yn = cython_special.spherical_yn(max(n, 0), x)
+            if n < 0:
+                jn, yn = -yn, jn
+            if z < 0:  # cython_special gives NaN at x < 0 for n >= 1
                 jn, yn = (-1.0) ** n * jn, (-1.0) ** (n + 1) * yn
             j.append(jn)
             # from its parts: jn + 1j * yn would turn an infinite yn into a

@@ -606,6 +606,24 @@ class TestMain:
             assert captured.out == ""
             assert "a must be positive" in captured.err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sphere", "--l", "1", "--k0r", "1", "--omega-r", "1",
+          "--radius", "0"], "radius must be positive"),
+        (["sphere", "--l", "1", "--k0r", "1", "--omega-r", "-1"],
+         "omega_r must be nonnegative"),
+        (["sphere", "--l", "1", "--k0r", "1", "--omega-r", "1e300",
+          "--radius", "1e-10"],
+         "omega_r / radius = 1e+300 / 1e-10 is beyond the float range"),
+        (["dispersion", "--omega", "0", "--kpar-min", "0.5",
+          "--kpar-max", "2", "--count", "3"], "omega must be positive"),
+    ])
+    def test_invalid_shell_or_sheet_exits_two(self, argv, message, capsys):
+        # refused before any row, naming the option given
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"plasmasheet: {message}\n"
+
     def test_negative_exponent_form_needs_equals(self, capsys):
         assert main(["charge", "--omega-a", "1", "--p23", "1",
                      "--e=-2e-1"]) == 0

@@ -3,12 +3,11 @@
 A real scalar reaches the spherical Bessel functions and the Jost
 functions on Python floats, without building numpy arrays; bisection and
 the plasmon routes run a scalar as a 0-d array through their array path.
-Each test here holds the scalar result against the same formula evaluated
+Each test here holds the scalar result against the same value computed
 on arrays: a one-element array where the public function takes one, and
-otherwise the array-of-orders form of ``numerics._sph_jh`` kept below as
-the reference. Values are compared by ``repr`` of Python floats and
-complex numbers, so every bit counts, signed zeros and infinities
-included.
+otherwise ``numerics._sph_jh``'s own array route, called on a 0-d array.
+Values are compared by ``repr`` of Python floats and complex numbers, so
+every bit counts, signed zeros and infinities included.
 """
 
 import functools
@@ -32,30 +31,18 @@ from plasmasheet.sphere import (
 
 ORDERS = range(0, 61)
 ARGUMENTS = np.geomspace(1e-6, 1e3, 37).tolist()
-# where front = sqrt(pi/(2x)) or a Bessel value is 0, inf or NaN
+# where a Bessel value is 0, inf or NaN
 EDGE_ARGUMENTS = [math.inf, math.nan, 5e-324, 1e-310, 2.2250738585072014e-308]
+# from 2^52 up, where every float is an integer, to the top of the float range
+LARGE_ARGUMENTS = [2.0**52, 1e17, 1e30, 1e100, 1e300, 8.9e307, 1.7e308]
 
 
 def _sph_jh_on_arrays(orders, z, _sph_jh=numerics._sph_jh):
-    """The real-scalar formula of _sph_jh on an array of the orders: one jv
-    and one yv call over all of them, the parity as array products. At
-    x = inf, where jv and yv give NaN, j and y are the zeros spherical_jn and
-    spherical_yn give, with j_-1 = -y_0 = -0. Other z go to _sph_jh itself."""
+    """_sph_jh of a real scalar z on its array route, as a 0-d array; other
+    z go to _sph_jh itself."""
     if isinstance(z, (np.ndarray, complex)):
         return _sph_jh(orders, z)
-    n = np.array(orders)
-    x = abs(z)
-    front = math.sqrt(math.pi / (2 * x))
-    if x == math.inf:
-        j, y = np.copysign(0.0, n), np.zeros(n.shape)
-    else:
-        j = front * special.jv(n + 0.5, x)
-        y = front * special.yv(n + 0.5, x)
-    if z < 0:
-        j, y = (-1.0) ** n * j, (-1.0) ** (n + 1) * y
-    h = np.empty(j.shape, dtype=complex)
-    h.real, h.imag = j, y
-    return j, h, 1.0
+    return _sph_jh(orders, np.array(float(z)))
 
 
 def _bits(value):
@@ -96,7 +83,7 @@ class TestSphericalBessel:
     def test_sph_jh_matches_the_array_of_orders(self):
         for l in ORDERS:
             orders = (l - 1, l)
-            for x in ARGUMENTS + EDGE_ARGUMENTS:
+            for x in ARGUMENTS + EDGE_ARGUMENTS + LARGE_ARGUMENTS:
                 for z in (x, -x):
                     got = numerics._sph_jh(orders, z)
                     assert isinstance(got[0][0], float)
@@ -105,7 +92,7 @@ class TestSphericalBessel:
                     assert _bits(got) == _bits(want), (l, z)
 
     def test_infinite_scalar_matches_a_one_element_array(self):
-        # spherical_jn/yn give signed zeros at +-inf, where jv/yv give NaN
+        # spherical_jn/yn give signed zeros at +-inf
         for l in range(0, 11):
             for z in (math.inf, -math.inf):
                 for f in (numerics.spherical_bessel_j, numerics.spherical_hankel1):
@@ -117,6 +104,16 @@ class TestSphericalBessel:
                     pair = numerics.riccati_bessel(l, np.array([z]))
                 assert all(np.isnan(part).all() for part in pair)
         assert repr(numerics.spherical_bessel_j(1, -math.inf)) == "-0.0"
+
+    def test_large_scalar_is_the_asymptote(self):
+        # h_n(x) = (-i)^(n+1) e^(ix) / x to O(n^2/x), with sin x and cos x
+        # reduced exactly by libm
+        for x in LARGE_ARGUMENTS:
+            s, c = math.sin(x), math.cos(x)
+            for n, (j, y) in enumerate(((s, -c), (-c, -s), (-s, c), (c, s))):
+                h = numerics.spherical_hankel1(n, x)
+                assert abs(h - complex(j / x, y / x)) <= 1e-14 / x, (n, x)
+                assert numerics.spherical_bessel_j(n, x) == h.real
 
     def test_numpy_float_takes_the_float_route(self):
         for z, x in ((np.float64(1.7), 1.7), (2, 2.0), (np.int64(-2), -2.0)):
@@ -142,32 +139,33 @@ class TestSphericalBessel:
         assert numerics.spherical_hankel1(42, 1e-6) == complex(0.0, -math.inf)
         assert numerics.spherical_bessel_j(42, 1e-6) == 0.0
 
-    def test_one_jv_and_one_yv_call_per_order(self, monkeypatch):
+    def test_one_spherical_jn_and_yn_call_per_order(self, monkeypatch):
         # a real scalar calls cython_special, a real array the ufuncs
         calls = {}
 
         def counted(module, name):
             original = getattr(module, name)
+            key = f"{module.__name__.rpartition('.')[2]}.{name}"
 
             @functools.wraps(original)
             def wrapper(*args):
-                calls[name] = calls.get(name, 0) + 1
+                calls[key] = calls.get(key, 0) + 1
                 return original(*args)
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("jv", "yv"):
-            counted(cython_special, name)
-        for name in ("spherical_jn", "spherical_yn"):
-            counted(special, name)
+        for module in (cython_special, special):
+            for name in ("spherical_jn", "spherical_yn"):
+                counted(module, name)
         for z in (1.7, -1.7, np.float64(1.7)):
-            for orders in ((3,), (2, 3)):
+            for orders in ((3,), (2, 3), (-1, 0)):
                 calls.clear()
                 numerics._sph_jh(orders, z)
-                assert calls == {"jv": len(orders), "yv": len(orders)}
+                assert calls == {"cython_special.spherical_jn": len(orders),
+                                 "cython_special.spherical_yn": len(orders)}
         calls.clear()
         numerics._sph_jh((2, 3), np.array([1.7, 2.0]))
-        assert calls == {"spherical_jn": 1, "spherical_yn": 1}
+        assert calls == {"special.spherical_jn": 1, "special.spherical_yn": 1}
 
 
 class TestJostRoutes:

@@ -560,6 +560,19 @@ class TestRealAxisImaginaryPart:
         # a zero closed form is a squared factor that underflowed
         assert abs(got - want) <= 1e-12 * abs(want), what
 
+    def _assert_scalar_and_array(self, l, z, shell):
+        """Im g at each k0 R in z, for an array and for each scalar."""
+        k0 = z / shell.radius
+        te, tm = jost_te(l, k0, shell), jost_tm(l, k0, shell)
+        for i, point in enumerate(z.tolist()):
+            want_te, want_tm = self._closed_forms(l, point, shell)
+            scalar_te = jost_te(l, point / shell.radius, shell)
+            scalar_tm = jost_tm(l, point / shell.radius, shell)
+            for got in (te[i], scalar_te):
+                self._assert_relative(got.imag, want_te, (l, point))
+            for got in (tm[i], scalar_tm):
+                self._assert_relative(got.imag, want_tm, (l, point))
+
     def test_scalar_and_array_k0(self):
         shell = self.SHELL
         with warnings.catch_warnings():
@@ -576,16 +589,7 @@ class TestRealAxisImaginaryPart:
                     with pytest.raises(SheetModelError):
                         jost_tm(l, float(point) / shell.radius, shell)
                 z = z[clean]
-                k0 = z / shell.radius
-                te, tm = jost_te(l, k0, shell), jost_tm(l, k0, shell)
-                for i, point in enumerate(z.tolist()):
-                    want_te, want_tm = self._closed_forms(l, point, shell)
-                    scalar_te = jost_te(l, point / shell.radius, shell)
-                    scalar_tm = jost_tm(l, point / shell.radius, shell)
-                    for got in (te[i], scalar_te):
-                        self._assert_relative(got.imag, want_te, (l, point))
-                    for got in (tm[i], scalar_tm):
-                        self._assert_relative(got.imag, want_tm, (l, point))
+                self._assert_scalar_and_array(l, z, shell)
 
 
     def test_shell_grid_scalar_and_array(self):
@@ -594,16 +598,15 @@ class TestRealAxisImaginaryPart:
         shell = SphericalShell(radius=1.4, omega=3.0)
         for l in range(1, 11):
             z = np.array([0.05, 0.4, 1.0, l + 0.5, 3.0 * l, 28.0])
-            k0 = z / shell.radius
-            te, tm = jost_te(l, k0, shell), jost_tm(l, k0, shell)
-            for i, point in enumerate(z.tolist()):
-                want_te, want_tm = self._closed_forms(l, point, shell)
-                scalar_te = jost_te(l, point / shell.radius, shell)
-                scalar_tm = jost_tm(l, point / shell.radius, shell)
-                for got in (te[i], scalar_te):
-                    self._assert_relative(got.imag, want_te, (l, point))
-                for got in (tm[i], scalar_tm):
-                    self._assert_relative(got.imag, want_tm, (l, point))
+            self._assert_scalar_and_array(l, z, shell)
+
+    def test_large_k0r_scalar_and_array(self):
+        # far beyond 2^52, where j_l needs k0 R reduced mod pi exactly; at a
+        # power-of-two radius k0 R round-trips through k0 = z / R
+        shell = SphericalShell(radius=2.0, omega=3.0)
+        z = np.array([1e17, 1e30, 1e100, 1e300, 1.7e308])
+        for l in range(1, 11):
+            self._assert_scalar_and_array(l, z, shell)
 
 
 class TestNonFiniteJost:
